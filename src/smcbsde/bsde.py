@@ -141,18 +141,23 @@ def _terminal_array(sys, terminal):
     return term
 
 
+def _driver_value(sys, driver, k, s, y, z_row):
+    if isinstance(driver, LinearDriver):
+        out = float(driver.alpha[k, s]) * y + float(driver.g[k, s])
+        b = driver.beta_row(k, s)
+        if b is not None:
+            out += float(b @ sys.geometry_for(s).project(z_row))
+        return out
+    return float(driver.fn(k, s, y, z_row))
+
+
 def _linear_step(sys, driver, k, s, mean, z_row):
     a = float(driver.alpha[k, s])
     if abs(1.0 - a) < 1e-12:
         raise DegenerateDriverError(
             f"alpha[{k}, {s}] = {a}: y - f is not a bijection"
         )
-    rhs = mean + float(driver.g[k, s])
-    b = driver.beta_row(k, s)
-    if b is not None:
-        g = sys.geometry_for(s)
-        rhs += float(b @ (g.projector @ z_row))
-    return rhs / (1.0 - a)
+    return (mean + _driver_value(sys, driver, k, s, 0.0, z_row)) / (1.0 - a)
 
 
 def _verified_root(phi, center, context=""):
@@ -189,21 +194,12 @@ def solve_bsde(sys, driver, terminal) -> BsdeSolution:
     integrands = np.zeros((t, d, d))
     reach_t = sys.reachable_at[t]
     values[t, reach_t] = term[reach_t]
-    linear = isinstance(driver, LinearDriver)
+    step = _linear_step if isinstance(driver, LinearDriver) else _general_step
     for k in range(t - 1, -1, -1):
-        nxt = values[k + 1]
         for s in sys.reachable_at[k]:
             s = int(s)
-            g = sys.geometry_for(s)
-            sup = g.support
-            mean = float(g.column[sup] @ nxt[sup])
-            z_row = np.zeros(d)
-            z_row[sup] = nxt[sup] - mean
-            if linear:
-                y = _linear_step(sys, driver, k, s, mean, z_row)
-            else:
-                y = _general_step(sys, driver, k, s, mean, z_row)
-            values[k, s] = y
+            mean, z_row = sys.geometry_for(s).split(values[k + 1])
+            values[k, s] = step(sys, driver, k, s, float(mean), z_row)
             integrands[k, s] = z_row
     return BsdeSolution(values, integrands)
 
@@ -224,17 +220,6 @@ class ComparisonReport:
     max_violation: float
     ordered: bool
     driver_gap_min: float = field(default=float("nan"))
-
-
-def _driver_value(sys, driver, k, s, y, z_row):
-    if isinstance(driver, LinearDriver):
-        out = float(driver.alpha[k, s]) * y + float(driver.g[k, s])
-        b = driver.beta_row(k, s)
-        if b is not None:
-            g = sys.geometry_for(s)
-            out += float(b @ (g.projector @ z_row))
-        return out
-    return float(driver.fn(k, s, y, z_row))
 
 
 def _omega2_for(sys, driver):

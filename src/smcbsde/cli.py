@@ -15,15 +15,14 @@ verify-all     run the bundled desk-scale property suite and print a
                summary table
 
 Exit status: 0 success, 1 validation or hypothesis failure, 2 internal
-invariant violation (a residual above tolerance).  Outputs are byte-identical
-for identical inputs, seed and package version.  Set SMCBSDE_LOG to a level
-name (DEBUG, INFO, ...) for diagnostics on stderr.
+invariant violation (a residual above tolerance or not finite).  Outputs are
+byte-identical for identical inputs, seed and package version.  Set
+SMCBSDE_LOG to a level name (DEBUG, INFO, ...) for diagnostics on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -113,6 +112,15 @@ def _path_count(sys):
     return total
 
 
+def _check_problem_size(path, alpha, sys_):
+    """Reject a problem whose tables were sized for another model."""
+    if alpha.shape[:2] != (sys_.horizon, sys_.dim):
+        raise files.FileFormatError(
+            f"{path}: field 'alpha' is sized (T, D) = {alpha.shape[:2]} but "
+            f"the model's lattice has (T, D) = {(sys_.horizon, sys_.dim)}"
+        )
+
+
 def _condition_payload(report):
     return {
         "name": report.name,
@@ -199,6 +207,7 @@ def _cmd_solve_bsde(args):
     model = files.load_model(args.model)
     sys_ = build_lattice(model)
     driver, terminal = files.load_linear_problem(args.problem)
+    _check_problem_size(args.problem, driver.alpha, sys_)
     solution = solve_bsde(sys_, driver, terminal)
     tol = args.tol if args.tol is not None else 1e-9
     _, l_bound = driver.bounds(sys_)
@@ -251,8 +260,10 @@ def _cmd_solve_bsde(args):
     print(f"solved backward equation; artifacts in {out}")
     if residual is not None:
         print(f"duality residual ({check_mode}): {residual:.3e}")
-        if check_mode == "exhaustive" and residual > tol:
-            print(f"residual exceeds tolerance {tol}", file=sys.stderr)
+        gated = check_mode == "exhaustive"
+        if not math.isfinite(residual) or (gated and residual > tol):
+            print(f"residual is not finite or exceeds tolerance {tol}",
+                  file=sys.stderr)
             return EXIT_VIOLATION
     return EXIT_OK
 
@@ -261,6 +272,7 @@ def _cmd_verify_duality(args):
     model = files.load_model(args.model)
     sys_ = build_lattice(model)
     driver, terminal = files.load_linear_problem(args.problem)
+    _check_problem_size(args.problem, driver.alpha, sys_)
     solution = solve_bsde(sys_, driver, terminal)
     tol = args.tol if args.tol is not None else 1e-9
     n_paths = _path_count(sys_)
@@ -294,8 +306,9 @@ def _cmd_verify_duality(args):
     for name, value in sorted(per_convention.items()):
         marker = "*" if name == convention.value else " "
         print(f"{marker} {name:9s} residual {value:.3e}")
-    if mc is None and residual > tol:
-        print(f"selected residual exceeds tolerance {tol}", file=sys.stderr)
+    if not math.isfinite(residual) or (mc is None and residual > tol):
+        print(f"selected residual is not finite or exceeds tolerance {tol}",
+              file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -304,6 +317,7 @@ def _cmd_solve_control(args):
     model = files.load_model(args.model)
     sys_ = build_lattice(model)
     problem = files.load_control_problem(args.problem)
+    _check_problem_size(args.problem, problem.alpha, sys_)
     tol = args.tol if args.tol is not None else 1e-9
     solved = solve_control(
         problem, sys_, override_hypotheses=args.override_hypotheses

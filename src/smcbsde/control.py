@@ -170,12 +170,7 @@ class ControlSolution:
 
 def hamiltonian(problem: ControlProblem, sys, k, state, y, z_row, u) -> float:
     """Driver value of one control at the given scalar value and integrand."""
-    geo = sys.geometry_for(int(state))
-    return float(
-        problem.alpha[k, state, u] * y
-        + problem.beta[k, state, u] @ (geo.projector @ np.asarray(z_row, float))
-        + problem.g[k, state, u]
-    )
+    return float(max_driver(problem, sys, k, state, y, z_row)[2][u])
 
 
 def max_driver(problem: ControlProblem, sys, k, state, y, z_row):
@@ -183,8 +178,7 @@ def max_driver(problem: ControlProblem, sys, k, state, y, z_row):
 
     Returns (best_value, best_index, all_values).
     """
-    geo = sys.geometry_for(int(state))
-    pz = geo.projector @ np.asarray(z_row, dtype=float)
+    pz = sys.geometry_for(int(state)).project(z_row)
     vals = (
         problem.alpha[k, state] * y
         + problem.beta[k, state] @ pz
@@ -238,18 +232,12 @@ def solve_control(
     values[t, reach_t] = term[reach_t]
     ties = 0
     for k in range(t - 1, -1, -1):
-        nxt = values[k + 1]
         for s in sys.reachable_at[k]:
             s = int(s)
-            geo = sys.geometry_for(s)
-            sup = geo.support
-            mean = float(geo.column[sup] @ nxt[sup])
-            z_row = np.zeros(d)
-            z_row[sup] = nxt[sup] - mean
+            mean, z_row = sys.geometry_for(s).split(values[k + 1])
             alphas = problem.alpha[k, s]
             if np.all(alphas < 1.0 - _ALPHA_GUARD):
-                pz = geo.projector @ z_row
-                numer = mean + problem.beta[k, s] @ pz + problem.g[k, s]
+                numer = mean + max_driver(problem, sys, k, s, 0.0, z_row)[2]
                 y = float(np.max(numer / (1.0 - alphas)))
             else:
                 def phi(v, k=k, s=s, z=z_row, m=mean):
@@ -362,7 +350,8 @@ def brute_force_value(
                     f"a drift coefficient at time {k}, state {s} makes the "
                     "step map non-invertible"
                 )
-            beff = (problem.beta[k, s] @ geo.projector)[:, sup]
+            # beta P read on the support; P is symmetric, so P beta' works
+            beff = geo.project(problem.beta[k, s])[:, sup]
             cand = (mean[None, :] + beff @ zmat.T + problem.g[k, s][:, None]) / (
                 1.0 - alphas
             )[:, None]

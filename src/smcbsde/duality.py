@@ -108,7 +108,8 @@ class _StepTables:
                 row = None
                 base = 0.0
             else:
-                row = self.sde.beta[k, s] @ g.bracket_pinv
+                row = np.zeros(self.sys.dim)
+                row[g.block] = self.sde.beta[k, s][g.block] @ g.local_pinv
                 base = float(row @ g.column)
             hit = (a, row, base, g)
             self._cache[key] = hit

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bsde import LinearDriver, solve_bsde
+from .bsde import LinearDriver, _driver_value, solve_bsde
 from .chain import SemiMarkovModel
 from .lattice import projection_constants
+from .linalg import comparison_condition, positivity_condition
 
 __all__ = [
     "max_beta_for_comparison",
@@ -72,32 +73,15 @@ def random_model(
 
 def max_beta_for_positivity(sys) -> float:
     """Largest coefficient-row norm for which the positivity condition holds."""
-    worst = 0.0
-    for g in sys.geometry.values():
-        worst = max(
-            worst,
-            np.sqrt(2.0)
-            * np.linalg.norm(g.bracket)
-            * np.linalg.norm(g.bracket_pinv) ** 2,
-        )
+    worst = positivity_condition(sys, 1.0).lhs.max()
     return 1.0 / worst if worst > 0.0 else np.inf
 
 
 def max_beta_for_comparison(sys) -> float:
     """Largest row norm keeping the comparison condition strict."""
     lam = projection_constants(sys).overall
-    if lam <= 0.0:
-        return np.inf
-    c = sys.transition
-    root_trace = np.sqrt(np.trace(c.T @ c))
-    worst = 0.0
-    for g in sys.geometry.values():
-        worst = max(
-            worst, 6.0 * root_trace * np.trace(g.bracket_pinv.T @ g.bracket_pinv)
-        )
-    if worst <= 0.0:
-        return np.inf
-    return 1.0 / (lam * np.sqrt(worst))
+    worst = comparison_condition(sys, 1.0).lhs.max()
+    return 1.0 / (lam * np.sqrt(worst)) if lam > 0.0 and worst > 0.0 else np.inf
 
 
 def _reachable_mask(sys):
@@ -163,12 +147,10 @@ def random_comparison_pair(sys, rng: np.random.Generator):
             s = int(s)
             y2 = sol2.values[k, s]
             z2 = sol2.integrands[k, s]
-            proj = sys.geometry_for(s).projector
-            carry = float(
-                (driver2.alpha[k, s] - fresh.alpha[k, s]) * y2
-                + (driver2.beta[k, s] - fresh.beta[k, s]) @ (proj @ z2)
+            carry = _driver_value(sys, driver2, k, s, y2, z2) - _driver_value(
+                sys, fresh, k, s, y2, z2
             )
-            g1[k, s] = driver2.g[k, s] + carry - rng.uniform(0.0, 1.0)
+            g1[k, s] = fresh.g[k, s] + carry - rng.uniform(0.0, 1.0)
     driver1 = LinearDriver(fresh.alpha, g1, fresh.beta)
     return driver1, terminal1, driver2, terminal2
 

@@ -20,7 +20,9 @@ increment) carries two matrices:
   step is random, because it couples the source coordinate to successors.
 
 Both are exposed because formulas downstream are indexed against the
-bracket (through its pseudoinverse) while norms need the covariance.
+bracket (through its pseudoinverse) while norms need the covariance.  Both
+vanish outside the block (source, *successors) of at most N+1 indices, so
+only blocks are stored; D x D views are built on request (StateGeometry).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .chain import SemiMarkovModel, sojourn_quantities
+from .chain import SemiMarkovModel, SojournQuantities, sojourn_quantities
 from .linalg import pinv
 
 __all__ = [
@@ -59,23 +61,60 @@ class UnreachableStateError(KeyError):
 class StateGeometry:
     """Per-source-state noise data, cached on the lattice system.
 
+    Stored on the block (state, *support), outside which the noise vanishes;
+    ``covariance``, ``bracket``, ``bracket_pinv`` and ``projector`` are the
+    D x D views, built on request for export and inspection only.  Solvers
+    need no more than the block: the projector acts as the identity on the
+    canonical integrand of any source whose successor law has positive mass.
+
     column     : successor law c (D,)
     support    : successor flat indices with positive mass
-    covariance : diag(c) - c c'
-    bracket    : diag(c) - e c' - c e'
-    bracket_pinv : Moore-Penrose pseudoinverse of the bracket
-    projector  : bracket_pinv @ bracket (orthogonal projector onto its range)
+    block      : (state, *support) flat indices
+    local_bracket : diag(c) - e c' - c e' on the block
+    local_pinv : Moore-Penrose pseudoinverse of the local bracket
+    local_projector : local_pinv @ local_bracket (projector onto its range)
     bracket_psd: True when the bracket has no genuinely negative eigenvalue
     """
 
     state: int
     column: np.ndarray
     support: np.ndarray
-    covariance: np.ndarray
-    bracket: np.ndarray
-    bracket_pinv: np.ndarray
-    projector: np.ndarray
+    block: np.ndarray
+    local_bracket: np.ndarray
+    local_pinv: np.ndarray
+    local_projector: np.ndarray
     bracket_psd: bool
+
+    # split and project run in every backward step; indexing through .T
+    # serves (D,) and (B, D) alike and is cheaper than Ellipsis indexing
+    def split(self, values):
+        """Successor-law mean and canonical integrand (zero off the support,
+        values - mean on it) of next-step values (D,), or a batch (B, D)."""
+        values = np.asarray(values, dtype=float)
+        nxt = values.T[self.support]
+        mean = self.column[self.support] @ nxt
+        z = np.zeros(values.shape)
+        z.T[self.support] = nxt - mean
+        return mean, z
+
+    def project(self, z) -> np.ndarray:
+        """``projector @ z`` computed on the block, for z (D,) or (B, D)."""
+        z = np.asarray(z, dtype=float)
+        out = np.zeros(z.shape)
+        out.T[self.block] = self.local_projector @ z.T[self.block]
+        return out
+
+    def _dense(self, local):
+        out = np.zeros((self.column.size,) * 2)
+        out[np.ix_(self.block, self.block)] = local
+        return out
+
+    covariance = property(
+        lambda self: np.diag(self.column) - np.outer(self.column, self.column)
+    )
+    bracket = property(lambda self: self._dense(self.local_bracket))
+    bracket_pinv = property(lambda self: self._dense(self.local_pinv))
+    projector = property(lambda self: self._dense(self.local_projector))
 
 
 @dataclass(frozen=True)
@@ -83,7 +122,7 @@ class LatticeSystem:
     """Lattice embedding of a semi-Markov model over its full horizon."""
 
     model: SemiMarkovModel
-    sojourn: object
+    sojourn: SojournQuantities
     dim: int
     transition: np.ndarray
     reachable_at: tuple
@@ -129,7 +168,6 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     c = np.zeros((dim, dim))
     hz = sq.hazard
     for m in range(1, t + 2):
-        cols = slice((m - 1) * n, m * n)
         for i in range(n):
             if not sq.attainable[i, m - 1]:
                 continue
@@ -137,7 +175,6 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
             c[:n, (m - 1) * n + i] = model.jump[i, m - 1] * h
             if m <= t:
                 c[m * n + i, (m - 1) * n + i] = 1.0 - h
-        del cols
     support = c > 0.0
 
     reachable = []
@@ -156,22 +193,22 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
 
     sources = np.unique(np.concatenate(reachable[:t])) if t else np.array([], int)
     geometry = {}
-    eye = np.eye(dim)
     for s in sources:
+        s = int(s)
         col = c[:, s].copy()
-        cov = np.diag(col) - np.outer(col, col)
-        e = eye[s]
-        br = np.diag(col) - np.outer(e, col) - np.outer(col, e)
+        sup = np.flatnonzero(col)
+        block = np.concatenate(([s], sup[sup != s]))
+        cb = col[block]
+        e = np.eye(block.size)[0]
+        br = np.diag(cb) - np.outer(e, cb) - np.outer(cb, e)
         bp = pinv(br)
         proj = bp @ br
         w = np.linalg.eigvalsh(br)
         scale = max(abs(w[0]), abs(w[-1]), 1.0)
         psd = bool(w[0] >= -_EIG_TOL * scale)
-        for arr in (col, cov, br, bp, proj):
+        for arr in (col, sup, block, br, bp, proj):
             arr.flags.writeable = False
-        geometry[int(s)] = StateGeometry(
-            int(s), col, np.flatnonzero(col), cov, br, bp, proj, psd
-        )
+        geometry[s] = StateGeometry(s, col, sup, block, br, bp, proj, psd)
     c.flags.writeable = False
     dist.flags.writeable = False
     for r in reachable:
@@ -227,9 +264,8 @@ def noise_seminorm(sys: LatticeSystem, rows, up_to: int | None = None) -> float:
             g = sys.geometry_for(s)
             # variance form of row' cov row: immune to the cancellation that
             # row @ cov @ row suffers on (near-)constant rows
-            c = g.column[g.support]
-            centred = row[g.support] - float(c @ row[g.support])
-            total += p * float(c @ (centred * centred))
+            _, z = g.split(row)
+            total += p * float(g.column @ (z * z))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -276,13 +312,10 @@ def canonical_integrand(
 
     Idempotent, and rows are equivalent iff their representatives coincide.
     """
+    if state is not None:
+        return sys.geometry_for(state).split(row)[1]
     row = np.asarray(row, dtype=float)
     out = np.zeros_like(row)
-    if state is not None:
-        g = sys.geometry_for(state)
-        shift = float(g.column @ row)
-        out[g.support] = row[g.support] - shift
-        return out
     comps = _support_components(sys, _sources_at(sys, k))
     for comp in comps:
         mix = np.zeros(sys.dim)
@@ -301,17 +334,11 @@ def integrands_equivalent(
 ) -> bool:
     """True iff the two rows produce the same product with every realizable
     one-step increment (from ``state``, or from all sources at time k)."""
-    row1 = np.asarray(row1, dtype=float)
-    row2 = np.asarray(row2, dtype=float)
-    d = row1 - row2
+    d = np.asarray(row1, dtype=float) - np.asarray(row2, dtype=float)
     states = [state] if state is not None else _sources_at(sys, k)
-    for s in states:
-        g = sys.geometry_for(s)
-        base = float(d @ g.column)
-        for j in g.support:
-            if abs(d[j] - base) > tol:
-                return False
-    return True
+    return not any(
+        np.any(np.abs(sys.geometry_for(s).split(d)[1]) > tol) for s in states
+    )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Document round-trips, format diagnostics, and the command-line front end."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,3 +319,44 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+
+
+def test_cli_non_finite_duality_residual_is_a_violation(tmp_path, capsys):
+    doc = json.loads((SAMPLES / "linear_problem.json").read_text())
+    doc["g"][0][0] = float("nan")
+    problem = tmp_path / "nan_problem.json"
+    problem.write_text(json.dumps(doc))
+    model = str(SAMPLES / "geometric_model.json")
+    rc = cli.main(["solve-bsde", "--model", model, "--problem", str(problem),
+                   "--out", str(tmp_path / "sol")])
+    assert rc == 2
+    assert "duality residual (exhaustive): nan" in capsys.readouterr().out
+    rc = cli.main(["verify-duality", "--model", model, "--problem",
+                   str(problem), "--convention", "mixed"])
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, model, problem, sized, lattice",
+    [
+        ("solve-bsde", "small_model", "linear_problem", (8, 18), (3, 8)),
+        ("verify-duality", "small_model", "linear_problem", (8, 18), (3, 8)),
+        ("solve-control", "geometric_model", "control_problem", (3, 8),
+         (8, 18)),
+    ],
+    ids=["solve-bsde", "verify-duality", "solve-control"],
+)
+def test_cli_problem_sized_for_another_model(
+    tmp_path, capsys, command, model, problem, sized, lattice
+):
+    problem_path = str(SAMPLES / f"{problem}.json")
+    rc = cli.main([command, "--model", str(SAMPLES / f"{model}.json"),
+                   "--problem", problem_path, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {problem_path}: field 'alpha'")
+    assert str(sized) in err and str(lattice) in err

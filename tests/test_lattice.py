@@ -3,6 +3,8 @@ per-state noise geometry, integrand equivalence and projection constants."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcbsde import (
     UnreachableStateError,
@@ -16,6 +18,7 @@ from smcbsde import (
     step_distribution,
 )
 from smcbsde.instances import random_model
+from smcbsde.linalg import comparison_condition, positivity_condition
 
 from conftest import TINY_TRANSITION, geometric_model, tiny_model
 
@@ -294,3 +297,82 @@ def test_projection_constant_bounds_canonical_rows_and_is_sharp():
                 (per_state[int(s)] for s in sys_.reachable_at[k]), default=0.0
             )
             assert pc.per_time[k] == pytest.approx(expect, rel=1e-10, abs=1e-12)
+
+
+# Dense reference: the per-source D x D geometry as the lattice once stored
+# it, kept here as an oracle for the block-local storage.
+
+
+def dense_geometry(sys_, s):
+    col = sys_.transition[:, s]
+    e = np.eye(sys_.dim)[s]
+    cov = np.diag(col) - np.outer(col, col)
+    br = np.diag(col) - np.outer(e, col) - np.outer(col, e)
+    bp = np.linalg.pinv(br, rcond=1e-12)
+    return cov, br, bp, bp @ br
+
+
+def dense_split(sys_, s, values):
+    col = sys_.transition[:, s]
+    sup = np.flatnonzero(col)
+    mean = values @ col
+    z = np.zeros_like(values)
+    z[..., sup] = values[..., sup] - np.expand_dims(mean, -1)
+    return mean, z
+
+
+def dense_condition_lhs(sys_, beta_bound, omega2):
+    c = sys_.transition
+    root_trace = np.sqrt(np.trace(c.T @ c))
+    pos = np.zeros(sys_.horizon)
+    comp = np.zeros(sys_.horizon)
+    for k in range(sys_.horizon):
+        for s in sys_.reachable_at[k]:
+            _, br, bp, _ = dense_geometry(sys_, int(s))
+            pos[k] = max(pos[k], np.sqrt(2.0) * beta_bound * np.linalg.norm(br)
+                         * np.linalg.norm(bp) ** 2)
+            comp[k] = max(comp[k], 6.0 * omega2**2 * root_trace
+                          * np.trace(bp.T @ bp))
+    return pos, comp
+
+
+@st.composite
+def lattices(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_model(
+        rng,
+        n=draw(st.integers(2, 4)),
+        t=draw(st.integers(1, 6)),
+        sub_stochastic_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+    return build_lattice(model), rng
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(lattices())
+def test_block_geometry_matches_dense_reference(case):
+    sys_, rng = case
+    for s in sorted(int(s) for s in sys_.sources):
+        geo = sys_.geometry_for(s)
+        cov, br, bp, proj = dense_geometry(sys_, s)
+        for got, want in ((geo.covariance, cov), (geo.bracket, br),
+                          (geo.bracket_pinv, bp), (geo.projector, proj)):
+            # pinv entries grow with the conditioning: compare at their scale
+            scale = 1.0 + np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        z = rng.standard_normal((3, sys_.dim))
+        np.testing.assert_allclose(geo.project(z[0]), proj @ z[0], atol=1e-12)
+        np.testing.assert_allclose(geo.project(z), z @ proj.T, atol=1e-12)
+        for values in (z[0], z):
+            mean, can = geo.split(values)
+            want_mean, want_can = dense_split(sys_, s, values)
+            np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(can, want_can, rtol=0, atol=1e-12)
+    beta_bound, omega2 = rng.uniform(0.1, 2.0, 2)
+    pos, comp = dense_condition_lhs(sys_, beta_bound, omega2)
+    np.testing.assert_allclose(
+        positivity_condition(sys_, beta_bound).lhs, pos, rtol=1e-12, atol=0
+    )
+    np.testing.assert_allclose(
+        comparison_condition(sys_, omega2).lhs, comp, rtol=1e-12, atol=0
+    )
