@@ -56,8 +56,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_VIOLATION = 2
 
-_EXHAUSTIVE_PATH_CAP = 20_000
-
 log = logging.getLogger("smcbsde")
 
 
@@ -78,13 +76,6 @@ def _metadata(**extra):
     return meta
 
 
-def _nan_to_none(arr):
-    return [
-        [None if (isinstance(v, float) and math.isnan(v)) else v for v in row]
-        for row in np.asarray(arr, dtype=float).tolist()
-    ]
-
-
 def _values_rows(sys, values):
     rows = []
     for k in range(sys.horizon + 1):
@@ -98,18 +89,6 @@ def _matrix_lines(mat):
     return "\n".join(
         ",".join(files.format_number(v) for v in row) for row in np.asarray(mat)
     ) + "\n"
-
-
-def _path_count(sys):
-    total = 1
-    for k in range(sys.horizon):
-        largest = max(
-            sys.geometry_for(int(s)).support.size for s in sys.reachable_at[k]
-        )
-        total *= max(largest, 1)
-        if total > _EXHAUSTIVE_PATH_CAP:
-            return total
-    return total
 
 
 def _check_problem_size(path, alpha, sys_):
@@ -216,20 +195,10 @@ def _cmd_solve_bsde(args):
     comparison = comparison_condition(sys_, l_bound * lam)
 
     convention, selection = _resolve_convention(args.convention, sys_, args.seed)
-    residual = None
-    check_mode = "skipped"
-    n_paths = _path_count(sys_)
-    if n_paths <= _EXHAUSTIVE_PATH_CAP or args.mc_paths:
-        sde = WeightSde.from_driver(driver, convention)
-        mc = None if n_paths <= _EXHAUSTIVE_PATH_CAP else args.mc_paths
-        dual = dual_value(
-            sys_, sde, driver.g, terminal, mc_paths=mc, seed=args.seed
-        )
-        reach0 = sys_.reachable_at[0]
-        residual = float(
-            np.max(np.abs(dual[reach0] - solution.values[0, reach0]))
-        )
-        check_mode = "exhaustive" if mc is None else f"monte-carlo:{mc}"
+    sde = WeightSde.from_driver(driver, convention)
+    dual = dual_value(sys_, sde, driver.g, terminal)
+    reach0 = sys_.reachable_at[0]
+    residual = float(np.max(np.abs(dual[reach0] - solution.values[0, reach0])))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -242,7 +211,7 @@ def _cmd_solve_bsde(args):
         "metadata": _metadata(
             convention=convention.value,
             tolerance=tol,
-            duality_check=check_mode,
+            duality_check="exhaustive",
             duality_residual=residual,
         ),
         "hypotheses": {
@@ -251,20 +220,18 @@ def _cmd_solve_bsde(args):
             "coefficient_bound": l_bound,
             "scale_constant": lam,
         },
-        "values": _nan_to_none(solution.values),
-        "integrands": [sol.tolist() for sol in solution.integrands],
+        "values": solution.values,
+        "integrands": solution.integrands,
     }
     if selection is not None:
         payload["convention_selection"] = selection.summary()
     files.write_json(out / "solution.json", payload)
     print(f"solved backward equation; artifacts in {out}")
-    if residual is not None:
-        print(f"duality residual ({check_mode}): {residual:.3e}")
-        gated = check_mode == "exhaustive"
-        if not math.isfinite(residual) or (gated and residual > tol):
-            print(f"residual is not finite or exceeds tolerance {tol}",
-                  file=sys.stderr)
-            return EXIT_VIOLATION
+    print(f"duality residual (exhaustive): {residual:.3e}")
+    if not math.isfinite(residual) or residual > tol:
+        print(f"residual is not finite or exceeds tolerance {tol}",
+              file=sys.stderr)
+        return EXIT_VIOLATION
     return EXIT_OK
 
 
@@ -275,16 +242,12 @@ def _cmd_verify_duality(args):
     _check_problem_size(args.problem, driver.alpha, sys_)
     solution = solve_bsde(sys_, driver, terminal)
     tol = args.tol if args.tol is not None else 1e-9
-    n_paths = _path_count(sys_)
-    mc = None if n_paths <= _EXHAUSTIVE_PATH_CAP else (args.mc_paths or 50_000)
     reach0 = sys_.reachable_at[0]
 
     per_convention = {}
     for conv in Convention:
         sde = WeightSde.from_driver(driver, conv)
-        dual = dual_value(
-            sys_, sde, driver.g, terminal, mc_paths=mc, seed=args.seed
-        )
+        dual = dual_value(sys_, sde, driver.g, terminal)
         per_convention[conv.value] = float(
             np.max(np.abs(dual[reach0] - solution.values[0, reach0]))
         )
@@ -294,7 +257,7 @@ def _cmd_verify_duality(args):
         "metadata": _metadata(
             convention=convention.value,
             tolerance=tol,
-            check="exhaustive" if mc is None else f"monte-carlo:{mc}",
+            check="exhaustive",
         ),
         "residual_per_convention": per_convention,
         "selected_residual": residual,
@@ -306,7 +269,7 @@ def _cmd_verify_duality(args):
     for name, value in sorted(per_convention.items()):
         marker = "*" if name == convention.value else " "
         print(f"{marker} {name:9s} residual {value:.3e}")
-    if not math.isfinite(residual) or (mc is None and residual > tol):
+    if not math.isfinite(residual) or residual > tol:
         print(f"selected residual is not finite or exceeds tolerance {tol}",
               file=sys.stderr)
         return EXIT_VIOLATION
@@ -360,7 +323,7 @@ def _cmd_solve_control(args):
                 "comparison": _condition_payload(solved.comparison),
                 "scale_constant": solved.lambda_overall,
             },
-            "values": _nan_to_none(solved.values),
+            "values": solved.values,
             "policy": policy_rows,
             "ties": solved.ties,
             "oracle_residual": oracle_residual,
@@ -542,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--mc-paths", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument(
         "--convention",
@@ -556,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--mc-paths", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument(
         "--convention",

@@ -28,7 +28,7 @@ from .bsde import (
     _terminal_array,
     _verified_root,
 )
-from .duality import DEFAULT_CONVENTION, WeightSde, weight_bounds
+from .duality import DEFAULT_CONVENTION, WeightSde, _all_paths, weight_bounds
 from .lattice import projection_constants
 from .linalg import ConditionReport, comparison_condition, positivity_condition
 
@@ -399,27 +399,11 @@ class EpsilonReport:
 
 def _expected_max_gap_sq(sys, delta):
     """E[max_k delta[k, X_k]^2] over the lattice chain from time 0."""
-    t = sys.horizon
-
-    def walk(k, s, running):
-        running = max(running, delta[k, s] ** 2)
-        if k == t:
-            return running
-        geo = sys.geometry_for(s)
-        total = 0.0
-        for j in geo.support:
-            j = int(j)
-            total += float(geo.column[j]) * walk(k + 1, j, running)
-        return total
-
     start = sys.dist_at[0]
-    return float(
-        sum(
-            float(start[int(s)]) * walk(0, int(s), 0.0)
-            for s in sys.reachable_at[0]
-            if start[int(s)] > 0.0
-        )
-    )
+    states = [int(s) for s in sys.reachable_at[0] if start[int(s)] > 0.0]
+    paths, prob = _all_paths(sys, 0, states)
+    gap = np.max(delta[np.arange(sys.horizon + 1), paths] ** 2, axis=1)
+    return float((start[paths[:, 0]] * prob) @ gap)
 
 
 def epsilon_optimal_policy(

@@ -23,6 +23,18 @@ reproduces the backward solver once a and n are both nonzero: matching the
 solver requires the ratio in a together with the affine factor in n, which
 is the mixed form (its noise integrand is also the only predictable one).
 select_convention settles the choice empirically and never silently.
+
+Each call tabulates the factor f_k(s, j) by which the step s -> j at time k
+multiplies V, per (time, source, successor slot), and r_k(s) = W_k / V_k.
+The forward measure mu_k(s) = E[V_k 1{X_k = s}] then obeys
+mu_{k+1}(j) = sum_s mu_k(s) c_s(j) f_k(s, j), and dual_value sums
+mu_k r_k g_k over k plus mu_T terminal: exact in O(T * S * N) per start
+state with no path enumeration, and forward, so independent of the backward
+solver it checks.  Statistics of whole paths (weight_bounds, the Monte
+Carlo dual_value, evolve_weights, the epsilon-policy gap in control) come
+from one evaluator of V and W along a (P, L) array of paths: every
+realizable path, enumerated breadth first and weighted by its probability,
+or seeded draws weighted 1/n.
 """
 
 from __future__ import annotations
@@ -90,61 +102,126 @@ class WeightSde:
         return cls(driver.alpha, driver.beta, convention, start_time)
 
 
-class _StepTables:
-    """Per (time, source) cache of the quantities entering one step factor."""
+def _layout(sys):
+    """Successors in ascending order and their probabilities per row
+    (D, W), zero on padding; per source of sys.sources, its bracket block
+    padded with itself (S, W+1) and local pinv padded with zeros."""
+    width = max((g.support.size for g in sys.geometry.values()), default=1)
+    succ = np.zeros((sys.dim, width), dtype=np.int64)
+    prob = np.zeros((sys.dim, width))
+    block = np.repeat(sys.sources[:, None], width + 1, axis=1)
+    pinv = np.zeros((sys.sources.size, width + 1, width + 1))
+    for i, s in enumerate(sys.sources):
+        geo = sys.geometry[s]
+        m, b = geo.support.size, geo.block.size
+        succ[s, :m] = geo.support
+        prob[s, :m] = geo.column[geo.support]
+        block[i, :b] = geo.block
+        pinv[i, :b, :b] = geo.local_pinv
+    return succ, prob, block, pinv
 
-    def __init__(self, sys, sde):
-        self.sys = sys
-        self.sde = sde
-        self._cache = {}
 
-    def coeffs(self, k, s):
-        key = (k, s)
-        hit = self._cache.get(key)
-        if hit is None:
-            a = float(self.sde.alpha[k, s])
-            g = self.sys.geometry_for(s)
-            if self.sde.beta is None:
-                row = None
-                base = 0.0
-            else:
-                row = np.zeros(self.sys.dim)
-                row[g.block] = self.sde.beta[k, s][g.block] @ g.local_pinv
-                base = float(row @ g.column)
-            hit = (a, row, base, g)
-            self._cache[key] = hit
-        return hit
-
-    def factor(self, k, s, succ):
-        """Multiplicative weight factor for the transition s -> succ at k."""
-        a, row, base, _ = self.coeffs(k, s)
-        n = 0.0 if row is None else float(row[succ]) - base
-        conv = self.sde.convention
+def _factors(sys, sde):
+    """Weight factors on the padded successor layout, as (succ, prob, den,
+    step, run): source s steps to succ[s, j] with probability prob[s, j]
+    (0 on padding); that step at time k multiplies V by step[k, s, j],
+    whose denominator is den[k, s, j] (1 where there is none), and
+    W_k = V_k * run[k, s]."""
+    _check_tables(sys, sde)
+    succ, prob, block, pinv = _layout(sys)
+    src = sys.sources
+    noise = np.zeros((sys.horizon,) + succ.shape)
+    if sde.beta is not None:
+        # n_k(s, j) = b_k(s) @ pinv(bracket_s) @ (e_j - c_s), read on the
+        # block: the pinv columns of the successors, centred under c_s
+        pos = np.argmax(block[:, None, :] == succ[src][:, :, None], axis=2)
+        cols = np.take_along_axis(pinv, pos[:, None, :], axis=2)
+        cols -= cols @ prob[src][:, :, None]
+        rows = sde.beta[:, src[:, None], block].transpose(1, 0, 2)
+        noise[:, src] = (rows @ cols).transpose(1, 0, 2)
+    a = sde.alpha[:, :, None]
+    conv = sde.convention
+    run = np.ones(sde.alpha.shape)
+    # cells never stepped from may hold any value (zero denominators too);
+    # only the cells a caller walks are checked, by _check_denominators
+    with np.errstate(divide="ignore", invalid="ignore"):
         if conv is Convention.SHIFTED:
-            return 1.0 + a + n
-        if conv is Convention.IMPLICIT:
-            den = 1.0 - a - n
+            den = np.ones(noise.shape)
+            step = 1.0 + a + noise
+        elif conv is Convention.IMPLICIT:
+            den = 1.0 - a - noise
+            step = 1.0 / den
         else:
-            den = 1.0 - a
-        if abs(den) < DENOMINATOR_TOL:
-            raise VanishingDenominatorError(
-                f"weight denominator {den} at time {k}, state {s}"
-            )
-        if conv is Convention.IMPLICIT:
-            return 1.0 / den
-        return (1.0 + n) / den
+            den = np.broadcast_to(1.0 - a, noise.shape)
+            step = (1.0 + noise) / den
+            run = 1.0 / (1.0 - sde.alpha)
+    return succ, prob, den, step, run
 
-    def g_weight(self, k, s, v):
-        """Weight paired with the running term at (k, s) given V_k = v."""
-        if self.sde.convention is not Convention.MIXED:
-            return v
-        a = float(self.sde.alpha[k, s])
-        den = 1.0 - a
-        if abs(den) < DENOMINATOR_TOL:
-            raise VanishingDenominatorError(
-                f"running-weight denominator {den} at time {k}, state {s}"
-            )
-        return v / den
+
+def _check_denominators(den, times, states):
+    """Raise on the first vanishing weight denominator in ``den``, whose
+    entries are steps at ``times`` out of ``states`` (broadcast alike)."""
+    bad = np.abs(den) < DENOMINATOR_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise VanishingDenominatorError(
+            f"weight denominator {den.flat[i]} at time "
+            f"{np.broadcast_to(times, den.shape).flat[i]}, "
+            f"state {states.flat[i]}"
+        )
+
+
+def _path_weights(sys, fac, start, paths):
+    """Weights along a (P, L) array of lattice paths from time ``start``.
+
+    Returns V (P, L) with V[:, 0] = 1 and the running weights W (P, L-1).
+    Raises ValueError on a transition the lattice assigns zero probability.
+    """
+    succ, prob, den, step, run = fac
+    cur, nxt = paths[:, :-1], paths[:, 1:]
+    times = np.arange(start, start + cur.shape[1])
+    # slot of each step: transitions s -> j keyed s * D + j, in ascending order
+    rows, slots = np.nonzero(prob > 0.0)
+    keys = rows * sys.dim + succ[rows, slots]
+    query = cur * sys.dim + nxt
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    missing = np.flatnonzero(keys[at] != query)
+    if missing.size:
+        p, j = divmod(int(missing[0]), cur.shape[1])
+        raise ValueError(
+            f"transition {sys.label(int(cur[p, j]))} -> "
+            f"{sys.label(int(nxt[p, j]))} at time {start + j} is not realizable"
+        )
+    slot = slots[at]
+    _check_denominators(den[times, cur, slot], times, cur)
+    v = np.ones(paths.shape)
+    np.cumprod(step[times, cur, slot], axis=1, out=v[:, 1:])
+    return v, v[:, :-1] * run[times, cur]
+
+
+def _all_paths(sys, start, states):
+    """Every realizable path from each (start, state) to the horizon, as a
+    (P, T - start + 1) array in enumerate_paths order per start state, in
+    the given order, and the path probabilities (P,)."""
+    succ, prob, _, _ = _layout(sys)
+    paths = np.asarray(states, dtype=np.int64).reshape(-1, 1)
+    weight = np.ones(paths.shape[0])
+    for _ in range(start, sys.horizon):
+        cur = paths[:, -1]
+        rows, slots = np.nonzero(prob[cur] > 0.0)
+        nxt = succ[cur[rows], slots]
+        paths = np.concatenate([paths[rows], nxt[:, None]], axis=1)
+        weight = weight[rows] * prob[cur[rows], slots]
+    return paths, weight
+
+
+def _drawn_paths(sys, start, states, n, seed):
+    """n seeded paths per start state, drawn in turn, each weighted 1/n."""
+    rng = np.random.default_rng(seed)
+    paths = np.concatenate(
+        [_sample_paths(sys, start, int(s), n, rng) for s in states]
+    )
+    return paths, np.full(paths.shape[0], 1.0 / n)
 
 
 def evolve_weights(sys, sde: WeightSde, path) -> np.ndarray:
@@ -154,20 +231,9 @@ def evolve_weights(sys, sde: WeightSde, path) -> np.ndarray:
     same length with V[0] = 1.  Raises ValueError on a transition the
     lattice assigns zero probability.
     """
-    path = [int(p) for p in path]
-    tables = _StepTables(sys, sde)
-    v = np.ones(len(path))
-    for j in range(len(path) - 1):
-        k = sde.start_time + j
-        s, nxt = path[j], path[j + 1]
-        col = sys.geometry_for(s).column
-        if col[nxt] <= 0.0:
-            raise ValueError(
-                f"transition {sys.label(s)} -> {sys.label(nxt)} at time {k} "
-                "is not realizable"
-            )
-        v[j + 1] = v[j] * tables.factor(k, s, nxt)
-    return v
+    path = np.array([int(p) for p in path], dtype=np.int64)
+    v, _ = _path_weights(sys, _factors(sys, sde), sde.start_time, path[None, :])
+    return v[0]
 
 
 def enumerate_paths(sys, start_time: int, state: int):
@@ -225,6 +291,11 @@ def _check_tables(sys, sde, g=None, terminal=None):
         raise ValueError(f"terminal must have shape ({d},)")
 
 
+def _reached(mu, x):
+    """mu * x, but 0 where mu is 0 (cells a start never reaches), finite or not."""
+    return np.where(mu != 0.0, mu * x, 0.0)
+
+
 def dual_value(
     sys,
     sde: WeightSde,
@@ -237,52 +308,47 @@ def dual_value(
     """Weighted forward valuation E[terminal * V_T + sum g_k W_k | state].
 
     Returns a (D,) array with the value per state reachable at start_time
-    and NaN elsewhere.  Exhaustive by default (exact for desk-scale
-    lattices); pass mc_paths for a seeded Monte Carlo estimate instead.
+    and NaN elsewhere.  Exact at any size by default: the forward measure
+    mu_k(s) = E[V_k 1{X_k = s}] is carried from every start state at once,
+    in O(T * S * N) per start state.  Pass mc_paths for a seeded Monte
+    Carlo estimate over that many sampled paths per start state instead.
     """
     if start_time is None:
         start_time = sde.start_time
-    elif start_time != sde.start_time:
-        sde = WeightSde(sde.alpha, sde.beta, sde.convention, start_time)
     g = np.asarray(g, dtype=float)
     terminal = np.asarray(terminal, dtype=float)
     _check_tables(sys, sde, g, terminal)
-    t = sys.horizon
-    tables = _StepTables(sys, sde)
-    out = np.full(sys.dim, np.nan)
+    t, d = sys.horizon, sys.dim
+    fac = _factors(sys, sde)
+    starts = sys.reachable_at[start_time]
+    out = np.full(d, np.nan)
 
     if mc_paths is not None:
-        rng = np.random.default_rng(seed)
-        for s in sys.reachable_at[start_time]:
-            s = int(s)
-            paths = _sample_paths(sys, start_time, s, mc_paths, rng)
-            total = 0.0
-            for row in paths:
-                v = 1.0
-                acc = 0.0
-                for j, k in enumerate(range(start_time, t)):
-                    cur = int(row[j])
-                    acc += g[k, cur] * tables.g_weight(k, cur, v)
-                    v *= tables.factor(k, cur, int(row[j + 1]))
-                total += terminal[int(row[-1])] * v + acc
-            out[s] = total / mc_paths
+        paths, weight = _drawn_paths(sys, start_time, starts, mc_paths, seed)
+        v, w = _path_weights(sys, fac, start_time, paths)
+        ran = g[np.arange(start_time, t), paths[:, :-1]] * w
+        total = terminal[paths[:, -1]] * v[:, -1] + ran.sum(axis=1)
+        out[starts] = np.bincount(paths[:, 0], weight * total, minlength=d)[starts]
         return out
 
-    def value_from(k, s, v, acc, prob):
-        if k == t:
-            return prob * (terminal[s] * v + acc)
-        acc = acc + g[k, s] * tables.g_weight(k, s, v)
-        geo = sys.geometry_for(s)
-        total = 0.0
-        for j in geo.support:
-            j = int(j)
-            total += value_from(
-                k + 1, j, v * tables.factor(k, s, j), acc, prob * float(geo.column[j])
-            )
-        return total
-
-    for s in sys.reachable_at[start_time]:
-        out[int(s)] = value_from(start_time, int(s), 1.0, 0.0, 1.0)
+    succ, prob, den, step, run = fac
+    mu = np.zeros((starts.size, d))
+    mu[np.arange(starts.size), starts] = 1.0
+    offset = np.arange(starts.size)[:, None] * d
+    total = np.zeros(starts.size)
+    for k in range(start_time, t):
+        src = sys.reachable_at[k]
+        rows, slots = np.nonzero(prob[src] > 0.0)
+        cur = src[rows]
+        _check_denominators(den[k, cur, slots], k, cur)
+        m = mu[:, src]
+        total += _reached(m, g[k, src] * run[k, src]).sum(axis=1)
+        flow = _reached(m[:, rows], prob[cur, slots] * step[k, cur, slots])
+        mu = np.bincount((offset + succ[cur, slots]).ravel(), flow.ravel(),
+                         minlength=mu.size).reshape(mu.shape)
+    end = sys.reachable_at[t]
+    total += _reached(mu[:, end], terminal[end]).sum(axis=1)
+    out[starts] = total
     return out
 
 
@@ -292,7 +358,9 @@ class WeightReport:
 
     e_max_sq          : max over start states of E[max_k V_k^2]
     e_max_running_sq  : same for the running weights W_k
-    min_weight        : smallest V_k over every enumerated path and state
+    min_weight        : smallest V_k, V_0 = 1 included, over every
+                        enumerated (or sampled) path from every start state
+    per_state         : start state -> (E[max_k V_k^2], E[max_k W_k^2])
     positivity        : the positivity condition report when a coefficient
                         bound was supplied, else None
     """
@@ -310,59 +378,26 @@ def weight_bounds(
 ) -> WeightReport:
     """Moment and sign diagnostics for the weights started at sde.start_time.
 
-    When ``beta_bound`` is given the positivity condition is evaluated for
-    it, and a negative weight in the passing regime raises AssertionError:
-    the sufficient condition held, so a sign flip means the recursion (not
-    the input) is wrong.
+    Walks every realizable path by default, or ``samples`` seeded draws per
+    start state.  When ``beta_bound`` is given the positivity condition is
+    evaluated for it, and a negative weight in the passing regime raises
+    AssertionError: the sufficient condition held, so a sign flip means the
+    recursion (not the input) is wrong.
     """
-    _check_tables(sys, sde)
-    tables = _StepTables(sys, sde)
-    t = sys.horizon
+    fac = _factors(sys, sde)
     start = sde.start_time
-    per_state = {}
-    min_weight = np.inf
-
-    def walk(k, s, v, vmax, wmax, prob):
-        nonlocal min_weight
-        min_weight = min(min_weight, v)
-        if k == t:
-            return prob * vmax**2, prob * wmax**2
-        w = tables.g_weight(k, s, v)
-        wmax = max(wmax, abs(w))
-        geo = sys.geometry_for(s)
-        ev = ew = 0.0
-        for j in geo.support:
-            j = int(j)
-            nv = v * tables.factor(k, s, j)
-            a, b = walk(
-                k + 1, j, nv, max(vmax, abs(nv)), wmax, prob * float(geo.column[j])
-            )
-            ev += a
-            ew += b
-        return ev, ew
-
-    rng = np.random.default_rng(seed) if samples is not None else None
-    for s in sys.reachable_at[start]:
-        s = int(s)
-        if samples is None:
-            per_state[s] = walk(start, s, 1.0, 1.0, 0.0, 1.0)
-        else:
-            paths = _sample_paths(sys, start, s, samples, rng)
-            ev = ew = 0.0
-            for row in paths:
-                v, vmax, wmax = 1.0, 1.0, 0.0
-                for j, k in enumerate(range(start, t)):
-                    cur = int(row[j])
-                    wmax = max(wmax, abs(tables.g_weight(k, cur, v)))
-                    v *= tables.factor(k, cur, int(row[j + 1]))
-                    vmax = max(vmax, abs(v))
-                    min_weight = min(min_weight, v)
-                ev += vmax**2
-                ew += wmax**2
-            per_state[s] = (ev / samples, ew / samples)
-
-    e_max = max(v for v, _ in per_state.values())
-    e_run = max(w for _, w in per_state.values())
+    states = sys.reachable_at[start]
+    if samples is None:
+        paths, weight = _all_paths(sys, start, states)
+    else:
+        paths, weight = _drawn_paths(sys, start, states, samples, seed)
+    v, w = _path_weights(sys, fac, start, paths)
+    ev = np.bincount(paths[:, 0], weight * np.max(v * v, axis=1),
+                     minlength=sys.dim)[states]
+    ew = np.bincount(paths[:, 0], weight * np.max(w * w, axis=1, initial=0.0),
+                     minlength=sys.dim)[states]
+    per_state = {int(s): (float(a), float(b)) for s, a, b in zip(states, ev, ew)}
+    min_weight = float(v.min())
     positivity = None
     if beta_bound is not None:
         from .linalg import positivity_condition
@@ -373,8 +408,8 @@ def weight_bounds(
                 f"positivity condition holds but a weight reached {min_weight}; "
                 "the weight recursion is inconsistent"
             )
-    return WeightReport(float(e_max), float(e_run), float(min_weight), per_state,
-                        positivity)
+    return WeightReport(float(ev.max()), float(ew.max()), min_weight,
+                        per_state, positivity)
 
 
 @dataclass(frozen=True)

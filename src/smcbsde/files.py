@@ -20,6 +20,7 @@ control_problem   : controls (U x q), alpha (T x D x U), g (T x D x U),
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +55,22 @@ def format_number(x) -> str:
     return "%.17g" % float(x)
 
 
+def _null_non_finite(obj):
+    if isinstance(obj, np.ndarray):
+        return np.where(np.isfinite(obj), obj, None).tolist()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    return obj
+
+
 def write_json(path, payload) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """Strict JSON of dicts, lists and numpy arrays; NaN and +-inf as null."""
+    text = json.dumps(_null_non_finite(payload), sort_keys=True, indent=2,
+                      allow_nan=False)
     Path(path).write_text(text + "\n")
 
 
@@ -134,9 +149,9 @@ def save_model(path, model: SemiMarkovModel) -> None:
             "kind": "semi_markov_model",
             "n_states": model.n_states,
             "horizon": model.horizon,
-            "pi": model.pi.tolist(),
-            "jump": model.jump.tolist(),
-            "x0": model.x0.tolist(),
+            "pi": model.pi,
+            "jump": model.jump,
+            "x0": model.x0,
         },
     )
 
@@ -162,10 +177,10 @@ def save_linear_problem(path, driver: LinearDriver, terminal) -> None:
         {
             "schema_version": SCHEMA_VERSION,
             "kind": "linear_bsde",
-            "alpha": driver.alpha.tolist(),
-            "g": driver.g.tolist(),
-            "beta": None if driver.beta is None else driver.beta.tolist(),
-            "terminal": np.asarray(terminal, dtype=float).tolist(),
+            "alpha": driver.alpha,
+            "g": driver.g,
+            "beta": driver.beta,
+            "terminal": np.asarray(terminal, dtype=float),
         },
     )
 
@@ -206,11 +221,11 @@ def save_control_problem(path, problem: ControlProblem) -> None:
         {
             "schema_version": SCHEMA_VERSION,
             "kind": "control_problem",
-            "controls": problem.controls.tolist(),
-            "alpha": problem.alpha.tolist(),
-            "g": problem.g.tolist(),
-            "beta": problem.beta.tolist(),
-            "terminal": problem.terminal.tolist(),
+            "controls": problem.controls,
+            "alpha": problem.alpha,
+            "g": problem.g,
+            "beta": problem.beta,
+            "terminal": problem.terminal,
             "alpha_bound": problem.alpha_bound,
             "beta_bound": problem.beta_bound,
         },

@@ -333,11 +333,12 @@ def integrands_equivalent(
     tol: float = 1e-9,
 ) -> bool:
     """True iff the two rows produce the same product with every realizable
-    one-step increment (from ``state``, or from all sources at time k)."""
+    one-step increment (from ``state``, or from all sources at time k).
+    A non-finite difference is never equivalent."""
     d = np.asarray(row1, dtype=float) - np.asarray(row2, dtype=float)
     states = [state] if state is not None else _sources_at(sys, k)
-    return not any(
-        np.any(np.abs(sys.geometry_for(s).split(d)[1]) > tol) for s in states
+    return all(
+        np.all(np.abs(sys.geometry_for(s).split(d)[1]) <= tol) for s in states
     )
 
 

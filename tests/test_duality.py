@@ -9,6 +9,8 @@ against frozen matrices.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcbsde import (
     Convention,
@@ -20,14 +22,21 @@ from smcbsde import (
     build_lattice,
     dual_value,
     enumerate_paths,
+    epsilon_optimal_policy,
     evolve_weights,
     select_convention,
     solve_bsde,
+    solve_control,
     weight_bounds,
 )
-from smcbsde.instances import random_linear_instance, random_model
+from smcbsde.duality import DENOMINATOR_TOL, _sample_paths
+from smcbsde.instances import (
+    random_control_problem,
+    random_linear_instance,
+    random_model,
+)
 
-from conftest import tiny_model
+from conftest import geometric_model, tiny_model
 
 TINY_COLUMN = np.array([0.0, 0.4, 0.6, 0.0])
 
@@ -281,3 +290,295 @@ def test_weight_sde_shape_validation():
     sde = WeightSde(np.zeros((2, 4)), None)
     with pytest.raises(ValueError):
         dual_value(sys_, sde, np.zeros((2, 4)), np.ones(4))
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: path-by-path walkers (a per-cell factor cache, the
+# exhaustive recursions and the sampled loops) that evaluate the same
+# weights one path at a time, compared against the array engine.
+
+
+class StepTables:
+    """Per (time, source) cache of the quantities entering one step factor."""
+
+    def __init__(self, sys, sde):
+        self.sys = sys
+        self.sde = sde
+        self._cache = {}
+
+    def coeffs(self, k, s):
+        key = (k, s)
+        hit = self._cache.get(key)
+        if hit is None:
+            a = float(self.sde.alpha[k, s])
+            g = self.sys.geometry_for(s)
+            if self.sde.beta is None:
+                row = None
+                base = 0.0
+            else:
+                row = np.zeros(self.sys.dim)
+                row[g.block] = self.sde.beta[k, s][g.block] @ g.local_pinv
+                base = float(row @ g.column)
+            hit = (a, row, base, g)
+            self._cache[key] = hit
+        return hit
+
+    def factor(self, k, s, succ):
+        """Multiplicative weight factor for the transition s -> succ at k."""
+        a, row, base, _ = self.coeffs(k, s)
+        n = 0.0 if row is None else float(row[succ]) - base
+        conv = self.sde.convention
+        if conv is Convention.SHIFTED:
+            return 1.0 + a + n
+        if conv is Convention.IMPLICIT:
+            den = 1.0 - a - n
+        else:
+            den = 1.0 - a
+        if abs(den) < DENOMINATOR_TOL:
+            raise VanishingDenominatorError(
+                f"weight denominator {den} at time {k}, state {s}"
+            )
+        if conv is Convention.IMPLICIT:
+            return 1.0 / den
+        return (1.0 + n) / den
+
+    def g_weight(self, k, s, v):
+        """Weight paired with the running term at (k, s) given V_k = v."""
+        if self.sde.convention is not Convention.MIXED:
+            return v
+        a = float(self.sde.alpha[k, s])
+        den = 1.0 - a
+        if abs(den) < DENOMINATOR_TOL:
+            raise VanishingDenominatorError(
+                f"running-weight denominator {den} at time {k}, state {s}"
+            )
+        return v / den
+
+
+def reference_dual_value(sys, sde, g, terminal, mc_paths=None, seed=None):
+    """Path-by-path dual valuation from sde.start_time."""
+    start_time = sde.start_time
+    t = sys.horizon
+    tables = StepTables(sys, sde)
+    out = np.full(sys.dim, np.nan)
+
+    if mc_paths is not None:
+        rng = np.random.default_rng(seed)
+        for s in sys.reachable_at[start_time]:
+            s = int(s)
+            paths = _sample_paths(sys, start_time, s, mc_paths, rng)
+            total = 0.0
+            for row in paths:
+                v = 1.0
+                acc = 0.0
+                for j, k in enumerate(range(start_time, t)):
+                    cur = int(row[j])
+                    acc += g[k, cur] * tables.g_weight(k, cur, v)
+                    v *= tables.factor(k, cur, int(row[j + 1]))
+                total += terminal[int(row[-1])] * v + acc
+            out[s] = total / mc_paths
+        return out
+
+    def value_from(k, s, v, acc, prob):
+        if k == t:
+            return prob * (terminal[s] * v + acc)
+        acc = acc + g[k, s] * tables.g_weight(k, s, v)
+        geo = sys.geometry_for(s)
+        total = 0.0
+        for j in geo.support:
+            j = int(j)
+            total += value_from(
+                k + 1, j, v * tables.factor(k, s, j), acc, prob * float(geo.column[j])
+            )
+        return total
+
+    for s in sys.reachable_at[start_time]:
+        out[int(s)] = value_from(start_time, int(s), 1.0, 0.0, 1.0)
+    return out
+
+
+def reference_weight_bounds(sys, sde, samples=None, seed=None):
+    """Path-by-path (per_state, min_weight) of the weights from sde.start_time.
+
+    The sampled loop skips V_0 = 1 in min_weight; the engine counts it in
+    both modes, so callers compare against min(1, min_weight).
+    """
+    tables = StepTables(sys, sde)
+    t = sys.horizon
+    start = sde.start_time
+    per_state = {}
+    min_weight = np.inf
+
+    def walk(k, s, v, vmax, wmax, prob):
+        nonlocal min_weight
+        min_weight = min(min_weight, v)
+        if k == t:
+            return prob * vmax**2, prob * wmax**2
+        w = tables.g_weight(k, s, v)
+        wmax = max(wmax, abs(w))
+        geo = sys.geometry_for(s)
+        ev = ew = 0.0
+        for j in geo.support:
+            j = int(j)
+            nv = v * tables.factor(k, s, j)
+            a, b = walk(
+                k + 1, j, nv, max(vmax, abs(nv)), wmax, prob * float(geo.column[j])
+            )
+            ev += a
+            ew += b
+        return ev, ew
+
+    rng = np.random.default_rng(seed) if samples is not None else None
+    for s in sys.reachable_at[start]:
+        s = int(s)
+        if samples is None:
+            per_state[s] = walk(start, s, 1.0, 1.0, 0.0, 1.0)
+        else:
+            paths = _sample_paths(sys, start, s, samples, rng)
+            ev = ew = 0.0
+            for row in paths:
+                v, vmax, wmax = 1.0, 1.0, 0.0
+                for j, k in enumerate(range(start, t)):
+                    cur = int(row[j])
+                    wmax = max(wmax, abs(tables.g_weight(k, cur, v)))
+                    v *= tables.factor(k, cur, int(row[j + 1]))
+                    vmax = max(vmax, abs(v))
+                    min_weight = min(min_weight, v)
+                ev += vmax**2
+                ew += wmax**2
+            per_state[s] = (ev / samples, ew / samples)
+    return per_state, min_weight
+
+
+def reference_expected_max_gap_sq(sys, delta):
+    """E[max_k delta[k, X_k]^2] over the lattice chain from time 0."""
+    t = sys.horizon
+
+    def walk(k, s, running):
+        running = max(running, delta[k, s] ** 2)
+        if k == t:
+            return running
+        geo = sys.geometry_for(s)
+        total = 0.0
+        for j in geo.support:
+            j = int(j)
+            total += float(geo.column[j]) * walk(k + 1, j, running)
+        return total
+
+    start = sys.dist_at[0]
+    return float(
+        sum(
+            float(start[int(s)]) * walk(0, int(s), 0.0)
+            for s in sys.reachable_at[0]
+            if start[int(s)] > 0.0
+        )
+    )
+
+
+def assert_close(got, want):
+    # |got - want| <= 1e-12 * (1 + |want|), entry by entry
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def assert_same_weights(report, per_state, min_weight):
+    assert list(report.per_state) == list(per_state)
+    assert_close([report.per_state[s] for s in per_state], list(per_state.values()))
+    assert_close(report.e_max_sq, max(v for v, _ in per_state.values()))
+    assert_close(report.e_max_running_sq, max(w for _, w in per_state.values()))
+    assert_close(report.min_weight, min(1.0, min_weight))
+    assert report.positivity is None
+
+
+def outcome(func, *args, **kwargs):
+    """The result of a call, or the exception type it raised."""
+    try:
+        return func(*args, **kwargs)
+    except VanishingDenominatorError:
+        return VanishingDenominatorError
+
+
+@st.composite
+def linear_instances(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys_ = build_lattice(random_model(rng, n_max=3, t_max=5))
+    driver, terminal = random_linear_instance(sys_, rng)
+    return sys_, driver, terminal, rng
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(linear_instances())
+def test_forward_engine_matches_path_walkers(case):
+    sys_, driver, terminal, rng = case
+    for conv in Convention:
+        for start in range(sys_.horizon + 1):
+            sde = WeightSde(driver.alpha, driver.beta, conv, start)
+            dual = dual_value(sys_, sde, driver.g, terminal)
+            want = reference_dual_value(sys_, sde, driver.g, terminal)
+            reach = sys_.reachable_at[start]
+            assert np.isnan(dual).sum() == sys_.dim - reach.size
+            assert_close(dual[reach], want[reach])
+            assert_same_weights(weight_bounds(sys_, sde),
+                                *reference_weight_bounds(sys_, sde))
+
+            seed = int(rng.integers(2**31))
+            dual = dual_value(sys_, sde, driver.g, terminal, mc_paths=30,
+                              seed=seed)
+            want = reference_dual_value(sys_, sde, driver.g, terminal,
+                                        mc_paths=30, seed=seed)
+            assert_close(dual[reach], want[reach])
+            assert_same_weights(
+                weight_bounds(sys_, sde, samples=30, seed=seed),
+                *reference_weight_bounds(sys_, sde, samples=30, seed=seed),
+            )
+
+    # a vanishing denominator raises exactly where the walkers raise: at a
+    # cell reachable from the start states, for the exact and sampled forms
+    k = int(rng.integers(sys_.horizon))
+    s = int(rng.choice(sys_.reachable_at[k]))
+    alpha = driver.alpha.copy()
+    alpha[k, s] = 1.0
+    for conv in (Convention.MIXED, Convention.IMPLICIT):
+        for start in range(sys_.horizon + 1):
+            sde = WeightSde(alpha, None if conv is Convention.MIXED else
+                            np.zeros_like(driver.beta), conv, start)
+            for kwargs in ({}, {"mc_paths": 30, "seed": 5}):
+                got = outcome(dual_value, sys_, sde, driver.g, terminal, **kwargs)
+                want = outcome(reference_dual_value, sys_, sde, driver.g,
+                               terminal, **kwargs)
+                assert (got is VanishingDenominatorError) == (
+                    want is VanishingDenominatorError)
+            assert (outcome(weight_bounds, sys_, sde)
+                    is VanishingDenominatorError) == (
+                outcome(reference_weight_bounds, sys_, sde)
+                is VanishingDenominatorError)
+
+    problem = random_control_problem(sys_, rng, n_controls=2)
+    solved = solve_control(problem, sys_)
+    _, report = epsilon_optimal_policy(problem, sys_, solved,
+                                       float(rng.uniform(0.0, 0.5)))
+    delta = np.where(np.isnan(solved.values), 0.0,
+                     solved.values - report.policy_solution.values)
+    assert_close(report.measured, reference_expected_max_gap_sq(sys_, delta))
+
+
+def test_dual_value_reads_only_the_cells_each_start_reaches():
+    sys_ = build_lattice(geometric_model((0.3, 0.6), 4))
+    driver, terminal = random_linear_instance(sys_, np.random.default_rng(22))
+    k = sys_.horizon - 1
+    bad, good = (int(s) for s in sys_.reachable_at[k][:2])
+    g = driver.g.copy()
+    g[k, bad] = np.nan
+    for conv in Convention:
+        sde = WeightSde(driver.alpha, driver.beta, conv, k)
+        dual = dual_value(sys_, sde, g, terminal)
+        want = reference_dual_value(sys_, sde, g, terminal)
+        assert np.isnan(dual[bad]) and np.isnan(want[bad])
+        assert_close(dual[good], want[good])
+
+
+def test_select_convention_at_long_horizon():
+    # 3^14 paths per start at time 0: path-by-path selection took hours here
+    sys_ = build_lattice(geometric_model((0.3, 0.5, 0.7), 14))
+    result = select_convention(sys_, trials=40)
+    assert result.convention is Convention.MIXED
+    assert result.unique

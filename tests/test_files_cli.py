@@ -13,7 +13,7 @@ from smcbsde.instances import (
     random_model,
 )
 
-from conftest import tiny_model
+from conftest import geometric_model, tiny_model
 
 
 @pytest.fixture
@@ -226,6 +226,35 @@ def test_cli_solve_bsde_indicator_oracle(tmp_path, capsys):
     assert payload["hypotheses"]["positivity"]["passed"] in (True, False)
 
 
+def test_cli_solve_bsde_checks_duality_exactly_at_long_horizon(tmp_path, capsys):
+    model = geometric_model((0.3, 0.5, 0.7), 14)
+    sys_ = build_lattice(model)
+    count = np.zeros(sys_.dim)
+    count[sys_.reachable_at[0]] = 1.0
+    for _ in range(sys_.horizon):
+        count = (sys_.transition > 0.0) @ count
+    assert count.sum() > 20_000  # far too many paths to walk one by one
+    driver, terminal = random_linear_instance(sys_, np.random.default_rng(54))
+    files.save_model(tmp_path / "model.json", model)
+    files.save_linear_problem(tmp_path / "lin.json", driver, terminal)
+    out = tmp_path / "sol"
+    rc = cli.main(["solve-bsde", "--model", str(tmp_path / "model.json"),
+                   "--problem", str(tmp_path / "lin.json"), "--out", str(out)])
+    assert rc == 0
+    meta = json.loads((out / "solution.json").read_text())["metadata"]
+    assert meta["duality_check"] == "exhaustive"
+    assert meta["duality_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("command", ["solve-bsde", "verify-duality"])
+def test_cli_duality_check_has_no_monte_carlo_option(workdir, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--model", str(workdir / "model.json"), "--problem",
+                  str(workdir / "linear.json"), "--out", str(workdir / "o"),
+                  "--mc-paths", "100"])
+    assert exc.value.code == 2
+
+
 def test_cli_solve_bsde_residual_gate(workdir):
     out = workdir / "strict"
     rc = cli.main(
@@ -334,6 +363,13 @@ def test_cli_non_finite_duality_residual_is_a_violation(tmp_path, capsys):
                    "--out", str(tmp_path / "sol")])
     assert rc == 2
     assert "duality residual (exhaustive): nan" in capsys.readouterr().out
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (tmp_path / "sol" / "solution.json").read_text()
+    payload = json.loads(text, parse_constant=reject)
+    assert payload["metadata"]["duality_residual"] is None
     rc = cli.main(["verify-duality", "--model", model, "--problem",
                    str(problem), "--convention", "mixed"])
     assert rc == 2

@@ -209,6 +209,18 @@ def test_equivalence_three_way_coherence():
     assert checked == 48
 
 
+def test_non_finite_rows_are_never_equivalent():
+    sys_ = build_lattice(geometric_model([0.3, 0.6], 4))
+    zeros = np.zeros(sys_.dim)
+    row = np.full(sys_.dim, np.nan)
+    for k in range(sys_.horizon):
+        assert not integrands_equivalent(sys_, k, row, zeros)
+        for s in sys_.reachable_at[k]:
+            assert not integrands_equivalent(sys_, k, row, zeros, state=int(s))
+            assert not integrands_equivalent(sys_, k, zeros, row, state=int(s))
+    assert integrands_equivalent(sys_, 0, zeros, zeros, state=0)
+
+
 def test_constant_rows_have_zero_seminorm():
     sys_ = build_lattice(geometric_model([0.3, 0.6], 4))
     rows = [np.full(sys_.dim, 2.5) for _ in range(sys_.horizon)]
