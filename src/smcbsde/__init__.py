@@ -12,140 +12,19 @@ The package is organised bottom-up:
 - ``cli``:      command line front end
 """
 
-from .chain import (
-    ChainPath,
-    InvalidModelError,
-    SemiMarkovModel,
-    SimulationError,
-    SojournQuantities,
-    Violation,
-    martingale_increment,
-    simulate,
-    simulate_paths,
-    sojourn_quantities,
-    transition_matrix,
-    validate_model,
-)
-from .lattice import (
-    LatticeSystem,
-    ProjectionConstants,
-    UnreachableStateError,
-    bracket_matrix,
-    build_lattice,
-    canonical_integrand,
-    covariance_matrix,
-    integrands_equivalent,
-    noise_seminorm,
-    projection_constants,
-    step_distribution,
-)
-from .linalg import (
-    ConditionReport,
-    comparison_condition,
-    penrose_residuals,
-    pinv,
-    positivity_condition,
-)
-from .bsde import (
-    BijectionError,
-    BsdeSolution,
-    ComparisonReport,
-    DegenerateDriverError,
-    GeneralDriver,
-    LinearDriver,
-    check_comparison,
-    solve_bsde,
-)
-from .duality import (
-    Convention,
-    DEFAULT_CONVENTION,
-    SelectionError,
-    SelectionResult,
-    VanishingDenominatorError,
-    WeightReport,
-    WeightSde,
-    dual_value,
-    enumerate_paths,
-    evolve_weights,
-    select_convention,
-    weight_bounds,
-)
-from .control import (
-    BruteForceResult,
-    ControlProblem,
-    ControlSolution,
-    EpsilonReport,
-    HypothesisError,
-    PolicyTable,
-    brute_force_value,
-    epsilon_optimal_policy,
-    evaluate_policy,
-    hamiltonian,
-    max_driver,
-    solve_control,
-)
+from . import bsde, chain, control, duality, lattice, linalg
+from .chain import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .bsde import *  # noqa: F401,F403
+from .duality import *  # noqa: F401,F403
+from .control import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BijectionError",
-    "BruteForceResult",
-    "BsdeSolution",
-    "ChainPath",
-    "ComparisonReport",
-    "ConditionReport",
-    "ControlProblem",
-    "ControlSolution",
-    "Convention",
-    "DEFAULT_CONVENTION",
-    "DegenerateDriverError",
-    "EpsilonReport",
-    "GeneralDriver",
-    "HypothesisError",
-    "InvalidModelError",
-    "LatticeSystem",
-    "LinearDriver",
-    "PolicyTable",
-    "ProjectionConstants",
-    "SelectionError",
-    "SelectionResult",
-    "SemiMarkovModel",
-    "SimulationError",
-    "SojournQuantities",
-    "UnreachableStateError",
-    "VanishingDenominatorError",
-    "Violation",
-    "WeightReport",
-    "WeightSde",
-    "bracket_matrix",
-    "brute_force_value",
-    "build_lattice",
-    "canonical_integrand",
-    "check_comparison",
-    "comparison_condition",
-    "covariance_matrix",
-    "dual_value",
-    "enumerate_paths",
-    "epsilon_optimal_policy",
-    "evaluate_policy",
-    "evolve_weights",
-    "hamiltonian",
-    "integrands_equivalent",
-    "martingale_increment",
-    "max_driver",
-    "noise_seminorm",
-    "penrose_residuals",
-    "pinv",
-    "positivity_condition",
-    "projection_constants",
-    "select_convention",
-    "simulate",
-    "simulate_paths",
-    "sojourn_quantities",
-    "solve_bsde",
-    "solve_control",
-    "step_distribution",
-    "transition_matrix",
-    "validate_model",
-    "weight_bounds",
-]
+# every public name of the modules above
+__all__ = sorted(
+    name
+    for module in (chain, lattice, linalg, bsde, duality, control)
+    for name in module.__all__
+)

@@ -1,17 +1,18 @@
 """Backward solver for value/integrand pairs on the lattice.
 
-Per time k and reachable source e, the backward step computes
+Per time slice k the lattice's ``step`` gives, for every reachable source e,
 
     mean    = sum_succ c(succ) * values[k+1, succ]
-    z_row   = canonical representative with z_row @ increment
-              = values[k+1, succ] - mean for every realizable successor
-    y       = unique root of  y - f(k, e, y, z_row) = mean
+    z       = canonical integrand: z @ increment = values[k+1, succ] - mean
+              for every realizable successor
 
-Drivers must depend on the integrand only through its products with the
-realizable increments; this is enforced structurally by always handing them
-the canonical representative.  Linear drivers admit a closed-form root;
-general drivers are solved with a verified bracket (sign change plus a
-monotonicity sweep) refined to 1e-12.
+and the value is the unique root of  y - f(k, e, y, z) = mean.  Drivers must
+depend on the integrand only through its products with the realizable
+increments; this is enforced structurally by always handing them the
+canonical representative.  Linear drivers are solved slice-wide in closed
+form (and must be finite at every reachable cell); general drivers get the
+ambient row and a verified bracket (sign change plus a monotonicity sweep)
+refined to 1e-12, cell by cell.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "DegenerateDriverError",
     "GeneralDriver",
     "LinearDriver",
+    "ProblemDataError",
     "check_comparison",
     "solve_bsde",
 ]
@@ -41,6 +43,11 @@ _MONOTONE_SAMPLES = 32
 class DegenerateDriverError(ValueError):
     """A linear driver has a unit drift coefficient: the affine solve is
     singular and no solution exists (or infinitely many do)."""
+
+
+class ProblemDataError(ValueError):
+    """Problem data are not finite, or break a declared bound, at a reachable
+    cell; the message names the field, the time and the state."""
 
 
 class BijectionError(RuntimeError):
@@ -78,20 +85,13 @@ class LinearDriver:
             b = np.tile(np.asarray(beta_row, dtype=float), (horizon, dim, 1))
         return cls(a, gg, b)
 
-    def beta_row(self, k, state):
-        if self.beta is None:
-            return None
-        return self.beta[k, state]
-
     def bounds(self, sys):
         """Max |alpha| and max Euclidean beta-row norm over reachable (k, e)."""
-        p = 0.0
+        mask = sys.reachable_mask()[:-1]
+        p = float(np.abs(self.alpha[mask]).max(initial=0.0))
         l = 0.0
-        for k in range(sys.horizon):
-            for s in sys.reachable_at[k]:
-                p = max(p, abs(float(self.alpha[k, s])))
-                if self.beta is not None:
-                    l = max(l, float(np.linalg.norm(self.beta[k, s])))
+        if self.beta is not None:
+            l = float(np.linalg.norm(self.beta[mask], axis=1).max(initial=0.0))
         return p, l
 
 
@@ -131,33 +131,48 @@ class BsdeSolution:
         return float(v)
 
 
+def _require_finite(sys, k, **cells):
+    """Raise ProblemDataError at the first source reachable at time k whose
+    data are not finite.  Each named array holds one row per reachable
+    state, (S_k, ...), read whole; None stands for an absent table."""
+    for name, arr in cells.items():
+        if arr is None or np.isfinite(arr).all():
+            continue
+        ok = np.isfinite(arr).reshape(arr.shape[0], -1).all(axis=1)
+        s = int(sys.reachable_at[k][np.argmin(ok)])
+        raise ProblemDataError(
+            f"field '{name}' is not finite at time {k}, lattice state {s} "
+            f"(state, duration) = {sys.label(s)}"
+        )
+
+
 def _terminal_array(sys, terminal):
     term = np.asarray(terminal, dtype=float)
     if term.shape != (sys.dim,):
         raise ValueError(f"terminal must have shape ({sys.dim},)")
-    reach = sys.reachable_at[sys.horizon]
-    if not np.all(np.isfinite(term[reach])):
-        raise ValueError("terminal has non-finite entries on reachable states")
+    _require_finite(sys, sys.horizon,
+                    terminal=term[sys.reachable_at[sys.horizon]])
     return term
 
 
-def _driver_value(sys, driver, k, s, y, z_row):
+def _driver_slice(sys, driver, k, y, z, rows=None):
+    """Driver values at the sources reachable at time k, at values y (S_k,)
+    or a scalar and integrands z (S_k, W) from the lattice's step (linear
+    drivers, which must be finite there) or ambient rows (S_k, D)."""
+    src = sys.reachable_at[k]
     if isinstance(driver, LinearDriver):
-        out = float(driver.alpha[k, s]) * y + float(driver.g[k, s])
-        b = driver.beta_row(k, s)
+        a, g = driver.alpha[k, src], driver.g[k, src]
+        b = None if driver.beta is None else driver.beta[k, src]
+        _require_finite(sys, k, alpha=a, g=g, beta=b)
+        out = a * y + g
         if b is not None:
-            out += float(b @ sys.geometry_for(s).project(z_row))
+            out = out + (sys.projected_rows(k, b) * z).sum(axis=-1)
         return out
-    return float(driver.fn(k, s, y, z_row))
-
-
-def _linear_step(sys, driver, k, s, mean, z_row):
-    a = float(driver.alpha[k, s])
-    if abs(1.0 - a) < 1e-12:
-        raise DegenerateDriverError(
-            f"alpha[{k}, {s}] = {a}: y - f is not a bijection"
-        )
-    return (mean + _driver_value(sys, driver, k, s, 0.0, z_row)) / (1.0 - a)
+    y = np.broadcast_to(y, src.shape)
+    return np.array([
+        float(driver.fn(k, int(s), float(v), row))
+        for s, v, row in zip(src, y, rows)
+    ])
 
 
 def _verified_root(phi, center, context=""):
@@ -175,32 +190,50 @@ def _verified_root(phi, center, context=""):
     return float(root)
 
 
-def _general_step(sys, driver, k, s, mean, z_row):
-    def phi(y):
-        return y - driver.fn(k, s, y, z_row) - mean
-
-    return _verified_root(phi, mean, f" at time {k}, state {s}")
+def _scatter(sys, k, z, out):
+    """Write the local integrands z (S_k, W) of step k into ambient rows out
+    (D, D): row s, the columns of its successors."""
+    src = sys.reachable_at[k]
+    rows, slots = np.nonzero(sys.prob[src] > 0.0)
+    out[src[rows], sys.succ[src[rows], slots]] = z[rows, slots]
 
 
 def solve_bsde(sys, driver, terminal) -> BsdeSolution:
     """Solve the backward equation over all reachable states.
 
     Values at states unreachable at a given time are NaN and never read, so
-    the solution is invariant to perturbing inputs there.
+    the solution is invariant to perturbing inputs there.  A linear driver
+    with a non-finite coefficient at a reachable cell raises
+    ProblemDataError; one with a unit drift there, DegenerateDriverError.
     """
+    linear = isinstance(driver, LinearDriver)
     term = _terminal_array(sys, terminal)
     t, d = sys.horizon, sys.dim
     values = np.full((t + 1, d), np.nan)
     integrands = np.zeros((t, d, d))
     reach_t = sys.reachable_at[t]
     values[t, reach_t] = term[reach_t]
-    step = _linear_step if isinstance(driver, LinearDriver) else _general_step
     for k in range(t - 1, -1, -1):
-        for s in sys.reachable_at[k]:
-            s = int(s)
-            mean, z_row = sys.geometry_for(s).split(values[k + 1])
-            values[k, s] = step(sys, driver, k, s, float(mean), z_row)
-            integrands[k, s] = z_row
+        src = sys.reachable_at[k]
+        mean, z = sys.step(k, values[k + 1])
+        _scatter(sys, k, z, integrands[k])
+        if not linear:
+            # a verified root per cell, the driver reading the ambient row
+            for s, m in zip(src.tolist(), mean.tolist()):
+                row = integrands[k, s]
+                values[k, s] = _verified_root(
+                    lambda y: y - driver.fn(k, s, y, row) - m, m,
+                    f" at time {k}, state {s}")
+            continue
+        rhs = mean + _driver_slice(sys, driver, k, 0.0, z)
+        a = driver.alpha[k, src]
+        bad = np.abs(1.0 - a) < 1e-12
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DegenerateDriverError(
+                f"alpha[{k}, {src[i]}] = {a[i]}: y - f is not a bijection"
+            )
+        values[k, src] = rhs / (1.0 - a)
     return BsdeSolution(values, integrands)
 
 
@@ -255,17 +288,15 @@ def check_comparison(
     reach_t = sys.reachable_at[sys.horizon]
     terminal_ordered = bool(np.all(t1[reach_t] <= t2[reach_t] + tol))
 
-    gaps = []
+    gap_min = np.inf
     for k in range(sys.horizon):
-        for s in sys.reachable_at[k]:
-            s = int(s)
-            y2 = sol2.values[k, s]
-            z2 = sol2.integrands[k, s]
-            gaps.append(
-                _driver_value(sys, driver2, k, s, y2, z2)
-                - _driver_value(sys, driver1, k, s, y2, z2)
-            )
-    gap_min = float(min(gaps)) if gaps else 0.0
+        src = sys.reachable_at[k]
+        y2 = sol2.values[k, src]
+        _, z2 = sys.step(k, sol2.values[k + 1])
+        rows = sol2.integrands[k, src]
+        gaps = (_driver_slice(sys, driver2, k, y2, z2, rows)
+                - _driver_slice(sys, driver1, k, y2, z2, rows))
+        gap_min = min(gap_min, float(gaps.min()))
     drivers_ordered = gap_min >= -tol
 
     if omega2 is None:

@@ -236,17 +236,11 @@ def transition_matrix(
         )
     if sq is None:
         sq = sojourn_quantities(model)
-    ok = sq.attainable[:, duration - 1]
-    if not np.any(ok):
+    if not np.any(sq.attainable[:, duration - 1]):
         raise InvalidModelError(f"no state can attain duration {duration}")
-    n = model.n_states
-    a = np.zeros((n, n))
-    for i in range(n):
-        if not ok[i]:
-            continue
-        h = sq.hazard[i, duration - 1]
-        a[:, i] = model.jump[i, duration - 1] * h
-        a[i, i] = 1.0 - h
+    law = _outcome_law(model, sq)[:, duration - 1]
+    a = law[:, :-1].T.copy()
+    np.fill_diagonal(a, law[:, -1])
     return a
 
 
@@ -265,19 +259,20 @@ class ChainPath:
     jump_times: np.ndarray = field(repr=False)
 
 
-def _outcome_cumulative(model, sq):
-    """Per (state, duration) cumulative outcome law, jumps first then stay.
+def _outcome_law(model, sq):
+    """Per (state, duration) outcome law, jumps first then stay, (N, T+1, N+1).
 
     Outcome order is jump target 0..N-1 (self entry has mass zero) followed
-    by "stay"; simulation inverts this CDF so the order is part of the
-    reproducibility contract.
+    by "stay"; simulation inverts its CDF so the order is part of the
+    reproducibility contract.  Unattainable (state, duration) pairs have no
+    mass.
     """
-    n, dur = model.n_states, model.n_durations
-    probs = np.zeros((n, dur, n + 1))
+    n = model.n_states
+    probs = np.zeros((n, model.n_durations, n + 1))
     hz = np.where(sq.attainable, sq.hazard, 0.0)
     probs[:, :, :n] = model.jump * hz[:, :, None]
     probs[:, :, n] = np.where(sq.attainable, 1.0 - hz, 0.0)
-    return np.cumsum(probs, axis=2)
+    return probs
 
 
 def simulate(
@@ -287,43 +282,16 @@ def simulate(
     seed=None,
     rng: np.random.Generator | None = None,
 ) -> ChainPath:
-    """Simulate one path by inverse-CDF sampling, reproducible from a seed.
+    """Simulate one path by inverse-CDF sampling, reproducible from a seed:
+    the single path of ``simulate_paths`` (drawn from ``rng`` if given).
 
     Raises SimulationError when the path enters a state/duration whose
     outcome law has no mass (possible only for invalid models).
     """
-    if horizon is None:
-        horizon = model.horizon
-    if horizon > model.horizon:
-        raise ValueError("cannot simulate past the model horizon")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    sq = sojourn_quantities(model)
-    cum = _outcome_cumulative(model, sq)
-    n = model.n_states
-    states = np.empty(horizon + 1, dtype=np.int64)
-    durations = np.empty(horizon + 1, dtype=np.int64)
-    states[0] = int(rng.choice(n, p=model.x0))
-    durations[0] = 1
-    jumps = [0]
-    for k in range(horizon):
-        i, m = states[k], durations[k]
-        row = cum[i, m - 1]
-        if row[-1] <= 0.0:
-            raise SimulationError(
-                f"state {i} at duration {m} has no defined continuation"
-            )
-        u = rng.random() * row[-1]
-        pick = int(np.searchsorted(row, u, side="right"))
-        pick = min(pick, n)
-        if pick == n:
-            states[k + 1] = i
-            durations[k + 1] = m + 1
-        else:
-            states[k + 1] = pick
-            durations[k + 1] = 1
-            jumps.append(k + 1)
-    return ChainPath(states, durations, np.asarray(jumps, dtype=np.int64))
+    states, durations = simulate_paths(
+        model, 1, horizon, seed=rng if rng is not None else seed
+    )
+    return ChainPath(states[0], durations[0], np.flatnonzero(durations[0] == 1))
 
 
 def simulate_paths(
@@ -333,10 +301,12 @@ def simulate_paths(
     *,
     seed=None,
 ):
-    """Vectorised batch simulation with the same outcome order as simulate().
+    """Vectorised batch simulation by inverse-CDF sampling of each step's
+    outcome law, in the outcome order of ``_outcome_law``.
 
     Returns (states, durations), each (n_paths, horizon+1).  A fixed seed
-    yields bit-identical output on repeated calls.
+    yields bit-identical output on repeated calls; a Generator is drawn
+    from directly.
     """
     if horizon is None:
         horizon = model.horizon
@@ -344,7 +314,7 @@ def simulate_paths(
         raise ValueError("cannot simulate past the model horizon")
     rng = np.random.default_rng(seed)
     sq = sojourn_quantities(model)
-    cum = _outcome_cumulative(model, sq)
+    cum = np.cumsum(_outcome_law(model, sq), axis=2)
     n = model.n_states
     states = np.empty((n_paths, horizon + 1), dtype=np.int64)
     durations = np.empty((n_paths, horizon + 1), dtype=np.int64)

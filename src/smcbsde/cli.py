@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, files
-from .bsde import solve_bsde
+from .bsde import ProblemDataError, solve_bsde
 from .chain import InvalidModelError, simulate_paths, validate_model
 from .control import (
     HypothesisError,
@@ -182,13 +182,18 @@ def _resolve_convention(name, sys_, seed):
     return result.convention, result
 
 
-def _cmd_solve_bsde(args):
-    model = files.load_model(args.model)
-    sys_ = build_lattice(model)
+def _solve_linear(args):
+    """Lattice, problem, backward solution and tolerance of a linear command."""
+    sys_ = build_lattice(files.load_model(args.model))
     driver, terminal = files.load_linear_problem(args.problem)
     _check_problem_size(args.problem, driver.alpha, sys_)
     solution = solve_bsde(sys_, driver, terminal)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = 1e-9 if args.tol is None else args.tol
+    return sys_, driver, terminal, solution, tol
+
+
+def _cmd_solve_bsde(args):
+    sys_, driver, terminal, solution, tol = _solve_linear(args)
     _, l_bound = driver.bounds(sys_)
     lam = projection_constants(sys_).overall
     positivity = positivity_condition(sys_, l_bound)
@@ -236,12 +241,7 @@ def _cmd_solve_bsde(args):
 
 
 def _cmd_verify_duality(args):
-    model = files.load_model(args.model)
-    sys_ = build_lattice(model)
-    driver, terminal = files.load_linear_problem(args.problem)
-    _check_problem_size(args.problem, driver.alpha, sys_)
-    solution = solve_bsde(sys_, driver, terminal)
-    tol = args.tol if args.tol is not None else 1e-9
+    sys_, driver, terminal, solution, tol = _solve_linear(args)
     reach0 = sys_.reachable_at[0]
 
     per_convention = {}
@@ -551,6 +551,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (InvalidModelError, HypothesisError, SelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ProblemDataError as exc:
+        print(f"error: {args.problem}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -1,17 +1,18 @@
 """Finite-horizon control over a finite grid of actions.
 
 The controlled value solves a backward recursion whose per-step scalar map is
-``y = mean + max_u f_u(y, z)``, with each ``f_u`` affine in ``(y, z)``.  When
-every drift coefficient is below one the maximum of the per-control closed
-forms solves the step exactly; otherwise a verified bracketed root finder is
-used.  The policy that attains each per-step maximum is returned alongside
-the values, and a brute-force enumerator over all open-loop policy tables is
-provided as an independent check (the per-step maximiser must dominate every
-fixed policy pointwise).
+``y = mean + max_u f_u(y, z)``, with each ``f_u`` affine in ``(y, z)``.  Each
+time slice runs on the lattice's ``step``; where every drift coefficient of a
+cell is below one the maximum of the per-control closed forms solves its step
+exactly, elsewhere a verified bracketed root finder is used.  The policy that
+attains each per-step maximum is returned alongside the values, and a
+brute-force enumerator over all open-loop policy tables (the same slice step
+with a policy batch axis) is provided as an independent check.
 
-Before solving, the positivity and comparison conditions are evaluated for
-the declared coefficient bounds; failures raise unless overridden, because
-the dominance argument behind the epsilon-policy bound leans on them.
+Before solving, the problem data are checked at every reachable cell and the
+positivity and comparison conditions are evaluated for the declared bounds;
+failures raise unless overridden, because the dominance argument behind the
+epsilon-policy bound leans on them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .bsde import (
     BsdeSolution,
     DegenerateDriverError,
     LinearDriver,
+    ProblemDataError,
+    _require_finite,
+    _scatter,
     _terminal_array,
     _verified_root,
 )
@@ -49,6 +53,7 @@ __all__ = [
 
 _TIE_TOL = 1e-12
 _ALPHA_GUARD = 1e-12
+_POLICY_BLOCK = 8192
 
 
 class HypothesisError(RuntimeError):
@@ -107,7 +112,9 @@ class ControlProblem:
         return int(self.controls.shape[0])
 
     def validate(self, sys, tol: float = 1e-9) -> None:
-        """Check shapes against the lattice and the declared bounds."""
+        """Check shapes against the lattice, then that the tables are
+        finite (whole beta rows) and obey the declared bounds at every
+        reachable cell; ProblemDataError names the field, time and state."""
         t, d = sys.horizon, sys.dim
         if self.alpha.shape[:2] != (t, d):
             raise ValueError(
@@ -115,21 +122,23 @@ class ControlProblem:
                 f"lattice ({t}, {d})"
             )
         for k in range(t):
-            for s in sys.reachable_at[k]:
-                s = int(s)
-                worst_a = float(np.max(np.abs(self.alpha[k, s])))
-                if worst_a > self.alpha_bound + tol:
-                    raise ValueError(
-                        f"|alpha| = {worst_a} exceeds the declared bound "
-                        f"{self.alpha_bound} at time {k}, state {s}"
+            src = sys.reachable_at[k]
+            alpha, beta = self.alpha[k, src], self.beta[k, src]
+            _require_finite(sys, k, alpha=alpha, beta=beta, g=self.g[k, src])
+            for name, label, worst, bound in (
+                ("alpha", "|alpha|", np.abs(alpha).max(axis=1),
+                 self.alpha_bound),
+                ("beta", "an integrand row norm",
+                 np.linalg.norm(beta, axis=2).max(axis=1), self.beta_bound),
+            ):
+                over = np.flatnonzero(worst > bound + tol)
+                if over.size:
+                    raise ProblemDataError(
+                        f"field '{name}': {label} = {worst[over[0]]} exceeds "
+                        f"the declared bound {bound} at time {k}, state "
+                        f"{src[over[0]]}"
                     )
-                norms = np.linalg.norm(self.beta[k, s], axis=1)
-                if float(norms.max()) > self.beta_bound + tol:
-                    raise ValueError(
-                        f"an integrand row norm {norms.max()} exceeds the "
-                        f"declared bound {self.beta_bound} at time {k}, "
-                        f"state {s}"
-                    )
+        _terminal_array(sys, self.terminal)
 
 
 @dataclass(frozen=True)
@@ -232,27 +241,27 @@ def solve_control(
     values[t, reach_t] = term[reach_t]
     ties = 0
     for k in range(t - 1, -1, -1):
-        for s in sys.reachable_at[k]:
-            s = int(s)
-            mean, z_row = sys.geometry_for(s).split(values[k + 1])
-            alphas = problem.alpha[k, s]
-            if np.all(alphas < 1.0 - _ALPHA_GUARD):
-                numer = mean + max_driver(problem, sys, k, s, 0.0, z_row)[2]
-                y = float(np.max(numer / (1.0 - alphas)))
-            else:
-                def phi(v, k=k, s=s, z=z_row, m=mean):
-                    return v - max_driver(problem, sys, k, s, v, z)[0] - m
+        src = sys.reachable_at[k]
+        mean, z = sys.step(k, values[k + 1])
+        _scatter(sys, k, z, integrands[k])
+        alphas, noise, g = _slice_terms(problem, sys, k, z)
+        y = np.empty(src.size)
+        closed = np.all(alphas < 1.0 - _ALPHA_GUARD, axis=1)
+        numer = mean[closed, None] + (alphas[closed] * 0.0 + noise[closed]
+                                      + g[closed])
+        y[closed] = np.max(numer / (1.0 - alphas[closed]), axis=1)
+        for i in np.flatnonzero(~closed):
+            def phi(v, a=alphas[i], n=noise[i], c=g[i], m=mean[i]):
+                return v - float(np.max(a * v + n + c)) - m
 
-                y = _verified_root(phi, mean, f" at time {k}, state {s}")
-            _, best, vals = max_driver(problem, sys, k, s, y, z_row)
-            near = np.flatnonzero(
-                vals >= vals[best] - _TIE_TOL * (1.0 + abs(vals[best]))
-            )
-            if near.size > 1:
-                ties += 1
-            choices[k, s] = int(near[0])
-            values[k, s] = y
-            integrands[k, s] = z_row
+            y[i] = _verified_root(phi, float(mean[i]),
+                                  f" at time {k}, state {src[i]}")
+        vals = alphas * y[:, None] + noise + g
+        best = vals.max(axis=1, keepdims=True)
+        near = vals >= best - _TIE_TOL * (1.0 + np.abs(best))
+        ties += int(np.count_nonzero(near.sum(axis=1) > 1))
+        choices[k, src] = np.argmax(near, axis=1)
+        values[k, src] = y
     return ControlSolution(
         BsdeSolution(values, integrands),
         PolicyTable(choices),
@@ -263,23 +272,32 @@ def solve_control(
     )
 
 
+def _slice_terms(problem, sys, k, z):
+    """alpha, b . P z and g of every control, each (S_k, U), at the sources
+    reachable at time k, for their local integrands z (S_k, W)."""
+    src = sys.reachable_at[k]
+    coef = sys.projected_rows(k, problem.beta[k, src])
+    noise = (coef @ z[:, :, None])[..., 0]
+    return problem.alpha[k, src], noise, problem.g[k, src]
+
+
 def _policy_driver(problem: ControlProblem, sys, policy: PolicyTable):
-    t, d = sys.horizon, sys.dim
-    alpha = np.zeros((t, d))
-    g = np.zeros((t, d))
-    beta = np.zeros((t, d, d))
-    for k in range(t):
-        for s in sys.reachable_at[k]:
-            s = int(s)
-            u = policy.control_index(k, s)
-            if u >= problem.n_controls:
-                raise ValueError(
-                    f"policy index {u} out of range at time {k}, state {s}"
-                )
-            alpha[k, s] = problem.alpha[k, s, u]
-            g[k, s] = problem.g[k, s, u]
-            beta[k, s] = problem.beta[k, s, u]
-    return LinearDriver(alpha, g, beta)
+    mask = sys.reachable_mask()[:-1]
+    u = policy.choices
+    bad = mask & ((u < 0) | (u >= problem.n_controls))
+    if bad.any():
+        k, s = (int(v) for v in np.argwhere(bad)[0])
+        if u[k, s] < 0:
+            raise KeyError(f"no control assigned at time {k}, state {s}")
+        raise ValueError(
+            f"policy index {u[k, s]} out of range at time {k}, state {s}"
+        )
+    # each reachable cell's table entry at its control, zero elsewhere
+    pick = np.where(mask, u, 0)[:, :, None]
+    alpha, g = (np.where(mask, np.take_along_axis(a, pick, 2)[..., 0], 0.0)
+                for a in (problem.alpha, problem.g))
+    beta = np.take_along_axis(problem.beta, pick[..., None], 2)[:, :, 0]
+    return LinearDriver(alpha, g, np.where(mask[:, :, None], beta, 0.0))
 
 
 def evaluate_policy(problem: ControlProblem, sys, policy: PolicyTable):
@@ -314,66 +332,79 @@ def brute_force_value(
     """Enumerate every policy table and take pointwise value maxima.
 
     Policies are encoded as base-U digit strings over the reachable
-    (time, state) cells; the backward evaluation is vectorised over all
-    policies at once.  Because the value at (k, s) only depends on digits at
-    times >= k, the per-time maxima are the exact sub-problem optima.
+    (time, state) cells, in time-then-state order; the backward evaluation
+    runs the slice step with all policies on its batch axis.  Because
+    the value at (k, s) only depends on digits at times >= k, the per-time
+    maxima are the exact sub-problem optima.
     """
     problem.validate(sys)
     term = _terminal_array(sys, problem.terminal)
     t, d = sys.horizon, sys.dim
     u = problem.n_controls
-    cells = [(k, int(s)) for k in range(t) for s in sys.reachable_at[k]]
-    n_pol = u ** len(cells)
+    sizes = [r.size for r in sys.reachable_at[:t]]
+    n_cells = sum(sizes)
+    n_pol = u**n_cells
     if n_pol > max_policies:
         raise ValueError(
             f"{n_pol} policies exceed the enumeration cap {max_policies}"
         )
-    cell_index = {cell: c for c, cell in enumerate(cells)}
-    pol = np.arange(n_pol)
-    digits = {c: (pol // u**c) % u for c in range(len(cells))}
-    values = np.zeros((n_pol, d))
+    first = np.cumsum([0] + sizes)
+    # per slice: sources, alpha, g and the projected beta rows of every
+    # control, and each source's first entry in a flat (S_k, U) table
+    slices = []
+    for k in range(t):
+        src = sys.reachable_at[k]
+        alphas, g = problem.alpha[k, src], problem.g[k, src]
+        bad = np.any(np.abs(1.0 - alphas) < _ALPHA_GUARD, axis=1)
+        if bad.any():
+            raise DegenerateDriverError(
+                f"a drift coefficient at time {k}, state {src[np.argmax(bad)]} "
+                "makes the step map non-invertible"
+            )
+        coef = sys.projected_rows(k, problem.beta[k, src])
+        slices.append((src, alphas, g, coef, np.arange(0, src.size * u, u)))
+
     per_time_max = np.full((t + 1, d), np.nan)
-    reach_t = sys.reachable_at[t]
-    values[:, reach_t] = term[reach_t]
+    reach_t, reach0 = sys.reachable_at[t], sys.reachable_at[0]
     per_time_max[t, reach_t] = term[reach_t]
-    for k in range(t - 1, -1, -1):
-        new = np.zeros((n_pol, d))
-        for s in sys.reachable_at[k]:
-            s = int(s)
-            geo = sys.geometry_for(s)
-            sup = geo.support
-            mean = values[:, sup] @ geo.column[sup]
-            zmat = values[:, sup] - mean[:, None]
-            alphas = problem.alpha[k, s]
-            if np.any(np.abs(1.0 - alphas) < _ALPHA_GUARD):
-                raise DegenerateDriverError(
-                    f"a drift coefficient at time {k}, state {s} makes the "
-                    "step map non-invertible"
-                )
-            # beta P read on the support; P is symmetric, so P beta' works
-            beff = geo.project(problem.beta[k, s])[:, sup]
-            cand = (mean[None, :] + beff @ zmat.T + problem.g[k, s][:, None]) / (
-                1.0 - alphas
-            )[:, None]
-            chosen = np.take_along_axis(
-                cand, digits[cell_index[(k, s)]][None, :], axis=0
-            )[0]
-            new[:, s] = chosen
-            per_time_max[k, s] = float(chosen.max())
-        values = new
     initial_values = np.full(d, np.nan)
-    reach0 = sys.reachable_at[0]
-    initial_values[reach0] = values[:, reach0].max(axis=0)
-    weights = sys.dist_at[0]
-    best = int(np.argmax(values @ weights))
+    objective = np.empty(n_pol)
+    # policies evaluate independently: blocks of them keep the working set
+    # at _POLICY_BLOCK x S_k x W whatever the policy count
+    for lo in range(0, n_pol, _POLICY_BLOCK):
+        pol = np.arange(lo, min(lo + _POLICY_BLOCK, n_pol))
+        # values per state and policy, (D, policies), so the slice step
+        # reads whole rows; each slice overwrites its sources' rows, the
+        # only rows the next (earlier) slice reads
+        values = np.zeros((d, pol.size))
+        values[reach_t] = term[reach_t, None]
+        for k in range(t - 1, -1, -1):
+            src, alphas, g, coef, at = slices[k]
+            mean, z = sys.step(k, values.T)
+            z = z.transpose(1, 2, 0)
+            # flat (source, control) entry of each policy's choice
+            pick = pol // u ** np.arange(first[k], first[k + 1])[:, None] % u
+            pick += at[:, None]
+            chosen = mean.T + sum(
+                np.take(coef[:, :, w], pick) * z[:, w]
+                for w in range(z.shape[1])
+            )
+            chosen += np.take(g, pick)
+            chosen /= 1.0 - np.take(alphas, pick)
+            values[src] = chosen
+            per_time_max[k, src] = np.fmax(per_time_max[k, src],
+                                           chosen.max(axis=1))
+        initial_values[reach0] = np.fmax(initial_values[reach0],
+                                         values[reach0].max(axis=1))
+        objective[pol] = sys.dist_at[0] @ values
+    best = int(np.argmax(objective))
     choices = np.full((t, d), -1, dtype=int)
-    for c, (k, s) in enumerate(cells):
-        choices[k, s] = (best // u**c) % u
+    choices[sys.reachable_mask()[:-1]] = best // u ** np.arange(n_cells) % u
     return BruteForceResult(
         initial_values,
         per_time_max,
         PolicyTable(choices),
-        float((values @ weights)[best]),
+        float(objective[best]),
         int(n_pol),
     )
 
@@ -427,12 +458,12 @@ def epsilon_optimal_policy(
     t, d = sys.horizon, sys.dim
     choices = np.full((t, d), -1, dtype=int)
     for k in range(t):
-        for s in sys.reachable_at[k]:
-            s = int(s)
-            best, _, vals = max_driver(
-                problem, sys, k, s, sol.values[k, s], sol.integrands[k, s]
-            )
-            choices[k, s] = int(np.flatnonzero(vals >= best - epsilon)[0])
+        src = sys.reachable_at[k]
+        _, z = sys.step(k, sol.values[k + 1])
+        alphas, noise, g = _slice_terms(problem, sys, k, z)
+        vals = alphas * sol.values[k, src, None] + noise + g
+        best = vals.max(axis=1, keepdims=True)
+        choices[k, src] = np.argmax(vals >= best - epsilon, axis=1)
     policy = PolicyTable(choices)
     driver = _policy_driver(problem, sys, policy)
     from .bsde import solve_bsde

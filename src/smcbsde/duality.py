@@ -102,42 +102,23 @@ class WeightSde:
         return cls(driver.alpha, driver.beta, convention, start_time)
 
 
-def _layout(sys):
-    """Successors in ascending order and their probabilities per row
-    (D, W), zero on padding; per source of sys.sources, its bracket block
-    padded with itself (S, W+1) and local pinv padded with zeros."""
-    width = max((g.support.size for g in sys.geometry.values()), default=1)
-    succ = np.zeros((sys.dim, width), dtype=np.int64)
-    prob = np.zeros((sys.dim, width))
-    block = np.repeat(sys.sources[:, None], width + 1, axis=1)
-    pinv = np.zeros((sys.sources.size, width + 1, width + 1))
-    for i, s in enumerate(sys.sources):
-        geo = sys.geometry[s]
-        m, b = geo.support.size, geo.block.size
-        succ[s, :m] = geo.support
-        prob[s, :m] = geo.column[geo.support]
-        block[i, :b] = geo.block
-        pinv[i, :b, :b] = geo.local_pinv
-    return succ, prob, block, pinv
-
-
 def _factors(sys, sde):
-    """Weight factors on the padded successor layout, as (succ, prob, den,
-    step, run): source s steps to succ[s, j] with probability prob[s, j]
-    (0 on padding); that step at time k multiplies V by step[k, s, j],
-    whose denominator is den[k, s, j] (1 where there is none), and
-    W_k = V_k * run[k, s]."""
+    """Weight factors on the lattice's padded successor table, as (succ,
+    prob, den, step, run): source s steps to succ[s, j] with probability
+    prob[s, j] (0 on padding); that step at time k multiplies V by
+    step[k, s, j], whose denominator is den[k, s, j] (1 where there is
+    none), and W_k = V_k * run[k, s]."""
     _check_tables(sys, sde)
-    succ, prob, block, pinv = _layout(sys)
+    succ, prob = sys.succ, sys.prob
     src = sys.sources
     noise = np.zeros((sys.horizon,) + succ.shape)
     if sde.beta is not None:
         # n_k(s, j) = b_k(s) @ pinv(bracket_s) @ (e_j - c_s), read on the
-        # block: the pinv columns of the successors, centred under c_s
-        pos = np.argmax(block[:, None, :] == succ[src][:, :, None], axis=2)
-        cols = np.take_along_axis(pinv, pos[:, None, :], axis=2)
-        cols -= cols @ prob[src][:, :, None]
-        rows = sde.beta[:, src[:, None], block].transpose(1, 0, 2)
+        # block (s, *successors): the pinv columns of the successors,
+        # centred under c_s
+        cols = sys.local_pinv[:, :, 1:]
+        cols = cols - cols @ prob[src][:, :, None]
+        rows = sde.beta[:, src[:, None], sys.block].transpose(1, 0, 2)
         noise[:, src] = (rows @ cols).transpose(1, 0, 2)
     a = sde.alpha[:, :, None]
     conv = sde.convention
@@ -203,7 +184,7 @@ def _all_paths(sys, start, states):
     """Every realizable path from each (start, state) to the horizon, as a
     (P, T - start + 1) array in enumerate_paths order per start state, in
     the given order, and the path probabilities (P,)."""
-    succ, prob, _, _ = _layout(sys)
+    succ, prob = sys.succ, sys.prob
     paths = np.asarray(states, dtype=np.int64).reshape(-1, 1)
     weight = np.ones(paths.shape[0])
     for _ in range(start, sys.horizon):
@@ -262,20 +243,24 @@ def enumerate_paths(sys, start_time: int, state: int):
 
 
 def _sample_paths(sys, start_time, state, n, rng):
-    """Inverse-CDF sampling of lattice paths from one (time, state) node."""
-    t = sys.horizon
-    out = np.empty((n, t - start_time + 1), dtype=np.int64)
+    """Inverse-CDF sampling of lattice paths from one (time, state) node.
+
+    Each step draws one uniform per path and hands the draws out to the
+    paths grouped by current state, states ascending and paths in order
+    within a state; a path's successor is the first slot whose cumulative
+    probability exceeds its draw times the row total.
+    """
+    cum = np.cumsum(sys.prob, axis=1)
+    last = np.count_nonzero(sys.prob, axis=1) - 1
+    out = np.empty((n, sys.horizon - start_time + 1), dtype=np.int64)
     out[:, 0] = state
-    for j, k in enumerate(range(start_time, t)):
+    u = np.empty(n)
+    for j in range(out.shape[1] - 1):
         cur = out[:, j]
-        for s in np.unique(cur):
-            g = sys.geometry_for(int(s))
-            cum = np.cumsum(g.column[g.support])
-            rows = cur == s
-            u = rng.random(int(rows.sum())) * cum[-1]
-            picks = np.searchsorted(cum, u, side="right")
-            picks = np.minimum(picks, len(cum) - 1)
-            out[rows, j + 1] = g.support[picks]
+        u[np.argsort(cur, kind="stable")] = rng.random(n)
+        row = cum[cur]
+        picks = np.count_nonzero(row <= (u * row[:, -1])[:, None], axis=1)
+        out[:, j + 1] = sys.succ[cur, np.minimum(picks, last[cur])]
     return out
 
 

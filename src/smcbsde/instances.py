@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bsde import LinearDriver, _driver_value, solve_bsde
+from .bsde import LinearDriver, _driver_slice, solve_bsde
 from .chain import SemiMarkovModel
 from .lattice import projection_constants
 from .linalg import comparison_condition, positivity_condition
@@ -84,13 +84,6 @@ def max_beta_for_comparison(sys) -> float:
     return 1.0 / (lam * np.sqrt(worst)) if lam > 0.0 and worst > 0.0 else np.inf
 
 
-def _reachable_mask(sys):
-    mask = np.zeros((sys.horizon, sys.dim), dtype=bool)
-    for k in range(sys.horizon):
-        mask[k, sys.reachable_at[k]] = True
-    return mask
-
-
 def random_linear_instance(
     sys,
     rng: np.random.Generator,
@@ -104,7 +97,7 @@ def random_linear_instance(
     l_max = beta_fraction * max_beta_for_positivity(sys)
     if comparison_safe:
         l_max = min(l_max, beta_fraction * max_beta_for_comparison(sys))
-    mask = _reachable_mask(sys)
+    mask = sys.reachable_mask()[:-1]
     alpha = np.where(mask, rng.uniform(-alpha_scale, alpha_scale, (t, d)), 0.0)
     g = np.where(mask, rng.uniform(-1.0, 1.0, (t, d)), 0.0)
     beta = np.zeros((t, d, d))
@@ -131,7 +124,7 @@ def random_comparison_pair(sys, rng: np.random.Generator):
     """
     driver2, terminal2 = random_linear_instance(sys, rng, comparison_safe=True)
     t, d = sys.horizon, sys.dim
-    mask = _reachable_mask(sys)
+    mask = sys.reachable_mask()[:-1]
     reach_t = sys.reachable_at[t]
     terminal1 = terminal2.copy()
     terminal1[reach_t] -= rng.uniform(0.0, 1.0, reach_t.size)
@@ -143,14 +136,13 @@ def random_comparison_pair(sys, rng: np.random.Generator):
     sol2 = solve_bsde(sys, driver2, terminal2)
     g1 = np.zeros((t, d))
     for k in range(t):
-        for s in sys.reachable_at[k]:
-            s = int(s)
-            y2 = sol2.values[k, s]
-            z2 = sol2.integrands[k, s]
-            carry = _driver_value(sys, driver2, k, s, y2, z2) - _driver_value(
-                sys, fresh, k, s, y2, z2
-            )
-            g1[k, s] = fresh.g[k, s] + carry - rng.uniform(0.0, 1.0)
+        src = sys.reachable_at[k]
+        y2 = sol2.values[k, src]
+        _, z2 = sys.step(k, sol2.values[k + 1])
+        carry = _driver_slice(sys, driver2, k, y2, z2) - _driver_slice(
+            sys, fresh, k, y2, z2
+        )
+        g1[k, src] = fresh.g[k, src] + carry - rng.uniform(0.0, 1.0, src.size)
     driver1 = LinearDriver(fresh.alpha, g1, fresh.beta)
     return driver1, terminal1, driver2, terminal2
 
@@ -171,7 +163,7 @@ def random_control_problem(
     l_max = beta_fraction * min(
         max_beta_for_positivity(sys), max_beta_for_comparison(sys)
     )
-    mask = _reachable_mask(sys)
+    mask = sys.reachable_mask()[:-1]
     alpha = np.where(
         mask[:, :, None], rng.uniform(-alpha_scale, alpha_scale, (t, d, u)), 0.0
     )

@@ -1,28 +1,28 @@
 """Sojourn-augmented lattice that makes the semi-Markov chain Markov.
 
 The augmented state is the pair (state, duration) embedded as a unit vector
-in dimension D = (T+1) * N, flat index (duration-1)*N + state.  One global
-D x D matrix drives every step: block row 1 collects the jump laws per
-duration (jumps always reset the duration to 1), the subdiagonal blocks
-carry the survivor mass one duration deeper.  States with duration T+1 have
-no in-horizon continuation, so only columns of states that can actually be
-stepped from are column-stochastic.
+in dimension D = (T+1) * N, flat index (duration-1)*N + state.  A jump resets
+the duration to 1, staying put carries it one deeper, and duration T+1 has no
+in-horizon continuation.  The lattice stores one padded successor table
+indexed by flat state: ``succ[s, :m]`` are the m successors of s, ascending,
+and ``prob[s, :m]`` their probabilities; the slots up to W, the widest
+support, repeat the first successor with probability zero.  The dense D x D
+``transition`` is built from it on request only.
 
-For each source state the one-step noise (the innovation martingale
-increment) carries two matrices:
+For each source the one-step noise (the innovation martingale increment)
+carries the covariance diag(c) - c c' (c the successor law; positive
+semidefinite, it backs the integrand seminorm) and the bracket
+diag(c) - e c' - c e', indefinite whenever the step is random.  The two agree
+on integrands supported on the successors with c-weighted mean zero; formulas
+downstream are indexed against the bracket's pseudoinverse.  Both vanish off
+the block (source, *successors) of at most N+1 indices, so the bracket, its
+pseudoinverse and projector are stored per block, stacked over ``sources``
+and padded with zeros like the table; ``geometry_for`` gives one source's
+StateGeometry view, with D x D views on request.
 
-- ``covariance_matrix``: the exact conditional covariance
-  diag(c) - c c', c the successor law.  This is positive semidefinite and
-  backs the integrand seminorm.
-- ``bracket_matrix``: diag(c) - e c' - c e', a quadratic-variation style
-  bracket.  It agrees with the covariance on integrands supported on the
-  successor set with c-weighted mean zero, but is indefinite whenever the
-  step is random, because it couples the source coordinate to successors.
-
-Both are exposed because formulas downstream are indexed against the
-bracket (through its pseudoinverse) while norms need the covariance.  Both
-vanish outside the block (source, *successors) of at most N+1 indices, so
-only blocks are stored; D x D views are built on request (StateGeometry).
+Every backward solver works a whole time slice through ``step`` (conditional
+means and local canonical integrands of the sources reachable at time k) and
+``projected_rows`` (coefficients of b . P z on those integrands).
 """
 
 from __future__ import annotations
@@ -30,10 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .chain import SemiMarkovModel, SojournQuantities, sojourn_quantities
-from .linalg import pinv
+from .chain import (
+    InvalidModelError,
+    SemiMarkovModel,
+    SojournQuantities,
+    _outcome_law,
+    sojourn_quantities,
+)
+from .linalg import _per_time_max, pinv
 
 __all__ = [
     "LatticeSystem",
@@ -59,13 +66,11 @@ class UnreachableStateError(KeyError):
 
 @dataclass(frozen=True)
 class StateGeometry:
-    """Per-source-state noise data, cached on the lattice system.
+    """Noise data of one source state, a view of the lattice's tables.
 
     Stored on the block (state, *support), outside which the noise vanishes;
     ``covariance``, ``bracket``, ``bracket_pinv`` and ``projector`` are the
-    D x D views, built on request for export and inspection only.  Solvers
-    need no more than the block: the projector acts as the identity on the
-    canonical integrand of any source whose successor law has positive mass.
+    D x D views, built on request for export and inspection only.
 
     column     : successor law c (D,)
     support    : successor flat indices with positive mass
@@ -85,8 +90,8 @@ class StateGeometry:
     local_projector: np.ndarray
     bracket_psd: bool
 
-    # split and project run in every backward step; indexing through .T
-    # serves (D,) and (B, D) alike and is cheaper than Ellipsis indexing
+    # indexing through .T serves (D,) and (B, D) alike and is cheaper than
+    # Ellipsis indexing
     def split(self, values):
         """Successor-law mean and canonical integrand (zero off the support,
         values - mean on it) of next-step values (D,), or a batch (B, D)."""
@@ -119,20 +124,41 @@ class StateGeometry:
 
 @dataclass(frozen=True)
 class LatticeSystem:
-    """Lattice embedding of a semi-Markov model over its full horizon."""
+    """Lattice embedding of a semi-Markov model over its full horizon.
+
+    succ, prob       : (D, W) padded successor table (see the module notes)
+    sources          : (S,) ascending states ever stepped from before T
+    block            : (S, W+1) each source's block (source, *successors)
+    local_bracket, local_pinv, local_projector
+                     : (S, W+1, W+1) per-source blocks, padded with zeros
+    bracket_psd      : (S,) True where the bracket is positive semidefinite
+    """
 
     model: SemiMarkovModel
     sojourn: SojournQuantities
     dim: int
-    transition: np.ndarray
     reachable_at: tuple
     dist_at: np.ndarray
     sources: np.ndarray
-    geometry: dict
+    succ: np.ndarray
+    prob: np.ndarray
+    block: np.ndarray
+    local_bracket: np.ndarray
+    local_pinv: np.ndarray
+    local_projector: np.ndarray
+    bracket_psd: np.ndarray
 
     @property
     def horizon(self) -> int:
         return self.model.horizon
+
+    @property
+    def transition(self) -> np.ndarray:
+        """Dense D x D transition matrix, column s the successor law of s."""
+        c = np.zeros((self.dim, self.dim))
+        rows, slots = np.nonzero(self.prob)
+        c[self.succ[rows, slots], rows] = self.prob[rows, slots]
+        return c
 
     def flat_index(self, state: int, duration: int) -> int:
         n = self.model.n_states
@@ -147,74 +173,138 @@ class LatticeSystem:
             raise ValueError(f"flat index {flat} outside 0..{self.dim - 1}")
         return flat % n, flat // n + 1
 
+    def reachable_mask(self) -> np.ndarray:
+        """(T+1, D) table, True where the state is reachable at the time."""
+        mask = np.zeros((self.horizon + 1, self.dim), dtype=bool)
+        for k, reach in enumerate(self.reachable_at):
+            mask[k, reach] = True
+        return mask
+
     def geometry_for(self, state: int) -> StateGeometry:
-        try:
-            return self.geometry[state]
-        except KeyError:
+        i = int(np.searchsorted(self.sources, state))
+        if i == self.sources.size or self.sources[i] != state:
             raise UnreachableStateError(
                 f"lattice state {self.label(state)} is never a transition source"
-            ) from None
+            )
+        m = int(np.count_nonzero(self.prob[state]))
+        support, b = self.succ[state, :m], slice(0, m + 1)
+        column = np.zeros(self.dim)
+        column[support] = self.prob[state, :m]
+        return StateGeometry(
+            int(state), column, support, self.block[i, b],
+            self.local_bracket[i, b, b], self.local_pinv[i, b, b],
+            self.local_projector[i, b, b], bool(self.bracket_psd[i]),
+        )
+
+    def step(self, k: int, values):
+        """One backward step over the sources reachable at time k.
+
+        values (..., D) are the time k+1 values.  Returns the conditional
+        means (..., S_k) under each source's successor law and the local
+        canonical integrands (..., S_k, W): value at successor slot j minus
+        the mean, zero on padding.
+        """
+        src = self.reachable_at[k]
+        prob = self.prob[src]
+        # batch axes last, (S_k, W, ...): the gather reads whole rows of the
+        # transposed values, and the one (S_k, W, ...) array becomes z
+        z = np.asarray(values, dtype=float).T[self.succ[src]]
+        mean = prob[:, None, :] @ z.reshape(z.shape[:2] + (-1,))
+        mean = mean.reshape(z.shape[:1] + z.shape[2:])
+        z -= mean[:, None]
+        z[prob == 0.0] = 0.0
+        batch = tuple(range(z.ndim - 1, 1, -1))
+        return mean.T, z.transpose(batch + (0, 1))
+
+    def projected_rows(self, k: int, rows) -> np.ndarray:
+        """Local coefficients of b . P z for the integrands of ``step(k)``.
+
+        rows (S_k, ..., D) hold an ambient coefficient row b per source
+        reachable at time k (and any inner axes, such as controls); the
+        result r (S_k, ..., W) is b @ P on the successor slots of the block,
+        so that b . P z = sum(r * z) over the last axis.
+        """
+        src = self.reachable_at[k]
+        i = np.searchsorted(self.sources, src)
+        rows = np.asarray(rows, dtype=float)
+        # flat positions of every row's block entries, (S_k, rows, W+1)
+        at = np.arange(0, rows.size, rows.shape[-1]).reshape(src.size, -1, 1)
+        b = np.take(rows, at + self.block[i, None, :])
+        proj = self.local_projector[i]
+        return (b @ proj)[..., 1:].reshape(rows.shape[:-1] + (-1,))
 
 
 def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
-    """Assemble the lattice transition matrix and reachability tables.
+    """Assemble the successor table, reachability and per-source blocks.
 
     Raises InvalidModelError (via sojourn_quantities) on inconsistent sojourn
-    data and ValueError if the reachable set dies before the horizon.
+    data or a state that jumps onto itself at duration 1, and ValueError if
+    the reachable set dies before the horizon.
     """
     sq = sojourn_quantities(model)
     n, t = model.n_states, model.horizon
     dim = (t + 1) * n
-    c = np.zeros((dim, dim))
-    hz = sq.hazard
-    for m in range(1, t + 2):
-        for i in range(n):
-            if not sq.attainable[i, m - 1]:
-                continue
-            h = hz[i, m - 1]
-            c[:n, (m - 1) * n + i] = model.jump[i, m - 1] * h
-            if m <= t:
-                c[m * n + i, (m - 1) * n + i] = 1.0 - h
-    support = c > 0.0
+    flat = np.arange(dim)
+    # outcomes in ascending flat order: a jump to (j, 1) for every j, then
+    # staying at (state, duration + 1), which leaves the lattice at T+1
+    cand = np.concatenate(
+        (np.broadcast_to(np.arange(n), (dim, n)), (flat + n)[:, None]), axis=1
+    )
+    cprob = _outcome_law(model, sq).transpose(1, 0, 2).reshape(dim, n + 1)
+    cprob[t * n:, n] = 0.0
+    valid = cprob > 0.0
+    order = np.argsort(~valid, axis=1, kind="stable")
+    width = max(int(valid.sum(axis=1).max()), 1)
+    order = order[:, :width]
+    valid = np.take_along_axis(valid, order, axis=1)
+    succ = np.take_along_axis(cand, order, axis=1)
+    succ = np.where(valid, succ, succ[:, :1])
+    prob = np.where(valid, np.take_along_axis(cprob, order, axis=1), 0.0)
+    own = valid & (succ == flat[:, None])
+    if own.any():
+        s = int(np.argwhere(own)[0, 0])
+        raise InvalidModelError(
+            f"lattice state {(s % n, s // n + 1)} jumps onto itself"
+        )
 
     reachable = []
     dist = np.zeros((t + 1, dim))
     dist[0, :n] = model.x0
-    alive = dist[0] > 0.0
-    reachable.append(np.flatnonzero(alive))
+    reachable.append(np.flatnonzero(dist[0] > 0.0))
     for k in range(t):
-        if reachable[-1].size == 0:
+        cur = reachable[-1]
+        if cur.size == 0:
             raise ValueError(f"reachable set is empty at time {k}")
-        dist[k + 1] = c @ dist[k]
-        alive = support[:, alive].any(axis=1)
-        reachable.append(np.flatnonzero(alive))
+        dist[k + 1] = np.bincount(
+            succ[cur].ravel(), (prob[cur] * dist[k, cur, None]).ravel(),
+            minlength=dim,
+        )
+        reachable.append(np.unique(succ[cur][valid[cur]]))
     if reachable[-1].size == 0:
         raise ValueError(f"reachable set is empty at time {t}")
 
     sources = np.unique(np.concatenate(reachable[:t])) if t else np.array([], int)
-    geometry = {}
-    for s in sources:
-        s = int(s)
-        col = c[:, s].copy()
-        sup = np.flatnonzero(col)
-        block = np.concatenate(([s], sup[sup != s]))
-        cb = col[block]
-        e = np.eye(block.size)[0]
-        br = np.diag(cb) - np.outer(e, cb) - np.outer(cb, e)
-        bp = pinv(br)
-        proj = bp @ br
-        w = np.linalg.eigvalsh(br)
-        scale = max(abs(w[0]), abs(w[-1]), 1.0)
-        psd = bool(w[0] >= -_EIG_TOL * scale)
-        for arr in (col, sup, block, br, bp, proj):
-            arr.flags.writeable = False
-        geometry[s] = StateGeometry(s, col, sup, block, br, bp, proj, psd)
-    c.flags.writeable = False
-    dist.flags.writeable = False
-    for r in reachable:
-        r.flags.writeable = False
+    # block (source, *successors): c is zero at the source coordinate, so
+    # diag(c) - e c' - c e' has c on the diagonal and -c in row/column 0
+    block = np.concatenate((sources[:, None], succ[sources]), axis=1)
+    p = prob[sources]
+    br = np.zeros((sources.size, width + 1, width + 1))
+    diag = np.arange(1, width + 1)
+    br[:, diag, diag] = p
+    br[:, 0, 1:] = -p
+    br[:, 1:, 0] = -p
+    keep = np.concatenate((np.ones((sources.size, 1), bool), p > 0.0), axis=1)
+    bp = pinv(br) * (keep[:, :, None] & keep[:, None, :])
+    proj = bp @ br
+    w = np.linalg.eigvalsh(br)
+    scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1.0)
+    psd = w[:, 0] >= -_EIG_TOL * scale
+    for arr in (dist, sources, succ, prob, block, br, bp, proj, psd,
+                *reachable):
+        arr.flags.writeable = False
     return LatticeSystem(
-        model, sq, dim, c, tuple(reachable), dist, sources, geometry
+        model, sq, dim, tuple(reachable), dist, sources, succ, prob, block, br,
+        bp, proj, psd,
     )
 
 
@@ -236,11 +326,6 @@ def _check_time(sys, k):
         raise ValueError(f"integrand time {k} outside 0..{sys.horizon - 1}")
 
 
-def _sources_at(sys, k):
-    _check_time(sys, k)
-    return [int(s) for s in sys.reachable_at[k]]
-
-
 def noise_seminorm(sys: LatticeSystem, rows, up_to: int | None = None) -> float:
     """Seminorm of a sequence of integrand rows against the one-step noise.
 
@@ -256,44 +341,14 @@ def noise_seminorm(sys: LatticeSystem, rows, up_to: int | None = None) -> float:
         raise ValueError("up_to exceeds the defined rows or the horizon")
     total = 0.0
     for u in range(up_to + 1):
-        row = rows[u]
-        for s in _sources_at(sys, u):
-            p = sys.dist_at[u, s]
-            if p <= 0.0:
-                continue
-            g = sys.geometry_for(s)
-            # variance form of row' cov row: immune to the cancellation that
-            # row @ cov @ row suffers on (near-)constant rows
-            _, z = g.split(row)
-            total += p * float(g.column @ (z * z))
+        src = sys.reachable_at[u]
+        p = sys.dist_at[u, src]
+        # variance form of row' cov row: immune to the cancellation that
+        # row @ cov @ row suffers on (near-)constant rows
+        _, z = sys.step(u, rows[u])
+        var = (sys.prob[src] * z * z).sum(axis=1)
+        total += float(p[p > 0.0] @ var[p > 0.0])
     return float(np.sqrt(max(total, 0.0)))
-
-
-def _support_components(sys, states):
-    """Group sources whose successor supports overlap (union-find)."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    owner = {}
-    groups = {}
-    for s in states:
-        parent[s] = s
-        for j in sys.geometry_for(s).support:
-            j = int(j)
-            if j in owner:
-                ra, rb = find(owner[j]), find(s)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                owner[j] = s
-    for s in states:
-        groups.setdefault(find(s), []).append(s)
-    return list(groups.values())
 
 
 def canonical_integrand(
@@ -314,17 +369,22 @@ def canonical_integrand(
     """
     if state is not None:
         return sys.geometry_for(state).split(row)[1]
+    _check_time(sys, k)
     row = np.asarray(row, dtype=float)
+    src = sys.reachable_at[k]
+    rows, slots = np.nonzero(sys.prob[src] > 0.0)
+    succ = sys.succ[src[rows], slots]
+    # overlap components: connected components of the graph joining each
+    # source (node i) to its successors (node S_k + j)
+    n = src.size + sys.dim
+    graph = coo_matrix((np.ones(rows.size), (rows, src.size + succ)), (n, n))
+    comp = np.unique(connected_components(graph, directed=False)[1][:src.size],
+                     return_inverse=True)[1]
+    mix = np.zeros((comp.max() + 1, sys.dim))
+    np.add.at(mix, (comp[rows], succ), sys.prob[src[rows], slots])
+    mix /= np.bincount(comp)[:, None]
     out = np.zeros_like(row)
-    comps = _support_components(sys, _sources_at(sys, k))
-    for comp in comps:
-        mix = np.zeros(sys.dim)
-        for s in comp:
-            mix += sys.geometry_for(s).column
-        mix /= len(comp)
-        sup = np.flatnonzero(mix)
-        shift = float(mix @ row)
-        out[sup] = row[sup] - shift
+    out[succ] = row[succ] - (mix @ row)[comp[rows]]
     return out
 
 
@@ -336,10 +396,12 @@ def integrands_equivalent(
     one-step increment (from ``state``, or from all sources at time k).
     A non-finite difference is never equivalent."""
     d = np.asarray(row1, dtype=float) - np.asarray(row2, dtype=float)
-    states = [state] if state is not None else _sources_at(sys, k)
-    return all(
-        np.all(np.abs(sys.geometry_for(s).split(d)[1]) <= tol) for s in states
-    )
+    if state is not None:
+        z = sys.geometry_for(state).split(d)[1]
+    else:
+        _check_time(sys, k)
+        z = sys.step(k, d)[1]
+    return bool(np.all(np.abs(z) <= tol))
 
 
 @dataclass(frozen=True)
@@ -363,30 +425,21 @@ class ProjectionConstants:
 
 
 def projection_constants(sys: LatticeSystem) -> ProjectionConstants:
-    per_state = {}
-    fallbacks = 0
-    psd_states = 0
-    for s, g in sys.geometry.items():
-        if g.bracket_psd:
-            psd_states += 1
-        else:
-            fallbacks += 1
-        sup = g.support
-        if len(sup) <= 1:
-            per_state[s] = 0.0
-            continue
-        c = g.column[sup]
-        # orthonormal basis of {v : c @ v = 0}; the seminorm there is the
-        # c-weighted Euclidean form, so the sharp constant is the smallest
-        # eigenvalue of the weighted Gram matrix
-        basis = null_space(c[None, :])
-        gram = basis.T @ (c[:, None] * basis)
-        w = np.linalg.eigvalsh(gram)
-        per_state[s] = float(1.0 / np.sqrt(w[0])) if w[0] > _EIG_TOL else 0.0
-    per_time = np.zeros(sys.horizon)
-    for k in range(sys.horizon):
-        vals = [per_state[int(s)] for s in sys.reachable_at[k]]
-        per_time[k] = max(vals) if vals else 0.0
+    # substituting w = sqrt(c) v maps the seminorm to the Euclidean norm and
+    # the mean-zero constraint to w orthogonal to u = sqrt(c), so the squared
+    # constant is the top eigenvalue of Q diag(1/c) Q, Q = I - u u'
+    # (zero on padding)
+    p = sys.prob[sys.sources]
+    u = np.sqrt(p)
+    inv = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
+    q = np.eye(p.shape[1]) - u[:, :, None] * u[:, None, :]
+    top = np.linalg.eigvalsh(q @ (inv[:, :, None] * q))[:, -1]
+    per_source = np.where(top < 1.0 / _EIG_TOL, np.sqrt(np.maximum(top, 0.0)),
+                          0.0)
+    psd_states = int(np.count_nonzero(sys.bracket_psd))
+    per_time = _per_time_max(sys, per_source)
     overall = float(per_time.max()) if per_time.size else 0.0
     per_time.flags.writeable = False
-    return ProjectionConstants(per_time, overall, fallbacks, psd_states)
+    return ProjectionConstants(
+        per_time, overall, sys.sources.size - psd_states, psd_states
+    )

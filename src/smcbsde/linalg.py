@@ -61,12 +61,13 @@ class ConditionReport:
         return float(self.margins.min()) if self.margins.size else 1.0
 
 
-def _per_time_state_max(sys, fn):
-    out = np.zeros(sys.horizon)
-    for k in range(sys.horizon):
-        vals = [fn(sys.geometry_for(int(s))) for s in sys.reachable_at[k]]
-        out[k] = max(vals) if vals else 0.0
-    return out
+def _per_time_max(sys, per_source):
+    """Max of a nonnegative per-source quantity (S,) over the sources
+    reachable at each time 0..T-1 (0 where there are none)."""
+    per_state = np.zeros(sys.dim)
+    per_state[sys.sources] = per_source
+    mask = sys.reachable_mask()[: sys.horizon]
+    return np.where(mask, per_state, 0.0).max(axis=1, initial=0.0)
 
 
 def positivity_condition(sys, beta_bound: float) -> ConditionReport:
@@ -76,17 +77,13 @@ def positivity_condition(sys, beta_bound: float) -> ConditionReport:
     <= 1, with B the state's bracket matrix, B+ its pseudoinverse and l the
     declared bound on integrand coefficient rows.  Times are 0..T-1: the
     weight recursion only ever evaluates noise at transition sources.  Both
-    norms are read off the local blocks, outside which B and B+ vanish.
+    norms are read off the stacked local blocks, outside which B and B+
+    vanish.
     """
-    def lhs(g):
-        return float(
-            np.sqrt(2.0)
-            * beta_bound
-            * np.linalg.norm(g.local_bracket)
-            * np.linalg.norm(g.local_pinv) ** 2
-        )
-
-    vals = _per_time_state_max(sys, lhs)
+    norm = np.linalg.norm
+    lhs = (np.sqrt(2.0) * beta_bound * norm(sys.local_bracket, axis=(1, 2))
+           * norm(sys.local_pinv, axis=(1, 2)) ** 2)
+    vals = _per_time_max(sys, lhs)
     margins = 1.0 - vals
     return ConditionReport("positivity", bool(np.all(vals <= 1.0)), margins, vals)
 
@@ -96,16 +93,13 @@ def comparison_condition(sys, omega2: float) -> ConditionReport:
 
     Per time k over reachable sources:
     6 * omega2^2 * ||C||_F * ||B+||_F^2 < 1,
-    with C the global lattice transition matrix and B+ the per-state bracket
-    pseudoinverse (read off its local block).  Strict inequality is required.
+    with C the global lattice transition matrix (its Frobenius norm read off
+    the successor probabilities) and B+ the per-state bracket pseudoinverse
+    (read off its local block).  Strict inequality is required.
     """
-    c_norm = float(np.linalg.norm(sys.transition))
-
-    def lhs(g):
-        return float(
-            6.0 * omega2**2 * c_norm * np.linalg.norm(g.local_pinv) ** 2
-        )
-
-    vals = _per_time_state_max(sys, lhs)
+    c_norm = float(np.linalg.norm(sys.prob))
+    lhs = 6.0 * omega2**2 * c_norm * np.linalg.norm(sys.local_pinv,
+                                                    axis=(1, 2)) ** 2
+    vals = _per_time_max(sys, lhs)
     margins = 1.0 - vals
     return ConditionReport("comparison", bool(np.all(vals < 1.0)), margins, vals)

@@ -475,6 +475,44 @@ def reference_expected_max_gap_sq(sys, delta):
     )
 
 
+def reference_sample_paths(sys, start_time, state, n, rng):
+    """Inverse-CDF sampling of lattice paths, one state at a time."""
+    t = sys.horizon
+    out = np.empty((n, t - start_time + 1), dtype=np.int64)
+    out[:, 0] = state
+    for j, k in enumerate(range(start_time, t)):
+        cur = out[:, j]
+        for s in np.unique(cur):
+            g = sys.geometry_for(int(s))
+            cum = np.cumsum(g.column[g.support])
+            rows = cur == s
+            u = rng.random(int(rows.sum())) * cum[-1]
+            picks = np.searchsorted(cum, u, side="right")
+            picks = np.minimum(picks, len(cum) - 1)
+            out[rows, j + 1] = g.support[picks]
+    return out
+
+
+@pytest.mark.parametrize("n", [6, 1000])
+def test_sample_paths_keep_their_stream(n):
+    # the vectorised sampler hands one draw per path to the paths grouped by
+    # state, which is the order the per-state loop drew them in
+    rng = np.random.default_rng(71)
+    models = [geometric_model((0.3, 0.6), 6),
+              geometric_model((0.2, 0.5, 0.8), 9, x0=np.full(3, 1.0 / 3)),
+              random_model(rng, n=4, t=7, sub_stochastic_prob=1.0)]
+    for model in models:
+        sys_ = build_lattice(model)
+        for start in (0, sys_.horizon // 2, sys_.horizon):
+            for s in sys_.reachable_at[start]:
+                seed = int(rng.integers(2**31))
+                got = _sample_paths(sys_, start, int(s), n,
+                                    np.random.default_rng(seed))
+                want = reference_sample_paths(sys_, start, int(s), n,
+                                              np.random.default_rng(seed))
+                np.testing.assert_array_equal(got, want)
+
+
 def assert_close(got, want):
     # |got - want| <= 1e-12 * (1 + |want|), entry by entry
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

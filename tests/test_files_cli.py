@@ -354,8 +354,10 @@ SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 
 def test_cli_non_finite_duality_residual_is_a_violation(tmp_path, capsys):
+    # finite running terms whose sums overflow: the values and the dual are
+    # infinite and their difference is NaN (a NaN input is rejected earlier)
     doc = json.loads((SAMPLES / "linear_problem.json").read_text())
-    doc["g"][0][0] = float("nan")
+    doc["g"] = np.where(np.array(doc["g"]) != 0.0, 1e308, 0.0).tolist()
     problem = tmp_path / "nan_problem.json"
     problem.write_text(json.dumps(doc))
     model = str(SAMPLES / "geometric_model.json")
@@ -396,3 +398,57 @@ def test_cli_problem_sized_for_another_model(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {problem_path}: field 'alpha'")
     assert str(sized) in err and str(lattice) in err
+
+
+SAMPLE_PROBLEMS = {
+    "solve-bsde": ("geometric_model", "linear_problem"),
+    "verify-duality": ("geometric_model", "linear_problem"),
+    "solve-control": ("small_model", "control_problem"),
+}
+
+
+def _problem_copy(command):
+    model, problem = SAMPLE_PROBLEMS[command]
+    model = SAMPLES / f"{model}.json"
+    doc = json.loads((SAMPLES / f"{problem}.json").read_text())
+    return str(model), build_lattice(files.load_model(model)), doc
+
+
+def _run_on(tmp_path, command, model, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main([command, "--model", model, "--problem", str(path),
+                   "--out", str(tmp_path / "out")])
+    return rc, str(path)
+
+
+@pytest.mark.parametrize("field", ["alpha", "g", "beta", "terminal"])
+@pytest.mark.parametrize("command", sorted(SAMPLE_PROBLEMS))
+def test_cli_rejects_non_finite_problem_data(tmp_path, capsys, command, field):
+    model, sys_, doc = _problem_copy(command)
+    k = sys_.horizon if field == "terminal" else sys_.horizon // 2
+    s = int(sys_.reachable_at[k][-1])
+    table = np.array(doc[field], dtype=float)
+    # the last entry of the cell (of its last control's row): beta rows are
+    # checked whole, off the successor block too
+    cell = (s,) if field == "terminal" else (k, s)
+    table[cell + (-1,) * (table.ndim - len(cell))] = np.nan
+    doc[field] = table.tolist()
+    rc, path = _run_on(tmp_path, command, model, doc)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {path}: field '{field}' is not finite at time {k}, "
+        f"lattice state {s} (state, duration) = {sys_.label(s)}"
+    )
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_cli_solve_control_rejects_a_broken_bound(tmp_path, capsys, field):
+    model, _, doc = _problem_copy("solve-control")
+    doc[f"{field}_bound"] = 1e-6
+    rc, path = _run_on(tmp_path, "solve-control", model, doc)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: field '{field}': ")
+    assert "exceeds the declared bound 1e-06 at time 0" in err

@@ -388,3 +388,14 @@ def test_block_geometry_matches_dense_reference(case):
     np.testing.assert_allclose(
         comparison_condition(sys_, omega2).lhs, comp, rtol=1e-12, atol=0
     )
+
+
+def test_state_jumping_onto_itself_is_rejected():
+    # a jump from (0, 1) back to state 0 lands on (0, 1): the source would be
+    # one of its own successors, which no semi-Markov chain does
+    from smcbsde import InvalidModelError, SemiMarkovModel
+
+    pi = np.array([[0.5, 0.5], [0.5, 0.5]])
+    jump = np.full((2, 2, 2), 0.5)
+    with pytest.raises(InvalidModelError, match="jumps onto itself"):
+        build_lattice(SemiMarkovModel(2, 1, pi, jump, [1.0, 0.0]))
