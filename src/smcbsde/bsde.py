@@ -11,8 +11,14 @@ depend on the integrand only through its products with the realizable
 increments; this is enforced structurally by always handing them the
 canonical representative.  Linear drivers are solved slice-wide in closed
 form (and must be finite at every reachable cell); general drivers get the
-ambient row and a verified bracket (sign change plus a monotonicity sweep)
-refined to 1e-12, cell by cell.
+ambient row, built per slice for the reachable sources only, and a verified
+bracket (sign change plus a monotonicity sweep) refined to 1e-12, cell by
+cell.
+
+Solutions keep the integrands as the step returns them: local rows
+(T, D, W) on each source's successor slots, beside the successor table
+(D, W) with -1 on padding.  The ambient (T, D, D) table is built only when
+``BsdeSolution.integrands`` is read.
 """
 
 from __future__ import annotations
@@ -113,12 +119,28 @@ class GeneralDriver:
 class BsdeSolution:
     """Backward solution tables.
 
-    values[k, e]      : value at time k in reachable state e (NaN elsewhere)
-    integrands[k, e]  : canonical integrand row applied over step k -> k+1
+    values[k, e]              : value at time k in reachable state e (NaN
+                                elsewhere)
+    local_integrands[k, e, j] : canonical integrand over step k -> k+1 from
+                                e, at its successor successors[e, j]; zero on
+                                padding and at cells never reached
+    successors[e, j]          : flat successor indices, padded with -1
     """
 
     values: np.ndarray
-    integrands: np.ndarray
+    local_integrands: np.ndarray
+    successors: np.ndarray
+
+    @property
+    def integrands(self) -> np.ndarray:
+        """Ambient (T, D, D) table: row [k, e] is the canonical integrand
+        row applied over step k -> k+1 from e.  Built on every read."""
+        t, d = self.local_integrands.shape[:2]
+        out = np.zeros((t, d, d))
+        rows, slots = np.nonzero(self.successors >= 0)
+        out[:, rows, self.successors[rows, slots]] = \
+            self.local_integrands[:, rows, slots]
+        return out
 
     @property
     def terminal(self) -> np.ndarray:
@@ -190,12 +212,28 @@ def _verified_root(phi, center, context=""):
     return float(root)
 
 
-def _scatter(sys, k, z, out):
-    """Write the local integrands z (S_k, W) of step k into ambient rows out
-    (D, D): row s, the columns of its successors."""
+def _tables(sys, terminal):
+    """Values (T+1, D), NaN but at the reachable terminal states, and zero
+    local integrands (T, D, W) for a backward solve to fill."""
+    term = _terminal_array(sys, terminal)
+    values = np.full((sys.horizon + 1, sys.dim), np.nan)
+    reach_t = sys.reachable_at[sys.horizon]
+    values[-1, reach_t] = term[reach_t]
+    return values, np.zeros((sys.horizon,) + sys.succ.shape)
+
+
+def _solution(sys, values, local) -> BsdeSolution:
+    return BsdeSolution(values, local, np.where(sys.prob > 0.0, sys.succ, -1))
+
+
+def _ambient_rows(sys, k, z):
+    """Ambient integrand rows (S_k, D) of the sources reachable at time k,
+    from their local rows z (S_k, W)."""
     src = sys.reachable_at[k]
     rows, slots = np.nonzero(sys.prob[src] > 0.0)
-    out[src[rows], sys.succ[src[rows], slots]] = z[rows, slots]
+    out = np.zeros((src.size, sys.dim))
+    out[rows, sys.succ[src[rows], slots]] = z[rows, slots]
+    return out
 
 
 def solve_bsde(sys, driver, terminal) -> BsdeSolution:
@@ -207,20 +245,15 @@ def solve_bsde(sys, driver, terminal) -> BsdeSolution:
     ProblemDataError; one with a unit drift there, DegenerateDriverError.
     """
     linear = isinstance(driver, LinearDriver)
-    term = _terminal_array(sys, terminal)
-    t, d = sys.horizon, sys.dim
-    values = np.full((t + 1, d), np.nan)
-    integrands = np.zeros((t, d, d))
-    reach_t = sys.reachable_at[t]
-    values[t, reach_t] = term[reach_t]
-    for k in range(t - 1, -1, -1):
+    values, local = _tables(sys, terminal)
+    for k in range(sys.horizon - 1, -1, -1):
         src = sys.reachable_at[k]
         mean, z = sys.step(k, values[k + 1])
-        _scatter(sys, k, z, integrands[k])
+        local[k, src] = z
         if not linear:
             # a verified root per cell, the driver reading the ambient row
-            for s, m in zip(src.tolist(), mean.tolist()):
-                row = integrands[k, s]
+            rows = _ambient_rows(sys, k, z)
+            for s, m, row in zip(src.tolist(), mean.tolist(), rows):
                 values[k, s] = _verified_root(
                     lambda y: y - driver.fn(k, s, y, row) - m, m,
                     f" at time {k}, state {s}")
@@ -234,7 +267,7 @@ def solve_bsde(sys, driver, terminal) -> BsdeSolution:
                 f"alpha[{k}, {src[i]}] = {a[i]}: y - f is not a bijection"
             )
         values[k, src] = rhs / (1.0 - a)
-    return BsdeSolution(values, integrands)
+    return _solution(sys, values, local)
 
 
 @dataclass(frozen=True)
@@ -288,12 +321,14 @@ def check_comparison(
     reach_t = sys.reachable_at[sys.horizon]
     terminal_ordered = bool(np.all(t1[reach_t] <= t2[reach_t] + tol))
 
+    general = not (isinstance(driver1, LinearDriver)
+                   and isinstance(driver2, LinearDriver))
     gap_min = np.inf
     for k in range(sys.horizon):
         src = sys.reachable_at[k]
         y2 = sol2.values[k, src]
-        _, z2 = sys.step(k, sol2.values[k + 1])
-        rows = sol2.integrands[k, src]
+        z2 = sol2.local_integrands[k, src]
+        rows = _ambient_rows(sys, k, z2) if general else None
         gaps = (_driver_slice(sys, driver2, k, y2, z2, rows)
                 - _driver_slice(sys, driver1, k, y2, z2, rows))
         gap_min = min(gap_min, float(gaps.min()))

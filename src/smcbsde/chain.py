@@ -129,14 +129,11 @@ def validate_model(model: SemiMarkovModel, tol: float = VALIDATION_TOL):
 
     Nothing is raised: callers decide what to do with the report.
     """
+    bad = _non_finite(model)
+    if bad is not None:
+        return [bad]
     out = []
     n, dur = model.n_states, model.n_durations
-    if not np.all(np.isfinite(model.pi)):
-        out.append(Violation("pi", (), "contains non-finite entries"))
-        return out
-    if not np.all(np.isfinite(model.jump)):
-        out.append(Violation("jump", (), "contains non-finite entries"))
-        return out
     for i in range(n):
         for m in range(1, dur + 1):
             p = model.pi[i, m - 1]
@@ -174,11 +171,40 @@ def validate_model(model: SemiMarkovModel, tol: float = VALIDATION_TOL):
                         "sojourn law puts mass",
                     )
                 )
+    return out + _x0_violations(model, tol)
+
+
+def _non_finite(model: SemiMarkovModel):
+    """The first non-finite entry of pi, jump or x0 as a Violation, or None."""
+    for name in ("pi", "jump", "x0"):
+        arr = getattr(model, name)
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), arr.shape)
+            # durations are listed from 1, as in every other violation
+            index = tuple(int(v) + (axis == 1) for axis, v in enumerate(at))
+            return Violation(name, index, f"non-finite entry {arr[at]}")
+    return None
+
+
+def _x0_violations(model: SemiMarkovModel, tol: float):
+    out = []
     if np.any(model.x0 < -tol):
-        out.append(Violation("x0", (int(np.argmin(model.x0)),), "negative mass"))
+        i = int(np.argmin(model.x0))
+        out.append(Violation("x0", (i,), f"negative mass {model.x0[i]}"))
     if abs(model.x0.sum() - 1.0) > tol:
         out.append(Violation("x0", (), f"mass {model.x0.sum()} does not sum to 1"))
     return out
+
+
+def _require_laws(model: SemiMarkovModel, tol: float = VALIDATION_TOL) -> None:
+    """Raise InvalidModelError, naming the field and the index, at the first
+    non-finite entry of pi, jump or x0, or where x0 is no probability
+    vector.  Array checks only, cheap enough to gate every lattice build;
+    validate_model checks everything else as well."""
+    bad = _non_finite(model) or next(iter(_x0_violations(model, tol)), None)
+    if bad is not None:
+        raise InvalidModelError(f"model {bad}")
 
 
 def sojourn_quantities(

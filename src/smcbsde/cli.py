@@ -110,7 +110,7 @@ def _condition_payload(report):
 
 
 def _cmd_validate(args):
-    model = files.load_model(args.model)
+    model = files._read_model(args.model)
     violations = validate_model(model)
     payload = {
         "metadata": _metadata(),
@@ -133,11 +133,9 @@ def _cmd_simulate(args):
     model = files.load_model(args.model)
     n = args.mc_paths or 1
     states, durations = simulate_paths(model, n, seed=args.seed)
-    rows = []
-    for p in range(n):
-        for k in range(model.horizon + 1):
-            rows.append((p, k, int(states[p, k]), int(durations[p, k])))
-    files.write_csv(args.out, ("path", "time", "state", "duration"), rows)
+    path, time = np.indices(states.shape)
+    table = np.stack((path, time, states, durations), axis=-1).reshape(-1, 4)
+    files.write_csv(args.out, ("path", "time", "state", "duration"), table)
     print(f"wrote {n} path(s) of length {model.horizon + 1} to {args.out}")
     return EXIT_OK
 
@@ -226,7 +224,8 @@ def _cmd_solve_bsde(args):
             "scale_constant": lam,
         },
         "values": solution.values,
-        "integrands": solution.integrands,
+        "integrands": solution.local_integrands,
+        "successors": solution.successors,
     }
     if selection is not None:
         payload["convention_selection"] = selection.summary()

@@ -28,7 +28,8 @@ from .bsde import (
     LinearDriver,
     ProblemDataError,
     _require_finite,
-    _scatter,
+    _solution,
+    _tables,
     _terminal_array,
     _verified_root,
 )
@@ -232,18 +233,13 @@ def solve_control(
     positivity, comparison, lam = _check_hypotheses(
         problem, sys, override_hypotheses
     )
-    term = _terminal_array(sys, problem.terminal)
-    t, d = sys.horizon, sys.dim
-    values = np.full((t + 1, d), np.nan)
-    integrands = np.zeros((t, d, d))
-    choices = np.full((t, d), -1, dtype=int)
-    reach_t = sys.reachable_at[t]
-    values[t, reach_t] = term[reach_t]
+    values, local = _tables(sys, problem.terminal)
+    choices = np.full((sys.horizon, sys.dim), -1, dtype=int)
     ties = 0
-    for k in range(t - 1, -1, -1):
+    for k in range(sys.horizon - 1, -1, -1):
         src = sys.reachable_at[k]
         mean, z = sys.step(k, values[k + 1])
-        _scatter(sys, k, z, integrands[k])
+        local[k, src] = z
         alphas, noise, g = _slice_terms(problem, sys, k, z)
         y = np.empty(src.size)
         closed = np.all(alphas < 1.0 - _ALPHA_GUARD, axis=1)
@@ -263,7 +259,7 @@ def solve_control(
         choices[k, src] = np.argmax(near, axis=1)
         values[k, src] = y
     return ControlSolution(
-        BsdeSolution(values, integrands),
+        _solution(sys, values, local),
         PolicyTable(choices),
         positivity,
         comparison,
@@ -459,7 +455,7 @@ def epsilon_optimal_policy(
     choices = np.full((t, d), -1, dtype=int)
     for k in range(t):
         src = sys.reachable_at[k]
-        _, z = sys.step(k, sol.values[k + 1])
+        z = sol.local_integrands[k, src]
         alphas, noise, g = _slice_terms(problem, sys, k, z)
         vals = alphas * sol.values[k, src, None] + noise + g
         best = vals.max(axis=1, keepdims=True)

@@ -6,6 +6,12 @@ Arrays are nested lists indexed exactly like the in-memory tables
 for identical inputs: JSON is dumped with sorted keys and newline-terminated,
 CSV numbers use 17 significant digits so values round-trip exactly.
 
+JSON layout: dicts and lists are indented by two spaces per level, as
+``json.dumps(indent=2)`` lays them out; each numpy array is one compact line
+from ``json.dumps`` without indent, which runs json's C encoder (an indent
+forces its pure-Python encoder on every number).  Numbers that are not
+finite are written as null, so every artifact is strict JSON.
+
 Document kinds
 --------------
 semi_markov_model : n_states, horizon, pi (N x (T+1)), jump (N x (T+1) x N),
@@ -26,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .bsde import LinearDriver
-from .chain import SemiMarkovModel
+from .chain import InvalidModelError, SemiMarkovModel, validate_model
 from .control import ControlProblem
 
 __all__ = [
@@ -55,26 +61,42 @@ def format_number(x) -> str:
     return "%.17g" % float(x)
 
 
-def _null_non_finite(obj):
+def _json_text(obj, indent=""):
+    """obj as JSON, nested lines indented past ``indent``."""
     if isinstance(obj, np.ndarray):
-        return np.where(np.isfinite(obj), obj, None).tolist()
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _null_non_finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_null_non_finite(v) for v in obj]
-    return obj
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            obj = np.where(np.isfinite(obj), obj, None)
+        return json.dumps(obj.tolist(), allow_nan=False)
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = []
+        for k, v in sorted(obj.items()):
+            # json names a key that is no string by that key's own JSON
+            key = k if isinstance(k, str) else json.dumps(k)
+            items.append(f"{inner}{json.dumps(key)}: {_json_text(v, inner)}")
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = (inner + _json_text(v, inner) for v in obj)
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        obj = None
+    return json.dumps(obj, allow_nan=False)
 
 
 def write_json(path, payload) -> None:
-    """Strict JSON of dicts, lists and numpy arrays; NaN and +-inf as null."""
-    text = json.dumps(_null_non_finite(payload), sort_keys=True, indent=2,
-                      allow_nan=False)
-    Path(path).write_text(text + "\n")
+    """Strict JSON of dicts, lists and numpy arrays, laid out as the module
+    notes say; NaN and +-inf as null."""
+    Path(path).write_text(_json_text(payload) + "\n")
 
 
 def write_csv(path, header, rows) -> None:
+    """CSV of a header and rows: tuples (floats by format_number, anything
+    else by str), or a 2-D integer array, formatted in one pass."""
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%d"] * rows.shape[1]) + "\n"
+        text = line * rows.shape[0] % tuple(rows.ravel().tolist())
+        Path(path).write_text(",".join(header) + "\n" + text)
+        return
     lines = [",".join(header)]
     for row in rows:
         lines.append(
@@ -128,7 +150,8 @@ def _array(doc, field, path, shape=None):
     return arr
 
 
-def load_model(path) -> SemiMarkovModel:
+def _read_model(path) -> SemiMarkovModel:
+    """The model a document holds, before validate_model's checks."""
     doc = load_document(path, "semi_markov_model")
     n = int(_require(doc, "n_states", path))
     t = int(_require(doc, "horizon", path))
@@ -139,6 +162,21 @@ def load_model(path) -> SemiMarkovModel:
         return SemiMarkovModel(n, t, pi, jump, x0)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def load_model(path) -> SemiMarkovModel:
+    """Read a model document; a model that breaks a constraint of
+    validate_model raises InvalidModelError naming the path, the first
+    violation and how many there are."""
+    model = _read_model(path)
+    violations = validate_model(model)
+    if violations:
+        more = len(violations) - 1
+        raise InvalidModelError(
+            f"{path}: {violations[0]}"
+            + (f" (and {more} more violation(s))" if more else "")
+        )
+    return model
 
 
 def save_model(path, model: SemiMarkovModel) -> None:

@@ -38,6 +38,7 @@ from .chain import (
     SemiMarkovModel,
     SojournQuantities,
     _outcome_law,
+    _require_laws,
     sojourn_quantities,
 )
 from .linalg import _per_time_max, pinv
@@ -237,10 +238,12 @@ class LatticeSystem:
 def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     """Assemble the successor table, reachability and per-source blocks.
 
-    Raises InvalidModelError (via sojourn_quantities) on inconsistent sojourn
-    data or a state that jumps onto itself at duration 1, and ValueError if
-    the reachable set dies before the horizon.
+    Raises InvalidModelError on a non-finite pi, jump or x0 entry, an x0
+    that is no probability vector, inconsistent sojourn data (via
+    sojourn_quantities), a state that jumps onto itself at duration 1, or a
+    reachable set that dies before the horizon.
     """
+    _require_laws(model)
     sq = sojourn_quantities(model)
     n, t = model.n_states, model.horizon
     dim = (t + 1) * n
@@ -274,14 +277,14 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     for k in range(t):
         cur = reachable[-1]
         if cur.size == 0:
-            raise ValueError(f"reachable set is empty at time {k}")
+            raise InvalidModelError(f"reachable set is empty at time {k}")
         dist[k + 1] = np.bincount(
             succ[cur].ravel(), (prob[cur] * dist[k, cur, None]).ravel(),
             minlength=dim,
         )
         reachable.append(np.unique(succ[cur][valid[cur]]))
     if reachable[-1].size == 0:
-        raise ValueError(f"reachable set is empty at time {t}")
+        raise InvalidModelError(f"reachable set is empty at time {t}")
 
     sources = np.unique(np.concatenate(reachable[:t])) if t else np.array([], int)
     # block (source, *successors): c is zero at the source coordinate, so

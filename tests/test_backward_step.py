@@ -7,6 +7,8 @@ successor table: centring and projecting one source at a time through its
 StateGeometry view.  They are kept as oracles for the slice step.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from smcbsde import (
     weight_bounds,
 )
 from smcbsde import control
-from smcbsde.bsde import BsdeSolution, _terminal_array, _verified_root
+from smcbsde.bsde import _terminal_array, _verified_root
 from smcbsde.control import _expected_max_gap_sq
 from smcbsde.instances import (
     random_comparison_pair,
@@ -88,7 +90,7 @@ def reference_solve_bsde(sys, driver, terminal):
             mean, z_row = sys.geometry_for(s).split(values[k + 1])
             values[k, s] = step(sys, driver, k, s, float(mean), z_row)
             integrands[k, s] = z_row
-    return BsdeSolution(values, integrands)
+    return SimpleNamespace(values=values, integrands=integrands)
 
 
 _TIE_TOL = 1e-12

@@ -1,6 +1,8 @@
 """Backward solver: closed-form oracles, martingale-representation exactness,
 nonlinear drivers via verified root finding, and the comparison check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,22 @@ def test_solution_value_at():
         sol.value_at(0, 3)
     assert isinstance(sol, BsdeSolution)
     np.testing.assert_allclose(sol.terminal[[1, 2]], 1.0)
+
+
+def test_linear_solve_keeps_integrands_local():
+    # geometric N=6, T=60: D=366, so an ambient (T, D, D) integrand table
+    # would take 64 MB; the local rows (T, D, W) take 1 MB
+    sys_ = build_lattice(geometric_model(np.linspace(0.2, 0.7, 6), 60))
+    driver = LinearDriver.constant(sys_.horizon, sys_.dim, alpha=0.1, g=0.5)
+    terminal = np.linspace(-1.0, 1.0, sys_.dim)
+    tracemalloc.start()
+    try:
+        sol = solve_bsde(sys_, driver, terminal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert sol.local_integrands.shape == (sys_.horizon,) + sys_.succ.shape
 
 
 def test_unreachable_inputs_do_not_matter():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smcbsde import build_lattice, cli, files
+from smcbsde import build_lattice, cli, files, solve_bsde
 from smcbsde.instances import (
     random_control_problem,
     random_linear_instance,
@@ -130,6 +130,62 @@ def test_write_json_deterministic(tmp_path):
     files.write_json(p2, payload)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().startswith('{\n  "a"')
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_write_json_array_leaves_round_trip_exactly(tmp_path):
+    rng = np.random.default_rng(54)
+    arrays = {
+        "normal": rng.standard_normal((3, 4, 5)),
+        "scaled": rng.standard_normal(40)
+        * 10.0 ** rng.integers(-300, 300, 40),
+        "edges": np.array([5e-324, -2.2250738585072014e-308,
+                           1.7976931348623157e308, 0.1, -0.0, 1 / 3]),
+        "ints": np.arange(-3, 9).reshape(3, 4),
+    }
+    path = tmp_path / "arrays.json"
+    files.write_json(path, {"nested": [arrays]})
+    back = _strict_json(path)["nested"][0]
+    for name, arr in arrays.items():
+        got = np.array(back[name], dtype=arr.dtype)
+        assert got.shape == arr.shape
+        assert got.tobytes() == arr.tobytes(), name
+    # each array is one line, inside the indented layout of dicts and lists
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["{", '  "nested": [', "    {"]
+    assert len(lines) == 3 + len(arrays) + 3
+
+
+def test_write_json_writes_non_finite_numbers_as_null(tmp_path):
+    arr = np.array([[1.5, np.nan], [np.inf, -np.inf]])
+    path = tmp_path / "nf.json"
+    files.write_json(path, {"arr": arr, "x": float("nan"),
+                            "y": [-np.inf, 2.0]})
+    doc = _strict_json(path)
+    assert doc == {"arr": [[1.5, None], [None, None]], "x": None,
+                   "y": [None, 2.0]}
+    assert np.isnan(arr[0, 1])  # the caller's array is left alone
+
+
+def test_write_json_passes_strings_through(tmp_path):
+    strings = ["NaN", "null", "[1, 2]", '"quoted"', "tab\there", "é ✓",
+               "__array_0__", ""]
+    payload = {s: s for s in strings if s}
+    payload["list"] = strings
+    payload["arr"] = np.zeros(2)
+    path = tmp_path / "s.json"
+    files.write_json(path, payload)
+    doc = _strict_json(path)
+    assert doc["list"] == strings
+    for s in strings[:-1]:
+        assert doc[s] == s
+    assert doc["arr"] == [0.0, 0.0]
 
 
 def test_cli_validate_ok_and_failing(tmp_path, capsys):
@@ -452,3 +508,75 @@ def test_cli_solve_control_rejects_a_broken_bound(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: field '{field}': ")
     assert "exceeds the declared bound 1e-06 at time 0" in err
+
+
+def test_cli_solution_local_integrands_rebuild_the_ambient_table(tmp_path):
+    model, problem = (SAMPLES / f"{name}.json"
+                      for name in SAMPLE_PROBLEMS["solve-bsde"])
+    rc = cli.main(["solve-bsde", "--model", str(model), "--problem",
+                   str(problem), "--out", str(tmp_path)])
+    assert rc == 0
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    sys_ = build_lattice(files.load_model(model))
+    driver, terminal = files.load_linear_problem(problem)
+    want = solve_bsde(sys_, driver, terminal).integrands
+
+    local = np.array(doc["integrands"], dtype=float)
+    succ = np.array(doc["successors"])
+    assert local.shape == (sys_.horizon, sys_.dim, sys_.succ.shape[1])
+    assert succ.shape == sys_.succ.shape
+    assert np.array_equal(succ, np.where(sys_.prob > 0.0, sys_.succ, -1))
+    assert np.all(local[:, succ < 0] == 0.0)
+    rebuilt = np.zeros(want.shape)
+    for s, j in zip(*np.nonzero(succ >= 0)):
+        rebuilt[:, s, succ[s, j]] = local[:, s, j]
+    assert np.array_equal(rebuilt, want)
+
+
+# one entry per model field, with its label in violations: durations count
+# from 1
+BROKEN_ENTRIES = {
+    "pi": ((0, 0), "pi[0,1]"),
+    "jump": ((0, 0, 1), "jump[0,1,1]"),
+    "x0": ((0,), "x0[0]"),
+}
+
+
+def _broken_model(tmp_path, sample, field, value):
+    doc = json.loads((SAMPLES / f"{sample}.json").read_text())
+    index, label = BROKEN_ENTRIES[field]
+    entry = doc[field]
+    for i in index[:-1]:
+        entry = entry[i]
+    entry[index[-1]] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity tokens, as json allows
+    return str(path), label
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.5],
+                         ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("field", sorted(BROKEN_ENTRIES))
+@pytest.mark.parametrize("command", ["simulate", "build-lattice", "solve-bsde",
+                                     "verify-duality", "solve-control"])
+def test_cli_rejects_a_broken_model(tmp_path, capsys, command, field, value):
+    sample, problem = SAMPLE_PROBLEMS.get(command, ("geometric_model", None))
+    path, label = _broken_model(tmp_path, sample, field, value)
+    argv = [command, "--model", path, "--out", str(tmp_path / "out")]
+    if problem is not None:
+        argv += ["--problem", str(SAMPLES / f"{problem}.json")]
+    if command == "simulate":
+        argv += ["--seed", "3"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {label}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_cli_validate_reports_a_non_finite_start_law(tmp_path, capsys, value):
+    path, label = _broken_model(tmp_path, "geometric_model", "x0", value)
+    report = tmp_path / "report.json"
+    assert cli.main(["validate", "--model", path, "--out", str(report)]) == 1
+    assert capsys.readouterr().out.startswith(f"{label}: non-finite entry")
+    (violation,) = json.loads(report.read_text())["violations"]
+    assert (violation["field"], violation["indices"]) == ("x0", [0])

@@ -399,3 +399,38 @@ def test_state_jumping_onto_itself_is_rejected():
     jump = np.full((2, 2, 2), 0.5)
     with pytest.raises(InvalidModelError, match="jumps onto itself"):
         build_lattice(SemiMarkovModel(2, 1, pi, jump, [1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "field, index, value, label",
+    [
+        ("pi", (0, 2), np.nan, r"pi\[0,3\]: non-finite entry nan"),
+        ("jump", (1, 0, 0), np.inf, r"jump\[1,1,0\]: non-finite entry inf"),
+        ("x0", (1,), -np.inf, r"x0\[1\]: non-finite entry -inf"),
+        ("x0", (1,), -0.25, r"x0\[1\]: negative mass -0.25"),
+        ("x0", (0,), 0.5, r"x0\[\]: mass 0.5 does not sum to 1"),
+    ],
+    ids=["nan-pi", "inf-jump", "inf-x0", "negative-x0", "mass-x0"],
+)
+def test_build_lattice_rejects_broken_laws(field, index, value, label):
+    from smcbsde import InvalidModelError
+
+    model = geometric_model([0.3, 0.6], 4)
+    tables = {name: np.array(getattr(model, name))
+              for name in ("pi", "jump", "x0")}
+    tables[field][index] = value
+    broken = type(model)(2, 4, tables["pi"], tables["jump"], tables["x0"])
+    with pytest.raises(InvalidModelError, match=label):
+        build_lattice(broken)
+
+
+def test_reachable_set_dying_out_is_an_invalid_model():
+    # every sojourn of state 0 outlasts a duration-1 jump law with no mass,
+    # so from (0, 1) nothing is reachable at time 1
+    from smcbsde import InvalidModelError, SemiMarkovModel
+
+    pi = np.array([[1.0, 0.0], [0.5, 0.5]])
+    jump = np.zeros((2, 2, 2))
+    jump[1, :, 0] = 1.0
+    with pytest.raises(InvalidModelError, match="reachable set is empty"):
+        build_lattice(SemiMarkovModel(2, 1, pi, jump, [1.0, 0.0]))
