@@ -132,45 +132,30 @@ def validate_model(model: SemiMarkovModel, tol: float = VALIDATION_TOL):
     bad = _non_finite(model)
     if bad is not None:
         return [bad]
+    pi, jump, dur = model.pi, model.jump, model.n_durations
+    total, sums = pi.sum(axis=1), jump.sum(axis=2)
     out = []
-    n, dur = model.n_states, model.n_durations
-    for i in range(n):
-        for m in range(1, dur + 1):
-            p = model.pi[i, m - 1]
-            if p < -tol or p > 1 + tol:
-                out.append(
-                    Violation("pi", (i, m), f"sojourn probability {p} outside [0, 1]")
-                )
-        total = model.pi[i].sum()
-        if total > 1 + tol:
-            out.append(
-                Violation("pi", (i,), f"sojourn law has total mass {total} > 1")
-            )
-    for i in range(n):
-        for m in range(1, dur + 1):
-            row = model.jump[i, m - 1]
-            if np.any(row < -tol):
-                j = int(np.argmin(row))
-                out.append(
-                    Violation("jump", (i, m, j), f"negative probability {row[j]}")
-                )
-            if row[i] > tol:
-                out.append(
-                    Violation(
-                        "jump",
-                        (i, m, i),
-                        f"self-jump probability {row[i]} must be zero",
-                    )
-                )
-            if model.pi[i, m - 1] > tol and abs(row.sum() - 1.0) > tol:
-                out.append(
-                    Violation(
-                        "jump",
-                        (i, m),
-                        f"jump row sums to {row.sum()}, must be 1 where the "
-                        "sojourn law puts mass",
-                    )
-                )
+    # per state its durations, then (column dur) its total mass
+    bad = np.column_stack(((pi < -tol) | (pi > 1 + tol), total > 1 + tol))
+    for i, m in np.argwhere(bad).tolist():
+        out.append(
+            Violation("pi", (i, m + 1), f"sojourn probability {pi[i, m]} outside [0, 1]")
+            if m < dur else
+            Violation("pi", (i,), f"sojourn law has total mass {total[i]} > 1")
+        )
+    # per (state, duration): a negative entry, a self-jump, the row sum
+    low = np.argmin(jump, axis=2)
+    bad = np.stack((np.any(jump < -tol, axis=2), np.diagonal(jump, 0, 0, 2).T > tol,
+                    (pi > tol) & (np.abs(sums - 1.0) > tol)), axis=2)
+    for i, m, kind in np.argwhere(bad).tolist():
+        j = int(low[i, m])
+        out.append((
+            Violation("jump", (i, m + 1, j), f"negative probability {jump[i, m, j]}"),
+            Violation("jump", (i, m + 1, i),
+                      f"self-jump probability {jump[i, m, i]} must be zero"),
+            Violation("jump", (i, m + 1), f"jump row sums to {sums[i, m]}, must "
+                      "be 1 where the sojourn law puts mass"),
+        )[kind])
     return out + _x0_violations(model, tol)
 
 

@@ -33,7 +33,7 @@ from .bsde import (
     _terminal_array,
     _verified_root,
 )
-from .duality import DEFAULT_CONVENTION, WeightSde, _all_paths, weight_bounds
+from .duality import DEFAULT_CONVENTION, WeightSde, _level_walk, weight_bounds
 from .lattice import projection_constants
 from .linalg import ConditionReport, comparison_condition, positivity_condition
 
@@ -427,10 +427,13 @@ class EpsilonReport:
 def _expected_max_gap_sq(sys, delta):
     """E[max_k delta[k, X_k]^2] over the lattice chain from time 0."""
     start = sys.dist_at[0]
-    states = [int(s) for s in sys.reachable_at[0] if start[int(s)] > 0.0]
-    paths, prob = _all_paths(sys, 0, states)
-    gap = np.max(delta[np.arange(sys.horizon + 1), paths] ** 2, axis=1)
-    return float((start[paths[:, 0]] * prob) @ gap)
+    root = np.array([s for s in sys.reachable_at[0] if start[s] > 0.0])
+    prob, gap = np.ones(root.size), delta[0, root] ** 2
+    for k, rows, cur, slots in _level_walk(sys, 0, root):
+        gap = np.maximum(gap[rows], delta[k + 1, sys.succ[cur, slots]] ** 2)
+        prob = prob[rows] * sys.prob[cur, slots]
+        root = root[rows]
+    return float((start[root] * prob) @ gap)
 
 
 def epsilon_optimal_policy(

@@ -26,21 +26,25 @@ select_convention settles the choice empirically and never silently.
 
 Each call tabulates the factor f_k(s, j) by which the step s -> j at time k
 multiplies V, per (time, source, successor slot), and r_k(s) = W_k / V_k.
-The forward measure mu_k(s) = E[V_k 1{X_k = s}] then obeys
-mu_{k+1}(j) = sum_s mu_k(s) c_s(j) f_k(s, j), and dual_value sums
-mu_k r_k g_k over k plus mu_T terminal: exact in O(T * S * N) per start
-state with no path enumeration, and forward, so independent of the backward
-solver it checks.  Statistics of whole paths (weight_bounds, the Monte
-Carlo dual_value, evolve_weights, the epsilon-policy gap in control) come
-from one evaluator of V and W along a (P, L) array of paths: every
-realizable path, enumerated breadth first and weighted by its probability,
-or seeded draws weighted 1/n.
+By the Markov property the dual value obeys u_T = terminal and
+u_k(s) = g_k(s) r_k(s) + sum_j c_s(j) f_k(s, j) u_{k+1}(j), so one backward
+sweep over the factors gives it from every (time, state) in O(T * S * N),
+independent of the backward solver it checks.  A route s -> j of zero
+weight c_s(j) f_k(s, j) adds nothing, even where u_{k+1}(j) is not finite,
+so data a start never reaches is never read.  The rule holds per route: a
+cell reached only by routes whose weights cancel to zero is still read.
+
+Exhaustive weight_bounds and the epsilon-policy gap in control fold V, W,
+their running maxima, the path probability and the running minimum over a
+breadth-first level walk of every realizable path, which holds only the
+vectors of the paths alive at one time.  Sampled statistics and
+evolve_weights evaluate V and W along a (P, L) array of paths.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,7 +128,7 @@ def _factors(sys, sde):
     conv = sde.convention
     run = np.ones(sde.alpha.shape)
     # cells never stepped from may hold any value (zero denominators too);
-    # only the cells a caller walks are checked, by _check_denominators
+    # only the steps a caller walks are checked, by _check_denominators
     with np.errstate(divide="ignore", invalid="ignore"):
         if conv is Convention.SHIFTED:
             den = np.ones(noise.shape)
@@ -139,16 +143,16 @@ def _factors(sys, sde):
     return succ, prob, den, step, run
 
 
-def _check_denominators(den, times, states):
-    """Raise on the first vanishing weight denominator in ``den``, whose
-    entries are steps at ``times`` out of ``states`` (broadcast alike)."""
-    bad = np.abs(den) < DENOMINATOR_TOL
+def _check_denominators(sys, den, walked, start=0):
+    """Raise on the first vanishing denominator, in (time, state, slot)
+    order, of the steps marked in ``walked`` (broadcast to (T, D, W)) at
+    times from ``start`` on."""
+    bad = walked & (sys.prob > 0.0) & (np.abs(den) < DENOMINATOR_TOL)
+    bad[:start] = False
     if bad.any():
-        i = int(np.argmax(bad))
+        k, s, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise VanishingDenominatorError(
-            f"weight denominator {den.flat[i]} at time "
-            f"{np.broadcast_to(times, den.shape).flat[i]}, "
-            f"state {states.flat[i]}"
+            f"weight denominator {den[k, s, j]} at time {k}, state {s}"
         )
 
 
@@ -174,26 +178,25 @@ def _path_weights(sys, fac, start, paths):
             f"{sys.label(int(nxt[p, j]))} at time {start + j} is not realizable"
         )
     slot = slots[at]
-    _check_denominators(den[times, cur, slot], times, cur)
+    walked = np.zeros(den.shape, dtype=bool)
+    walked[times, cur, slot] = True
+    _check_denominators(sys, den, walked)
     v = np.ones(paths.shape)
     np.cumprod(step[times, cur, slot], axis=1, out=v[:, 1:])
     return v, v[:, :-1] * run[times, cur]
 
 
-def _all_paths(sys, start, states):
-    """Every realizable path from each (start, state) to the horizon, as a
-    (P, T - start + 1) array in enumerate_paths order per start state, in
-    the given order, and the path probabilities (P,)."""
-    succ, prob = sys.succ, sys.prob
-    paths = np.asarray(states, dtype=np.int64).reshape(-1, 1)
-    weight = np.ones(paths.shape[0])
-    for _ in range(start, sys.horizon):
-        cur = paths[:, -1]
-        rows, slots = np.nonzero(prob[cur] > 0.0)
-        nxt = succ[cur[rows], slots]
-        paths = np.concatenate([paths[rows], nxt[:, None]], axis=1)
-        weight = weight[rows] * prob[cur[rows], slots]
-    return paths, weight
+def _level_walk(sys, start, states):
+    """Breadth-first walk over every realizable path from each (start,
+    state), in enumerate_paths order.  Yields per time k (rows, cur, slots):
+    path rows[p] of those alive at k, in state cur[p], branches to its slot
+    slots[p]; the branches, in this order, are the paths alive at k + 1."""
+    cur = np.asarray(states, dtype=np.int64)
+    for k in range(start, sys.horizon):
+        rows, slots = np.nonzero(sys.prob[cur] > 0.0)
+        cur = cur[rows]
+        yield k, rows, cur, slots
+        cur = sys.succ[cur, slots]
 
 
 def _drawn_paths(sys, start, states, n, seed):
@@ -266,6 +269,8 @@ def _sample_paths(sys, start_time, state, n, rng):
 
 def _check_tables(sys, sde, g=None, terminal=None):
     t, d = sys.horizon, sys.dim
+    if not 0 <= sde.start_time <= t:
+        raise ValueError(f"start_time {sde.start_time} outside 0..{t}")
     if sde.alpha.shape != (t, d):
         raise ValueError(f"alpha must have shape {(t, d)}")
     if sde.beta is not None and sde.beta.shape != (t, d, d):
@@ -276,9 +281,26 @@ def _check_tables(sys, sde, g=None, terminal=None):
         raise ValueError(f"terminal must have shape ({d},)")
 
 
-def _reached(mu, x):
-    """mu * x, but 0 where mu is 0 (cells a start never reaches), finite or not."""
-    return np.where(mu != 0.0, mu * x, 0.0)
+def _sweep(sys, fac, g, terminal, start=0):
+    """Dual value u from every (time, state) at or after ``start``, as a
+    (T+1, D) table, NaN off the reachable cells (see the module notes)."""
+    succ, prob, den, step, run = fac
+    reach = sys.reachable_mask()
+    _check_denominators(sys, den, reach[:-1, :, None], start)
+    t = sys.horizon
+    table = np.full((t + 1, sys.dim), np.nan)
+    table[t] = terminal
+    # cells off the reachable set may come out as anything: no route of
+    # nonzero weight from a reachable cell leads to them
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = prob * step
+        live = (prob > 0.0) & (flow != 0.0)
+        base = g * run
+        for k in range(t - 1, start - 1, -1):
+            ahead = np.where(live[k], flow[k] * table[k + 1, succ], 0.0)
+            table[k] = base[k] + ahead.sum(axis=1)
+    table[~reach] = np.nan
+    return table
 
 
 def dual_value(
@@ -293,47 +315,28 @@ def dual_value(
     """Weighted forward valuation E[terminal * V_T + sum g_k W_k | state].
 
     Returns a (D,) array with the value per state reachable at start_time
-    and NaN elsewhere.  Exact at any size by default: the forward measure
-    mu_k(s) = E[V_k 1{X_k = s}] is carried from every start state at once,
-    in O(T * S * N) per start state.  Pass mc_paths for a seeded Monte
-    Carlo estimate over that many sampled paths per start state instead.
+    and NaN elsewhere.  Exact at any size by default: the row start_time of
+    one backward sweep over the weight factors, in O(T * S * N).  Pass
+    mc_paths for a seeded Monte Carlo estimate over that many sampled paths
+    per start state instead.
     """
     if start_time is None:
         start_time = sde.start_time
+    sde = replace(sde, start_time=start_time)
     g = np.asarray(g, dtype=float)
     terminal = np.asarray(terminal, dtype=float)
     _check_tables(sys, sde, g, terminal)
-    t, d = sys.horizon, sys.dim
     fac = _factors(sys, sde)
+    if mc_paths is None:
+        return _sweep(sys, fac, g, terminal, start_time)[start_time]
+    t, d = sys.horizon, sys.dim
     starts = sys.reachable_at[start_time]
     out = np.full(d, np.nan)
-
-    if mc_paths is not None:
-        paths, weight = _drawn_paths(sys, start_time, starts, mc_paths, seed)
-        v, w = _path_weights(sys, fac, start_time, paths)
-        ran = g[np.arange(start_time, t), paths[:, :-1]] * w
-        total = terminal[paths[:, -1]] * v[:, -1] + ran.sum(axis=1)
-        out[starts] = np.bincount(paths[:, 0], weight * total, minlength=d)[starts]
-        return out
-
-    succ, prob, den, step, run = fac
-    mu = np.zeros((starts.size, d))
-    mu[np.arange(starts.size), starts] = 1.0
-    offset = np.arange(starts.size)[:, None] * d
-    total = np.zeros(starts.size)
-    for k in range(start_time, t):
-        src = sys.reachable_at[k]
-        rows, slots = np.nonzero(prob[src] > 0.0)
-        cur = src[rows]
-        _check_denominators(den[k, cur, slots], k, cur)
-        m = mu[:, src]
-        total += _reached(m, g[k, src] * run[k, src]).sum(axis=1)
-        flow = _reached(m[:, rows], prob[cur, slots] * step[k, cur, slots])
-        mu = np.bincount((offset + succ[cur, slots]).ravel(), flow.ravel(),
-                         minlength=mu.size).reshape(mu.shape)
-    end = sys.reachable_at[t]
-    total += _reached(mu[:, end], terminal[end]).sum(axis=1)
-    out[starts] = total
+    paths, weight = _drawn_paths(sys, start_time, starts, mc_paths, seed)
+    v, w = _path_weights(sys, fac, start_time, paths)
+    ran = g[np.arange(start_time, t), paths[:, :-1]] * w
+    total = terminal[paths[:, -1]] * v[:, -1] + ran.sum(axis=1)
+    out[starts] = np.bincount(paths[:, 0], weight * total, minlength=d)[starts]
     return out
 
 
@@ -369,20 +372,30 @@ def weight_bounds(
     AssertionError: the sufficient condition held, so a sign flip means the
     recursion (not the input) is wrong.
     """
-    fac = _factors(sys, sde)
     start = sde.start_time
+    succ, prob, den, step, run = fac = _factors(sys, sde)
     states = sys.reachable_at[start]
     if samples is None:
-        paths, weight = _all_paths(sys, start, states)
+        # fold V, W and the path probability over the level walk
+        _check_denominators(sys, den, sys.reachable_mask()[:-1, :, None], start)
+        root, weight, v = states, np.ones(states.size), np.ones(states.size)
+        vmax, wmax, min_weight = v, np.zeros(states.size), 1.0
+        for k, rows, cur, slots in _level_walk(sys, start, states):
+            w = v[rows] * run[k, cur]
+            wmax = np.maximum(wmax[rows], w * w)
+            v = v[rows] * step[k, cur, slots]
+            vmax = np.maximum(vmax[rows], v * v)
+            min_weight = np.minimum(min_weight, v.min())
+            weight = weight[rows] * prob[cur, slots]
+            root = root[rows]
     else:
         paths, weight = _drawn_paths(sys, start, states, samples, seed)
-    v, w = _path_weights(sys, fac, start, paths)
-    ev = np.bincount(paths[:, 0], weight * np.max(v * v, axis=1),
-                     minlength=sys.dim)[states]
-    ew = np.bincount(paths[:, 0], weight * np.max(w * w, axis=1, initial=0.0),
-                     minlength=sys.dim)[states]
+        v, w = _path_weights(sys, fac, start, paths)
+        root, vmax = paths[:, 0], np.max(v * v, axis=1)
+        wmax, min_weight = np.max(w * w, axis=1, initial=0.0), v.min()
+    ev = np.bincount(root, weight * vmax, minlength=sys.dim)[states]
+    ew = np.bincount(root, weight * wmax, minlength=sys.dim)[states]
     per_state = {int(s): (float(a), float(b)) for s, a, b in zip(states, ev, ew)}
-    min_weight = float(v.min())
     positivity = None
     if beta_bound is not None:
         from .linalg import positivity_condition
@@ -393,7 +406,7 @@ def weight_bounds(
                 f"positivity condition holds but a weight reached {min_weight}; "
                 "the weight recursion is inconsistent"
             )
-    return WeightReport(float(ev.max()), float(ew.max()), min_weight,
+    return WeightReport(float(ev.max()), float(ew.max()), float(min_weight),
                         per_state, positivity)
 
 
@@ -423,17 +436,18 @@ def select_convention(
 
     Runs randomized linear instances on ``sys``, compares dual_value against
     solve_bsde at every reachable (time, state), and returns the convention
-    with the smallest worst-case residual.  Instances whose conventions all
-    coincide (zero coefficients) are marked uninformative.  If no convention
-    agrees within ``tol`` the selection fails loudly: that indicates either
-    an implementation bug or an unresolved ambiguity, and silently picking a
-    form would corrupt everything downstream.
+    with the smallest worst-case residual; a residual that is not finite
+    counts as inf.  Instances whose conventions all coincide (zero
+    coefficients) are marked uninformative.  If no convention agrees within
+    ``tol``, or none has a finite residual, the selection fails loudly: that
+    indicates either an implementation bug or an unresolved ambiguity, and
+    silently picking a form would corrupt everything downstream.
     """
     from .bsde import solve_bsde
     from .instances import random_linear_instance
 
     rng = np.random.default_rng(seed)
-    t = sys.horizon
+    reach = sys.reachable_mask()[:-1]
     per_conv = {c: [] for c in Convention}
     informative = 0
     uninformative = 0
@@ -442,13 +456,11 @@ def select_convention(
         sol = solve_bsde(sys, driver, terminal)
         trial_res = {}
         for conv in Convention:
-            worst = 0.0
-            for i in range(t):
-                sde = WeightSde(driver.alpha, driver.beta, conv, start_time=i)
-                dual = dual_value(sys, sde, driver.g, terminal)
-                for s in sys.reachable_at[i]:
-                    worst = max(worst, abs(dual[int(s)] - sol.values[i, int(s)]))
-            trial_res[conv] = worst
+            fac = _factors(sys, WeightSde(driver.alpha, driver.beta, conv))
+            table = _sweep(sys, fac, driver.g, terminal)[:-1]
+            worst = float(np.abs(table - sol.values[:-1])[reach].max())
+            # a NaN residual counts as inf, so that min() never picks it
+            trial_res[conv] = worst if np.isfinite(worst) else np.inf
         spread = max(trial_res.values()) - min(trial_res.values())
         if spread < 1e-12:
             uninformative += 1
@@ -460,7 +472,7 @@ def select_convention(
         c: (float(np.max(v)), float(np.median(v))) for c, v in per_conv.items()
     }
     best = min(residuals, key=lambda c: residuals[c][0])
-    if residuals[best][0] > tol:
+    if residuals[best][0] > tol or np.isinf(residuals[best][0]):
         raise SelectionError(
             "no weight convention reproduces the backward solver within "
             f"{tol}: " + "; ".join(

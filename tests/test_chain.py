@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcbsde import (
     InvalidModelError,
@@ -14,6 +16,7 @@ from smcbsde import (
     transition_matrix,
     validate_model,
 )
+from smcbsde.chain import VALIDATION_TOL, Violation, _non_finite, _x0_violations
 from smcbsde.instances import random_model
 
 from conftest import geometric_model, tiny_model, uniform_jump
@@ -77,6 +80,82 @@ def test_validate_finds_each_violation_kind():
                             uniform_jump(2, 2), [1.0, 0.0])
     assert any(v.field == "pi" and "outside" in v.message
                for v in validate_model(model))
+
+
+def reference_validate_model(model, tol=VALIDATION_TOL):
+    """validate_model as a loop over every (state, duration) cell."""
+    bad = _non_finite(model)
+    if bad is not None:
+        return [bad]
+    out = []
+    n, dur = model.n_states, model.n_durations
+    for i in range(n):
+        for m in range(1, dur + 1):
+            p = model.pi[i, m - 1]
+            if p < -tol or p > 1 + tol:
+                out.append(
+                    Violation("pi", (i, m), f"sojourn probability {p} outside [0, 1]")
+                )
+        total = model.pi[i].sum()
+        if total > 1 + tol:
+            out.append(
+                Violation("pi", (i,), f"sojourn law has total mass {total} > 1")
+            )
+    for i in range(n):
+        for m in range(1, dur + 1):
+            row = model.jump[i, m - 1]
+            if np.any(row < -tol):
+                j = int(np.argmin(row))
+                out.append(
+                    Violation("jump", (i, m, j), f"negative probability {row[j]}")
+                )
+            if row[i] > tol:
+                out.append(
+                    Violation(
+                        "jump",
+                        (i, m, i),
+                        f"self-jump probability {row[i]} must be zero",
+                    )
+                )
+            if model.pi[i, m - 1] > tol and abs(row.sum() - 1.0) > tol:
+                out.append(
+                    Violation(
+                        "jump",
+                        (i, m),
+                        f"jump row sums to {row.sum()}, must be 1 where the "
+                        "sojourn law puts mass",
+                    )
+                )
+    return out + _x0_violations(model, tol)
+
+
+@st.composite
+def broken_models(draw):
+    """A random model with a few entries of pi, jump and x0 overwritten by
+    values that break (or just miss) a constraint."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_model(rng, n_max=4, t_max=6)
+    pi, jump, x0 = model.pi.copy(), model.jump.copy(), model.x0.copy()
+    values = (-0.3, -1e-10, 0.0, 0.4, 1.0 + 1e-10, 1.7)
+    for arr in (pi, jump, x0):
+        for _ in range(draw(st.integers(0, 4))):
+            at = tuple(int(rng.integers(size)) for size in arr.shape)
+            arr[at] = draw(st.sampled_from(values))
+    if draw(st.booleans()):
+        i = int(rng.integers(model.n_states))
+        jump[i, :, i] = draw(st.sampled_from(values))  # self-jumps
+    if draw(st.integers(0, 7)) == 0:
+        arr = draw(st.sampled_from((pi, jump, x0)))
+        arr[tuple(int(rng.integers(size)) for size in arr.shape)] = np.nan
+    return SemiMarkovModel(model.n_states, model.horizon, pi, jump, x0)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(broken_models())
+def test_validate_model_matches_cell_loop(model):
+    got = validate_model(model)
+    assert got == reference_validate_model(model)
+    assert [str(v) for v in got] == [str(v) for v in reference_validate_model(model)]
 
 
 def test_violation_str_is_informative():

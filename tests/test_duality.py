@@ -7,6 +7,8 @@ The tiny-model tests below verify all of this by direct scalar arithmetic
 against frozen matrices.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,13 @@ from smcbsde import (
     solve_control,
     weight_bounds,
 )
-from smcbsde.duality import DENOMINATOR_TOL, _sample_paths
+from smcbsde import duality, instances
+from smcbsde.duality import (
+    DENOMINATOR_TOL,
+    _factors,
+    _path_weights,
+    _sample_paths,
+)
 from smcbsde.instances import (
     random_control_problem,
     random_linear_instance,
@@ -620,3 +628,279 @@ def test_select_convention_at_long_horizon():
     result = select_convention(sys_, trials=40)
     assert result.convention is Convention.MIXED
     assert result.unique
+
+
+# ---------------------------------------------------------------------------
+# Differential oracles for the backward sweep and the level walk: the
+# forward measure the sweep replaced, and the (P, L) path arrays the level
+# walk replaced, each evaluated on the same factor table.
+
+
+def forward_measure_dual_value(sys, sde, g, terminal):
+    """dual_value by carrying mu_k(s) = E[V_k 1{X_k = s}] from every start
+    state at once; a cell a start reaches with zero mass is never read."""
+    g = np.asarray(g, dtype=float)
+    terminal = np.asarray(terminal, dtype=float)
+    start_time = sde.start_time
+    t, d = sys.horizon, sys.dim
+    succ, prob, den, step, run = _factors(sys, sde)
+    starts = sys.reachable_at[start_time]
+
+    def reached(mu, x):
+        return np.where(mu != 0.0, mu * x, 0.0)
+
+    mu = np.zeros((starts.size, d))
+    mu[np.arange(starts.size), starts] = 1.0
+    offset = np.arange(starts.size)[:, None] * d
+    total = np.zeros(starts.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(start_time, t):
+            src = sys.reachable_at[k]
+            rows, slots = np.nonzero(prob[src] > 0.0)
+            cur = src[rows]
+            bad = np.abs(den[k, cur, slots]) < DENOMINATOR_TOL
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise VanishingDenominatorError(
+                    f"weight denominator {den[k, cur[i], slots[i]]} at time "
+                    f"{k}, state {cur[i]}")
+            m = mu[:, src]
+            total += reached(m, g[k, src] * run[k, src]).sum(axis=1)
+            flow = reached(m[:, rows], prob[cur, slots] * step[k, cur, slots])
+            mu = np.bincount((offset + succ[cur, slots]).ravel(), flow.ravel(),
+                             minlength=mu.size).reshape(mu.shape)
+        end = sys.reachable_at[t]
+        total += reached(mu[:, end], terminal[end]).sum(axis=1)
+    out = np.full(d, np.nan)
+    out[starts] = total
+    return out
+
+
+def all_paths(sys, start, states):
+    """Every realizable path from each (start, state) to the horizon, as a
+    (P, T - start + 1) array in enumerate_paths order, and the path
+    probabilities (P,)."""
+    succ, prob = sys.succ, sys.prob
+    paths = np.asarray(states, dtype=np.int64).reshape(-1, 1)
+    weight = np.ones(paths.shape[0])
+    for _ in range(start, sys.horizon):
+        cur = paths[:, -1]
+        rows, slots = np.nonzero(prob[cur] > 0.0)
+        nxt = succ[cur[rows], slots]
+        paths = np.concatenate([paths[rows], nxt[:, None]], axis=1)
+        weight = weight[rows] * prob[cur[rows], slots]
+    return paths, weight
+
+
+def path_array_weight_bounds(sys, sde):
+    """(per_state, e_max_sq, e_max_running_sq, min_weight) of the exhaustive
+    weight_bounds, from the weights along every path as one (P, L) array."""
+    start = sde.start_time
+    states = sys.reachable_at[start]
+    paths, weight = all_paths(sys, start, states)
+    v, w = _path_weights(sys, _factors(sys, sde), start, paths)
+    ev = np.bincount(paths[:, 0], weight * np.max(v * v, axis=1),
+                     minlength=sys.dim)[states]
+    ew = np.bincount(paths[:, 0], weight * np.max(w * w, axis=1, initial=0.0),
+                     minlength=sys.dim)[states]
+    per_state = {int(s): (float(a), float(b)) for s, a, b in zip(states, ev, ew)}
+    return per_state, float(ev.max()), float(ew.max()), float(v.min())
+
+
+def path_array_expected_max_gap_sq(sys, delta):
+    """E[max_k delta[k, X_k]^2] from every path as one (P, L) array."""
+    start = sys.dist_at[0]
+    states = [int(s) for s in sys.reachable_at[0] if start[int(s)] > 0.0]
+    paths, prob = all_paths(sys, 0, states)
+    gap = np.max(delta[np.arange(sys.horizon + 1), paths] ** 2, axis=1)
+    return float((start[paths[:, 0]] * prob) @ gap)
+
+
+@st.composite
+def sweep_instances(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys_ = build_lattice(random_model(rng, n_max=4, t_max=9))
+    driver, terminal = random_linear_instance(sys_, rng)
+    return sys_, driver, terminal, rng
+
+
+def message(func, *args):
+    """The result of a call, or the message of the vanishing denominator
+    it raised."""
+    try:
+        return func(*args)
+    except VanishingDenominatorError as err:
+        return str(err)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(sweep_instances())
+def test_backward_sweep_matches_forward_measure(case):
+    sys_, driver, terminal, rng = case
+    for conv in Convention:
+        for start in range(sys_.horizon + 1):
+            sde = WeightSde(driver.alpha, driver.beta, conv, start)
+            dual = dual_value(sys_, sde, driver.g, terminal)
+            want = forward_measure_dual_value(sys_, sde, driver.g, terminal)
+            reach = sys_.reachable_at[start]
+            assert np.isnan(dual).sum() == sys_.dim - reach.size
+            assert_close(dual[reach], want[reach])
+
+    # two vanishing denominators: both engines name the first in (time,
+    # state, slot) order
+    alpha = driver.alpha.copy()
+    for _ in range(2):
+        k = int(rng.integers(sys_.horizon))
+        alpha[k, int(rng.choice(sys_.reachable_at[k]))] = 1.0
+    for start in range(sys_.horizon + 1):
+        sde = WeightSde(alpha, None, Convention.MIXED, start)
+        got = message(dual_value, sys_, sde, driver.g, terminal)
+        want = message(forward_measure_dual_value, sys_, sde, driver.g, terminal)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_close(got[sys_.reachable_at[start]],
+                         want[sys_.reachable_at[start]])
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(linear_instances())
+def test_level_walk_matches_path_arrays_bit_for_bit(case):
+    sys_, driver, terminal, rng = case
+    # the weights run through NaN past one drift left undefined
+    k = int(rng.integers(sys_.horizon))
+    broken = driver.alpha.copy()
+    broken[k, int(rng.choice(sys_.reachable_at[k]))] = np.nan
+    for conv, alpha in [(c, driver.alpha) for c in Convention] + [
+            (Convention.MIXED, broken)]:
+        for start in range(sys_.horizon + 1):
+            sde = WeightSde(alpha, driver.beta, conv, start)
+            report = outcome(weight_bounds, sys_, sde)
+            want = outcome(path_array_weight_bounds, sys_, sde)
+            if want is VanishingDenominatorError:
+                assert report is VanishingDenominatorError
+                continue
+            per_state, e_max_sq, e_max_running_sq, min_weight = want
+            assert list(report.per_state) == list(per_state)
+            # equal bit for bit, NaN included
+            np.testing.assert_array_equal(list(report.per_state.values()),
+                                          list(per_state.values()))
+            np.testing.assert_array_equal(
+                [report.e_max_sq, report.e_max_running_sq, report.min_weight],
+                [e_max_sq, e_max_running_sq, min_weight])
+
+    problem = random_control_problem(sys_, rng, n_controls=2)
+    solved = solve_control(problem, sys_)
+    _, report = epsilon_optimal_policy(problem, sys_, solved,
+                                       float(rng.uniform(0.0, 0.5)))
+    delta = np.where(np.isnan(solved.values), 0.0,
+                     solved.values - report.policy_solution.values)
+    assert report.measured == path_array_expected_max_gap_sq(sys_, delta)
+
+
+def test_select_convention_builds_factors_once_per_trial_and_convention(
+        monkeypatch):
+    sys_ = build_lattice(geometric_model((0.3, 0.5, 0.7), 6))
+    calls = []
+
+    def counted(sys, sde):
+        calls.append(sde.convention)
+        return _factors(sys, sde)
+
+    monkeypatch.setattr(duality, "_factors", counted)
+    for trials in (1, 5):
+        calls.clear()
+        select_convention(sys_, trials=trials)
+        assert len(calls) == 3 * trials
+        assert all(calls.count(c) == trials for c in Convention)
+
+
+def test_exhaustive_weight_bounds_memory():
+    # 3^10 paths from time 0; as (P, L) arrays they peaked at 30 MB
+    sys_ = build_lattice(geometric_model((0.3, 0.5, 0.7), 10))
+    driver, _ = random_linear_instance(sys_, np.random.default_rng(23))
+    sde = WeightSde.from_driver(driver)
+    tracemalloc.start()
+    try:
+        report = weight_bounds(sys_, sde)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.min_weight >= -1e-10
+    assert peak < 10e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("start", [-1, "T+1"])
+@pytest.mark.parametrize("entry", ["dual_value", "weight_bounds",
+                                   "evolve_weights"])
+def test_start_time_is_range_checked(entry, start):
+    sys_ = build_lattice(geometric_model((0.3, 0.6), 4))
+    driver, terminal = random_linear_instance(sys_, np.random.default_rng(24))
+    start = sys_.horizon + 1 if start == "T+1" else start
+    sde = WeightSde(driver.alpha, driver.beta, DEFAULT_CONVENTION, start)
+    call = {
+        "dual_value": lambda: dual_value(sys_, sde, driver.g, terminal),
+        "weight_bounds": lambda: weight_bounds(sys_, sde),
+        "evolve_weights": lambda: evolve_weights(sys_, sde, [0]),
+    }[entry]
+    with pytest.raises(ValueError, match=rf"start_time {start} outside 0\.\.4"):
+        call()
+
+
+def test_select_convention_never_selects_a_non_finite_residual(monkeypatch):
+    # a running term of 1.7e308 at the start cell, paid at twice its size
+    # under alpha = 0.5, overflows the backward value and the mixed dual to
+    # inf there: the mixed residual is inf - inf = NaN, and the other two
+    # are inf.  No convention has a finite residual, so none may be picked,
+    # whatever the tolerance.
+    sys_ = build_lattice(geometric_model((0.3, 0.6), 4))
+    (s0,) = sys_.reachable_at[0]
+
+    def overflowing(sys, rng):
+        driver, terminal = random_linear_instance(sys, rng)
+        alpha, g = driver.alpha.copy(), driver.g.copy()
+        alpha[0, s0], g[0, s0] = 0.5, 1.7e308
+        return LinearDriver(alpha, g, driver.beta), terminal
+
+    monkeypatch.setattr(instances, "random_linear_instance", overflowing)
+    with pytest.raises(SelectionError, match="mixed=inf"):
+        select_convention(sys_, trials=3, tol=np.inf)
+
+
+def test_a_zero_weight_route_ignores_non_finite_data():
+    # alpha = -1 zeroes every shifted step out of (k, s), so the value from
+    # (k, s) never reads the running terms of its successors, NaN or not
+    sys_ = build_lattice(geometric_model((0.3, 0.6), 4))
+    driver, terminal = random_linear_instance(sys_, np.random.default_rng(25))
+    k = 1
+    s = int(sys_.reachable_at[k][0])
+    alpha, g = driver.alpha.copy(), driver.g.copy()
+    alpha[k, s] = -1.0
+    g[k + 1, sys_.succ[s, 0]] = np.nan
+    sde = WeightSde(alpha, None, Convention.SHIFTED, k)
+    dual = dual_value(sys_, sde, g, terminal)
+    want = forward_measure_dual_value(sys_, sde, g, terminal)
+    assert dual[s] == pytest.approx(g[k, s], abs=1e-15)
+    assert_close(dual[s], want[s])
+
+
+def test_padding_slots_never_trip_the_denominator_check():
+    # an implicit denominator that vanishes only on a padding slot of a
+    # reachable source is not a step of the chain
+    rng = np.random.default_rng(26)
+    while True:
+        sys_ = build_lattice(random_model(rng, n_max=3, t_max=5))
+        padded = [(k, int(s)) for k in range(sys_.horizon)
+                  for s in sys_.reachable_at[k] if sys_.prob[s, -1] == 0.0]
+        if padded:
+            break
+    driver, terminal = random_linear_instance(sys_, rng)
+    k, s = padded[0]
+    alpha = np.zeros_like(driver.alpha)
+    _, _, den, _, _ = _factors(sys_, WeightSde(alpha, driver.beta,
+                                               Convention.IMPLICIT))
+    alpha[k, s] = den[k, s, -1]  # den is 1 - noise at alpha = 0
+    sde = WeightSde(alpha, driver.beta, Convention.IMPLICIT, k)
+    assert abs(_factors(sys_, sde)[2][k, s, -1]) < DENOMINATOR_TOL
+    assert_close(dual_value(sys_, sde, driver.g, terminal)[s],
+                 forward_measure_dual_value(sys_, sde, driver.g, terminal)[s])
