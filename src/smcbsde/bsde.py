@@ -93,7 +93,7 @@ class LinearDriver:
 
     def bounds(self, sys):
         """Max |alpha| and max Euclidean beta-row norm over reachable (k, e)."""
-        mask = sys.reachable_mask()[:-1]
+        mask = sys.reachable[:-1]
         p = float(np.abs(self.alpha[mask]).max(initial=0.0))
         l = 0.0
         if self.beta is not None:

@@ -4,8 +4,8 @@ Commands
 --------
 validate       check a model document and list violations
 simulate       draw seeded chain paths to CSV
-build-lattice  export the stacked transition matrix and per-state noise
-               matrices
+build-lattice  export the transition law and each source's bracket and
+               covariance as sparse triplet CSVs, plus a structure summary
 solve-bsde     solve a linear backward equation, emit CSV + JSON artifacts
 verify-duality cross-check a backward solution against its weighted-
                expectation representation under each convention
@@ -85,10 +85,15 @@ def _values_rows(sys, values):
     return rows
 
 
-def _matrix_lines(mat):
-    return "\n".join(
-        ",".join(files.format_number(v) for v in row) for row in np.asarray(mat)
-    ) + "\n"
+def _block_entries(sources, block, local):
+    """(source, row, column, value) rows of the nonzero entries of each
+    source's block matrix local[i] on the flat indices block[i], sorted by
+    source, row and column."""
+    i, r, c = np.nonzero(local)
+    src, row, col = sources[i], block[i, r], block[i, c]
+    order = np.lexsort((col, row, src))
+    return zip(src[order].tolist(), row[order].tolist(), col[order].tolist(),
+               local[i, r, c][order].tolist())
 
 
 def _check_problem_size(path, alpha, sys_):
@@ -145,19 +150,29 @@ def _cmd_build_lattice(args):
     sys_ = build_lattice(model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "transition.csv").write_text(_matrix_lines(sys_.transition))
-    per_source = {}
-    for s in sorted(sys_.sources):
-        geo = sys_.geometry_for(int(s))
-        (out / f"bracket_state{s}.csv").write_text(_matrix_lines(geo.bracket))
-        (out / f"covariance_state{s}.csv").write_text(
-            _matrix_lines(geo.covariance)
-        )
-        per_source[str(s)] = {
+    rows, slots = np.nonzero(sys_.prob > 0.0)
+    files.write_csv(
+        out / "transition.csv", ("source", "target", "probability"),
+        zip(rows.tolist(), sys_.succ[rows, slots].tolist(),
+            sys_.prob[rows, slots].tolist()),
+    )
+    src = sys_.sources
+    entry = ("source", "row", "column", "value")
+    files.write_csv(out / "bracket.csv", entry,
+                    _block_entries(src, sys_.block, sys_.local_bracket))
+    # diag(c) - c c' lives on the successor slots
+    p = sys_.prob[src][:, :, None]
+    files.write_csv(out / "covariance.csv", entry, _block_entries(
+        src, sys_.succ[src], p * np.eye(p.shape[1]) - p * p.transpose(0, 2, 1)
+    ))
+    per_source = {
+        str(s): {
             "label": list(sys_.label(int(s))),
-            "support": geo.support.tolist(),
-            "bracket_psd": bool(geo.bracket_psd),
+            "support": sys_.succ[s][sys_.prob[s] > 0.0].tolist(),
+            "bracket_psd": bool(psd),
         }
+        for s, psd in zip(src, sys_.bracket_psd)
+    }
     files.write_json(
         out / "summary.json",
         {

@@ -34,7 +34,7 @@ from .bsde import (
     _verified_root,
 )
 from .duality import DEFAULT_CONVENTION, WeightSde, _level_walk, weight_bounds
-from .lattice import projection_constants
+from .lattice import _source_index, projection_constants
 from .linalg import ConditionReport, comparison_condition, positivity_condition
 
 __all__ = [
@@ -188,10 +188,13 @@ def max_driver(problem: ControlProblem, sys, k, state, y, z_row):
 
     Returns (best_value, best_index, all_values).
     """
-    pz = sys.geometry_for(int(state)).project(z_row)
+    # P z on the source's block; the projector is zero on the padding
+    i = _source_index(sys, state)
+    block = sys.block[i]
+    pz = sys.local_projector[i] @ np.asarray(z_row, dtype=float)[block]
     vals = (
         problem.alpha[k, state] * y
-        + problem.beta[k, state] @ pz
+        + problem.beta[k, state][:, block] @ pz
         + problem.g[k, state]
     )
     idx = int(np.argmax(vals))
@@ -278,7 +281,7 @@ def _slice_terms(problem, sys, k, z):
 
 
 def _policy_driver(problem: ControlProblem, sys, policy: PolicyTable):
-    mask = sys.reachable_mask()[:-1]
+    mask = sys.reachable[:-1]
     u = policy.choices
     bad = mask & ((u < 0) | (u >= problem.n_controls))
     if bad.any():
@@ -395,7 +398,7 @@ def brute_force_value(
         objective[pol] = sys.dist_at[0] @ values
     best = int(np.argmax(objective))
     choices = np.full((t, d), -1, dtype=int)
-    choices[sys.reachable_mask()[:-1]] = best // u ** np.arange(n_cells) % u
+    choices[sys.reachable[:-1]] = best // u ** np.arange(n_cells) % u
     return BruteForceResult(
         initial_values,
         per_time_max,

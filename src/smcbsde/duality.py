@@ -37,8 +37,9 @@ cell reached only by routes whose weights cancel to zero is still read.
 Exhaustive weight_bounds and the epsilon-policy gap in control fold V, W,
 their running maxima, the path probability and the running minimum over a
 breadth-first level walk of every realizable path, which holds only the
-vectors of the paths alive at one time.  Sampled statistics and
-evolve_weights evaluate V and W along a (P, L) array of paths.
+vectors of the paths alive at one time; no list of paths is built.  Sampled
+statistics and evolve_weights evaluate V and W along a (P, L) array of
+drawn or given paths.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "WeightReport",
     "WeightSde",
     "dual_value",
-    "enumerate_paths",
     "evolve_weights",
     "select_convention",
     "weight_bounds",
@@ -188,9 +188,10 @@ def _path_weights(sys, fac, start, paths):
 
 def _level_walk(sys, start, states):
     """Breadth-first walk over every realizable path from each (start,
-    state), in enumerate_paths order.  Yields per time k (rows, cur, slots):
-    path rows[p] of those alive at k, in state cur[p], branches to its slot
-    slots[p]; the branches, in this order, are the paths alive at k + 1."""
+    state), the paths alive at a time in depth-first, successor-ascending
+    order.  Yields per time k (rows, cur, slots): path rows[p] of those
+    alive at k, in state cur[p], branches to its slot slots[p]; the
+    branches, in this order, are the paths alive at k + 1."""
     cur = np.asarray(states, dtype=np.int64)
     for k in range(start, sys.horizon):
         rows, slots = np.nonzero(sys.prob[cur] > 0.0)
@@ -218,31 +219,6 @@ def evolve_weights(sys, sde: WeightSde, path) -> np.ndarray:
     path = np.array([int(p) for p in path], dtype=np.int64)
     v, _ = _path_weights(sys, _factors(sys, sde), sde.start_time, path[None, :])
     return v[0]
-
-
-def enumerate_paths(sys, start_time: int, state: int):
-    """All realizable lattice paths from (start_time, state) to the horizon.
-
-    Yields (path, probability) with path a tuple of flat indices, in
-    deterministic successor-ascending depth-first order so repeated runs
-    reduce bit-identically.  Probabilities over the yield sum to one.
-    """
-    t = sys.horizon
-    if not 0 <= start_time <= t:
-        raise ValueError(f"start_time {start_time} outside 0..{t}")
-
-    def rec(k, s, prefix, prob):
-        if k == t:
-            yield tuple(prefix), prob
-            return
-        g = sys.geometry_for(s)
-        for j in g.support:
-            j = int(j)
-            prefix.append(j)
-            yield from rec(k + 1, j, prefix, prob * float(g.column[j]))
-            prefix.pop()
-
-    yield from rec(start_time, int(state), [int(state)], 1.0)
 
 
 def _sample_paths(sys, start_time, state, n, rng):
@@ -285,7 +261,7 @@ def _sweep(sys, fac, g, terminal, start=0):
     """Dual value u from every (time, state) at or after ``start``, as a
     (T+1, D) table, NaN off the reachable cells (see the module notes)."""
     succ, prob, den, step, run = fac
-    reach = sys.reachable_mask()
+    reach = sys.reachable
     _check_denominators(sys, den, reach[:-1, :, None], start)
     t = sys.horizon
     table = np.full((t + 1, sys.dim), np.nan)
@@ -377,7 +353,7 @@ def weight_bounds(
     states = sys.reachable_at[start]
     if samples is None:
         # fold V, W and the path probability over the level walk
-        _check_denominators(sys, den, sys.reachable_mask()[:-1, :, None], start)
+        _check_denominators(sys, den, sys.reachable[:-1, :, None], start)
         root, weight, v = states, np.ones(states.size), np.ones(states.size)
         vmax, wmax, min_weight = v, np.zeros(states.size), 1.0
         for k, rows, cur, slots in _level_walk(sys, start, states):
@@ -447,7 +423,7 @@ def select_convention(
     from .instances import random_linear_instance
 
     rng = np.random.default_rng(seed)
-    reach = sys.reachable_mask()[:-1]
+    reach = sys.reachable[:-1]
     per_conv = {c: [] for c in Convention}
     informative = 0
     uninformative = 0

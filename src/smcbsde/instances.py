@@ -97,7 +97,7 @@ def random_linear_instance(
     l_max = beta_fraction * max_beta_for_positivity(sys)
     if comparison_safe:
         l_max = min(l_max, beta_fraction * max_beta_for_comparison(sys))
-    mask = sys.reachable_mask()[:-1]
+    mask = sys.reachable[:-1]
     alpha = np.where(mask, rng.uniform(-alpha_scale, alpha_scale, (t, d)), 0.0)
     g = np.where(mask, rng.uniform(-1.0, 1.0, (t, d)), 0.0)
     beta = np.zeros((t, d, d))
@@ -124,7 +124,7 @@ def random_comparison_pair(sys, rng: np.random.Generator):
     """
     driver2, terminal2 = random_linear_instance(sys, rng, comparison_safe=True)
     t, d = sys.horizon, sys.dim
-    mask = sys.reachable_mask()[:-1]
+    mask = sys.reachable[:-1]
     reach_t = sys.reachable_at[t]
     terminal1 = terminal2.copy()
     terminal1[reach_t] -= rng.uniform(0.0, 1.0, reach_t.size)
@@ -163,7 +163,7 @@ def random_control_problem(
     l_max = beta_fraction * min(
         max_beta_for_positivity(sys), max_beta_for_comparison(sys)
     )
-    mask = sys.reachable_mask()[:-1]
+    mask = sys.reachable[:-1]
     alpha = np.where(
         mask[:, :, None], rng.uniform(-alpha_scale, alpha_scale, (t, d, u)), 0.0
     )

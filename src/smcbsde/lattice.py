@@ -6,8 +6,7 @@ the duration to 1, staying put carries it one deeper, and duration T+1 has no
 in-horizon continuation.  The lattice stores one padded successor table
 indexed by flat state: ``succ[s, :m]`` are the m successors of s, ascending,
 and ``prob[s, :m]`` their probabilities; the slots up to W, the widest
-support, repeat the first successor with probability zero.  The dense D x D
-``transition`` is built from it on request only.
+support, repeat the first successor with probability zero.
 
 For each source the one-step noise (the innovation martingale increment)
 carries the covariance diag(c) - c c' (c the successor law; positive
@@ -17,8 +16,8 @@ on integrands supported on the successors with c-weighted mean zero; formulas
 downstream are indexed against the bracket's pseudoinverse.  Both vanish off
 the block (source, *successors) of at most N+1 indices, so the bracket, its
 pseudoinverse and projector are stored per block, stacked over ``sources``
-and padded with zeros like the table; ``geometry_for`` gives one source's
-StateGeometry view, with D x D views on request.
+and padded with zeros like the table.  These stacked tables are the only
+per-source geometry; no D x D matrix is ever built.
 
 Every backward solver works a whole time slice through ``step`` (conditional
 means and local canonical integrands of the sources reachable at time k) and
@@ -46,16 +45,12 @@ from .linalg import _per_time_max, pinv
 __all__ = [
     "LatticeSystem",
     "ProjectionConstants",
-    "StateGeometry",
     "UnreachableStateError",
-    "bracket_matrix",
     "build_lattice",
     "canonical_integrand",
-    "covariance_matrix",
     "integrands_equivalent",
     "noise_seminorm",
     "projection_constants",
-    "step_distribution",
 ]
 
 _EIG_TOL = 1e-10
@@ -66,67 +61,10 @@ class UnreachableStateError(KeyError):
 
 
 @dataclass(frozen=True)
-class StateGeometry:
-    """Noise data of one source state, a view of the lattice's tables.
-
-    Stored on the block (state, *support), outside which the noise vanishes;
-    ``covariance``, ``bracket``, ``bracket_pinv`` and ``projector`` are the
-    D x D views, built on request for export and inspection only.
-
-    column     : successor law c (D,)
-    support    : successor flat indices with positive mass
-    block      : (state, *support) flat indices
-    local_bracket : diag(c) - e c' - c e' on the block
-    local_pinv : Moore-Penrose pseudoinverse of the local bracket
-    local_projector : local_pinv @ local_bracket (projector onto its range)
-    bracket_psd: True when the bracket has no genuinely negative eigenvalue
-    """
-
-    state: int
-    column: np.ndarray
-    support: np.ndarray
-    block: np.ndarray
-    local_bracket: np.ndarray
-    local_pinv: np.ndarray
-    local_projector: np.ndarray
-    bracket_psd: bool
-
-    # indexing through .T serves (D,) and (B, D) alike and is cheaper than
-    # Ellipsis indexing
-    def split(self, values):
-        """Successor-law mean and canonical integrand (zero off the support,
-        values - mean on it) of next-step values (D,), or a batch (B, D)."""
-        values = np.asarray(values, dtype=float)
-        nxt = values.T[self.support]
-        mean = self.column[self.support] @ nxt
-        z = np.zeros(values.shape)
-        z.T[self.support] = nxt - mean
-        return mean, z
-
-    def project(self, z) -> np.ndarray:
-        """``projector @ z`` computed on the block, for z (D,) or (B, D)."""
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape)
-        out.T[self.block] = self.local_projector @ z.T[self.block]
-        return out
-
-    def _dense(self, local):
-        out = np.zeros((self.column.size,) * 2)
-        out[np.ix_(self.block, self.block)] = local
-        return out
-
-    covariance = property(
-        lambda self: np.diag(self.column) - np.outer(self.column, self.column)
-    )
-    bracket = property(lambda self: self._dense(self.local_bracket))
-    bracket_pinv = property(lambda self: self._dense(self.local_pinv))
-    projector = property(lambda self: self._dense(self.local_projector))
-
-
-@dataclass(frozen=True)
 class LatticeSystem:
     """Lattice embedding of a semi-Markov model over its full horizon.
 
+    reachable        : (T+1, D) True where the state is reachable at the time
     succ, prob       : (D, W) padded successor table (see the module notes)
     sources          : (S,) ascending states ever stepped from before T
     block            : (S, W+1) each source's block (source, *successors)
@@ -139,6 +77,7 @@ class LatticeSystem:
     sojourn: SojournQuantities
     dim: int
     reachable_at: tuple
+    reachable: np.ndarray
     dist_at: np.ndarray
     sources: np.ndarray
     succ: np.ndarray
@@ -153,14 +92,6 @@ class LatticeSystem:
     def horizon(self) -> int:
         return self.model.horizon
 
-    @property
-    def transition(self) -> np.ndarray:
-        """Dense D x D transition matrix, column s the successor law of s."""
-        c = np.zeros((self.dim, self.dim))
-        rows, slots = np.nonzero(self.prob)
-        c[self.succ[rows, slots], rows] = self.prob[rows, slots]
-        return c
-
     def flat_index(self, state: int, duration: int) -> int:
         n = self.model.n_states
         if not (0 <= state < n and 1 <= duration <= self.model.n_durations):
@@ -173,29 +104,6 @@ class LatticeSystem:
         if not 0 <= flat < self.dim:
             raise ValueError(f"flat index {flat} outside 0..{self.dim - 1}")
         return flat % n, flat // n + 1
-
-    def reachable_mask(self) -> np.ndarray:
-        """(T+1, D) table, True where the state is reachable at the time."""
-        mask = np.zeros((self.horizon + 1, self.dim), dtype=bool)
-        for k, reach in enumerate(self.reachable_at):
-            mask[k, reach] = True
-        return mask
-
-    def geometry_for(self, state: int) -> StateGeometry:
-        i = int(np.searchsorted(self.sources, state))
-        if i == self.sources.size or self.sources[i] != state:
-            raise UnreachableStateError(
-                f"lattice state {self.label(state)} is never a transition source"
-            )
-        m = int(np.count_nonzero(self.prob[state]))
-        support, b = self.succ[state, :m], slice(0, m + 1)
-        column = np.zeros(self.dim)
-        column[support] = self.prob[state, :m]
-        return StateGeometry(
-            int(state), column, support, self.block[i, b],
-            self.local_bracket[i, b, b], self.local_pinv[i, b, b],
-            self.local_projector[i, b, b], bool(self.bracket_psd[i]),
-        )
 
     def step(self, k: int, values):
         """One backward step over the sources reachable at time k.
@@ -286,6 +194,9 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     if reachable[-1].size == 0:
         raise InvalidModelError(f"reachable set is empty at time {t}")
 
+    mask = np.zeros((t + 1, dim), dtype=bool)
+    for k, reach in enumerate(reachable):
+        mask[k, reach] = True
     sources = np.unique(np.concatenate(reachable[:t])) if t else np.array([], int)
     # block (source, *successors): c is zero at the source coordinate, so
     # diag(c) - e c' - c e' has c on the diagonal and -c in row/column 0
@@ -302,26 +213,36 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     w = np.linalg.eigvalsh(br)
     scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1.0)
     psd = w[:, 0] >= -_EIG_TOL * scale
-    for arr in (dist, sources, succ, prob, block, br, bp, proj, psd,
+    for arr in (mask, dist, sources, succ, prob, block, br, bp, proj, psd,
                 *reachable):
         arr.flags.writeable = False
     return LatticeSystem(
-        model, sq, dim, tuple(reachable), dist, sources, succ, prob, block, br,
-        bp, proj, psd,
+        model, sq, dim, tuple(reachable), mask, dist, sources, succ, prob,
+        block, br, bp, proj, psd,
     )
 
 
-def step_distribution(sys: LatticeSystem, state: int) -> np.ndarray:
-    """Successor law of one lattice state (a column of the transition matrix)."""
-    return sys.geometry_for(state).column
+def _source_index(sys: LatticeSystem, state: int) -> int:
+    """Position of ``state`` in ``sys.sources``; raises UnreachableStateError
+    when the state is never stepped from."""
+    i = int(np.searchsorted(sys.sources, state))
+    if i == sys.sources.size or sys.sources[i] != state:
+        raise UnreachableStateError(
+            f"lattice state {sys.label(state)} is never a transition source"
+        )
+    return i
 
 
-def covariance_matrix(sys: LatticeSystem, state: int) -> np.ndarray:
-    return sys.geometry_for(state).covariance
-
-
-def bracket_matrix(sys: LatticeSystem, state: int) -> np.ndarray:
-    return sys.geometry_for(state).bracket
+def _source_integrand(sys: LatticeSystem, state: int, row) -> np.ndarray:
+    """Canonical integrand of ``row`` used from the single source ``state``:
+    row minus its successor-law mean on the successors, zero elsewhere
+    (padding slots repeat a successor at probability zero)."""
+    _source_index(sys, state)
+    row = np.asarray(row, dtype=float)
+    succ = sys.succ[state]
+    out = np.zeros(row.shape)
+    out[succ] = row[succ] - sys.prob[state] @ row[succ]
+    return out
 
 
 def _check_time(sys, k):
@@ -371,7 +292,7 @@ def canonical_integrand(
     Idempotent, and rows are equivalent iff their representatives coincide.
     """
     if state is not None:
-        return sys.geometry_for(state).split(row)[1]
+        return _source_integrand(sys, state, row)
     _check_time(sys, k)
     row = np.asarray(row, dtype=float)
     src = sys.reachable_at[k]
@@ -400,7 +321,7 @@ def integrands_equivalent(
     A non-finite difference is never equivalent."""
     d = np.asarray(row1, dtype=float) - np.asarray(row2, dtype=float)
     if state is not None:
-        z = sys.geometry_for(state).split(d)[1]
+        z = _source_integrand(sys, state, d)
     else:
         _check_time(sys, k)
         z = sys.step(k, d)[1]

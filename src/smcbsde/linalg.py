@@ -66,7 +66,7 @@ def _per_time_max(sys, per_source):
     reachable at each time 0..T-1 (0 where there are none)."""
     per_state = np.zeros(sys.dim)
     per_state[sys.sources] = per_source
-    mask = sys.reachable_mask()[: sys.horizon]
+    mask = sys.reachable[: sys.horizon]
     return np.where(mask, per_state, 0.0).max(axis=1, initial=0.0)
 
 

@@ -1,0 +1,136 @@
+"""Dense reference geometry, kept as a test oracle.
+
+The lattice stores one per-source geometry: the padded successor table and
+the stacked blocks (source, *successors).  Before that it handed out a
+per-source view with D x D matrices, a dense D x D transition matrix and a
+recursive path enumerator.  They live on here, unchanged in substance, as
+the oracle for the slice step, the level walk and the hand-computed
+tiny-model tables.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from smcbsde import UnreachableStateError
+
+
+@dataclass(frozen=True)
+class StateGeometry:
+    """Noise data of one source state, a view of the lattice's tables.
+
+    Stored on the block (state, *support), outside which the noise vanishes;
+    ``covariance``, ``bracket``, ``bracket_pinv`` and ``projector`` are the
+    D x D views.
+
+    column     : successor law c (D,)
+    support    : successor flat indices with positive mass
+    block      : (state, *support) flat indices
+    local_bracket : diag(c) - e c' - c e' on the block
+    local_pinv : Moore-Penrose pseudoinverse of the local bracket
+    local_projector : local_pinv @ local_bracket (projector onto its range)
+    bracket_psd: True when the bracket has no genuinely negative eigenvalue
+    """
+
+    state: int
+    column: np.ndarray
+    support: np.ndarray
+    block: np.ndarray
+    local_bracket: np.ndarray
+    local_pinv: np.ndarray
+    local_projector: np.ndarray
+    bracket_psd: bool
+
+    # indexing through .T serves (D,) and (B, D) alike
+    def split(self, values):
+        """Successor-law mean and canonical integrand (zero off the support,
+        values - mean on it) of next-step values (D,), or a batch (B, D)."""
+        values = np.asarray(values, dtype=float)
+        nxt = values.T[self.support]
+        mean = self.column[self.support] @ nxt
+        z = np.zeros(values.shape)
+        z.T[self.support] = nxt - mean
+        return mean, z
+
+    def project(self, z) -> np.ndarray:
+        """``projector @ z`` computed on the block, for z (D,) or (B, D)."""
+        z = np.asarray(z, dtype=float)
+        out = np.zeros(z.shape)
+        out.T[self.block] = self.local_projector @ z.T[self.block]
+        return out
+
+    def _dense(self, local):
+        out = np.zeros((self.column.size,) * 2)
+        out[np.ix_(self.block, self.block)] = local
+        return out
+
+    covariance = property(
+        lambda self: np.diag(self.column) - np.outer(self.column, self.column)
+    )
+    bracket = property(lambda self: self._dense(self.local_bracket))
+    bracket_pinv = property(lambda self: self._dense(self.local_pinv))
+    projector = property(lambda self: self._dense(self.local_projector))
+
+
+def geometry_for(sys, state: int) -> StateGeometry:
+    """One source's view of the lattice's stacked tables."""
+    i = int(np.searchsorted(sys.sources, state))
+    if i == sys.sources.size or sys.sources[i] != state:
+        raise UnreachableStateError(
+            f"lattice state {sys.label(state)} is never a transition source"
+        )
+    m = int(np.count_nonzero(sys.prob[state]))
+    support, b = sys.succ[state, :m], slice(0, m + 1)
+    column = np.zeros(sys.dim)
+    column[support] = sys.prob[state, :m]
+    return StateGeometry(
+        int(state), column, support, sys.block[i, b],
+        sys.local_bracket[i, b, b], sys.local_pinv[i, b, b],
+        sys.local_projector[i, b, b], bool(sys.bracket_psd[i]),
+    )
+
+
+def transition(sys) -> np.ndarray:
+    """Dense D x D transition matrix, column s the successor law of s."""
+    c = np.zeros((sys.dim, sys.dim))
+    rows, slots = np.nonzero(sys.prob)
+    c[sys.succ[rows, slots], rows] = sys.prob[rows, slots]
+    return c
+
+
+def step_distribution(sys, state: int) -> np.ndarray:
+    """Successor law of one lattice state (a column of the transition matrix)."""
+    return geometry_for(sys, state).column
+
+
+def covariance_matrix(sys, state: int) -> np.ndarray:
+    return geometry_for(sys, state).covariance
+
+
+def bracket_matrix(sys, state: int) -> np.ndarray:
+    return geometry_for(sys, state).bracket
+
+
+def enumerate_paths(sys, start_time: int, state: int):
+    """All realizable lattice paths from (start_time, state) to the horizon.
+
+    Yields (path, probability) with path a tuple of flat indices, in
+    deterministic successor-ascending depth-first order so repeated runs
+    reduce bit-identically.  Probabilities over the yield sum to one.
+    """
+    t = sys.horizon
+    if not 0 <= start_time <= t:
+        raise ValueError(f"start_time {start_time} outside 0..{t}")
+
+    def rec(k, s, prefix, prob):
+        if k == t:
+            yield tuple(prefix), prob
+            return
+        g = geometry_for(sys, s)
+        for j in g.support:
+            j = int(j)
+            prefix.append(j)
+            yield from rec(k + 1, j, prefix, prob * float(g.column[j]))
+            prefix.pop()
+
+    yield from rec(start_time, int(state), [int(state)], 1.0)

@@ -38,6 +38,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model
+from dense import geometry_for, transition
 
 _duality_instances = []
 _control_instances = []
@@ -93,7 +94,7 @@ def test_criterion_01_martingale_exactness():
         sys_ = build_lattice(model)
         for k in range(sys_.horizon):
             for s in sys_.reachable_at[k]:
-                c = sys_.geometry_for(int(s)).column
+                c = geometry_for(sys_, int(s)).column
                 residual = c - c.sum() * c
                 worst = max(worst, float(np.max(np.abs(residual))))
     elapsed = time.perf_counter() - start
@@ -115,7 +116,7 @@ def test_criterion_02_lattice_cardinality_and_structure():
             assert len(reach) <= (k + 1) * n
         # off-block entries are exactly zero: column block m feeds only the
         # duration-1 rows and the duration-(m+1) rows
-        c = sys_.transition
+        c = transition(sys_)
         for m in range(1, t + 2):
             cols = slice((m - 1) * n, m * n)
             allowed = np.zeros(sys_.dim, dtype=bool)
@@ -357,7 +358,7 @@ def test_criterion_10_z_equivalence_coherence():
                 union = {
                     int(j)
                     for s in sys_.reachable_at[k]
-                    for j in sys_.geometry_for(int(s)).support
+                    for j in geometry_for(sys_, int(s)).support
                 }
                 off = [j for j in range(sys_.dim) if j not in union]
                 if off:

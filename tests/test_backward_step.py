@@ -4,7 +4,8 @@ per-source loops.
 The references below are the per-(time, source) loops the solvers were
 written as before they worked whole time slices on the lattice's padded
 successor table: centring and projecting one source at a time through its
-StateGeometry view.  They are kept as oracles for the slice step.
+StateGeometry view (now in ``dense``).  They are kept as oracles for the
+slice step.
 """
 
 from types import SimpleNamespace
@@ -42,6 +43,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model
+from dense import geometry_for, transition
 
 # ---------------------------------------------------------------------------
 # References: the per-source loops
@@ -52,7 +54,7 @@ def reference_driver_value(sys, driver, k, s, y, z_row):
         out = float(driver.alpha[k, s]) * y + float(driver.g[k, s])
         b = None if driver.beta is None else driver.beta[k, s]
         if b is not None:
-            out += float(b @ sys.geometry_for(s).project(z_row))
+            out += float(b @ geometry_for(sys, s).project(z_row))
         return out
     return float(driver.fn(k, s, y, z_row))
 
@@ -87,7 +89,7 @@ def reference_solve_bsde(sys, driver, terminal):
     for k in range(t - 1, -1, -1):
         for s in sys.reachable_at[k]:
             s = int(s)
-            mean, z_row = sys.geometry_for(s).split(values[k + 1])
+            mean, z_row = geometry_for(sys, s).split(values[k + 1])
             values[k, s] = step(sys, driver, k, s, float(mean), z_row)
             integrands[k, s] = z_row
     return SimpleNamespace(values=values, integrands=integrands)
@@ -110,7 +112,7 @@ def reference_solve_control(problem, sys):
     for k in range(t - 1, -1, -1):
         for s in sys.reachable_at[k]:
             s = int(s)
-            mean, z_row = sys.geometry_for(s).split(values[k + 1])
+            mean, z_row = geometry_for(sys, s).split(values[k + 1])
             alphas = problem.alpha[k, s]
             if np.all(alphas < 1.0 - _ALPHA_GUARD):
                 numer = mean + max_driver(problem, sys, k, s, 0.0, z_row)[2]
@@ -151,7 +153,7 @@ def reference_brute_force_value(problem, sys):
         new = np.zeros((n_pol, d))
         for s in sys.reachable_at[k]:
             s = int(s)
-            geo = sys.geometry_for(s)
+            geo = geometry_for(sys, s)
             sup = geo.support
             mean = values[:, sup] @ geo.column[sup]
             zmat = values[:, sup] - mean[:, None]
@@ -239,7 +241,7 @@ def reference_comparison_pair(sys, rng):
     """random_comparison_pair with the per-source carry loop."""
     driver2, terminal2 = random_linear_instance(sys, rng, comparison_safe=True)
     t, d = sys.horizon, sys.dim
-    mask = sys.reachable_mask()[:-1]
+    mask = sys.reachable[:-1]
     reach_t = sys.reachable_at[t]
     terminal1 = terminal2.copy()
     terminal1[reach_t] -= rng.uniform(0.0, 1.0, reach_t.size)
@@ -458,7 +460,7 @@ def test_step_pads_single_successor_rows():
         assert sys_.reachable_at[k].size == 1
         mean, z = sys_.step(k, values)
         s = int(sys_.reachable_at[k][0])
-        (j,) = sys_.geometry_for(s).support
+        (j,) = geometry_for(sys_, s).support
         np.testing.assert_array_equal(mean[:, 0], values[:, j])
         np.testing.assert_array_equal(z, 0.0)
 
@@ -468,8 +470,8 @@ def test_lattice_stores_no_dense_matrix():
     for value in vars(sys_).values():
         if isinstance(value, np.ndarray):
             assert value.shape.count(sys_.dim) <= 1
-    # the dense views are built on request from the table
-    np.testing.assert_allclose(sys_.transition.sum(axis=0)[sys_.sources], 1.0,
+    # the dense transition of the test oracle is rebuilt from the table
+    np.testing.assert_allclose(transition(sys_).sum(axis=0)[sys_.sources], 1.0,
                                atol=1e-12)
 
 
@@ -479,7 +481,7 @@ def test_non_finite_data_at_unreachable_cells_are_never_read(field):
     sys_ = build_lattice(random_model(rng, n_max=3, t_max=4))
     driver, terminal = random_linear_instance(sys_, rng)
     problem = random_control_problem(sys_, rng, n_controls=2)
-    mask = sys_.reachable_mask()
+    mask = sys_.reachable
     tables = {"alpha": driver.alpha.copy(), "g": driver.g.copy(),
               "beta": driver.beta.copy(), "terminal": terminal.copy()}
     ctl = {"alpha": problem.alpha.copy(), "g": problem.g.copy(),

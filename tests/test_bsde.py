@@ -23,6 +23,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model, tiny_model
+from dense import geometry_for, transition
 
 
 def expectation_oracle(sys_, terminal, k, s):
@@ -30,7 +31,7 @@ def expectation_oracle(sys_, terminal, k, s):
     dist = np.zeros(sys_.dim)
     dist[s] = 1.0
     for _ in range(sys_.horizon - k):
-        dist = sys_.transition @ dist
+        dist = transition(sys_) @ dist
     return float(np.asarray(terminal) @ dist)
 
 
@@ -95,7 +96,7 @@ def test_tiny_model_full_hand_computation():
     # And the integrand must reproduce the innovation exactly: the realized
     # next value minus its conditional mean is z . (e_j - column).
     z = sol.integrands[0, 0]
-    c = sys_.geometry_for(0).column
+    c = geometry_for(sys_, 0).column
     for j in (1, 2):
         inc = -c.copy()
         inc[j] += 1.0
@@ -112,7 +113,7 @@ def test_integrand_representation_exactness():
         for k in range(sys_.horizon):
             for s in sys_.reachable_at[k]:
                 s = int(s)
-                geo = sys_.geometry_for(s)
+                geo = geometry_for(sys_, s)
                 z = sol.integrands[k, s]
                 sup = geo.support
                 mean = float(geo.column[sup] @ sol.values[k + 1][sup])
@@ -137,7 +138,7 @@ def test_general_driver_matches_linear_closed_form():
         linear, terminal = random_linear_instance(sys_, rng)
 
         def fn(k, s, y, z, linear=linear, sys_=sys_):
-            proj = sys_.geometry_for(s).projector
+            proj = geometry_for(sys_, s).projector
             return float(
                 linear.alpha[k, s] * y
                 + linear.beta[k, s] @ (proj @ z)
@@ -169,7 +170,7 @@ def test_general_driver_nonlinear_fixed_point_residual():
     for k in range(sys_.horizon):
         for s in sys_.reachable_at[k]:
             s = int(s)
-            geo = sys_.geometry_for(s)
+            geo = geometry_for(sys_, s)
             sup = geo.support
             mean = float(geo.column[sup] @ sol.values[k + 1][sup])
             y = sol.values[k, s]

@@ -20,6 +20,7 @@ from smcbsde import (
 from smcbsde.instances import random_control_problem, random_model
 
 from conftest import tiny_model
+from dense import geometry_for
 
 
 def small_system(rng, t_max=3):
@@ -60,7 +61,7 @@ def test_hamiltonian_and_max_driver_by_hand():
     sys_ = small_system(rng)
     prob = random_control_problem(sys_, rng, n_controls=3)
     k, s = 0, int(sys_.reachable_at[0][0])
-    geo = sys_.geometry_for(s)
+    geo = geometry_for(sys_, s)
     y = 0.7
     z = rng.standard_normal(sys_.dim)
     expected = [

@@ -23,7 +23,6 @@ from smcbsde import (
     WeightSde,
     build_lattice,
     dual_value,
-    enumerate_paths,
     epsilon_optimal_policy,
     evolve_weights,
     select_convention,
@@ -45,6 +44,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model, tiny_model
+from dense import enumerate_paths, geometry_for, transition
 
 TINY_COLUMN = np.array([0.0, 0.4, 0.6, 0.0])
 
@@ -185,7 +185,7 @@ def test_enumerate_paths_probabilities():
             dist = np.zeros(sys_.dim)
             dist[int(s)] = 1.0
             for _ in range(sys_.horizon - start):
-                dist = sys_.transition @ dist
+                dist = transition(sys_) @ dist
             np.testing.assert_allclose(end, dist, atol=1e-12)
     with pytest.raises(ValueError):
         list(enumerate_paths(sys_, sys_.horizon + 1, 0))
@@ -319,7 +319,7 @@ class StepTables:
         hit = self._cache.get(key)
         if hit is None:
             a = float(self.sde.alpha[k, s])
-            g = self.sys.geometry_for(s)
+            g = geometry_for(self.sys, s)
             if self.sde.beta is None:
                 row = None
                 base = 0.0
@@ -391,7 +391,7 @@ def reference_dual_value(sys, sde, g, terminal, mc_paths=None, seed=None):
         if k == t:
             return prob * (terminal[s] * v + acc)
         acc = acc + g[k, s] * tables.g_weight(k, s, v)
-        geo = sys.geometry_for(s)
+        geo = geometry_for(sys, s)
         total = 0.0
         for j in geo.support:
             j = int(j)
@@ -424,7 +424,7 @@ def reference_weight_bounds(sys, sde, samples=None, seed=None):
             return prob * vmax**2, prob * wmax**2
         w = tables.g_weight(k, s, v)
         wmax = max(wmax, abs(w))
-        geo = sys.geometry_for(s)
+        geo = geometry_for(sys, s)
         ev = ew = 0.0
         for j in geo.support:
             j = int(j)
@@ -466,7 +466,7 @@ def reference_expected_max_gap_sq(sys, delta):
         running = max(running, delta[k, s] ** 2)
         if k == t:
             return running
-        geo = sys.geometry_for(s)
+        geo = geometry_for(sys, s)
         total = 0.0
         for j in geo.support:
             j = int(j)
@@ -491,7 +491,7 @@ def reference_sample_paths(sys, start_time, state, n, rng):
     for j, k in enumerate(range(start_time, t)):
         cur = out[:, j]
         for s in np.unique(cur):
-            g = sys.geometry_for(int(s))
+            g = geometry_for(sys, int(s))
             cum = np.cumsum(g.column[g.support])
             rows = cur == s
             u = rng.random(int(rows.sum())) * cum[-1]

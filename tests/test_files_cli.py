@@ -14,6 +14,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model, tiny_model
+from dense import geometry_for, transition
 
 
 @pytest.fixture
@@ -230,6 +231,16 @@ def test_cli_simulate_byte_identical(workdir, capsys):
     assert header == "path,time,state,duration"
 
 
+def _read_triplets(path, header):
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    keys = table[:, :-1].astype(int)
+    # sorted by the index columns, each index tuple once
+    np.testing.assert_array_equal(keys, np.unique(keys, axis=0))
+    return keys, table[:, -1]
+
+
 def test_cli_build_lattice_artifacts(workdir):
     out = workdir / "lattice"
     rc = cli.main(
@@ -238,13 +249,40 @@ def test_cli_build_lattice_artifacts(workdir):
     )
     assert rc == 0
     sys_ = build_lattice(files.load_model(workdir / "model.json"))
-    raw = np.loadtxt(out / "transition.csv", delimiter=",")
-    np.testing.assert_array_equal(raw, sys_.transition)  # 17g round-trips
+    d = sys_.dim
+    # the dense matrices rebuilt from the triplets; 17g round-trips
+    keys, p = _read_triplets(out / "transition.csv",
+                             "source,target,probability")
+    raw = np.zeros((d, d))
+    raw[keys[:, 1], keys[:, 0]] = p
+    np.testing.assert_array_equal(raw, transition(sys_))
     summary = json.loads((out / "summary.json").read_text())
     assert summary["dim"] == sys_.dim
-    for s in sorted(sys_.sources):
-        mat = np.loadtxt(out / f"bracket_state{s}.csv", delimiter=",")
-        np.testing.assert_array_equal(mat, sys_.geometry_for(int(s)).bracket)
+    for name in ("bracket", "covariance"):
+        keys, values = _read_triplets(out / f"{name}.csv",
+                                      "source,row,column,value")
+        assert set(keys[:, 0]) <= set(sys_.sources.tolist())
+        for s in sorted(sys_.sources):
+            at = keys[:, 0] == s
+            mat = np.zeros((d, d))
+            mat[keys[at, 1], keys[at, 2]] = values[at]
+            np.testing.assert_array_equal(
+                mat, getattr(geometry_for(sys_, int(s)), name)
+            )
+
+
+def test_cli_build_lattice_writes_sparse_triplets(tmp_path, capsys):
+    files.save_model(tmp_path / "model.json",
+                     geometric_model(np.linspace(0.2, 0.8, 3), 20))
+    out = tmp_path / "lattice"
+    rc = cli.main(["build-lattice", "--model", str(tmp_path / "model.json"),
+                   "--out", str(out)])
+    assert rc == 0
+    written = sorted(out.iterdir())
+    assert [f.name for f in written] == [
+        "bracket.csv", "covariance.csv", "summary.json", "transition.csv"
+    ]
+    assert sum(f.stat().st_size for f in written) < 100_000
 
 
 def test_cli_solve_bsde_indicator_oracle(tmp_path, capsys):
@@ -288,7 +326,7 @@ def test_cli_solve_bsde_checks_duality_exactly_at_long_horizon(tmp_path, capsys)
     count = np.zeros(sys_.dim)
     count[sys_.reachable_at[0]] = 1.0
     for _ in range(sys_.horizon):
-        count = (sys_.transition > 0.0) @ count
+        count = (transition(sys_) > 0.0) @ count
     assert count.sum() > 20_000  # far too many paths to walk one by one
     driver, terminal = random_linear_instance(sys_, np.random.default_rng(54))
     files.save_model(tmp_path / "model.json", model)

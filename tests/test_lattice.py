@@ -7,20 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcbsde import (
+    ControlProblem,
     UnreachableStateError,
-    bracket_matrix,
     build_lattice,
     canonical_integrand,
-    covariance_matrix,
     integrands_equivalent,
+    max_driver,
     noise_seminorm,
     projection_constants,
-    step_distribution,
 )
 from smcbsde.instances import random_model
 from smcbsde.linalg import comparison_condition, positivity_condition
 
 from conftest import TINY_TRANSITION, geometric_model, tiny_model
+from dense import (
+    bracket_matrix,
+    covariance_matrix,
+    geometry_for,
+    step_distribution,
+    transition,
+)
 
 
 def test_flat_index_and_label_roundtrip():
@@ -38,7 +44,7 @@ def test_flat_index_and_label_roundtrip():
 
 def test_transition_matrix_frozen_tiny():
     sys_ = build_lattice(tiny_model())
-    np.testing.assert_allclose(sys_.transition, TINY_TRANSITION, atol=1e-15)
+    np.testing.assert_allclose(transition(sys_), TINY_TRANSITION, atol=1e-15)
 
 
 def test_transition_blocks_from_first_principles():
@@ -63,7 +69,7 @@ def test_transition_blocks_from_first_principles():
                         expected[j, col] = model.jump[i, m - 1, j] * hazard
                 if m <= t:
                     expected[m * n + i, col] = 1.0 - hazard
-        np.testing.assert_allclose(sys_.transition, expected, atol=1e-12)
+        np.testing.assert_allclose(transition(sys_), expected, atol=1e-12)
 
 
 def test_reachable_growth_and_distribution_tiny():
@@ -95,14 +101,14 @@ def test_source_columns_are_stochastic():
         sys_ = build_lattice(random_model(rng))
         for k in range(sys_.horizon):
             for s in sys_.reachable_at[k]:
-                assert sys_.transition[:, int(s)].sum() == pytest.approx(
+                assert transition(sys_)[:, int(s)].sum() == pytest.approx(
                     1.0, abs=1e-12
                 )
 
 
 def test_geometry_frozen_tiny():
     sys_ = build_lattice(tiny_model())
-    geo = sys_.geometry_for(0)
+    geo = geometry_for(sys_, 0)
     assert geo.support.tolist() == [1, 2]
     c = np.array([0.0, 0.4, 0.6, 0.0])
     np.testing.assert_allclose(geo.column, c, atol=1e-15)
@@ -123,8 +129,16 @@ def test_geometry_frozen_tiny():
 
 def test_geometry_unreachable_raises():
     sys_ = build_lattice(tiny_model())
-    with pytest.raises(UnreachableStateError):
-        sys_.geometry_for(3)
+    assert 3 not in sys_.sources
+    with pytest.raises(UnreachableStateError, match=r"\(1, 2\)"):
+        canonical_integrand(sys_, 0, np.ones(4), state=3)
+    # started in state 1, the source (1, 1) lies above the non-source (0, 1)
+    sys_ = build_lattice(tiny_model(x0=(0.0, 1.0)))
+    assert sys_.sources.tolist() == [1]
+    problem = ControlProblem([0.0], np.zeros((1, 4, 1)), np.zeros((1, 4, 1, 4)),
+                             np.zeros((1, 4, 1)), np.zeros(4), 1.0, 1.0)
+    with pytest.raises(UnreachableStateError, match=r"\(0, 1\)"):
+        max_driver(problem, sys_, 0, 0, 0.0, np.ones(4))
 
 
 def test_projector_reproduces_canonical_rows():
@@ -132,7 +146,7 @@ def test_projector_reproduces_canonical_rows():
     for _ in range(10):
         sys_ = build_lattice(random_model(rng, n_max=4, t_max=5))
         for s in sorted(sys_.sources):
-            geo = sys_.geometry_for(int(s))
+            geo = geometry_for(sys_, int(s))
             row = rng.standard_normal(sys_.dim)
             can = canonical_integrand(sys_, 0, row, state=int(s))
             np.testing.assert_allclose(geo.projector @ can, can, atol=1e-10)
@@ -149,7 +163,7 @@ def test_canonical_integrand_per_state_properties():
     rng = np.random.default_rng(3)
     row = rng.standard_normal(4)
     can = canonical_integrand(sys_, 0, row, state=0)
-    geo = sys_.geometry_for(0)
+    geo = geometry_for(sys_, 0)
     assert can[0] == 0.0 and can[3] == 0.0
     assert geo.column @ can == pytest.approx(0.0, abs=1e-14)
     # idempotent
@@ -172,7 +186,7 @@ def test_canonical_integrand_joint_handles_overlap():
                                    atol=1e-11)
         union = sorted(
             {int(j) for s in sys_.reachable_at[k]
-             for j in sys_.geometry_for(int(s)).support}
+             for j in geometry_for(sys_, int(s)).support}
         )
         off = np.setdiff1d(np.arange(sys_.dim), union)
         assert np.all(can[off] == 0.0)
@@ -260,7 +274,7 @@ def test_projection_constants_zero_noise():
     pc = projection_constants(sys_)
     assert pc.overall == 0.0
     # single-outcome steps carry zero covariance but a non-zero bracket
-    geo = sys_.geometry_for(0)
+    geo = geometry_for(sys_, 0)
     np.testing.assert_allclose(geo.covariance, 0.0, atol=1e-15)
     assert np.linalg.norm(geo.bracket) > 0.5
 
@@ -278,7 +292,7 @@ def test_projection_constant_bounds_canonical_rows_and_is_sharp():
         per_state = {}
         for s in sorted(sys_.sources):
             s = int(s)
-            geo = sys_.geometry_for(s)
+            geo = geometry_for(sys_, s)
             sup = geo.support
             c = geo.column[sup]
             if len(sup) < 2:
@@ -316,7 +330,7 @@ def test_projection_constant_bounds_canonical_rows_and_is_sharp():
 
 
 def dense_geometry(sys_, s):
-    col = sys_.transition[:, s]
+    col = transition(sys_)[:, s]
     e = np.eye(sys_.dim)[s]
     cov = np.diag(col) - np.outer(col, col)
     br = np.diag(col) - np.outer(e, col) - np.outer(col, e)
@@ -325,7 +339,7 @@ def dense_geometry(sys_, s):
 
 
 def dense_split(sys_, s, values):
-    col = sys_.transition[:, s]
+    col = transition(sys_)[:, s]
     sup = np.flatnonzero(col)
     mean = values @ col
     z = np.zeros_like(values)
@@ -334,7 +348,7 @@ def dense_split(sys_, s, values):
 
 
 def dense_condition_lhs(sys_, beta_bound, omega2):
-    c = sys_.transition
+    c = transition(sys_)
     root_trace = np.sqrt(np.trace(c.T @ c))
     pos = np.zeros(sys_.horizon)
     comp = np.zeros(sys_.horizon)
@@ -364,8 +378,14 @@ def lattices(draw):
 @given(lattices())
 def test_block_geometry_matches_dense_reference(case):
     sys_, rng = case
+    t, d = sys_.horizon, sys_.dim
+    problem = ControlProblem(
+        [0.0, 1.0, 2.0], rng.uniform(-0.5, 0.5, (t, d, 3)),
+        rng.standard_normal((t, d, 3, d)), rng.standard_normal((t, d, 3)),
+        np.zeros(d), 1.0, 1.0,
+    )
     for s in sorted(int(s) for s in sys_.sources):
-        geo = sys_.geometry_for(s)
+        geo = geometry_for(sys_, s)
         cov, br, bp, proj = dense_geometry(sys_, s)
         for got, want in ((geo.covariance, cov), (geo.bracket, br),
                           (geo.bracket_pinv, bp), (geo.projector, proj)):
@@ -380,6 +400,29 @@ def test_block_geometry_matches_dense_reference(case):
             want_mean, want_can = dense_split(sys_, s, values)
             np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-12)
             np.testing.assert_allclose(can, want_can, rtol=0, atol=1e-12)
+        # the per-source entry points, on rows that are not canonical: the
+        # random rows and one that lives at the source coordinate only
+        at_source = 5.0 * np.eye(sys_.dim)[s]
+        for row in (*z, at_source):
+            np.testing.assert_allclose(
+                canonical_integrand(sys_, 0, row, state=s),
+                dense_split(sys_, s, row)[1], rtol=0, atol=1e-12,
+            )
+            # same class: a constant shift plus junk off the successors
+            # (the source coordinate included); other class: a fresh row
+            junk = np.where(geo.column > 0.0, 0.0, rng.standard_normal(sys_.dim))
+            for other in (row + rng.uniform(-2, 2) + junk, row + z[1]):
+                want = np.all(np.abs(dense_split(sys_, s, row - other)[1])
+                              <= 1e-9)
+                assert integrands_equivalent(sys_, 0, row, other,
+                                             state=s) == want
+        y = rng.standard_normal()
+        for row in (*z, at_source):
+            _, best, vals = max_driver(problem, sys_, 0, s, y, row)
+            want = (problem.alpha[0, s] * y + problem.beta[0, s] @ (proj @ row)
+                    + problem.g[0, s])
+            np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
+            assert best == int(np.argmax(want))
     beta_bound, omega2 = rng.uniform(0.1, 2.0, 2)
     pos, comp = dense_condition_lhs(sys_, beta_bound, omega2)
     np.testing.assert_allclose(

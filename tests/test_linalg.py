@@ -14,6 +14,7 @@ from smcbsde import (
 from smcbsde.instances import random_model
 
 from conftest import tiny_model
+from dense import geometry_for, transition
 
 
 def random_psd_rank_deficient(rng, max_size=20):
@@ -70,7 +71,7 @@ def test_pinv_of_lattice_brackets_and_covariances():
     for _ in range(8):
         sys_ = build_lattice(random_model(rng, n_max=4, t_max=5))
         for s in sorted(sys_.sources):
-            geo = sys_.geometry_for(int(s))
+            geo = geometry_for(sys_, int(s))
             for q, qp in ((geo.bracket, geo.bracket_pinv),
                           (geo.covariance, pinv(geo.covariance))):
                 res = penrose_residuals(q, qp)
@@ -79,7 +80,7 @@ def test_pinv_of_lattice_brackets_and_covariances():
 
 def test_positivity_condition_frozen_tiny():
     sys_ = build_lattice(tiny_model())
-    geo = sys_.geometry_for(0)
+    geo = geometry_for(sys_, 0)
     scale = (
         np.sqrt(2.0)
         * np.linalg.norm(geo.bracket)
@@ -98,8 +99,8 @@ def test_positivity_condition_frozen_tiny():
 
 def test_comparison_condition_frozen_tiny():
     sys_ = build_lattice(tiny_model())
-    geo = sys_.geometry_for(0)
-    c = sys_.transition
+    geo = geometry_for(sys_, 0)
+    c = transition(sys_)
     base = (
         6.0
         * np.sqrt(np.trace(c.T @ c))
@@ -145,7 +146,7 @@ def test_positivity_threshold_implies_bounded_noise_terms():
         l_bound = 0.95 / lhs
         assert positivity_condition(sys_, l_bound).passed
         for s in sorted(sys_.sources):
-            geo = sys_.geometry_for(int(s))
+            geo = geometry_for(sys_, int(s))
             for _ in range(5):
                 row = rng.standard_normal(sys_.dim)
                 row *= l_bound / np.linalg.norm(row)
