@@ -167,8 +167,8 @@ def _cmd_build_lattice(args):
     ))
     per_source = {
         str(s): {
-            "label": list(sys_.label(int(s))),
-            "support": sys_.succ[s][sys_.prob[s] > 0.0].tolist(),
+            "label": np.array(sys_.label(int(s))),
+            "support": sys_.succ[s][sys_.prob[s] > 0.0],
             "bracket_psd": bool(psd),
         }
         for s, psd in zip(src, sys_.bracket_psd)
@@ -180,7 +180,7 @@ def _cmd_build_lattice(args):
             "dim": sys_.dim,
             "n_states": model.n_states,
             "horizon": model.horizon,
-            "reachable_at": [r.tolist() for r in sys_.reachable_at],
+            "reachable_at": sys_.reachable_at,
             "sources": per_source,
         },
     )

@@ -1,10 +1,20 @@
 """File formats: model/problem documents and numeric artifacts.
 
 Input documents are JSON with a ``schema_version`` field and a ``kind`` tag.
-Arrays are nested lists indexed exactly like the in-memory tables
-(states 0-based, durations listed from 1).  Writers emit deterministic bytes
-for identical inputs: JSON is dumped with sorted keys and newline-terminated,
-CSV numbers use 17 significant digits so values round-trip exactly.
+Tables are indexed exactly like the in-memory tables (states 0-based,
+durations listed from 1).  Writers emit deterministic bytes for identical
+inputs: JSON is dumped with sorted keys and newline-terminated, CSV numbers
+use 17 significant digits so values round-trip exactly.
+
+Schema versions 1 and 2 are read; ``SCHEMA_VERSION`` (2) is written.  Every
+table field of either version holds a nested list of numbers or a packed
+array, ``{"dtype": "<f8", "shape": [...], "data": "<base64>"}``, whose data
+are the little-endian float64 bytes of the table in C order.  The writers
+pack every table, which keeps each value bit for bit (NaN, infinities and
+-0.0 included) and decodes without parsing a number.  A packed field is
+checked strictly: exactly those three keys, dtype exactly ``"<f8"``, a shape
+of non-negative integers, strict base64, and 8 bytes per entry.  Scalar
+fields (``n_states``, ``horizon``, the bounds) are plain JSON numbers.
 
 JSON layout: dicts and lists are indented by two spaces per level, as
 ``json.dumps(indent=2)`` lays them out; each numpy array is one compact line
@@ -16,7 +26,7 @@ Document kinds
 --------------
 semi_markov_model : n_states, horizon, pi (N x (T+1)), jump (N x (T+1) x N),
                     x0 (N)
-linear_bsde       : alpha (T x D), g (T x D), beta (T x D x D, optional),
+linear_bsde       : alpha (T x D), g (T x D), beta (T x D x D, or null),
                     terminal (D)
 control_problem   : controls (U x q), alpha (T x D x U), g (T x D x U),
                     beta (T x D x U x D), terminal (D), alpha_bound,
@@ -25,6 +35,7 @@ control_problem   : controls (U x q), alpha (T x D x U), g (T x D x U),
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from pathlib import Path
@@ -50,7 +61,7 @@ __all__ = [
     "write_json",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class FileFormatError(ValueError):
@@ -125,10 +136,10 @@ def load_document(path, expected_kind=None) -> dict:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     version = _require(doc, "schema_version", path)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise FileFormatError(
             f"{path}: schema_version {version} unsupported "
-            f"(expected {SCHEMA_VERSION})"
+            f"(expected 1 or {SCHEMA_VERSION})"
         )
     kind = _require(doc, "kind", path)
     if expected_kind is not None and kind != expected_kind:
@@ -138,11 +149,53 @@ def load_document(path, expected_kind=None) -> dict:
     return doc
 
 
-def _array(doc, field, path, shape=None):
+def _packed(arr):
+    """The packed form of a float table: its little-endian float64 bytes in
+    C order, base64-encoded, with the shape."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    # the shape as an array, which write_json lays out on one line
+    return {"dtype": "<f8", "shape": np.array(arr.shape, dtype=np.int64),
+            "data": base64.b64encode(arr.data).decode("ascii")}
+
+
+def _unpack(value, field, path):
+    """The table a packed field holds; anything but the exact packed form
+    raises FileFormatError naming the field."""
+    def bad(why):
+        return FileFormatError(f"{path}: field '{field}' is not a packed "
+                               f"array: {why}")
+
+    if set(value) != {"dtype", "shape", "data"}:
+        raise bad(f"keys {sorted(value)}, expected ['data', 'dtype', 'shape']")
+    if value["dtype"] != "<f8":
+        raise bad(f"dtype {json.dumps(value['dtype'])}, expected \"<f8\"")
+    shape = value["shape"]
+    if not (isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise bad(f"shape {json.dumps(shape)} is not a list of "
+                  f"non-negative integers")
     try:
-        arr = np.asarray(_require(doc, field, path), dtype=float)
+        raw = base64.b64decode(value["data"], validate=True)
     except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: field '{field}' is not numeric") from exc
+        raise bad(f"data is not a base64 string ({exc})") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise bad(f"{len(raw)} data bytes for shape {tuple(shape)}, expected "
+                  f"{8 * math.prod(shape)}")
+    # a copy: writable and in native byte order, as a nested list loads
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
+
+def _array(doc, field, path, shape=None):
+    """A table field, packed or as nested lists, as a float array."""
+    value = _require(doc, field, path)
+    if isinstance(value, dict):
+        arr = _unpack(value, field, path)
+    else:
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(
+                f"{path}: field '{field}' is not numeric") from exc
     if shape is not None and arr.shape != shape:
         raise FileFormatError(
             f"{path}: field '{field}' has shape {arr.shape}, expected {shape}"
@@ -150,11 +203,23 @@ def _array(doc, field, path, shape=None):
     return arr
 
 
+def _number(doc, field, path, integer=False):
+    """A scalar field: a JSON number, integral where ``integer`` is set."""
+    value = _require(doc, field, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FileFormatError(f"{path}: field '{field}' must be a number, "
+                              f"not {json.dumps(value)[:40]}")
+    if integer and isinstance(value, float) and not value.is_integer():
+        raise FileFormatError(f"{path}: field '{field}' must be an integer, "
+                              f"not {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _read_model(path) -> SemiMarkovModel:
     """The model a document holds, before validate_model's checks."""
     doc = load_document(path, "semi_markov_model")
-    n = int(_require(doc, "n_states", path))
-    t = int(_require(doc, "horizon", path))
+    n = _number(doc, "n_states", path, integer=True)
+    t = _number(doc, "horizon", path, integer=True)
     pi = _array(doc, "pi", path, (n, t + 1))
     jump = _array(doc, "jump", path, (n, t + 1, n))
     x0 = _array(doc, "x0", path, (n,))
@@ -187,9 +252,9 @@ def save_model(path, model: SemiMarkovModel) -> None:
             "kind": "semi_markov_model",
             "n_states": model.n_states,
             "horizon": model.horizon,
-            "pi": model.pi,
-            "jump": model.jump,
-            "x0": model.x0,
+            "pi": _packed(model.pi),
+            "jump": _packed(model.jump),
+            "x0": _packed(model.x0),
         },
     )
 
@@ -215,10 +280,10 @@ def save_linear_problem(path, driver: LinearDriver, terminal) -> None:
         {
             "schema_version": SCHEMA_VERSION,
             "kind": "linear_bsde",
-            "alpha": driver.alpha,
-            "g": driver.g,
-            "beta": driver.beta,
-            "terminal": np.asarray(terminal, dtype=float),
+            "alpha": _packed(driver.alpha),
+            "g": _packed(driver.g),
+            "beta": None if driver.beta is None else _packed(driver.beta),
+            "terminal": _packed(terminal),
         },
     )
 
@@ -232,6 +297,9 @@ def load_control_problem(path) -> ControlProblem:
     controls = _array(doc, "controls", path)
     if controls.ndim == 1:
         controls = controls.reshape(-1, 1)
+    if controls.ndim != 2:
+        raise FileFormatError(f"{path}: field 'controls' has shape "
+                              f"{controls.shape}, expected (U,) or (U, q)")
     if controls.shape[0] != u:
         raise FileFormatError(
             f"{path}: {controls.shape[0]} control points but alpha has {u}"
@@ -239,6 +307,8 @@ def load_control_problem(path) -> ControlProblem:
     g = _array(doc, "g", path, (t, d, u))
     beta = _array(doc, "beta", path, (t, d, u, d))
     terminal = _array(doc, "terminal", path, (d,))
+    alpha_bound = _number(doc, "alpha_bound", path)
+    beta_bound = _number(doc, "beta_bound", path)
     try:
         return ControlProblem(
             controls=controls,
@@ -246,8 +316,8 @@ def load_control_problem(path) -> ControlProblem:
             beta=beta,
             g=g,
             terminal=terminal,
-            alpha_bound=float(_require(doc, "alpha_bound", path)),
-            beta_bound=float(_require(doc, "beta_bound", path)),
+            alpha_bound=alpha_bound,
+            beta_bound=beta_bound,
         )
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
@@ -259,11 +329,11 @@ def save_control_problem(path, problem: ControlProblem) -> None:
         {
             "schema_version": SCHEMA_VERSION,
             "kind": "control_problem",
-            "controls": problem.controls,
-            "alpha": problem.alpha,
-            "g": problem.g,
-            "beta": problem.beta,
-            "terminal": problem.terminal,
+            "controls": _packed(problem.controls),
+            "alpha": _packed(problem.alpha),
+            "g": _packed(problem.g),
+            "beta": _packed(problem.beta),
+            "terminal": _packed(problem.terminal),
             "alpha_bound": problem.alpha_bound,
             "beta_bound": problem.beta_bound,
         },

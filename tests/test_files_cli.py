@@ -1,12 +1,25 @@
 """Document round-trips, format diagnostics, and the command-line front end."""
 
+import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from smcbsde import build_lattice, cli, files, solve_bsde
+from smcbsde import (
+    ControlProblem,
+    LinearDriver,
+    SemiMarkovModel,
+    build_lattice,
+    cli,
+    files,
+    solve_bsde,
+)
 from smcbsde.instances import (
     random_control_problem,
     random_linear_instance,
@@ -618,3 +631,258 @@ def test_cli_validate_reports_a_non_finite_start_law(tmp_path, capsys, value):
     assert capsys.readouterr().out.startswith(f"{label}: non-finite entry")
     (violation,) = json.loads(report.read_text())["violations"]
     assert (violation["field"], violation["indices"]) == ("x0", [0])
+
+
+# sample documents whose scalar fields break their type: (document, command,
+# field, value); each one crashed, was truncated or went unnamed before
+BROKEN_SCALARS = [
+    ("geometric_model", "simulate", "n_states", 2.5),
+    ("geometric_model", "simulate", "n_states", "abc"),
+    ("geometric_model", "simulate", "n_states", True),
+    ("geometric_model", "simulate", "horizon", None),
+    ("control_problem", "solve-control", "alpha_bound", None),
+    ("control_problem", "solve-control", "alpha_bound", "x"),
+    ("control_problem", "solve-control", "controls", 0.5),
+]
+
+
+@pytest.mark.parametrize("sample, command, field, value", BROKEN_SCALARS,
+                         ids=[f"{f}={json.dumps(v)}"
+                              for _, _, f, v in BROKEN_SCALARS])
+def test_cli_rejects_a_mistyped_scalar_field(tmp_path, capsys, sample,
+                                             command, field, value):
+    doc = json.loads((SAMPLES / f"{sample}.json").read_text())
+    doc[field] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if sample == "control_problem":
+        argv = ["--model", str(SAMPLES / "small_model.json"),
+                "--problem", str(path)]
+    else:
+        argv = ["--model", str(path), "--seed", "3"]
+    rc = cli.main([command, *argv, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: field '{field}' ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_build_lattice_summary_lists_sit_on_one_line(tmp_path):
+    model = geometric_model(np.linspace(0.2, 0.8, 3), 20)
+    files.save_model(tmp_path / "model.json", model)
+    out = tmp_path / "lattice"
+    assert cli.main(["build-lattice", "--model", str(tmp_path / "model.json"),
+                     "--out", str(out)]) == 0
+    text = (out / "summary.json").read_text()
+    # a line holding a bare number is an entry of a list laid out one
+    # number per line
+    assert not [line for line in text.splitlines()
+                if re.fullmatch(r"\s*-?[\d.eE+-]+,?", line)]
+    summary = json.loads(text)
+    sys_ = build_lattice(model)
+    assert summary["reachable_at"] == [r.tolist() for r in sys_.reachable_at]
+    assert summary["sources"].keys() == {str(s) for s in sys_.sources}
+    for s in sys_.sources:
+        entry = summary["sources"][str(s)]
+        assert entry["label"] == list(sys_.label(int(s)))
+        assert entry["support"] == sys_.succ[s][sys_.prob[s] > 0.0].tolist()
+
+
+# packed tables -----------------------------------------------------------
+
+RESAVE = {
+    "semi_markov_model": lambda src, dst: files.save_model(
+        dst, files.load_model(src)),
+    "linear_bsde": lambda src, dst: files.save_linear_problem(
+        dst, *files.load_linear_problem(src)),
+    "control_problem": lambda src, dst: files.save_control_problem(
+        dst, files.load_control_problem(src)),
+}
+
+
+@pytest.fixture(scope="module")
+def packed_samples(tmp_path_factory):
+    """sample_inputs re-saved by the writers, so with packed tables."""
+    out = tmp_path_factory.mktemp("packed") / "sample_inputs"
+    out.mkdir()
+    for src in sorted(SAMPLES.glob("*.json")):
+        RESAVE[files.load_document(src)["kind"]](src, out / src.name)
+    return out
+
+
+def _tables(path):
+    """Every field a document's loader returns, by name (the model before
+    validation, so that any table round-trips)."""
+    kind = files.load_document(path)["kind"]
+    if kind == "semi_markov_model":
+        model = files._read_model(path)
+        names = ("n_states", "horizon", "pi", "jump", "x0")
+        return {name: getattr(model, name) for name in names}
+    if kind == "linear_bsde":
+        driver, terminal = files.load_linear_problem(path)
+        return {"alpha": driver.alpha, "g": driver.g, "beta": driver.beta,
+                "terminal": terminal}
+    problem = files.load_control_problem(path)
+    names = ("controls", "alpha", "g", "beta", "terminal", "alpha_bound",
+             "beta_bound")
+    return {name: getattr(problem, name) for name in names}
+
+
+def _assert_bit_equal(got, want):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[name].shape == value.shape, name
+            assert np.array_equal(got[name].view(np.uint64),
+                                  value.view(np.uint64)), name
+        else:
+            assert type(got[name]) is type(value), name
+            assert got[name] == value, name
+
+
+SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+           -2.225073858507201e-308, 1.7976931348623157e308, 1 / 3]
+
+
+def _tables_of(shape):
+    return hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(SPECIAL), st.floats(width=64)))
+
+
+@st.composite
+def documents(draw):
+    """(a writer of a document, its tables) with arbitrary float64 entries,
+    zero-size shapes included where the object allows them."""
+    kind = draw(st.sampled_from(sorted(RESAVE)))
+    if kind == "semi_markov_model":
+        n, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        model = SemiMarkovModel(n, t, draw(_tables_of((n, t + 1))),
+                                draw(_tables_of((n, t + 1, n))),
+                                draw(_tables_of((n,))))
+        return lambda path: files.save_model(path, model), {
+            "n_states": n, "horizon": t, "pi": model.pi, "jump": model.jump,
+            "x0": model.x0}
+    t, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if kind == "linear_bsde":
+        beta = draw(st.none() | _tables_of((t, d, d)))
+        driver = LinearDriver(draw(_tables_of((t, d))),
+                              draw(_tables_of((t, d))), beta)
+        terminal = draw(_tables_of((d,)))
+        return lambda path: files.save_linear_problem(
+            path, driver, terminal), {"alpha": driver.alpha, "g": driver.g,
+                                      "beta": beta, "terminal": terminal}
+    u, q = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    bound = st.floats(allow_nan=False, allow_infinity=False)
+    problem = ControlProblem(
+        controls=draw(_tables_of((u, q))), alpha=draw(_tables_of((t, d, u))),
+        beta=draw(_tables_of((t, d, u, d))), g=draw(_tables_of((t, d, u))),
+        terminal=draw(_tables_of((d,))), alpha_bound=draw(bound),
+        beta_bound=draw(bound))
+    names = ("controls", "alpha", "g", "beta", "terminal", "alpha_bound",
+             "beta_bound")
+    return lambda path: files.save_control_problem(path, problem), {
+        name: getattr(problem, name) for name in names}
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(documents())
+def test_packed_tables_round_trip_bit_for_bit(tmp_path_factory, document):
+    save, tables = document
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    save(path)
+    assert files.load_document(path)["schema_version"] == 2
+    _assert_bit_equal(_tables(path), tables)
+
+
+def test_v1_samples_load_as_their_packed_resave(packed_samples):
+    for src in sorted(SAMPLES.glob("*.json")):
+        assert json.loads(src.read_text())["schema_version"] == 1
+        _assert_bit_equal(_tables(packed_samples / src.name), _tables(src))
+
+
+def _table_fields():
+    for src in sorted(SAMPLES.glob("*.json")):
+        doc = json.loads(src.read_text())
+        for field, value in sorted(doc.items()):
+            if isinstance(value, list):
+                yield src.name, field
+
+
+@pytest.mark.parametrize("name, field", list(_table_fields()))
+def test_a_packed_document_takes_a_nested_list_field(tmp_path, packed_samples,
+                                                     name, field):
+    doc = json.loads((packed_samples / name).read_text())
+    doc[field] = json.loads((SAMPLES / name).read_text())[field]
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    _assert_bit_equal(_tables(path), _tables(packed_samples / name))
+
+
+def _shorter(data):
+    return base64.b64encode(base64.b64decode(data)[:-8]).decode("ascii")
+
+
+# broken copies of a packed field, by what is wrong with them
+MALFORMED = {
+    "dtype-f4": lambda p: {**p, "dtype": "<f4"},
+    "dtype-big-endian": lambda p: {**p, "dtype": ">f8"},
+    "dtype-object": lambda p: {**p, "dtype": "object"},
+    "data-not-base64": lambda p: {**p, "data": "*" + p["data"][1:]},
+    "data-number": lambda p: {**p, "data": 0},
+    "data-short": lambda p: {**p, "data": _shorter(p["data"])},
+    "shape-negative": lambda p: {**p, "shape": [-n for n in p["shape"]]},
+    "shape-float": lambda p: {**p, "shape": [float(n) for n in p["shape"]]},
+    "extra-key": lambda p: {**p, "order": "C"},
+    "missing-key": lambda p: {k: v for k, v in p.items() if k != "dtype"},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+@pytest.mark.parametrize("command, name, field", [
+    ("simulate", "geometric_model.json", "pi"),
+    ("solve-bsde", "linear_problem.json", "beta"),
+    ("solve-control", "control_problem.json", "controls"),
+])
+def test_cli_rejects_a_malformed_packed_field(tmp_path, capsys, packed_samples,
+                                              command, name, field, defect):
+    doc = json.loads((packed_samples / name).read_text())
+    doc[field] = MALFORMED[defect](doc[field])
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    message = f"{path}: field '{field}' is not a packed array: "
+    with pytest.raises(files.FileFormatError, match=re.escape(message)):
+        _tables(path)
+    if command == "simulate":
+        argv = ["--model", str(path), "--seed", "3"]
+    else:
+        model, _ = SAMPLE_PROBLEMS[command]
+        argv = ["--model", str(SAMPLES / f"{model}.json"),
+                "--problem", str(path)]
+    assert cli.main([command, *argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command, output", [
+    ("simulate", "paths.csv"),
+    ("build-lattice", "lattice"),
+    ("solve-bsde", "bsde"),
+    ("verify-duality", "duality.json"),
+    ("solve-control", "ctrl"),
+])
+def test_cli_artifacts_do_not_depend_on_the_table_encoding(
+        tmp_path, packed_samples, command, output):
+    model, problem = SAMPLE_PROBLEMS.get(command, ("geometric_model", None))
+    written = []
+    for leg, inputs in (("v1", SAMPLES), ("packed", packed_samples)):
+        out = tmp_path / leg / output
+        out.parent.mkdir()
+        argv = [command, "--model", str(inputs / f"{model}.json"),
+                "--out", str(out)]
+        if problem is not None:
+            argv += ["--problem", str(inputs / f"{problem}.json")]
+        if command == "simulate":
+            argv += ["--seed", "3", "--mc-paths", "50"]
+        assert cli.main(argv) == 0
+        paths = sorted(out.rglob("*")) if out.is_dir() else [out]
+        written.append({p.relative_to(out): p.read_bytes() for p in paths})
+    assert written[0] == written[1]
