@@ -315,6 +315,13 @@ def simulate_paths(
     """Vectorised batch simulation by inverse-CDF sampling of each step's
     outcome law, in the outcome order of ``_outcome_law``.
 
+    Each path carries one flat cell (duration-1)*N + state.  A step draws
+    one uniform per path, scales it by the total mass of the path's cell
+    and picks the first outcome whose cumulative mass exceeds it (a draw
+    that rounds up to the total stays put); a lookup table maps (cell,
+    pick) to the next cell, and cells are split into states and durations
+    once, at the end.
+
     Returns (states, durations), each (n_paths, horizon+1).  A fixed seed
     yields bit-identical output on repeated calls; a Generator is drawn
     from directly.
@@ -324,27 +331,44 @@ def simulate_paths(
     if horizon > model.horizon:
         raise ValueError("cannot simulate past the model horizon")
     rng = np.random.default_rng(seed)
-    sq = sojourn_quantities(model)
-    cum = np.cumsum(_outcome_law(model, sq), axis=2)
     n = model.n_states
-    states = np.empty((n_paths, horizon + 1), dtype=np.int64)
-    durations = np.empty((n_paths, horizon + 1), dtype=np.int64)
-    states[:, 0] = rng.choice(n, size=n_paths, p=model.x0)
-    durations[:, 0] = 1
+    # cumulative outcome law with one column per cell, so that the rows of
+    # a step are one take along axis 1
+    cum = np.cumsum(_outcome_law(model, sojourn_quantities(model)), axis=2)
+    cum = cum.transpose(2, 1, 0).reshape(n + 1, -1)
+    # pick j < N jumps to cell j (state j, duration 1); picks N and N + 1
+    # stay, one duration deeper
+    cells = np.arange(cum.shape[1])
+    after = np.empty((cells.size, n + 2), dtype=np.int64)
+    after[:, :n] = np.arange(n)
+    after[:, n:] = (cells + n)[:, None]
+    after = after.ravel()
+    count = np.min_scalar_type(n + 1)
+    # a cell without mass ends every path that enters it; most models have
+    # none, and then no step needs the check
+    dead = bool(np.any(cum[-1] <= 0.0))
+    path = np.empty((horizon + 1, n_paths), dtype=np.int64)
+    path[0] = rng.choice(n, size=n_paths, p=model.x0)
+    u, at = np.empty(n_paths), np.empty(n_paths, dtype=np.int64)
+    hit = np.empty((n + 1, n_paths), dtype=bool)
     for k in range(horizon):
-        rows = cum[states[:, k], durations[:, k] - 1]
-        totals = rows[:, -1]
-        if np.any(totals <= 0.0):
-            bad = int(np.argmax(totals <= 0.0))
+        cell = path[k]
+        rows = cum.take(cell, axis=1)
+        if dead and np.any(rows[-1] <= 0.0):
+            m, s = divmod(int(cell[np.argmax(rows[-1] <= 0.0)]), n)
             raise SimulationError(
-                f"state {states[bad, k]} at duration {durations[bad, k]} has "
-                "no defined continuation"
+                f"state {s} at duration {m + 1} has no defined continuation"
             )
-        u = rng.random(n_paths) * totals
-        picks = np.minimum((rows <= u[:, None]).sum(axis=1), n)
-        stay = picks == n
-        states[:, k + 1] = np.where(stay, states[:, k], picks)
-        durations[:, k + 1] = np.where(stay, durations[:, k] + 1, 1)
+        np.multiply(rng.random(out=u), rows[-1], out=u)
+        picks = np.less_equal(rows, u, out=hit).sum(axis=0, dtype=count)
+        # picks stay unsigned and narrow; the int64 cell carries the sum
+        np.multiply(cell, n + 2, out=at)
+        at += picks
+        after.take(at, out=path[k + 1])
+    states = np.ascontiguousarray(path.T)
+    durations = states // n
+    states -= durations * n
+    durations += 1
     return states, durations
 
 

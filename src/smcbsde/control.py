@@ -73,7 +73,8 @@ class ControlProblem:
     g        : (T, D, U) running terms.
     terminal : (D,) terminal data.
     alpha_bound, beta_bound : declared uniform bounds used by the
-               hypothesis checks; ``validate`` confirms the tables obey them.
+               hypothesis checks, finite; ``validate`` confirms the tables
+               obey them.
     """
 
     controls: np.ndarray
@@ -107,6 +108,12 @@ class ControlProblem:
             raise ValueError("beta must have shape (T, D, U, D)")
         if self.terminal.shape != (self.alpha.shape[1],):
             raise ValueError("terminal must have shape (D,)")
+        # a non-finite bound passes no check (x > nan is always false) and
+        # has no JSON number to be saved as
+        for name in ("alpha_bound", "beta_bound"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not "
+                                 f"{getattr(self, name)}")
 
     @property
     def n_controls(self) -> int:

@@ -39,7 +39,11 @@ their running maxima, the path probability and the running minimum over a
 breadth-first level walk of every realizable path, which holds only the
 vectors of the paths alive at one time; no list of paths is built.  Sampled
 statistics and evolve_weights evaluate V and W along a (P, L) array of
-drawn or given paths.
+drawn or given paths, with the factors evaluated at the drawn (or given)
+steps only: the sampler returns each step's slot, a given path's slots are
+looked up among the transitions of positive probability.  The table and
+the drawn steps share one copy of the noise and of the convention algebra
+(_noise, _algebra).
 """
 
 from __future__ import annotations
@@ -112,35 +116,45 @@ def _factors(sys, sde):
     prob[s, j] (0 on padding); that step at time k multiplies V by
     step[k, s, j], whose denominator is den[k, s, j] (1 where there is
     none), and W_k = V_k * run[k, s]."""
-    _check_tables(sys, sde)
-    succ, prob = sys.succ, sys.prob
-    src = sys.sources
-    noise = np.zeros((sys.horizon,) + succ.shape)
+    noise = np.zeros((sys.horizon,) + sys.succ.shape)
     if sde.beta is not None:
-        # n_k(s, j) = b_k(s) @ pinv(bracket_s) @ (e_j - c_s), read on the
-        # block (s, *successors): the pinv columns of the successors,
-        # centred under c_s
-        cols = sys.local_pinv[:, :, 1:]
-        cols = cols - cols @ prob[src][:, :, None]
-        rows = sde.beta[:, src[:, None], sys.block].transpose(1, 0, 2)
-        noise[:, src] = (rows @ cols).transpose(1, 0, 2)
-    a = sde.alpha[:, :, None]
-    conv = sde.convention
-    run = np.ones(sde.alpha.shape)
+        rows = sde.beta[:, sys.sources[:, None], sys.block].transpose(1, 0, 2)
+        noise[:, sys.sources] = _noise(sys, rows, slice(None)).transpose(1, 0, 2)
     # cells never stepped from may hold any value (zero denominators too);
     # only the steps a caller walks are checked, by _check_denominators
+    den, step, run = _algebra(sde.convention, sde.alpha[:, :, None], noise)
+    return sys.succ, sys.prob, den, step, run[:, :, 0]
+
+
+def _noise(sys, rows, at):
+    """Noise n = b @ pinv(bracket_s) @ (e_j - c_s) of every successor slot
+    j, for rows b (B + (M, W+1)) read on the blocks (s, *successors) of the
+    sources s = sys.sources[at] (shape B), as B + (M, W): the pinv columns
+    of the successors, centred under c_s."""
+    cols = sys.local_pinv[at, :, 1:]
+    cols = cols - cols @ sys.prob[sys.sources[at]][..., None]
+    return rows @ cols
+
+
+def _algebra(conv, a, noise):
+    """(den, step, run) of the steps with drift a and noise n (broadcast
+    together) under the convention: the step multiplies V by ``step``,
+    whose denominator is ``den`` (1 where there is none), and W_k = V_k *
+    run, with run shaped like a."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if conv is Convention.SHIFTED:
-            den = np.ones(noise.shape)
-            step = 1.0 + a + noise
-        elif conv is Convention.IMPLICIT:
+            return np.ones(noise.shape), 1.0 + a + noise, np.ones(np.shape(a))
+        if conv is Convention.IMPLICIT:
             den = 1.0 - a - noise
-            step = 1.0 / den
-        else:
-            den = np.broadcast_to(1.0 - a, noise.shape)
-            step = (1.0 + noise) / den
-            run = 1.0 / (1.0 - sde.alpha)
-    return succ, prob, den, step, run
+            return den, 1.0 / den, np.ones(np.shape(a))
+        den = 1.0 - a
+        return np.broadcast_to(den, noise.shape), (1.0 + noise) / den, 1.0 / den
+
+
+def _vanishing(den, k, s):
+    return VanishingDenominatorError(
+        f"weight denominator {den} at time {k}, state {s}"
+    )
 
 
 def _check_denominators(sys, den, walked, start=0):
@@ -151,39 +165,59 @@ def _check_denominators(sys, den, walked, start=0):
     bad[:start] = False
     if bad.any():
         k, s, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise VanishingDenominatorError(
-            f"weight denominator {den[k, s, j]} at time {k}, state {s}"
-        )
+        raise _vanishing(den[k, s, j], k, s)
 
 
-def _path_weights(sys, fac, start, paths):
-    """Weights along a (P, L) array of lattice paths from time ``start``.
+def _path_slots(sys, paths):
+    """Slot of each step of a (P, L) array of lattice paths, looked up
+    among the transitions of positive probability; a step that is none of
+    them gets a slot that _walk rejects."""
+    rows, slots = np.nonzero(sys.prob > 0.0)
+    # transitions s -> j keyed s * D + j, in ascending order
+    keys = rows * sys.dim + sys.succ[rows, slots]
+    query = paths[:, :-1] * sys.dim + paths[:, 1:]
+    return slots[np.minimum(np.searchsorted(keys, query), keys.size - 1)]
+
+
+def _walk(sys, sde, start, paths, slots):
+    """Weights along a (P, L) array of lattice paths from time ``start``,
+    each step given by its successor slot (P, L-1), with the weight factors
+    evaluated at those steps only.
 
     Returns V (P, L) with V[:, 0] = 1 and the running weights W (P, L-1).
-    Raises ValueError on a transition the lattice assigns zero probability.
+    Raises ValueError on a transition the lattice assigns zero probability,
+    and VanishingDenominatorError on the first vanishing denominator in
+    (time, state, slot) order among the steps.
     """
-    succ, prob, den, step, run = fac
     cur, nxt = paths[:, :-1], paths[:, 1:]
-    times = np.arange(start, start + cur.shape[1])
-    # slot of each step: transitions s -> j keyed s * D + j, in ascending order
-    rows, slots = np.nonzero(prob > 0.0)
-    keys = rows * sys.dim + succ[rows, slots]
-    query = cur * sys.dim + nxt
-    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-    missing = np.flatnonzero(keys[at] != query)
+    width = sys.succ.shape[1]
+    flat = cur * width + slots
+    missing = np.flatnonzero((sys.succ.take(flat) != nxt)
+                             | ~(sys.prob.take(flat) > 0.0))
     if missing.size:
         p, j = divmod(int(missing[0]), cur.shape[1])
         raise ValueError(
             f"transition {sys.label(int(cur[p, j]))} -> "
             f"{sys.label(int(nxt[p, j]))} at time {start + j} is not realizable"
         )
-    slot = slots[at]
-    walked = np.zeros(den.shape, dtype=bool)
-    walked[times, cur, slot] = True
-    _check_denominators(sys, den, walked)
+    times = np.arange(start, start + cur.shape[1])
+    noise = np.zeros(cur.shape)
+    if sde.beta is not None:
+        pos = np.searchsorted(sys.sources, cur)
+        rows = sde.beta[times[:, None], cur[..., None], sys.block[pos]]
+        noise = _noise(sys, rows[..., None, :], pos)[..., 0, :]
+        noise = np.take_along_axis(noise, slots[..., None], axis=-1)[..., 0]
+    den, step, run = _algebra(sde.convention, sde.alpha[times, cur], noise)
+    bad = np.abs(den) < DENOMINATOR_TOL
+    if bad.any():
+        # the first in (time, state, slot) order
+        key = np.where(bad, (times * sys.dim + cur) * width + slots,
+                       np.iinfo(np.int64).max)
+        i = np.unravel_index(np.argmin(key), key.shape)
+        raise _vanishing(den[i], times[i[1]], cur[i])
     v = np.ones(paths.shape)
-    np.cumprod(step[times, cur, slot], axis=1, out=v[:, 1:])
-    return v, v[:, :-1] * run[times, cur]
+    np.cumprod(step, axis=1, out=v[:, 1:])
+    return v, v[:, :-1] * run
 
 
 def _level_walk(sys, start, states):
@@ -201,12 +235,10 @@ def _level_walk(sys, start, states):
 
 
 def _drawn_paths(sys, start, states, n, seed):
-    """n seeded paths per start state, drawn in turn, each weighted 1/n."""
-    rng = np.random.default_rng(seed)
-    paths = np.concatenate(
-        [_sample_paths(sys, start, int(s), n, rng) for s in states]
-    )
-    return paths, np.full(paths.shape[0], 1.0 / n)
+    """n seeded paths per start state, drawn in turn, with the slot of each
+    step and the path weights 1/n."""
+    paths, slots = _sample_steps(sys, start, states, n, np.random.default_rng(seed))
+    return paths, slots, np.full(paths.shape[0], 1.0 / n)
 
 
 def evolve_weights(sys, sde: WeightSde, path) -> np.ndarray:
@@ -216,31 +248,58 @@ def evolve_weights(sys, sde: WeightSde, path) -> np.ndarray:
     same length with V[0] = 1.  Raises ValueError on a transition the
     lattice assigns zero probability.
     """
-    path = np.array([int(p) for p in path], dtype=np.int64)
-    v, _ = _path_weights(sys, _factors(sys, sde), sde.start_time, path[None, :])
+    _check_tables(sys, sde)
+    path = np.array([[int(p) for p in path]], dtype=np.int64)
+    v, _ = _walk(sys, sde, sde.start_time, path, _path_slots(sys, path))
     return v[0]
 
 
 def _sample_paths(sys, start_time, state, n, rng):
-    """Inverse-CDF sampling of lattice paths from one (time, state) node.
+    """n lattice paths from one (time, state) node, as _sample_steps draws
+    them."""
+    return _sample_steps(sys, start_time, [state], n, rng)[0]
 
-    Each step draws one uniform per path and hands the draws out to the
-    paths grouped by current state, states ascending and paths in order
-    within a state; a path's successor is the first slot whose cumulative
-    probability exceeds its draw times the row total.
+
+def _sample_steps(sys, start_time, states, n, rng):
+    """Inverse-CDF sampling of n lattice paths from each of ``states`` at
+    ``start_time``, the states in turn.
+
+    Each state draws one uniform per path and step, as one (steps, n)
+    block; a step hands its row out to the paths grouped by current state,
+    states ascending and paths in order within a state.  A path's successor
+    is the first slot whose cumulative probability exceeds its draw times
+    the row total (the last real slot if the draw rounds up to the total).
+    Returns the paths (P, L) and the slot of each step (P, L-1).
     """
-    cum = np.cumsum(sys.prob, axis=1)
-    last = np.count_nonzero(sys.prob, axis=1) - 1
-    out = np.empty((n, sys.horizon - start_time + 1), dtype=np.int64)
-    out[:, 0] = state
-    u = np.empty(n)
-    for j in range(out.shape[1] - 1):
-        cur = out[:, j]
-        u[np.argsort(cur, kind="stable")] = rng.random(n)
-        row = cum[cur]
-        picks = np.count_nonzero(row <= (u * row[:, -1])[:, None], axis=1)
-        out[:, j + 1] = sys.succ[cur, np.minimum(picks, last[cur])]
-    return out
+    states = np.asarray(states, dtype=np.int64)
+    steps, width = sys.horizon - start_time, sys.succ.shape[1]
+    draws = rng.random((states.size, steps, n)).transpose(1, 0, 2)
+    draws = draws.reshape(steps, states.size * n)
+    # slot and successor per (state, pick), flat; a row without successors
+    # picks its last padding slot, which _walk rejects
+    last = np.count_nonzero(sys.prob, axis=1)[:, None] - 1
+    slot_of = np.minimum(np.arange(width + 1), last) % width
+    next_of = np.take_along_axis(sys.succ, slot_of, axis=1).ravel()
+    slot_of = slot_of.ravel()
+    count = np.min_scalar_type(width)
+    paths = np.empty((steps + 1, draws.shape[1]), dtype=np.int64)
+    at = np.empty((steps, draws.shape[1]), dtype=np.int64)
+    paths[0] = np.repeat(states, n)
+    group = np.repeat(np.arange(states.size) * sys.dim, n)
+    u = np.empty(draws.shape[1])
+    hit = np.empty((width, draws.shape[1]), dtype=bool)
+    # array methods and out= buffers: at a few paths per call the loop is
+    # all per-call overhead
+    for j in range(steps):
+        cur = paths[j]
+        u[(group + cur).argsort(kind="stable")] = draws[j]
+        cdf = sys.cdf.take(cur, axis=1)
+        np.less_equal(cdf, np.multiply(u, cdf[-1], out=u), out=hit)
+        # picks stay unsigned and narrow; the int64 state carries the sum
+        pick = np.multiply(cur, width + 1, out=at[j])
+        pick += hit.sum(axis=0, dtype=count)
+        next_of.take(pick, out=paths[j + 1])
+    return paths.T, slot_of.take(at).T
 
 
 def _check_tables(sys, sde, g=None, terminal=None):
@@ -302,14 +361,13 @@ def dual_value(
     g = np.asarray(g, dtype=float)
     terminal = np.asarray(terminal, dtype=float)
     _check_tables(sys, sde, g, terminal)
-    fac = _factors(sys, sde)
     if mc_paths is None:
-        return _sweep(sys, fac, g, terminal, start_time)[start_time]
+        return _sweep(sys, _factors(sys, sde), g, terminal, start_time)[start_time]
     t, d = sys.horizon, sys.dim
     starts = sys.reachable_at[start_time]
     out = np.full(d, np.nan)
-    paths, weight = _drawn_paths(sys, start_time, starts, mc_paths, seed)
-    v, w = _path_weights(sys, fac, start_time, paths)
+    paths, slots, weight = _drawn_paths(sys, start_time, starts, mc_paths, seed)
+    v, w = _walk(sys, sde, start_time, paths, slots)
     ran = g[np.arange(start_time, t), paths[:, :-1]] * w
     total = terminal[paths[:, -1]] * v[:, -1] + ran.sum(axis=1)
     out[starts] = np.bincount(paths[:, 0], weight * total, minlength=d)[starts]
@@ -348,11 +406,12 @@ def weight_bounds(
     AssertionError: the sufficient condition held, so a sign flip means the
     recursion (not the input) is wrong.
     """
+    _check_tables(sys, sde)
     start = sde.start_time
-    succ, prob, den, step, run = fac = _factors(sys, sde)
     states = sys.reachable_at[start]
     if samples is None:
         # fold V, W and the path probability over the level walk
+        succ, prob, den, step, run = _factors(sys, sde)
         _check_denominators(sys, den, sys.reachable[:-1, :, None], start)
         root, weight, v = states, np.ones(states.size), np.ones(states.size)
         vmax, wmax, min_weight = v, np.zeros(states.size), 1.0
@@ -365,8 +424,8 @@ def weight_bounds(
             weight = weight[rows] * prob[cur, slots]
             root = root[rows]
     else:
-        paths, weight = _drawn_paths(sys, start, states, samples, seed)
-        v, w = _path_weights(sys, fac, start, paths)
+        paths, slots, weight = _drawn_paths(sys, start, states, samples, seed)
+        v, w = _walk(sys, sde, start, paths, slots)
         root, vmax = paths[:, 0], np.max(v * v, axis=1)
         wmax, min_weight = np.max(w * w, axis=1, initial=0.0), v.min()
     ev = np.bincount(root, weight * vmax, minlength=sys.dim)[states]

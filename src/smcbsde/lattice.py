@@ -66,6 +66,8 @@ class LatticeSystem:
 
     reachable        : (T+1, D) True where the state is reachable at the time
     succ, prob       : (D, W) padded successor table (see the module notes)
+    cdf              : (W, D) cumulative successor probabilities, column s
+                       over the slots of s (the path sampler's table)
     sources          : (S,) ascending states ever stepped from before T
     block            : (S, W+1) each source's block (source, *successors)
     local_bracket, local_pinv, local_projector
@@ -82,6 +84,7 @@ class LatticeSystem:
     sources: np.ndarray
     succ: np.ndarray
     prob: np.ndarray
+    cdf: np.ndarray
     block: np.ndarray
     local_bracket: np.ndarray
     local_pinv: np.ndarray
@@ -171,6 +174,7 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     succ = np.take_along_axis(cand, order, axis=1)
     succ = np.where(valid, succ, succ[:, :1])
     prob = np.where(valid, np.take_along_axis(cprob, order, axis=1), 0.0)
+    cdf = np.ascontiguousarray(np.cumsum(prob, axis=1).T)
     own = valid & (succ == flat[:, None])
     if own.any():
         s = int(np.argwhere(own)[0, 0])
@@ -213,11 +217,11 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     w = np.linalg.eigvalsh(br)
     scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1.0)
     psd = w[:, 0] >= -_EIG_TOL * scale
-    for arr in (mask, dist, sources, succ, prob, block, br, bp, proj, psd,
+    for arr in (mask, dist, sources, succ, prob, cdf, block, br, bp, proj, psd,
                 *reachable):
         arr.flags.writeable = False
     return LatticeSystem(
-        model, sq, dim, tuple(reachable), mask, dist, sources, succ, prob,
+        model, sq, dim, tuple(reachable), mask, dist, sources, succ, prob, cdf,
         block, br, bp, proj, psd,
     )
 

@@ -1,5 +1,7 @@
 """Model validation, hazard tables, one-step matrices and simulation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,13 @@ from smcbsde import (
     transition_matrix,
     validate_model,
 )
-from smcbsde.chain import VALIDATION_TOL, Violation, _non_finite, _x0_violations
+from smcbsde.chain import (
+    VALIDATION_TOL,
+    Violation,
+    _non_finite,
+    _outcome_law,
+    _x0_violations,
+)
 from smcbsde.instances import random_model
 
 from conftest import geometric_model, tiny_model, uniform_jump
@@ -368,3 +376,140 @@ def test_batch_hazard_frequencies_match():
             h = sq.hazard[i, m - 1]
             band = 3.0 * np.sqrt(h * (1.0 - h) / n)
             assert abs(rate - h) <= band
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle for the flat-cell sampler: the per-step loop it
+# replaced, which gathered each path's cumulative outcome row by (state,
+# duration) and carried states and durations side by side.
+
+
+def reference_simulate_paths(model, n_paths, horizon=None, *, seed=None):
+    if horizon is None:
+        horizon = model.horizon
+    if horizon > model.horizon:
+        raise ValueError("cannot simulate past the model horizon")
+    rng = np.random.default_rng(seed)
+    sq = sojourn_quantities(model)
+    cum = np.cumsum(_outcome_law(model, sq), axis=2)
+    n = model.n_states
+    states = np.empty((n_paths, horizon + 1), dtype=np.int64)
+    durations = np.empty((n_paths, horizon + 1), dtype=np.int64)
+    states[:, 0] = rng.choice(n, size=n_paths, p=model.x0)
+    durations[:, 0] = 1
+    for k in range(horizon):
+        rows = cum[states[:, k], durations[:, k] - 1]
+        totals = rows[:, -1]
+        if np.any(totals <= 0.0):
+            bad = int(np.argmax(totals <= 0.0))
+            raise SimulationError(
+                f"state {states[bad, k]} at duration {durations[bad, k]} has "
+                "no defined continuation"
+            )
+        u = rng.random(n_paths) * totals
+        picks = np.minimum((rows <= u[:, None]).sum(axis=1), n)
+        stay = picks == n
+        states[:, k + 1] = np.where(stay, states[:, k], picks)
+        durations[:, k + 1] = np.where(stay, durations[:, k] + 1, 1)
+    return states, durations
+
+
+def simulation_outcome(func, model, n_paths, horizon, seed):
+    """Output arrays and the generator's end state, or the message of the
+    SimulationError raised."""
+    try:
+        states, durations = func(model, n_paths, horizon, seed=seed)
+    except SimulationError as err:
+        return str(err)
+    end = seed.bit_generator.state if isinstance(seed, np.random.Generator) else None
+    return states, durations, end
+
+
+@st.composite
+def simulation_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        model = random_model(rng, n_max=5, t_max=10,
+                             sub_stochastic_prob=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    else:
+        n = int(rng.integers(2, 6))
+        model = geometric_model(rng.uniform(0.05, 0.95, n), int(rng.integers(1, 11)),
+                                x0=rng.dirichlet(np.ones(n)))
+    if draw(st.booleans()):
+        # state i leaves with certainty at duration 1 and has nowhere to go:
+        # every path that enters it dies one step later
+        i = int(rng.integers(model.n_states))
+        pi, jump = model.pi.copy(), model.jump.copy()
+        pi[i] = 0.0
+        pi[i, 0] = 1.0
+        jump[i, 0] = 0.0
+        model = SemiMarkovModel(model.n_states, model.horizon, pi, jump, model.x0)
+    horizon = draw(st.integers(0, model.horizon))
+    n_paths = draw(st.sampled_from([1, 7, 1000]))
+    return model, horizon, n_paths, draw(st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(simulation_cases())
+def test_flat_cell_sampler_matches_the_per_step_loop(case):
+    model, horizon, n_paths, seed = case
+    for make in (lambda: seed, lambda: np.random.default_rng(seed)):
+        got = simulation_outcome(simulate_paths, model, n_paths, horizon, make())
+        want = simulation_outcome(reference_simulate_paths, model, n_paths,
+                                  horizon, make())
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert not isinstance(got, str), got
+        for a, b in zip(got[:2], want[:2]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+        assert got[2] == want[2]
+
+
+def test_simulation_error_names_the_first_dead_path():
+    # every sojourn lasts two steps and has nowhere to go then: all paths
+    # die at time 1, and the message names path 0's state, before the
+    # draw of that step
+    pi = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    jump = uniform_jump(2, 3)
+    jump[:, 1] = 0.0
+    model = SemiMarkovModel(2, 2, pi, jump, [0.5, 0.5])
+    seed = np.random.default_rng(3)
+    with pytest.raises(SimulationError) as err:
+        simulate_paths(model, 4, seed=seed)
+    first = simulate_paths(model, 4, 1, seed=np.random.default_rng(3))[0][:, 0]
+    assert str(err.value) == (f"state {first[0]} at duration 2 has no "
+                              "defined continuation")
+    want = np.random.default_rng(3)
+    want.choice(2, size=4, p=model.x0)
+    want.random(4)
+    assert seed.bit_generator.state == want.bit_generator.state
+
+
+# sha256 of states.tobytes() + durations.tobytes(), computed with the
+# per-step loop: any change to the stream (the pick rule, the outcome
+# order, the draws per step) changes it
+SIMULATE_DIGEST = "343828b1220009fbe99bec90282f3ffd3fa05779b4e8e3b1705aaf2a9410cd14"
+
+
+def test_simulate_paths_stream_digest():
+    model = geometric_model((0.3, 0.55, 0.8), 12, x0=np.full(3, 1.0 / 3.0))
+    states, durations = simulate_paths(model, 500, seed=2026)
+    digest = hashlib.sha256(states.tobytes() + durations.tobytes()).hexdigest()
+    assert digest == SIMULATE_DIGEST
+
+
+def test_a_draw_on_a_cumulative_boundary_moves_past_it():
+    # the step from (state 0, duration 1) has outcomes (jump to 0, jump to
+    # 1, stay) with cumulative mass (0, h, 1); with h equal to the step's
+    # draw (the stream's second double, after rng.choice's), the first
+    # outcome whose cumulative mass exceeds the draw is "stay"
+    seed = next(s for s in range(100)
+                if np.random.default_rng(s).random(2)[1] >= 0.5)
+    h = np.random.default_rng(seed).random(2)[1]
+    pi = np.array([[h, 1.0 - h], [0.5, 0.5]])
+    model = SemiMarkovModel(2, 1, pi, uniform_jump(2, 2), [1.0, 0.0])
+    states, durations = simulate_paths(model, 1, seed=seed)
+    assert states.tolist() == [[0, 0]]
+    assert durations.tolist() == [[1, 2]]

@@ -1,6 +1,8 @@
 """Control over a finite action grid: per-step maximisation, brute-force
 oracle agreement, policy dominance, hypothesis gating, near-optimal policies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,17 @@ def test_control_problem_validation():
             alpha_bound=prob.alpha_bound,
             beta_bound=prob.beta_bound,
         )
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field", ["alpha_bound", "beta_bound"])
+def test_control_problem_rejects_a_non_finite_bound(field, value):
+    # an infinite bound saved as JSON null, and a NaN bound passed every
+    # check in validate
+    rng = np.random.default_rng(38)
+    prob = random_control_problem(small_system(rng), rng)
+    with pytest.raises(ValueError, match=f"{field} must be finite, not {value}"):
+        replace(prob, **{field: value})
 
 
 def test_hamiltonian_and_max_driver_by_hand():

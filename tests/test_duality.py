@@ -7,6 +7,7 @@ The tiny-model tests below verify all of this by direct scalar arithmetic
 against frozen matrices.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from smcbsde import (
     DEFAULT_CONVENTION,
     LinearDriver,
     SelectionError,
+    SemiMarkovModel,
     VanishingDenominatorError,
     WeightSde,
     build_lattice,
@@ -33,9 +35,12 @@ from smcbsde import (
 from smcbsde import duality, instances
 from smcbsde.duality import (
     DENOMINATOR_TOL,
+    _check_denominators,
+    _drawn_paths,
     _factors,
-    _path_weights,
+    _path_slots,
     _sample_paths,
+    _walk,
 )
 from smcbsde.instances import (
     random_control_problem,
@@ -43,7 +48,7 @@ from smcbsde.instances import (
     random_model,
 )
 
-from conftest import geometric_model, tiny_model
+from conftest import geometric_model, tiny_model, uniform_jump
 from dense import enumerate_paths, geometry_for, transition
 
 TINY_COLUMN = np.array([0.0, 0.4, 0.6, 0.0])
@@ -636,6 +641,36 @@ def test_select_convention_at_long_horizon():
 # walk replaced, each evaluated on the same factor table.
 
 
+def _path_weights(sys, fac, start, paths):
+    """Weights along a (P, L) array of lattice paths from time ``start``.
+
+    Returns V (P, L) with V[:, 0] = 1 and the running weights W (P, L-1).
+    Raises ValueError on a transition the lattice assigns zero probability.
+    """
+    succ, prob, den, step, run = fac
+    cur, nxt = paths[:, :-1], paths[:, 1:]
+    times = np.arange(start, start + cur.shape[1])
+    # slot of each step: transitions s -> j keyed s * D + j, in ascending order
+    rows, slots = np.nonzero(prob > 0.0)
+    keys = rows * sys.dim + succ[rows, slots]
+    query = cur * sys.dim + nxt
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    missing = np.flatnonzero(keys[at] != query)
+    if missing.size:
+        p, j = divmod(int(missing[0]), cur.shape[1])
+        raise ValueError(
+            f"transition {sys.label(int(cur[p, j]))} -> "
+            f"{sys.label(int(nxt[p, j]))} at time {start + j} is not realizable"
+        )
+    slot = slots[at]
+    walked = np.zeros(den.shape, dtype=bool)
+    walked[times, cur, slot] = True
+    _check_denominators(sys, den, walked)
+    v = np.ones(paths.shape)
+    np.cumprod(step[times, cur, slot], axis=1, out=v[:, 1:])
+    return v, v[:, :-1] * run[times, cur]
+
+
 def forward_measure_dual_value(sys, sde, g, terminal):
     """dual_value by carrying mu_k(s) = E[V_k 1{X_k = s}] from every start
     state at once; a cell a start reaches with zero mass is never read."""
@@ -904,3 +939,175 @@ def test_padding_slots_never_trip_the_denominator_check():
     assert abs(_factors(sys_, sde)[2][k, s, -1]) < DENOMINATOR_TOL
     assert_close(dual_value(sys_, sde, driver.g, terminal)[s],
                  forward_measure_dual_value(sys_, sde, driver.g, terminal)[s])
+
+
+# ---------------------------------------------------------------------------
+# Differential oracles for the sampled forms: the weights of drawn or given
+# paths read off the full (T, D, W) factor table by _path_weights, with the
+# paths drawn one start state at a time by _sample_paths.
+
+
+def full_table_dual_value(sys, sde, g, terminal, mc_paths, seed):
+    """Monte Carlo dual value from the full factor table."""
+    start, t = sde.start_time, sys.horizon
+    rng = np.random.default_rng(seed)
+    starts = sys.reachable_at[start]
+    paths = np.concatenate([_sample_paths(sys, start, int(s), mc_paths, rng)
+                            for s in starts])
+    v, w = _path_weights(sys, _factors(sys, sde), start, paths)
+    total = (terminal[paths[:, -1]] * v[:, -1]
+             + (g[np.arange(start, t), paths[:, :-1]] * w).sum(axis=1))
+    out = np.full(sys.dim, np.nan)
+    out[starts] = np.bincount(paths[:, 0], total / mc_paths,
+                              minlength=sys.dim)[starts]
+    return out
+
+
+def full_table_weight_bounds(sys, sde, samples, seed):
+    """(per_state, min_weight) of the sampled weight_bounds from the full
+    factor table."""
+    start = sde.start_time
+    rng = np.random.default_rng(seed)
+    states = sys.reachable_at[start]
+    paths = np.concatenate([_sample_paths(sys, start, int(s), samples, rng)
+                            for s in states])
+    v, w = _path_weights(sys, _factors(sys, sde), start, paths)
+    ev = np.bincount(paths[:, 0], np.max(v * v, axis=1) / samples,
+                     minlength=sys.dim)[states]
+    ew = np.bincount(paths[:, 0], np.max(w * w, axis=1, initial=0.0) / samples,
+                     minlength=sys.dim)[states]
+    per_state = {int(s): (float(a), float(b)) for s, a, b in zip(states, ev, ew)}
+    return per_state, float(v.min())
+
+
+def raised(func, *args, **kwargs):
+    """The result of a call, or the type and message of the
+    VanishingDenominatorError or ValueError it raised."""
+    try:
+        return func(*args, **kwargs)
+    except (VanishingDenominatorError, ValueError) as err:
+        return type(err), str(err)
+
+
+def assert_same_outcome(got, want, compare):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert not (isinstance(got, tuple) and isinstance(got[0], type)), got
+        compare(got, want)
+
+
+def assert_close_weights(got, want):
+    for a, b in zip(got, want):
+        assert_close(a, b)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(linear_instances())
+def test_drawn_step_factors_match_the_full_table(case):
+    sys_, driver, terminal, rng = case
+    alpha = driver.alpha.copy()
+    # two drawn steps whose denominators vanish under the mixed form (no
+    # noise) and the implicit form (zero noise); the first in (time,
+    # state, slot) order must be named alike
+    paths = _drawn_paths(sys_, 0, sys_.reachable_at[0], 5, 0)[0]
+    for _ in range(2):
+        k = int(rng.integers(sys_.horizon))
+        alpha[k, paths[int(rng.integers(paths.shape[0])), k]] = 1.0
+    cases = [(c, driver.alpha, driver.beta) for c in Convention] + [
+        (Convention.MIXED, alpha, None),
+        (Convention.IMPLICIT, alpha, np.zeros_like(driver.beta))]
+    for conv, a, beta in cases:
+        for start in range(sys_.horizon + 1):
+            sde = WeightSde(a, beta, conv, start)
+            seed = int(rng.integers(2**31))
+            paths, slots, _ = _drawn_paths(sys_, start, sys_.reachable_at[start],
+                                           9, seed)
+            assert_same_outcome(
+                raised(_walk, sys_, sde, start, paths, slots),
+                raised(_path_weights, sys_, _factors(sys_, sde), start, paths),
+                assert_close_weights)
+            assert_same_outcome(
+                raised(dual_value, sys_, sde, driver.g, terminal, mc_paths=9,
+                       seed=seed),
+                raised(full_table_dual_value, sys_, sde, driver.g, terminal, 9,
+                       seed),
+                assert_close)
+
+            def same_report(report, want):
+                per_state, min_weight = want
+                assert_same_weights(report, per_state, min_weight)
+
+            assert_same_outcome(
+                raised(weight_bounds, sys_, sde, samples=9, seed=seed),
+                raised(full_table_weight_bounds, sys_, sde, 9, seed),
+                same_report)
+
+            # given paths: a drawn path, then one with a step redirected to
+            # any state, realizable or not
+            path = paths[int(rng.integers(paths.shape[0]))].copy()
+            for _ in range(2):
+                assert_same_outcome(
+                    raised(evolve_weights, sys_, sde, path),
+                    raised(lambda: _path_weights(sys_, _factors(sys_, sde), start,
+                                                 path[None, :])[0][0]),
+                    assert_close)
+                if path.size > 1:
+                    path[int(rng.integers(1, path.size))] = rng.integers(sys_.dim)
+
+
+def test_a_drawn_path_through_a_dead_end_is_not_realizable():
+    # state 1 leaves with certainty at duration 1 and has nowhere to go (a
+    # model validate_model rejects, which build_lattice accepts): a path
+    # that enters it is drawn onto a padding slot and rejected, as the
+    # full table rejects it
+    t = 4
+    pi = np.zeros((2, t + 1))
+    pi[0] = 0.5 ** np.arange(1, t + 2)
+    pi[0, -1] = 0.5**t
+    pi[1, 0] = 1.0
+    jump = uniform_jump(2, t + 1)
+    jump[1, 0] = 0.0
+    sys_ = build_lattice(SemiMarkovModel(2, t, pi, jump, [1.0, 0.0]))
+    driver, terminal = random_linear_instance(sys_, np.random.default_rng(28))
+    sde = WeightSde.from_driver(driver)
+    for seed in range(3):
+        got = raised(dual_value, sys_, sde, driver.g, terminal, mc_paths=20,
+                     seed=seed)
+        assert got[0] is ValueError and "is not realizable" in got[1]
+        assert got == raised(full_table_dual_value, sys_, sde, driver.g,
+                             terminal, 20, seed)
+
+
+def test_path_slots_are_the_sampled_slots():
+    sys_ = build_lattice(random_model(np.random.default_rng(27), n=4, t=8))
+    paths, slots, _ = _drawn_paths(sys_, 0, sys_.reachable_at[0], 50, 27)
+    np.testing.assert_array_equal(_path_slots(sys_, paths), slots)
+
+
+def test_a_draw_on_a_cumulative_boundary_moves_past_it():
+    # (state 0, duration 1) steps to (1, 1) with probability h and to
+    # (0, 2) with 1 - h; with h equal to the draw (h >= 1/2, so the row
+    # total is exactly 1) the first slot whose cumulative probability
+    # exceeds the draw is the second
+    seed = next(s for s in range(100) if np.random.default_rng(s).random() >= 0.5)
+    h = np.random.default_rng(seed).random()
+    pi = np.array([[h, 1.0 - h], [0.5, 0.5]])
+    sys_ = build_lattice(SemiMarkovModel(2, 1, pi, uniform_jump(2, 2), [1.0, 0.0]))
+    assert sys_.prob[0].tolist() == [h, 1.0 - h] and sys_.cdf[-1, 0] == 1.0
+    path = _sample_paths(sys_, 0, 0, 1, np.random.default_rng(seed))
+    assert path.tolist() == [[0, sys_.flat_index(0, 2)]]
+
+
+# sha256 of _sample_paths(...).tobytes(), computed with the per-call table
+# and the per-step draws: any change to the lattice sampler's stream (the
+# hand-out order, the pick rule) changes it
+SAMPLE_PATHS_DIGEST = "b13cbd72ffb2c367b6b3d532db362f6f8675063cb5a872d93f5342a47f3a0135"
+
+
+def test_sample_paths_stream_digest():
+    sys_ = build_lattice(geometric_model((0.25, 0.5, 0.75), 9,
+                                         x0=np.full(3, 1.0 / 3.0)))
+    state = int(sys_.reachable_at[3][-1])
+    paths = _sample_paths(sys_, 3, state, 300, np.random.default_rng(2026))
+    assert hashlib.sha256(paths.tobytes()).hexdigest() == SAMPLE_PATHS_DIGEST

@@ -82,6 +82,23 @@ def test_control_problem_roundtrip_exact(tmp_path):
     assert back.beta_bound == prob.beta_bound
 
 
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("field", ["alpha_bound", "beta_bound"])
+def test_control_problem_file_with_a_non_finite_bound_is_rejected(
+        tmp_path, field, token):
+    # json reads these tokens as numbers; the problem rejects the bound
+    rng = np.random.default_rng(53)
+    sys_ = build_lattice(random_model(rng, n_max=2, t_max=3, n=2))
+    path = tmp_path / "c.json"
+    files.save_control_problem(path, random_control_problem(sys_, rng))
+    doc = json.loads(path.read_text())
+    doc[field] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    with pytest.raises(files.FileFormatError,
+                       match=f"{path}: {field} must be finite"):
+        files.load_control_problem(path)
+
+
 def test_format_number_roundtrips():
     vals = [0.1, 1 / 3, np.pi, 1e-300, 123456.789]
     for v in vals:
