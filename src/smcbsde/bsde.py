@@ -29,6 +29,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
+from .lattice import projection_constants
+
 __all__ = [
     "BijectionError",
     "BsdeSolution",
@@ -63,11 +65,12 @@ class BijectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearDriver:
-    """Driver  f(k, e, y, z) = alpha[k, e] * y + beta[k, e] @ P_e z' + g[k, e]
+    """Driver  f(k, e, y, z) = alpha[k, e] * y + beta[k, e] . P_e z + g[k, e]
     with P_e the bracket projector of the source state.
 
-    alpha, g : (T, D); beta : (T, D, D) rows, or None for no integrand term.
-    Entries at states never reachable at time k are ignored.
+    alpha, g : (T, D); beta : (T, D, W+1) rows laid out as the lattice's
+    ``block`` (padding 0) or (T, D, D) dense rows, or None.  Entries at
+    states never reachable at time k, or off a dense row's block, are unread.
     """
 
     alpha: np.ndarray
@@ -83,21 +86,22 @@ class LinearDriver:
             object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
 
     @classmethod
-    def constant(cls, horizon, dim, alpha=0.0, g=0.0, beta_row=None):
-        a = np.full((horizon, dim), float(alpha))
-        gg = np.full((horizon, dim), float(g))
-        b = None
-        if beta_row is not None:
-            b = np.tile(np.asarray(beta_row, dtype=float), (horizon, dim, 1))
-        return cls(a, gg, b)
+    def constant(cls, horizon, dim, alpha=0.0, g=0.0):
+        """Constant drift and running term, no integrand term."""
+        return cls(np.full((horizon, dim), float(alpha)),
+                   np.full((horizon, dim), float(g)))
 
     def bounds(self, sys):
-        """Max |alpha| and max Euclidean beta-row norm over reachable (k, e)."""
+        """Max |alpha| and max Euclidean beta-row norm on the block over
+        reachable (k, e)."""
         mask = sys.reachable[:-1]
         p = float(np.abs(self.alpha[mask]).max(initial=0.0))
         l = 0.0
         if self.beta is not None:
-            l = float(np.linalg.norm(self.beta[mask], axis=1).max(initial=0.0))
+            k, s = np.nonzero(mask)
+            rows = sys.block_rows(self.beta, k, s)
+            rows[:, 1:] = np.where(sys.prob[s] > 0.0, rows[:, 1:], 0.0)
+            l = float(np.linalg.norm(rows, axis=1).max(initial=0.0))
         return p, l
 
 
@@ -188,7 +192,8 @@ def _driver_slice(sys, driver, k, y, z, rows=None):
         _require_finite(sys, k, alpha=a, g=g, beta=b)
         out = a * y + g
         if b is not None:
-            out = out + (sys.projected_rows(k, b) * z).sum(axis=-1)
+            rows = sys.block_rows(driver.beta, k, src)
+            out = out + (sys.projected_rows(k, rows) * z).sum(axis=-1)
         return out
     y = np.broadcast_to(y, src.shape)
     return np.array([
@@ -292,8 +297,6 @@ def _omega2_for(sys, driver):
     if isinstance(driver, GeneralDriver) and driver.omega2 is not None:
         return float(driver.omega2)
     if isinstance(driver, LinearDriver):
-        from .lattice import projection_constants
-
         _, l = driver.bounds(sys)
         return l * projection_constants(sys).overall
     raise ValueError("general drivers need a declared omega2 bound")

@@ -96,12 +96,19 @@ def _block_entries(sources, block, local):
                local[i, r, c][order].tolist())
 
 
-def _check_problem_size(path, alpha, sys_):
+def _check_problem_size(path, alpha, beta, sys_):
     """Reject a problem whose tables were sized for another model."""
     if alpha.shape[:2] != (sys_.horizon, sys_.dim):
         raise files.FileFormatError(
             f"{path}: field 'alpha' is sized (T, D) = {alpha.shape[:2]} but "
             f"the model's lattice has (T, D) = {(sys_.horizon, sys_.dim)}"
+        )
+    widths = (sys_.block.shape[1], sys_.dim)
+    if beta is not None and beta.shape[-1] not in widths:
+        raise files.FileFormatError(
+            f"{path}: field 'beta' has rows of width {beta.shape[-1]} but the "
+            f"model's lattice takes W+1 = {widths[0]} (rows on the blocks) or "
+            f"D = {widths[1]} (dense rows)"
         )
 
 
@@ -199,7 +206,7 @@ def _solve_linear(args):
     """Lattice, problem, backward solution and tolerance of a linear command."""
     sys_ = build_lattice(files.load_model(args.model))
     driver, terminal = files.load_linear_problem(args.problem)
-    _check_problem_size(args.problem, driver.alpha, sys_)
+    _check_problem_size(args.problem, driver.alpha, driver.beta, sys_)
     solution = solve_bsde(sys_, driver, terminal)
     tol = 1e-9 if args.tol is None else args.tol
     return sys_, driver, terminal, solution, tol
@@ -294,7 +301,7 @@ def _cmd_solve_control(args):
     model = files.load_model(args.model)
     sys_ = build_lattice(model)
     problem = files.load_control_problem(args.problem)
-    _check_problem_size(args.problem, problem.alpha, sys_)
+    _check_problem_size(args.problem, problem.alpha, problem.beta, sys_)
     tol = args.tol if args.tol is not None else 1e-9
     solved = solve_control(
         problem, sys_, override_hypotheses=args.override_hypotheses
@@ -305,20 +312,12 @@ def _cmd_solve_control(args):
         brute = brute_force_value(problem, sys_)
         diff = solved.values - brute.per_time_max
         oracle_residual = float(np.nanmax(np.abs(diff)))
-    policy_rows = []
-    for k in range(sys_.horizon):
-        for s in sys_.reachable_at[k]:
-            state, dur = sys_.label(int(s))
-            u = solved.policy.control_index(k, int(s))
-            policy_rows.append(
-                {
-                    "time": k,
-                    "state": state,
-                    "duration": dur,
-                    "control": u,
-                    "point": problem.controls[u].tolist(),
-                }
-            )
+    # one column per field over the reachable cells, in time-then-state order
+    time, flat = np.nonzero(sys_.reachable[:-1])
+    control = solved.policy.choices[time, flat]
+    n = model.n_states
+    policy = {"time": time, "state": flat % n, "duration": flat // n + 1,
+              "control": control, "point": problem.controls[control]}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files.write_csv(
@@ -338,7 +337,7 @@ def _cmd_solve_control(args):
                 "scale_constant": solved.lambda_overall,
             },
             "values": solved.values,
-            "policy": policy_rows,
+            "policy": policy,
             "ties": solved.ties,
             "oracle_residual": oracle_residual,
         },

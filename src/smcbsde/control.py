@@ -69,7 +69,8 @@ class ControlProblem:
                the chain are uncontrolled, the driver tables carry all the
                control dependence).
     alpha    : (T, D, U) drift coefficients, each must stay below one.
-    beta     : (T, D, U, D) integrand coefficient rows.
+    beta     : (T, D, U, W+1) integrand coefficient rows laid out as the
+               lattice's ``block`` (padding 0), or (T, D, U, D) dense rows.
     g        : (T, D, U) running terms.
     terminal : (D,) terminal data.
     alpha_bound, beta_bound : declared uniform bounds used by the
@@ -104,8 +105,9 @@ class ControlProblem:
             raise ValueError("alpha must have shape (T, D, U)")
         if self.g.shape != self.alpha.shape:
             raise ValueError("g must match alpha's shape")
-        if self.beta.shape != self.alpha.shape + (self.alpha.shape[1],):
-            raise ValueError("beta must have shape (T, D, U, D)")
+        if self.beta.shape[:-1] != self.alpha.shape:
+            raise ValueError("beta must have shape (T, D, U, W+1) or "
+                             "(T, D, U, D)")
         if self.terminal.shape != (self.alpha.shape[1],):
             raise ValueError("terminal must have shape (D,)")
         # a non-finite bound passes no check (x > nan is always false) and
@@ -121,8 +123,9 @@ class ControlProblem:
 
     def validate(self, sys, tol: float = 1e-9) -> None:
         """Check shapes against the lattice, then that the tables are
-        finite (whole beta rows) and obey the declared bounds at every
-        reachable cell; ProblemDataError names the field, time and state."""
+        finite (whole beta rows) and obey the declared bounds (beta rows on
+        the block) at every reachable cell; ProblemDataError names the
+        field, time and state."""
         t, d = sys.horizon, sys.dim
         if self.alpha.shape[:2] != (t, d):
             raise ValueError(
@@ -131,8 +134,12 @@ class ControlProblem:
             )
         for k in range(t):
             src = sys.reachable_at[k]
-            alpha, beta = self.alpha[k, src], self.beta[k, src]
-            _require_finite(sys, k, alpha=alpha, beta=beta, g=self.g[k, src])
+            alpha = self.alpha[k, src]
+            _require_finite(sys, k, alpha=alpha, beta=self.beta[k, src],
+                            g=self.g[k, src])
+            beta = sys.block_rows(self.beta, k, src)
+            beta[..., 1:] = np.where(sys.prob[src, None] > 0.0, beta[..., 1:],
+                                     0.0)
             for name, label, worst, bound in (
                 ("alpha", "|alpha|", np.abs(alpha).max(axis=1),
                  self.alpha_bound),
@@ -197,11 +204,10 @@ def max_driver(problem: ControlProblem, sys, k, state, y, z_row):
     """
     # P z on the source's block; the projector is zero on the padding
     i = _source_index(sys, state)
-    block = sys.block[i]
-    pz = sys.local_projector[i] @ np.asarray(z_row, dtype=float)[block]
+    pz = sys.local_projector[i] @ np.asarray(z_row, dtype=float)[sys.block[i]]
     vals = (
         problem.alpha[k, state] * y
-        + problem.beta[k, state][:, block] @ pz
+        + sys.block_rows(problem.beta, k, state) @ pz
         + problem.g[k, state]
     )
     idx = int(np.argmax(vals))
@@ -282,7 +288,7 @@ def _slice_terms(problem, sys, k, z):
     """alpha, b . P z and g of every control, each (S_k, U), at the sources
     reachable at time k, for their local integrands z (S_k, W)."""
     src = sys.reachable_at[k]
-    coef = sys.projected_rows(k, problem.beta[k, src])
+    coef = sys.projected_rows(k, sys.block_rows(problem.beta, k, src))
     noise = (coef @ z[:, :, None])[..., 0]
     return problem.alpha[k, src], noise, problem.g[k, src]
 
@@ -355,8 +361,10 @@ def brute_force_value(
             f"{n_pol} policies exceed the enumeration cap {max_policies}"
         )
     first = np.cumsum([0] + sizes)
-    # per slice: sources, alpha, g and the projected beta rows of every
-    # control, and each source's first entry in a flat (S_k, U) table
+    width = sys.succ.shape[1]
+    # per slice: sources, their successor slots and law, alpha, g and the
+    # projected beta rows of every control, each source's first entry in a
+    # flat (S_k, U) table and the place value of each source's digit
     slices = []
     for k in range(t):
         src = sys.reachable_at[k]
@@ -367,39 +375,59 @@ def brute_force_value(
                 f"a drift coefficient at time {k}, state {src[np.argmax(bad)]} "
                 "makes the step map non-invertible"
             )
-        coef = sys.projected_rows(k, problem.beta[k, src])
-        slices.append((src, alphas, g, coef, np.arange(0, src.size * u, u)))
+        coef = sys.projected_rows(k, sys.block_rows(problem.beta, k, src))
+        slices.append((src, sys.succ[src], sys.prob[src], alphas, g, coef,
+                       np.arange(0, src.size * u, u)[:, None],
+                       u ** np.arange(first[k], first[k + 1])[:, None]))
 
     per_time_max = np.full((t + 1, d), np.nan)
     reach_t, reach0 = sys.reachable_at[t], sys.reachable_at[0]
     per_time_max[t, reach_t] = term[reach_t]
     initial_values = np.full(d, np.nan)
     objective = np.empty(n_pol)
-    # policies evaluate independently: blocks of them keep the working set
-    # at _POLICY_BLOCK x S_k x W whatever the policy count
-    for lo in range(0, n_pol, _POLICY_BLOCK):
-        pol = np.arange(lo, min(lo + _POLICY_BLOCK, n_pol))
+    # policies evaluate independently, in blocks; a block's tables live in
+    # two buffers allocated once per call and written in place (out=), as
+    # fresh tables per step would fault their pages in on every call
+    block = min(_POLICY_BLOCK, n_pol)
+    buf = np.empty(block * (d + max(sizes) * (width + 3)))
+    digits = np.empty(block * max(sizes), dtype=np.int64)
+    for lo in range(0, n_pol, block):
+        pol = np.arange(lo, min(lo + block, n_pol))
+        n = pol.size
         # values per state and policy, (D, policies), so the slice step
         # reads whole rows; each slice overwrites its sources' rows, the
         # only rows the next (earlier) slice reads
-        values = np.zeros((d, pol.size))
+        values = buf[:d * n].reshape(d, n)
+        values.fill(0.0)
         values[reach_t] = term[reach_t, None]
         for k in range(t - 1, -1, -1):
-            src, alphas, g, coef, at = slices[k]
-            mean, z = sys.step(k, values.T)
-            z = z.transpose(1, 2, 0)
+            src, succ, prob, alphas, g, coef, at, place = slices[k]
+            m = src.size
+            z, mean, acc, part = np.split(buf[d * n:(d + m * (width + 3)) * n],
+                                          np.cumsum([width, 1, 1]) * m * n)
+            z, mean = z.reshape(m, width, n), mean.reshape(m, 1, n)
+            acc, part = acc.reshape(m, n), part.reshape(m, n)
+            # the slice step, as LatticeSystem.step takes it
+            np.take(values, succ, axis=0, out=z, mode="clip")
+            np.matmul(prob[:, None, :], z, out=mean)
+            z -= mean
+            z[prob == 0.0] = 0.0
             # flat (source, control) entry of each policy's choice
-            pick = pol // u ** np.arange(first[k], first[k + 1])[:, None] % u
-            pick += at[:, None]
-            chosen = mean.T + sum(
-                np.take(coef[:, :, w], pick) * z[:, w]
-                for w in range(z.shape[1])
-            )
-            chosen += np.take(g, pick)
-            chosen /= 1.0 - np.take(alphas, pick)
-            values[src] = chosen
+            pick = np.floor_divide(pol, place, out=digits[:m * n].reshape(m, n))
+            np.remainder(pick, u, out=pick)
+            pick += at
+            np.multiply(np.take(coef[:, :, 0], pick, out=acc, mode="clip"),
+                        z[:, 0], out=acc)
+            for w in range(1, width):
+                np.take(coef[:, :, w], pick, out=part, mode="clip")
+                acc += np.multiply(part, z[:, w], out=part)
+            acc += mean[:, 0]
+            acc += np.take(g, pick, out=part, mode="clip")
+            acc /= np.subtract(1.0, np.take(alphas, pick, out=part, mode="clip"),
+                               out=part)
+            values[src] = acc
             per_time_max[k, src] = np.fmax(per_time_max[k, src],
-                                           chosen.max(axis=1))
+                                           acc.max(axis=1))
         initial_values[reach0] = np.fmax(initial_values[reach0],
                                          values[reach0].max(axis=1))
         objective[pol] = sys.dist_at[0] @ values

@@ -92,7 +92,8 @@ class WeightSde:
     """Coefficient tables and algebraic form of a weight recursion.
 
     alpha : (T, D) drift coefficients, read at the step's source state.
-    beta  : (T, D, D) integrand rows or None for noise-free weights.
+    beta  : (T, D, W+1) integrand rows on the blocks or (T, D, D) dense
+            rows (see LinearDriver), or None for noise-free weights.
     """
 
     alpha: np.ndarray
@@ -118,7 +119,8 @@ def _factors(sys, sde):
     none), and W_k = V_k * run[k, s]."""
     noise = np.zeros((sys.horizon,) + sys.succ.shape)
     if sde.beta is not None:
-        rows = sde.beta[:, sys.sources[:, None], sys.block].transpose(1, 0, 2)
+        rows = sys.block_rows(sde.beta, np.arange(sys.horizon),
+                              sys.sources[:, None])
         noise[:, sys.sources] = _noise(sys, rows, slice(None)).transpose(1, 0, 2)
     # cells never stepped from may hold any value (zero denominators too);
     # only the steps a caller walks are checked, by _check_denominators
@@ -203,8 +205,8 @@ def _walk(sys, sde, start, paths, slots):
     times = np.arange(start, start + cur.shape[1])
     noise = np.zeros(cur.shape)
     if sde.beta is not None:
+        rows = sys.block_rows(sde.beta, times, cur)
         pos = np.searchsorted(sys.sources, cur)
-        rows = sde.beta[times[:, None], cur[..., None], sys.block[pos]]
         noise = _noise(sys, rows[..., None, :], pos)[..., 0, :]
         noise = np.take_along_axis(noise, slots[..., None], axis=-1)[..., 0]
     den, step, run = _algebra(sde.convention, sde.alpha[times, cur], noise)
@@ -303,13 +305,12 @@ def _sample_steps(sys, start_time, states, n, rng):
 
 
 def _check_tables(sys, sde, g=None, terminal=None):
+    # beta's shape is checked where it is read, by the lattice's block_rows
     t, d = sys.horizon, sys.dim
     if not 0 <= sde.start_time <= t:
         raise ValueError(f"start_time {sde.start_time} outside 0..{t}")
     if sde.alpha.shape != (t, d):
         raise ValueError(f"alpha must have shape {(t, d)}")
-    if sde.beta is not None and sde.beta.shape != (t, d, d):
-        raise ValueError(f"beta must have shape {(t, d, d)}")
     if g is not None and np.asarray(g).shape != (t, d):
         raise ValueError(f"g must have shape {(t, d)}")
     if terminal is not None and np.asarray(terminal).shape != (d,):

@@ -26,11 +26,15 @@ Document kinds
 --------------
 semi_markov_model : n_states, horizon, pi (N x (T+1)), jump (N x (T+1) x N),
                     x0 (N)
-linear_bsde       : alpha (T x D), g (T x D), beta (T x D x D, or null),
+linear_bsde       : alpha (T x D), g (T x D), beta (T x D x X, or null),
                     terminal (D)
 control_problem   : controls (U x q), alpha (T x D x U), g (T x D x U),
-                    beta (T x D x U x D), terminal (D), alpha_bound,
+                    beta (T x D x U x X), terminal (D), alpha_bound,
                     beta_bound
+
+beta rows are W+1 wide, on each source's block of the model's lattice, or D
+wide (dense): the loaders check the leading axes, the savers write the
+layout the object holds, and the lattice checks the width where it is read.
 """
 
 from __future__ import annotations
@@ -186,7 +190,8 @@ def _unpack(value, field, path):
 
 
 def _array(doc, field, path, shape=None):
-    """A table field, packed or as nested lists, as a float array."""
+    """A table field, packed or as nested lists, as a float array; a None
+    in ``shape`` takes any length on that axis."""
     value = _require(doc, field, path)
     if isinstance(value, dict):
         arr = _unpack(value, field, path)
@@ -196,9 +201,11 @@ def _array(doc, field, path, shape=None):
         except (TypeError, ValueError) as exc:
             raise FileFormatError(
                 f"{path}: field '{field}' is not numeric") from exc
-    if shape is not None and arr.shape != shape:
+    if shape is not None and (arr.ndim != len(shape) or any(
+            n not in (m, None) for m, n in zip(arr.shape, shape))):
         raise FileFormatError(
-            f"{path}: field '{field}' has shape {arr.shape}, expected {shape}"
+            f"{path}: field '{field}' has shape {arr.shape}, expected "
+            f"{str(shape).replace('None', 'any')}"
         )
     return arr
 
@@ -269,7 +276,7 @@ def load_linear_problem(path):
     g = _array(doc, "g", path, (t, d))
     beta = None
     if doc.get("beta") is not None:
-        beta = _array(doc, "beta", path, (t, d, d))
+        beta = _array(doc, "beta", path, (t, d, None))
     terminal = _array(doc, "terminal", path, (d,))
     return LinearDriver(alpha, g, beta), terminal
 
@@ -305,7 +312,7 @@ def load_control_problem(path) -> ControlProblem:
             f"{path}: {controls.shape[0]} control points but alpha has {u}"
         )
     g = _array(doc, "g", path, (t, d, u))
-    beta = _array(doc, "beta", path, (t, d, u, d))
+    beta = _array(doc, "beta", path, (t, d, u, None))
     terminal = _array(doc, "terminal", path, (d,))
     alpha_bound = _number(doc, "alpha_bound", path)
     beta_bound = _number(doc, "beta_bound", path)

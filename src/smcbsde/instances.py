@@ -92,7 +92,8 @@ def random_linear_instance(
     comparison_safe: bool = False,
 ):
     """Random linear driver and terminal with coefficient bounds that pass
-    the positivity condition (and optionally the comparison condition)."""
+    the positivity condition (and optionally the comparison condition); a
+    beta row keeps the block entries of D normals scaled by their norm."""
     t, d = sys.horizon, sys.dim
     l_max = beta_fraction * max_beta_for_positivity(sys)
     if comparison_safe:
@@ -100,13 +101,14 @@ def random_linear_instance(
     mask = sys.reachable[:-1]
     alpha = np.where(mask, rng.uniform(-alpha_scale, alpha_scale, (t, d)), 0.0)
     g = np.where(mask, rng.uniform(-1.0, 1.0, (t, d)), 0.0)
-    beta = np.zeros((t, d, d))
+    beta = np.zeros((t, d) + sys.block.shape[1:])
     for k in range(t):
-        for s in sys.reachable_at[k]:
+        src = sys.reachable_at[k]
+        for s, block in zip(src, sys.block[np.searchsorted(sys.sources, src)]):
             row = rng.standard_normal(d)
             norm = np.linalg.norm(row)
             if norm > 0.0:
-                beta[k, s] = row * (rng.uniform(0.3, 1.0) * l_max / norm)
+                beta[k, s] = row[block] * (rng.uniform(0.3, 1.0) * l_max / norm)
     terminal = np.zeros(d)
     reach_t = sys.reachable_at[t]
     terminal[reach_t] = rng.uniform(-1.0, 1.0, reach_t.size)
@@ -170,14 +172,16 @@ def random_control_problem(
     if not control_dependent_alpha:
         alpha = np.repeat(alpha[:, :, :1], u, axis=2)
     g = np.where(mask[:, :, None], rng.uniform(-1.0, 1.0, (t, d, u)), 0.0)
-    beta = np.zeros((t, d, u, d))
+    beta = np.zeros((t, d, u) + sys.block.shape[1:])
     for k in range(t):
-        for s in sys.reachable_at[k]:
+        src = sys.reachable_at[k]
+        for s, block in zip(src, sys.block[np.searchsorted(sys.sources, src)]):
             for j in range(u):
                 row = rng.standard_normal(d)
                 norm = np.linalg.norm(row)
                 if norm > 0.0:
-                    beta[k, s, j] = row * (rng.uniform(0.2, 1.0) * l_max / norm)
+                    beta[k, s, j] = row[block] * (rng.uniform(0.2, 1.0) * l_max
+                                                  / norm)
     terminal = np.zeros(d)
     reach_t = sys.reachable_at[t]
     terminal[reach_t] = rng.uniform(-1.0, 1.0, reach_t.size)

@@ -21,7 +21,9 @@ per-source geometry; no D x D matrix is ever built.
 
 Every backward solver works a whole time slice through ``step`` (conditional
 means and local canonical integrands of the sources reachable at time k) and
-``projected_rows`` (coefficients of b . P z on those integrands).
+``projected_rows`` (coefficients of b . P z on those integrands).  A
+coefficient table b is read through ``block_rows`` alone, which takes a
+table of rows on the blocks or of dense rows over the flat states.
 """
 
 from __future__ import annotations
@@ -128,22 +130,45 @@ class LatticeSystem:
         batch = tuple(range(z.ndim - 1, 1, -1))
         return mean.T, z.transpose(batch + (0, 1))
 
+    def block_rows(self, table, times, states) -> np.ndarray:
+        """Rows (cells, ..., W+1) on the blocks of the sources ``states``
+        at ``times`` (index arrays that broadcast together) of a table (T,
+        D, ..., X) of local rows (X = W+1, laid out as ``block``) or dense
+        rows (X = D; padding slots repeat the first successor's entry, which
+        every reader weights by zero).  The widths coincide only at N = 1,
+        T = 1, where the two layouts hold the same entries."""
+        table, local = np.asarray(table, dtype=float), self.block.shape[1]
+        if table.ndim < 3 or table.shape[:2] != (self.horizon, self.dim) \
+                or table.shape[-1] not in (local, self.dim):
+            raise ValueError(
+                f"coefficient table of shape {table.shape}: expected (T, D) = "
+                f"{(self.horizon, self.dim)} leading axes and rows of width "
+                f"W+1 = {local} (local) or D = {self.dim} (dense)")
+        if table.shape[-1] == local:
+            return table[times, states]
+        # one fancy index, which puts the block axis right after the cell
+        # axes; inner axes move before it
+        inner = (slice(None),) * (table.ndim - 3)
+        blk = self.block[self.sources.searchsorted(states)]
+        rows = table[(np.asarray(times)[..., None],
+                      np.asarray(states)[..., None]) + inner + (blk,)]
+        if not inner:
+            return rows
+        return np.ascontiguousarray(np.moveaxis(rows, -1 - len(inner), -1))
+
     def projected_rows(self, k: int, rows) -> np.ndarray:
         """Local coefficients of b . P z for the integrands of ``step(k)``.
 
-        rows (S_k, ..., D) hold an ambient coefficient row b per source
-        reachable at time k (and any inner axes, such as controls); the
-        result r (S_k, ..., W) is b @ P on the successor slots of the block,
-        so that b . P z = sum(r * z) over the last axis.
+        rows (S_k, ..., W+1) hold a row b on the block of each source
+        reachable at time k (and any inner axes, such as controls), from
+        ``block_rows``; the result r (S_k, ..., W) is b @ P on the successor
+        slots, so that b . P z = sum(r * z) over the last axis.
         """
-        src = self.reachable_at[k]
-        i = np.searchsorted(self.sources, src)
+        i = np.searchsorted(self.sources, self.reachable_at[k])
         rows = np.asarray(rows, dtype=float)
-        # flat positions of every row's block entries, (S_k, rows, W+1)
-        at = np.arange(0, rows.size, rows.shape[-1]).reshape(src.size, -1, 1)
-        b = np.take(rows, at + self.block[i, None, :])
-        proj = self.local_projector[i]
-        return (b @ proj)[..., 1:].reshape(rows.shape[:-1] + (-1,))
+        b = rows.reshape(rows.shape[0], -1, rows.shape[-1])
+        return (b @ self.local_projector[i])[..., 1:].reshape(
+            rows.shape[:-1] + (-1,))
 
 
 def build_lattice(model: SemiMarkovModel) -> LatticeSystem:

@@ -134,3 +134,18 @@ def enumerate_paths(sys, start_time: int, state: int):
             prefix.pop()
 
     yield from rec(start_time, int(state), [int(state)], 1.0)
+
+
+def dense_beta(sys, beta):
+    """A coefficient table of rows on the blocks, (T, D, ..., W+1), as dense
+    rows over the flat states, (T, D, ..., D), zero off each block and on
+    padding; a dense table comes back as it is."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape[-1] == sys.dim:
+        return beta
+    on = np.concatenate((np.ones((sys.sources.size, 1), bool),
+                         sys.prob[sys.sources] > 0.0), axis=1)
+    i, j = np.nonzero(on)
+    out = np.zeros(beta.shape[:-1] + (sys.dim,))
+    out[:, sys.sources[i], ..., sys.block[i, j]] = beta[:, sys.sources[i], ..., j]
+    return out

@@ -43,7 +43,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model
-from dense import geometry_for, transition
+from dense import dense_beta, geometry_for, transition
 
 # ---------------------------------------------------------------------------
 # References: the per-source loops
@@ -52,7 +52,7 @@ from dense import geometry_for, transition
 def reference_driver_value(sys, driver, k, s, y, z_row):
     if isinstance(driver, LinearDriver):
         out = float(driver.alpha[k, s]) * y + float(driver.g[k, s])
-        b = None if driver.beta is None else driver.beta[k, s]
+        b = None if driver.beta is None else dense_beta(sys, driver.beta)[k, s]
         if b is not None:
             out += float(b @ geometry_for(sys, s).project(z_row))
         return out
@@ -163,7 +163,7 @@ def reference_brute_force_value(problem, sys):
                     f"a drift coefficient at time {k}, state {s} makes the "
                     "step map non-invertible"
                 )
-            beff = geo.project(problem.beta[k, s])[:, sup]
+            beff = geo.project(dense_beta(sys, problem.beta)[k, s])[:, sup]
             cand = (mean[None, :] + beff @ zmat.T + problem.g[k, s][:, None]) / (
                 1.0 - alphas
             )[:, None]
@@ -196,7 +196,7 @@ def reference_policy_driver(problem, sys, policy):
             u = policy.control_index(k, s)
             alpha[k, s] = problem.alpha[k, s, u]
             g[k, s] = problem.g[k, s, u]
-            beta[k, s] = problem.beta[k, s, u]
+            beta[k, s] = dense_beta(sys, problem.beta)[k, s, u]
     return LinearDriver(alpha, g, beta)
 
 

@@ -23,7 +23,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model, tiny_model
-from dense import geometry_for, transition
+from dense import dense_beta, geometry_for, transition
 
 
 def expectation_oracle(sys_, terminal, k, s):
@@ -141,7 +141,7 @@ def test_general_driver_matches_linear_closed_form():
             proj = geometry_for(sys_, s).projector
             return float(
                 linear.alpha[k, s] * y
-                + linear.beta[k, s] @ (proj @ z)
+                + dense_beta(sys_, linear.beta)[k, s] @ (proj @ z)
                 + linear.g[k, s]
             )
 

@@ -22,7 +22,7 @@ from smcbsde import (
 from smcbsde.instances import random_control_problem, random_model
 
 from conftest import tiny_model
-from dense import geometry_for
+from dense import dense_beta, geometry_for
 
 
 def small_system(rng, t_max=3):
@@ -80,7 +80,7 @@ def test_hamiltonian_and_max_driver_by_hand():
     expected = [
         float(
             prob.alpha[k, s, u] * y
-            + prob.beta[k, s, u] @ (geo.projector @ z)
+            + dense_beta(sys_, prob.beta)[k, s, u] @ (geo.projector @ z)
             + prob.g[k, s, u]
         )
         for u in range(3)

@@ -49,7 +49,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model, tiny_model, uniform_jump
-from dense import enumerate_paths, geometry_for, transition
+from dense import dense_beta, enumerate_paths, geometry_for, transition
 
 TINY_COLUMN = np.array([0.0, 0.4, 0.6, 0.0])
 
@@ -330,7 +330,8 @@ class StepTables:
                 base = 0.0
             else:
                 row = np.zeros(self.sys.dim)
-                row[g.block] = self.sde.beta[k, s][g.block] @ g.local_pinv
+                beta = dense_beta(self.sys, self.sde.beta)
+                row[g.block] = beta[k, s][g.block] @ g.local_pinv
                 base = float(row @ g.column)
             hit = (a, row, base, g)
             self._cache[key] = hit

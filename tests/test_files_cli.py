@@ -425,9 +425,12 @@ def test_cli_solve_control(workdir, capsys):
     payload = json.loads((out / "control.json").read_text())
     assert payload["oracle_residual"] <= 1e-9
     assert payload["hypotheses"]["positivity"]["passed"]
-    assert payload["policy"]
-    for entry in payload["policy"]:
-        assert 0 <= entry["control"] < 2
+    policy = payload["policy"]
+    assert policy["control"]
+    assert {len(column) for column in policy.values()} == {
+        len(policy["control"])}
+    for u in policy["control"]:
+        assert 0 <= u < 2
 
 
 def test_cli_solve_control_hypothesis_failure(workdir, capsys):
@@ -576,6 +579,38 @@ def test_cli_solve_control_rejects_a_broken_bound(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: field '{field}': ")
     assert "exceeds the declared bound 1e-06 at time 0" in err
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLE_PROBLEMS))
+def test_cli_rejects_beta_rows_of_another_width(tmp_path, capsys, command):
+    # dense rows cut one entry short: neither D nor the blocks' width W+1
+    model, sys_, doc = _problem_copy(command)
+    doc["beta"] = np.array(doc["beta"], dtype=float)[..., :-1].tolist()
+    rc, path = _run_on(tmp_path, command, model, doc)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: field 'beta' has rows of width {sys_.dim - 1} but "
+        f"the model's lattice takes W+1 = {sys_.block.shape[1]} "
+    )
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLE_PROBLEMS))
+def test_cli_artifacts_do_not_depend_on_the_beta_layout(tmp_path, command):
+    # the samples' dense beta rows, and the same rows gathered on the blocks
+    model, sys_, doc = _problem_copy(command)
+    dense = np.array(doc["beta"], dtype=float)
+    local = np.zeros(dense.shape[:-1] + sys_.block.shape[1:])
+    k, s = np.nonzero(sys_.reachable[:-1])
+    local[k, s] = sys_.block_rows(dense, k, s)
+    written = []
+    for leg, beta in (("dense", dense), ("local", local)):
+        doc["beta"] = beta.tolist()
+        rc, _ = _run_on(tmp_path, command, model, doc)
+        assert rc == 0
+        out = tmp_path / "out"
+        paths = sorted(out.rglob("*")) if out.is_dir() else [out]
+        written.append({p.relative_to(out): p.read_bytes() for p in paths})
+    assert written[0] == written[1]
 
 
 def test_cli_solution_local_integrands_rebuild_the_ambient_table(tmp_path):
