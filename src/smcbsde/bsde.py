@@ -10,8 +10,12 @@ and the value is the unique root of  y - f(k, e, y, z) = mean.  Drivers must
 depend on the integrand only through its products with the realizable
 increments; this is enforced structurally by always handing them the
 canonical representative.  Linear drivers are solved slice-wide in closed
-form (and must be finite at every reachable cell); general drivers get the
-ambient row, built per slice for the reachable sources only, and a verified
+form: their coefficients, the b . P rows among them, are gathered once over
+the lattice's reachable cells and checked there (finite, no unit drift) as
+the sweep would meet them, the latest time first; the slice loop keeps the
+step, the projected sum and the division.  The same gathered terms give a
+linear driver's values at every cell along a solution (_driver_cells), for
+the comparison gap.  General drivers get the ambient row, built per slice for the reachable sources only, and a verified
 bracket (sign change plus a monotonicity sweep) refined to 1e-12, cell by
 cell.
 
@@ -24,12 +28,12 @@ Solutions keep the integrands as the step returns them: local rows
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .lattice import projection_constants
+from .lattice import _blocks, _projected, projection_constants
 
 __all__ = [
     "BijectionError",
@@ -100,7 +104,7 @@ class LinearDriver:
         if self.beta is not None:
             k, s = np.nonzero(mask)
             rows = sys.block_rows(self.beta, k, s)
-            rows[:, 1:] = np.where(sys.prob[s] > 0.0, rows[:, 1:], 0.0)
+            rows[:, 1:] = np.where(sys.plan.real[s], rows[:, 1:], 0.0)
             l = float(np.linalg.norm(rows, axis=1).max(initial=0.0))
         return p, l
 
@@ -181,27 +185,6 @@ def _terminal_array(sys, terminal):
     return term
 
 
-def _driver_slice(sys, driver, k, y, z, rows=None):
-    """Driver values at the sources reachable at time k, at values y (S_k,)
-    or a scalar and integrands z (S_k, W) from the lattice's step (linear
-    drivers, which must be finite there) or ambient rows (S_k, D)."""
-    src = sys.reachable_at[k]
-    if isinstance(driver, LinearDriver):
-        a, g = driver.alpha[k, src], driver.g[k, src]
-        b = None if driver.beta is None else driver.beta[k, src]
-        _require_finite(sys, k, alpha=a, g=g, beta=b)
-        out = a * y + g
-        if b is not None:
-            rows = sys.block_rows(driver.beta, k, src)
-            out = out + (sys.projected_rows(k, rows) * z).sum(axis=-1)
-        return out
-    y = np.broadcast_to(y, src.shape)
-    return np.array([
-        float(driver.fn(k, int(s), float(v), row))
-        for s, v, row in zip(src, y, rows)
-    ])
-
-
 def _verified_root(phi, center, context=""):
     """Root of y -> phi(y) after checking the map brackets and is monotone."""
     radius = (1.0 + abs(center)) * _BRACKET_FACTOR
@@ -228,16 +211,95 @@ def _tables(sys, terminal):
 
 
 def _solution(sys, values, local) -> BsdeSolution:
-    return BsdeSolution(values, local, np.where(sys.prob > 0.0, sys.succ, -1))
+    return BsdeSolution(values, local, np.where(sys.plan.real, sys.succ, -1))
 
 
 def _ambient_rows(sys, k, z):
     """Ambient integrand rows (S_k, D) of the sources reachable at time k,
     from their local rows z (S_k, W)."""
     src = sys.reachable_at[k]
-    rows, slots = np.nonzero(sys.prob[src] > 0.0)
+    rows, slots = np.nonzero(sys.plan.real[src])
     out = np.zeros((src.size, sys.dim))
     out[rows, sys.succ[src[rows], slots]] = z[rows, slots]
+    return out
+
+
+def _finite_rows(table, times, states) -> np.ndarray:
+    """(cells,) True where the whole row table[times, states] is finite,
+    read in blocks of cells."""
+    out = np.empty(times.size, dtype=bool)
+    for at in _blocks(times.size, int(np.prod(table.shape[2:]))):
+        rows = table[times[at], states[at]]
+        out[at] = np.isfinite(rows.reshape(rows.shape[0], -1)).all(axis=1)
+    return out
+
+
+class _LinearTerms(NamedTuple):
+    """A linear driver at the plan's cells before the horizon: alpha, g,
+    the rows coef (cells, W) of b . P z (None without beta) and den =
+    1 - alpha."""
+
+    alpha: np.ndarray
+    g: np.ndarray
+    coef: np.ndarray | None
+    den: np.ndarray
+
+    def value(self, at, y, z):
+        """alpha y + g + b . P z at the cells ``at`` (a slice or index)."""
+        out = self.alpha[at] * y + self.g[at]
+        if self.coef is not None:
+            out = out + (self.coef[at] * z).sum(axis=-1)
+        return out
+
+
+def _linear_terms(sys, driver) -> _LinearTerms:
+    """The _LinearTerms of a linear driver, checked as the backward sweep
+    meets the cells, the latest time first: there ProblemDataError names
+    the first field (alpha, g, then beta, read whole) that is not finite,
+    else DegenerateDriverError the first unit drift."""
+    plan = sys.plan
+    at = plan.span(0, sys.horizon)
+    times, cells = plan.times[at], plan.cells[at]
+    a, g = driver.alpha[times, cells], driver.g[times, cells]
+    rows = None if driver.beta is None else \
+        sys.block_rows(driver.beta, times, cells)
+    den = 1.0 - a
+    ok = np.isfinite(a) & np.isfinite(g) & (np.abs(den) >= 1e-12)
+    if rows is not None:
+        ok &= _finite_rows(driver.beta, times, cells)
+    if not ok.all():
+        k = int(times[np.flatnonzero(~ok)[-1]])
+        src = sys.reachable_at[k]
+        _require_finite(sys, k, alpha=driver.alpha[k, src], g=driver.g[k, src],
+                        beta=None if rows is None else driver.beta[k, src])
+        i = int(np.argmax(np.abs(1.0 - driver.alpha[k, src]) < 1e-12))
+        raise DegenerateDriverError(
+            f"alpha[{k}, {src[i]}] = {driver.alpha[k, src[i]]}: y - f is not a "
+            "bijection"
+        )
+    coef = None
+    if rows is not None:
+        coef = np.empty(rows.shape[:1] + sys.succ.shape[1:])
+        for blk in _blocks(cells.size, rows.shape[-1] ** 2):
+            coef[blk] = _projected(sys, plan.source_at[blk], rows[blk])
+    return _LinearTerms(a, g, coef, den)
+
+
+def _driver_cells(sys, driver, sol) -> np.ndarray:
+    """Driver values (cells,) at the plan's cells before the horizon, at
+    the values and local integrands of the solution ``sol``."""
+    plan = sys.plan
+    at = plan.span(0, sys.horizon)
+    times, cells = plan.times[at], plan.cells[at]
+    y, z = sol.values[times, cells], sol.local_integrands[times, cells]
+    if isinstance(driver, LinearDriver):
+        return _linear_terms(sys, driver).value(slice(None), y, z)
+    out = np.empty(cells.size)
+    for k in range(sys.horizon):
+        now = plan.span(k)
+        rows = _ambient_rows(sys, k, z[now])
+        out[now] = [float(driver.fn(k, int(s), float(v), row))
+                    for s, v, row in zip(cells[now], y[now], rows)]
     return out
 
 
@@ -247,31 +309,27 @@ def solve_bsde(sys, driver, terminal) -> BsdeSolution:
     Values at states unreachable at a given time are NaN and never read, so
     the solution is invariant to perturbing inputs there.  A linear driver
     with a non-finite coefficient at a reachable cell raises
-    ProblemDataError; one with a unit drift there, DegenerateDriverError.
+    ProblemDataError; one with a unit drift there, DegenerateDriverError,
+    each at the latest such time.
     """
     linear = isinstance(driver, LinearDriver)
     values, local = _tables(sys, terminal)
+    if linear:
+        terms = _linear_terms(sys, driver)
     for k in range(sys.horizon - 1, -1, -1):
         src = sys.reachable_at[k]
         mean, z = sys.step(k, values[k + 1])
         local[k, src] = z
-        if not linear:
-            # a verified root per cell, the driver reading the ambient row
-            rows = _ambient_rows(sys, k, z)
-            for s, m, row in zip(src.tolist(), mean.tolist(), rows):
-                values[k, s] = _verified_root(
-                    lambda y: y - driver.fn(k, s, y, row) - m, m,
-                    f" at time {k}, state {s}")
+        if linear:
+            at = sys.plan.span(k)
+            values[k, src] = (mean + terms.value(at, 0.0, z)) / terms.den[at]
             continue
-        rhs = mean + _driver_slice(sys, driver, k, 0.0, z)
-        a = driver.alpha[k, src]
-        bad = np.abs(1.0 - a) < 1e-12
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DegenerateDriverError(
-                f"alpha[{k}, {src[i]}] = {a[i]}: y - f is not a bijection"
-            )
-        values[k, src] = rhs / (1.0 - a)
+        # a verified root per cell, the driver reading the ambient row
+        rows = _ambient_rows(sys, k, z)
+        for s, m, row in zip(src.tolist(), mean.tolist(), rows):
+            values[k, s] = _verified_root(
+                lambda y: y - driver.fn(k, s, y, row) - m, m,
+                f" at time {k}, state {s}")
     return _solution(sys, values, local)
 
 
@@ -324,17 +382,8 @@ def check_comparison(
     reach_t = sys.reachable_at[sys.horizon]
     terminal_ordered = bool(np.all(t1[reach_t] <= t2[reach_t] + tol))
 
-    general = not (isinstance(driver1, LinearDriver)
-                   and isinstance(driver2, LinearDriver))
-    gap_min = np.inf
-    for k in range(sys.horizon):
-        src = sys.reachable_at[k]
-        y2 = sol2.values[k, src]
-        z2 = sol2.local_integrands[k, src]
-        rows = _ambient_rows(sys, k, z2) if general else None
-        gaps = (_driver_slice(sys, driver2, k, y2, z2, rows)
-                - _driver_slice(sys, driver1, k, y2, z2, rows))
-        gap_min = min(gap_min, float(gaps.min()))
+    gaps = _driver_cells(sys, driver2, sol2) - _driver_cells(sys, driver1, sol2)
+    gap_min = float(gaps.min(initial=np.inf))
     drivers_ordered = gap_min >= -tol
 
     if omega2 is None:

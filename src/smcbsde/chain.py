@@ -11,6 +11,7 @@ Durations are counts starting at 1 ("just arrived"), states are 0-based.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,12 @@ __all__ = [
 VALIDATION_TOL = 1e-9
 # Survivor mass below this is treated as exhausted (see sojourn_quantities).
 _SURVIVOR_SNAP = 1e-12
+
+
+def _require_count(name, n):
+    """Raise ValueError naming ``name`` unless n is a positive integer."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"{name} must be a positive integer, not {n}")
 
 
 class InvalidModelError(ValueError):
@@ -326,6 +333,7 @@ def simulate_paths(
     yields bit-identical output on repeated calls; a Generator is drawn
     from directly.
     """
+    _require_count("n_paths", n_paths)
     if horizon is None:
         horizon = model.horizon
     if horizon > model.horizon:

@@ -142,8 +142,12 @@ def _cmd_validate(args):
 
 
 def _cmd_simulate(args):
+    n = 1 if args.mc_paths is None else args.mc_paths
+    if n < 1:
+        print(f"error: --mc-paths must be a positive integer, not {n}",
+              file=sys.stderr)
+        return EXIT_INVALID
     model = files.load_model(args.model)
-    n = args.mc_paths or 1
     states, durations = simulate_paths(model, n, seed=args.seed)
     path, time = np.indices(states.shape)
     table = np.stack((path, time, states, durations), axis=-1).reshape(-1, 4)
@@ -157,7 +161,7 @@ def _cmd_build_lattice(args):
     sys_ = build_lattice(model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows, slots = np.nonzero(sys_.prob > 0.0)
+    rows, slots = np.nonzero(sys_.plan.real)
     files.write_csv(
         out / "transition.csv", ("source", "target", "probability"),
         zip(rows.tolist(), sys_.succ[rows, slots].tolist(),
@@ -175,7 +179,7 @@ def _cmd_build_lattice(args):
     per_source = {
         str(s): {
             "label": np.array(sys_.label(int(s))),
-            "support": sys_.succ[s][sys_.prob[s] > 0.0],
+            "support": sys_.succ[s][sys_.plan.real[s]],
             "bracket_psd": bool(psd),
         }
         for s, psd in zip(src, sys_.bracket_psd)

@@ -138,7 +138,7 @@ class ControlProblem:
             _require_finite(sys, k, alpha=alpha, beta=self.beta[k, src],
                             g=self.g[k, src])
             beta = sys.block_rows(self.beta, k, src)
-            beta[..., 1:] = np.where(sys.prob[src, None] > 0.0, beta[..., 1:],
+            beta[..., 1:] = np.where(sys.plan.real[src, None], beta[..., 1:],
                                      0.0)
             for name, label, worst, bound in (
                 ("alpha", "|alpha|", np.abs(alpha).max(axis=1),

@@ -25,14 +25,20 @@ is the mixed form (its noise integrand is also the only predictable one).
 select_convention settles the choice empirically and never silently.
 
 Each call tabulates the factor f_k(s, j) by which the step s -> j at time k
-multiplies V, per (time, source, successor slot), and r_k(s) = W_k / V_k.
-By the Markov property the dual value obeys u_T = terminal and
-u_k(s) = g_k(s) r_k(s) + sum_j c_s(j) f_k(s, j) u_{k+1}(j), so one backward
-sweep over the factors gives it from every (time, state) in O(T * S * N),
-independent of the backward solver it checks.  A route s -> j of zero
-weight c_s(j) f_k(s, j) adds nothing, even where u_{k+1}(j) is not finite,
-so data a start never reaches is never read.  The rule holds per route: a
-cell reached only by routes whose weights cancel to zero is still read.
+multiplies V, per reachable cell (k, s) from the start time on and
+successor slot j, and r_k(s) = W_k / V_k: (cells, W) tables laid out like
+the lattice's slice plan, never tables over every (time, state).  Before
+anything is walked, the first vanishing denominator among the real slots
+of those cells, in (time, state, slot) order, raises; cells before the
+start time are never checked.  By the Markov property the dual value obeys
+u_T = terminal and u_k(s) = g_k(s) r_k(s) + sum_j c_s(j) f_k(s, j)
+u_{k+1}(j), so one backward sweep over the cells, a time slice at a step,
+gives it from every reachable (time, state) from the start on in
+O(T * S * N), independent of the backward solver it checks.  A route
+s -> j of zero weight c_s(j) f_k(s, j) adds nothing, even where u_{k+1}(j)
+is not finite, so data a start never reaches is never read.  The rule
+holds per route: a cell reached only by routes whose weights cancel to
+zero is still read.
 
 Exhaustive weight_bounds and the epsilon-policy gap in control fold V, W,
 their running maxima, the path probability and the running minimum over a
@@ -41,17 +47,21 @@ vectors of the paths alive at one time; no list of paths is built.  Sampled
 statistics and evolve_weights evaluate V and W along a (P, L) array of
 drawn or given paths, with the factors evaluated at the drawn (or given)
 steps only: the sampler returns each step's slot, a given path's slots are
-looked up among the transitions of positive probability.  The table and
-the drawn steps share one copy of the noise and of the convention algebra
-(_noise, _algebra).
+looked up among the transitions of positive probability.  The tables and
+the drawn steps share the plan's centred pinv columns for the noise and one
+copy of the convention algebra (_algebra).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
+
+from .chain import _require_count
+from .lattice import _blocks
 
 __all__ = [
     "Convention",
@@ -111,38 +121,58 @@ class WeightSde:
         return cls(driver.alpha, driver.beta, convention, start_time)
 
 
+class _Factors(NamedTuple):
+    """Weight factors at the plan's cells from time ``start`` to the
+    horizon, cell-major: the step from cell c through slot j multiplies V by
+    step[c, j], whose denominator is den[c, j] (1 where there is none), and
+    W = V * run[c].  den and step have one column where they do not depend
+    on the slot."""
+
+    start: int
+    den: np.ndarray
+    step: np.ndarray
+    run: np.ndarray
+
+
 def _factors(sys, sde):
-    """Weight factors on the lattice's padded successor table, as (succ,
-    prob, den, step, run): source s steps to succ[s, j] with probability
-    prob[s, j] (0 on padding); that step at time k multiplies V by
-    step[k, s, j], whose denominator is den[k, s, j] (1 where there is
-    none), and W_k = V_k * run[k, s]."""
-    noise = np.zeros((sys.horizon,) + sys.succ.shape)
-    if sde.beta is not None:
-        rows = sys.block_rows(sde.beta, np.arange(sys.horizon),
-                              sys.sources[:, None])
-        noise[:, sys.sources] = _noise(sys, rows, slice(None)).transpose(1, 0, 2)
-    # cells never stepped from may hold any value (zero denominators too);
-    # only the steps a caller walks are checked, by _check_denominators
-    den, step, run = _algebra(sde.convention, sde.alpha[:, :, None], noise)
-    return sys.succ, sys.prob, den, step, run[:, :, 0]
+    """The _Factors of sde from sde.start_time on.  Only the steps a caller
+    walks are checked, by _check_denominators."""
+    plan = sys.plan
+    at = plan.span(sde.start_time, sys.horizon)
+    a = sde.alpha.take(plan.key[at])[:, None]
+    noise = np.zeros(a.shape) if sde.beta is None else \
+        _cell_noise(sys, sde.beta, sde.start_time)
+    den, step, run = _algebra(sde.convention, a, noise)
+    return _Factors(sde.start_time, den, step, run[:, 0])
 
 
-def _noise(sys, rows, at):
-    """Noise n = b @ pinv(bracket_s) @ (e_j - c_s) of every successor slot
-    j, for rows b (B + (M, W+1)) read on the blocks (s, *successors) of the
-    sources s = sys.sources[at] (shape B), as B + (M, W): the pinv columns
-    of the successors, centred under c_s."""
-    cols = sys.local_pinv[at, :, 1:]
-    cols = cols - cols @ sys.prob[sys.sources[at]][..., None]
-    return rows @ cols
+def _cell_noise(sys, beta, start):
+    """Noise n = b @ pinv(bracket_s) @ (e_j - c_s) (cells, W) at the plan's
+    cells from time ``start`` to the horizon, for the rows b of beta on the
+    blocks.  The times go in blocks; each source's rows of a block go
+    through one product, with a neighbouring time's row added where the
+    block holds a single time (once T >= 2: a one-row product rounds
+    differently)."""
+    plan, t = sys.plan, sys.horizon
+    first = plan.offset[start]
+    noise = np.empty((plan.offset[t] - first, sys.succ.shape[1]))
+    for blk in _blocks(t - start, sys.block.size):
+        a, b = start + blk.start, start + blk.stop
+        lo = max(min(a, b - 2), 0)
+        rows = sys.block_rows(beta, slice(lo, max(b, min(lo + 2, t))),
+                              sys.sources)
+        at = plan.span(a, b)
+        noise[at.start - first:at.stop - first] = (
+            rows.transpose(1, 0, 2) @ plan.noise_cols
+        )[plan.source_at[at], plan.times[at] - lo]
+    return noise
 
 
 def _algebra(conv, a, noise):
     """(den, step, run) of the steps with drift a and noise n (broadcast
     together) under the convention: the step multiplies V by ``step``,
-    whose denominator is ``den`` (1 where there is none), and W_k = V_k *
-    run, with run shaped like a."""
+    whose denominator is ``den`` (1 where there is none; it broadcasts
+    against step), and W_k = V_k * run, with run shaped like a."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if conv is Convention.SHIFTED:
             return np.ones(noise.shape), 1.0 + a + noise, np.ones(np.shape(a))
@@ -150,7 +180,7 @@ def _algebra(conv, a, noise):
             den = 1.0 - a - noise
             return den, 1.0 / den, np.ones(np.shape(a))
         den = 1.0 - a
-        return np.broadcast_to(den, noise.shape), (1.0 + noise) / den, 1.0 / den
+        return den, (1.0 + noise) / den, 1.0 / den
 
 
 def _vanishing(den, k, s):
@@ -159,22 +189,26 @@ def _vanishing(den, k, s):
     )
 
 
-def _check_denominators(sys, den, walked, start=0):
+def _check_denominators(sys, fac):
     """Raise on the first vanishing denominator, in (time, state, slot)
-    order, of the steps marked in ``walked`` (broadcast to (T, D, W)) at
-    times from ``start`` on."""
-    bad = walked & (sys.prob > 0.0) & (np.abs(den) < DENOMINATOR_TOL)
-    bad[:start] = False
+    order, among the real slots of the cells of ``fac``."""
+    small = np.abs(fac.den) < DENOMINATOR_TOL
+    if not small.any():
+        return
+    plan = sys.plan
+    at = plan.span(fac.start, sys.horizon)
+    bad = plan.real[plan.cells[at]] & small
     if bad.any():
-        k, s, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise _vanishing(den[k, s, j], k, s)
+        c, j = np.unravel_index(np.argmax(bad), bad.shape)
+        den = np.broadcast_to(fac.den, bad.shape)[c, j]
+        raise _vanishing(den, plan.times[at][c], plan.cells[at][c])
 
 
 def _path_slots(sys, paths):
     """Slot of each step of a (P, L) array of lattice paths, looked up
     among the transitions of positive probability; a step that is none of
     them gets a slot that _walk rejects."""
-    rows, slots = np.nonzero(sys.prob > 0.0)
+    rows, slots = np.nonzero(sys.plan.real)
     # transitions s -> j keyed s * D + j, in ascending order
     keys = rows * sys.dim + sys.succ[rows, slots]
     query = paths[:, :-1] * sys.dim + paths[:, 1:]
@@ -195,7 +229,7 @@ def _walk(sys, sde, start, paths, slots):
     width = sys.succ.shape[1]
     flat = cur * width + slots
     missing = np.flatnonzero((sys.succ.take(flat) != nxt)
-                             | ~(sys.prob.take(flat) > 0.0))
+                             | ~sys.plan.real.take(flat))
     if missing.size:
         p, j = divmod(int(missing[0]), cur.shape[1])
         raise ValueError(
@@ -205,10 +239,15 @@ def _walk(sys, sde, start, paths, slots):
     times = np.arange(start, start + cur.shape[1])
     noise = np.zeros(cur.shape)
     if sde.beta is not None:
+        # each step's row through its source's noise columns, at the drawn
+        # slot, in blocks of steps
         rows = sys.block_rows(sde.beta, times, cur)
-        pos = np.searchsorted(sys.sources, cur)
-        noise = _noise(sys, rows[..., None, :], pos)[..., 0, :]
-        noise = np.take_along_axis(noise, slots[..., None], axis=-1)[..., 0]
+        rows = rows.reshape(cur.size, 1, sys.block.shape[1])
+        pos = np.searchsorted(sys.sources, cur).ravel()
+        at, out = slots.reshape(-1, 1), noise.reshape(-1)
+        for blk in _blocks(cur.size, sys.plan.noise_cols[0].size):
+            n = (rows[blk] @ sys.plan.noise_cols[pos[blk]])[:, 0]
+            out[blk] = np.take_along_axis(n, at[blk], axis=-1)[:, 0]
     den, step, run = _algebra(sde.convention, sde.alpha[times, cur], noise)
     bad = np.abs(den) < DENOMINATOR_TOL
     if bad.any():
@@ -230,15 +269,17 @@ def _level_walk(sys, start, states):
     branches, in this order, are the paths alive at k + 1."""
     cur = np.asarray(states, dtype=np.int64)
     for k in range(start, sys.horizon):
-        rows, slots = np.nonzero(sys.prob[cur] > 0.0)
+        rows, slots = np.nonzero(sys.plan.real[cur])
         cur = cur[rows]
         yield k, rows, cur, slots
         cur = sys.succ[cur, slots]
 
 
-def _drawn_paths(sys, start, states, n, seed):
+def _drawn_paths(sys, start, states, n, seed, name="mc_paths"):
     """n seeded paths per start state, drawn in turn, with the slot of each
-    step and the path weights 1/n."""
+    step and the path weights 1/n; ValueError names ``name`` unless n is a
+    positive integer."""
+    _require_count(name, n)
     paths, slots = _sample_steps(sys, start, states, n, np.random.default_rng(seed))
     return paths, slots, np.full(paths.shape[0], 1.0 / n)
 
@@ -277,31 +318,29 @@ def _sample_steps(sys, start_time, states, n, rng):
     steps, width = sys.horizon - start_time, sys.succ.shape[1]
     draws = rng.random((states.size, steps, n)).transpose(1, 0, 2)
     draws = draws.reshape(steps, states.size * n)
-    # slot and successor per (state, pick), flat; a row without successors
-    # picks its last padding slot, which _walk rejects
-    last = np.count_nonzero(sys.prob, axis=1)[:, None] - 1
-    slot_of = np.minimum(np.arange(width + 1), last) % width
-    next_of = np.take_along_axis(sys.succ, slot_of, axis=1).ravel()
-    slot_of = slot_of.ravel()
+    plan = sys.plan
     count = np.min_scalar_type(width)
     paths = np.empty((steps + 1, draws.shape[1]), dtype=np.int64)
     at = np.empty((steps, draws.shape[1]), dtype=np.int64)
     paths[0] = np.repeat(states, n)
     group = np.repeat(np.arange(states.size) * sys.dim, n)
     u = np.empty(draws.shape[1])
-    hit = np.empty((width, draws.shape[1]), dtype=bool)
+    cdf = np.empty((width, draws.shape[1]))
+    hit = np.empty(cdf.shape, dtype=bool)
+    picks = np.empty(draws.shape[1], dtype=count)
     # array methods and out= buffers: at a few paths per call the loop is
-    # all per-call overhead
+    # all per-call overhead; every index is in range, and mode="clip" lets
+    # take write into out without a temporary
     for j in range(steps):
         cur = paths[j]
         u[(group + cur).argsort(kind="stable")] = draws[j]
-        cdf = sys.cdf.take(cur, axis=1)
+        sys.cdf.take(cur, axis=1, out=cdf, mode="clip")
         np.less_equal(cdf, np.multiply(u, cdf[-1], out=u), out=hit)
         # picks stay unsigned and narrow; the int64 state carries the sum
         pick = np.multiply(cur, width + 1, out=at[j])
-        pick += hit.sum(axis=0, dtype=count)
-        next_of.take(pick, out=paths[j + 1])
-    return paths.T, slot_of.take(at).T
+        pick += np.add.reduce(hit, axis=0, dtype=count, out=picks)
+        plan.pick_next.take(pick, out=paths[j + 1], mode="clip")
+    return paths.T, plan.pick_slot.take(at).T
 
 
 def _check_tables(sys, sde, g=None, terminal=None):
@@ -317,26 +356,34 @@ def _check_tables(sys, sde, g=None, terminal=None):
         raise ValueError(f"terminal must have shape ({d},)")
 
 
-def _sweep(sys, fac, g, terminal, start=0):
-    """Dual value u from every (time, state) at or after ``start``, as a
-    (T+1, D) table, NaN off the reachable cells (see the module notes)."""
-    succ, prob, den, step, run = fac
-    reach = sys.reachable
-    _check_denominators(sys, den, reach[:-1, :, None], start)
-    t = sys.horizon
-    table = np.full((t + 1, sys.dim), np.nan)
-    table[t] = terminal
-    # cells off the reachable set may come out as anything: no route of
-    # nonzero weight from a reachable cell leads to them
+def _sweep(sys, fac, g, terminal):
+    """Dual value u at the plan's cells from time fac.start to the horizon,
+    cell-major (see the module notes)."""
+    _check_denominators(sys, fac)
+    plan, t, start, d = sys.plan, sys.horizon, fac.start, sys.dim
+    first, n = plan.offset[start], plan.offset[t] - plan.offset[start]
+    cells, key = plan.cells[first:], plan.key[first:]
+    src = cells[:n]
+    u = np.empty(cells.size + 1)
+    u[n:-1] = terminal[cells[n:]]
+    u[-1] = 0.0
+    bounds = (plan.offset[start:t + 1] - first).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = prob * step
-        live = (prob > 0.0) & (flow != 0.0)
-        base = g * run
-        for k in range(t - 1, start - 1, -1):
-            ahead = np.where(live[k], flow[k] * table[k + 1, succ], 0.0)
-            table[k] = base[k] + ahead.sum(axis=1)
-    table[~reach] = np.nan
-    return table
+        flow = sys.prob[src]
+        flow *= fac.step
+        live = plan.real[src] & (flow != 0.0)
+        # a live route reads its successor's cell, found by its key; the
+        # others multiply a zero flow by the zero after the last cell, as a
+        # masked route adds zero
+        nxt = key.searchsorted((key[:n] + d - src)[:, None] + sys.succ[src])
+        nxt = np.where(live, nxt, cells.size)
+        flow = np.where(live, flow, 0.0)
+        base = g.take(key[:n]) * fac.run
+        for k in range(t - start - 1, -1, -1):
+            now = slice(bounds[k], bounds[k + 1])
+            np.add(base[now], np.add.reduce(flow[now] * u[nxt[now]], axis=1),
+                   out=u[now])
+    return u[:-1]
 
 
 def dual_value(
@@ -356,17 +403,18 @@ def dual_value(
     mc_paths for a seeded Monte Carlo estimate over that many sampled paths
     per start state instead.
     """
-    if start_time is None:
-        start_time = sde.start_time
-    sde = replace(sde, start_time=start_time)
+    if start_time is not None and start_time != sde.start_time:
+        sde = replace(sde, start_time=start_time)
+    start_time = sde.start_time
     g = np.asarray(g, dtype=float)
     terminal = np.asarray(terminal, dtype=float)
     _check_tables(sys, sde, g, terminal)
-    if mc_paths is None:
-        return _sweep(sys, _factors(sys, sde), g, terminal, start_time)[start_time]
     t, d = sys.horizon, sys.dim
     starts = sys.reachable_at[start_time]
     out = np.full(d, np.nan)
+    if mc_paths is None:
+        out[starts] = _sweep(sys, _factors(sys, sde), g, terminal)[:starts.size]
+        return out
     paths, slots, weight = _drawn_paths(sys, start_time, starts, mc_paths, seed)
     v, w = _walk(sys, sde, start_time, paths, slots)
     ran = g[np.arange(start_time, t), paths[:, :-1]] * w
@@ -411,21 +459,28 @@ def weight_bounds(
     start = sde.start_time
     states = sys.reachable_at[start]
     if samples is None:
-        # fold V, W and the path probability over the level walk
-        succ, prob, den, step, run = _factors(sys, sde)
-        _check_denominators(sys, den, sys.reachable[:-1, :, None], start)
+        # fold V, W and the path probability over the level walk, reading
+        # each time's factors by state
+        fac = _factors(sys, sde)
+        _check_denominators(sys, fac)
+        bounds = (sys.plan.offset[start:] - sys.plan.offset[start]).tolist()
+        run, step = np.empty(sys.dim), np.empty(sys.succ.shape)
         root, weight, v = states, np.ones(states.size), np.ones(states.size)
         vmax, wmax, min_weight = v, np.zeros(states.size), 1.0
         for k, rows, cur, slots in _level_walk(sys, start, states):
-            w = v[rows] * run[k, cur]
+            now = slice(bounds[k - start], bounds[k - start + 1])
+            run[sys.reachable_at[k]] = fac.run[now]
+            step[sys.reachable_at[k]] = fac.step[now]
+            w = v[rows] * run[cur]
             wmax = np.maximum(wmax[rows], w * w)
-            v = v[rows] * step[k, cur, slots]
+            v = v[rows] * step[cur, slots]
             vmax = np.maximum(vmax[rows], v * v)
             min_weight = np.minimum(min_weight, v.min())
-            weight = weight[rows] * prob[cur, slots]
+            weight = weight[rows] * sys.prob[cur, slots]
             root = root[rows]
     else:
-        paths, slots, weight = _drawn_paths(sys, start, states, samples, seed)
+        paths, slots, weight = _drawn_paths(sys, start, states, samples, seed,
+                                            "samples")
         v, w = _walk(sys, sde, start, paths, slots)
         root, vmax = paths[:, 0], np.max(v * v, axis=1)
         wmax, min_weight = np.max(w * w, axis=1, initial=0.0), v.min()
@@ -483,18 +538,19 @@ def select_convention(
     from .instances import random_linear_instance
 
     rng = np.random.default_rng(seed)
-    reach = sys.reachable[:-1]
+    at = sys.plan.span(0, sys.horizon)
     per_conv = {c: [] for c in Convention}
     informative = 0
     uninformative = 0
     for _ in range(trials):
         driver, terminal = random_linear_instance(sys, rng)
         sol = solve_bsde(sys, driver, terminal)
+        want = sol.values[sys.plan.times[at], sys.plan.cells[at]]
         trial_res = {}
         for conv in Convention:
             fac = _factors(sys, WeightSde(driver.alpha, driver.beta, conv))
-            table = _sweep(sys, fac, driver.g, terminal)[:-1]
-            worst = float(np.abs(table - sol.values[:-1])[reach].max())
+            got = _sweep(sys, fac, driver.g, terminal)[at]
+            worst = float(np.abs(got - want).max())
             # a NaN residual counts as inf, so that min() never picks it
             trial_res[conv] = worst if np.isfinite(worst) else np.inf
         spread = max(trial_res.values()) - min(trial_res.values())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bsde import LinearDriver, _driver_slice, solve_bsde
+from .bsde import LinearDriver, _driver_cells, solve_bsde
 from .chain import SemiMarkovModel
 from .lattice import projection_constants
 from .linalg import comparison_condition, positivity_condition
@@ -136,15 +136,12 @@ def random_comparison_pair(sys, rng: np.random.Generator):
         return driver1, terminal1, driver2, terminal2
     fresh, _ = random_linear_instance(sys, rng, comparison_safe=True)
     sol2 = solve_bsde(sys, driver2, terminal2)
+    carry = _driver_cells(sys, driver2, sol2) - _driver_cells(sys, fresh, sol2)
     g1 = np.zeros((t, d))
     for k in range(t):
-        src = sys.reachable_at[k]
-        y2 = sol2.values[k, src]
-        z2 = sol2.local_integrands[k, src]
-        carry = _driver_slice(sys, driver2, k, y2, z2) - _driver_slice(
-            sys, fresh, k, y2, z2
-        )
-        g1[k, src] = fresh.g[k, src] + carry - rng.uniform(0.0, 1.0, src.size)
+        src, now = sys.reachable_at[k], sys.plan.span(k)
+        g1[k, src] = (fresh.g[k, src] + carry[now]
+                      - rng.uniform(0.0, 1.0, src.size))
     driver1 = LinearDriver(fresh.alpha, g1, fresh.beta)
     return driver1, terminal1, driver2, terminal2
 

@@ -19,11 +19,23 @@ pseudoinverse and projector are stored per block, stacked over ``sources``
 and padded with zeros like the table.  These stacked tables are the only
 per-source geometry; no D x D matrix is ever built.
 
+The reachability pass also lays out one slice plan (``SlicePlan``): the
+reachable cells (time, state) in time-then-state order, so that time k's
+slice is one contiguous run and ``reachable_at[k]`` a view of it, with each
+cell's time and, before the horizon, its source's position in ``sources``.
+Beside it the plan keeps the lattice-only tables the loops would otherwise
+rebuild on every call: the real-slot mask (the one spelling of
+``prob > 0`` in the library), the centred pinv columns of the noise and the
+lattice sampler's pick tables.  Per-cell tables of a solve
+(cells, ...) are indexed like the plan's cells; none is stored.
+
 Every backward solver works a whole time slice through ``step`` (conditional
 means and local canonical integrands of the sources reachable at time k) and
 ``projected_rows`` (coefficients of b . P z on those integrands).  A
 coefficient table b is read through ``block_rows`` alone, which takes a
-table of rows on the blocks or of dense rows over the flat states.
+table of rows on the blocks or of dense rows over the flat states.  A
+gather of a per-source table for every cell runs in blocks of at most
+``BLOCK_ENTRIES`` entries (``_blocks``).
 """
 
 from __future__ import annotations
@@ -47,6 +59,7 @@ from .linalg import _per_time_max, pinv
 __all__ = [
     "LatticeSystem",
     "ProjectionConstants",
+    "SlicePlan",
     "UnreachableStateError",
     "build_lattice",
     "canonical_integrand",
@@ -56,10 +69,46 @@ __all__ = [
 ]
 
 _EIG_TOL = 1e-10
+BLOCK_ENTRIES = 1 << 18
 
 
 class UnreachableStateError(KeyError):
     """The requested lattice state is never occupied as a transition source."""
+
+
+@dataclass(frozen=True)
+class SlicePlan:
+    """The reachable cells and the lattice-only tables read by every loop.
+
+    cells      : (C,) flat states reachable at times 0..T, time-major and
+                 ascending within a time
+    offset     : (T+2,) slice k is cells[offset[k]:offset[k+1]]
+    times      : (C,) time of each cell
+    key        : (C,) ascending index time * D + state of each cell, the
+                 cell's entry in a (T, D) or (T+1, D) table read flat
+    source_at  : (offset[T],) position in ``sources`` of each cell before T
+    real       : (D, W) True on the slots of positive probability
+    noise_cols : (S, W+1, W) each source's bracket pinv columns at its
+                 successor slots, centred under its successor law
+    pick_slot, pick_next
+               : (D * (W+1),) slot and successor of the lattice sampler's
+                 pick p (the count of cumulative probabilities at or below
+                 the draw) from state s, at s * (W+1) + p
+    """
+
+    cells: np.ndarray
+    offset: np.ndarray
+    times: np.ndarray
+    key: np.ndarray
+    source_at: np.ndarray
+    real: np.ndarray
+    noise_cols: np.ndarray
+    pick_slot: np.ndarray
+    pick_next: np.ndarray
+
+    def span(self, k: int, end: int | None = None) -> slice:
+        """The cells of times k..end-1 (of time k alone by default)."""
+        return slice(self.offset[k], self.offset[k + 1 if end is None else end])
 
 
 @dataclass(frozen=True)
@@ -75,6 +124,7 @@ class LatticeSystem:
     local_bracket, local_pinv, local_projector
                      : (S, W+1, W+1) per-source blocks, padded with zeros
     bracket_psd      : (S,) True where the bracket is positive semidefinite
+    plan             : the slice plan over the reachable cells (SlicePlan)
     """
 
     model: SemiMarkovModel
@@ -92,6 +142,7 @@ class LatticeSystem:
     local_pinv: np.ndarray
     local_projector: np.ndarray
     bracket_psd: np.ndarray
+    plan: SlicePlan
 
     @property
     def horizon(self) -> int:
@@ -136,7 +187,9 @@ class LatticeSystem:
         D, ..., X) of local rows (X = W+1, laid out as ``block``) or dense
         rows (X = D; padding slots repeat the first successor's entry, which
         every reader weights by zero).  The widths coincide only at N = 1,
-        T = 1, where the two layouts hold the same entries."""
+        T = 1, where the two layouts hold the same entries.  For a table
+        without inner axes ``times`` may be a slice, and ``states`` (S,):
+        the rows come out (times, S, W+1)."""
         table, local = np.asarray(table, dtype=float), self.block.shape[1]
         if table.ndim < 3 or table.shape[:2] != (self.horizon, self.dim) \
                 or table.shape[-1] not in (local, self.dim):
@@ -150,8 +203,8 @@ class LatticeSystem:
         # axes; inner axes move before it
         inner = (slice(None),) * (table.ndim - 3)
         blk = self.block[self.sources.searchsorted(states)]
-        rows = table[(np.asarray(times)[..., None],
-                      np.asarray(states)[..., None]) + inner + (blk,)]
+        when = times if isinstance(times, slice) else np.asarray(times)[..., None]
+        rows = table[(when, np.asarray(states)[..., None]) + inner + (blk,)]
         if not inner:
             return rows
         return np.ascontiguousarray(np.moveaxis(rows, -1 - len(inner), -1))
@@ -164,11 +217,23 @@ class LatticeSystem:
         ``block_rows``; the result r (S_k, ..., W) is b @ P on the successor
         slots, so that b . P z = sum(r * z) over the last axis.
         """
-        i = np.searchsorted(self.sources, self.reachable_at[k])
-        rows = np.asarray(rows, dtype=float)
-        b = rows.reshape(rows.shape[0], -1, rows.shape[-1])
-        return (b @ self.local_projector[i])[..., 1:].reshape(
-            rows.shape[:-1] + (-1,))
+        return _projected(self, self.plan.source_at[self.plan.span(k)], rows)
+
+
+def _blocks(n: int, width: int):
+    """Slices covering range(n) whose items, ``width`` entries each, fill
+    at most BLOCK_ENTRIES entries per slice."""
+    per = max(1, BLOCK_ENTRIES // max(width, 1))
+    return [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
+
+
+def _projected(sys, pos, rows) -> np.ndarray:
+    """b @ P on the successor slots for rows (cells, ..., W+1) on the blocks
+    of the sources at positions ``pos`` (cells,)."""
+    rows = np.asarray(rows, dtype=float)
+    b = rows.reshape(rows.shape[0], -1, rows.shape[-1])
+    return (b @ sys.local_projector[pos])[..., 1:].reshape(
+        rows.shape[:-1] + (-1,))
 
 
 def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
@@ -193,12 +258,13 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     cprob[t * n:, n] = 0.0
     valid = cprob > 0.0
     order = np.argsort(~valid, axis=1, kind="stable")
-    width = max(int(valid.sum(axis=1).max()), 1)
-    order = order[:, :width]
-    valid = np.take_along_axis(valid, order, axis=1)
-    succ = np.take_along_axis(cand, order, axis=1)
+    count = valid.sum(axis=1)
+    width = max(int(count.max()), 1)
+    slots = (flat[:, None], order[:, :width])
+    valid = valid[slots]
+    succ = cand[slots]
     succ = np.where(valid, succ, succ[:, :1])
-    prob = np.where(valid, np.take_along_axis(cprob, order, axis=1), 0.0)
+    prob = np.where(valid, cprob[slots], 0.0)
     cdf = np.ascontiguousarray(np.cumsum(prob, axis=1).T)
     own = valid & (succ == flat[:, None])
     if own.any():
@@ -207,10 +273,11 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
             f"lattice state {(s % n, s // n + 1)} jumps onto itself"
         )
 
-    reachable = []
+    mask = np.zeros((t + 1, dim), dtype=bool)
     dist = np.zeros((t + 1, dim))
     dist[0, :n] = model.x0
-    reachable.append(np.flatnonzero(dist[0] > 0.0))
+    mask[0] = dist[0] > 0.0
+    reachable = [np.flatnonzero(mask[0])]
     for k in range(t):
         cur = reachable[-1]
         if cur.size == 0:
@@ -219,14 +286,17 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
             succ[cur].ravel(), (prob[cur] * dist[k, cur, None]).ravel(),
             minlength=dim,
         )
-        reachable.append(np.unique(succ[cur][valid[cur]]))
+        mask[k + 1, succ[cur][valid[cur]]] = True
+        reachable.append(np.flatnonzero(mask[k + 1]))
     if reachable[-1].size == 0:
         raise InvalidModelError(f"reachable set is empty at time {t}")
 
-    mask = np.zeros((t + 1, dim), dtype=bool)
-    for k, reach in enumerate(reachable):
-        mask[k, reach] = True
-    sources = np.unique(np.concatenate(reachable[:t])) if t else np.array([], int)
+    # the slice plan: every reachable cell once, time-major
+    sizes = [reach.size for reach in reachable]
+    offset = np.concatenate(([0], np.cumsum(sizes)))
+    cells = np.concatenate(reachable)
+    times = np.repeat(np.arange(t + 1), sizes)
+    sources = np.unique(cells[:offset[t]])
     # block (source, *successors): c is zero at the source coordinate, so
     # diag(c) - e c' - c e' has c on the diagonal and -c in row/column 0
     block = np.concatenate((sources[:, None], succ[sources]), axis=1)
@@ -242,12 +312,25 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     w = np.linalg.eigvalsh(br)
     scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1.0)
     psd = w[:, 0] >= -_EIG_TOL * scale
+    # noise n = b @ pinv @ (e_j - c): the pinv columns of the successors,
+    # centred under the successor law
+    cols = bp[:, :, 1:]
+    cols = cols - cols @ p[..., None]
+    # the sampler's pick p from s is its count of cumulative probabilities
+    # at or below the draw: slot min(p, last real slot), or the last
+    # padding slot (which the path walk rejects) for a row without any
+    pick_slot = np.minimum(np.arange(width + 1), count[:, None] - 1) % width
+    pick_next = succ[flat[:, None], pick_slot].ravel()
+    plan = SlicePlan(cells, offset, times, times * dim + cells,
+                     np.searchsorted(sources, cells[:offset[t]]), valid, cols,
+                     pick_slot.ravel(), pick_next)
     for arr in (mask, dist, sources, succ, prob, cdf, block, br, bp, proj, psd,
-                *reachable):
+                *vars(plan).values()):
         arr.flags.writeable = False
+    bounds = offset.tolist()
     return LatticeSystem(
-        model, sq, dim, tuple(reachable), mask, dist, sources, succ, prob, cdf,
-        block, br, bp, proj, psd,
+        model, sq, dim, tuple(cells[a:b] for a, b in zip(bounds, bounds[1:])),
+        mask, dist, sources, succ, prob, cdf, block, br, bp, proj, psd, plan,
     )
 
 
@@ -325,7 +408,7 @@ def canonical_integrand(
     _check_time(sys, k)
     row = np.asarray(row, dtype=float)
     src = sys.reachable_at[k]
-    rows, slots = np.nonzero(sys.prob[src] > 0.0)
+    rows, slots = np.nonzero(sys.plan.real[src])
     succ = sys.succ[src[rows], slots]
     # overlap components: connected components of the graph joining each
     # source (node i) to its successors (node S_k + j)

@@ -3,16 +3,18 @@
 The lattice stores one per-source geometry: the padded successor table and
 the stacked blocks (source, *successors).  Before that it handed out a
 per-source view with D x D matrices, a dense D x D transition matrix and a
-recursive path enumerator.  They live on here, unchanged in substance, as
-the oracle for the slice step, the level walk and the hand-computed
-tiny-model tables.
+recursive path enumerator, and the weight recursions read (T, D, W) factor
+tables over every state.  They live on here, unchanged in substance, as
+the oracle for the slice step, the level walk, the cell-major factors and
+the hand-computed tiny-model tables.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from smcbsde import UnreachableStateError
+from smcbsde import UnreachableStateError, VanishingDenominatorError
+from smcbsde.duality import DENOMINATOR_TOL, _algebra
 
 
 @dataclass(frozen=True)
@@ -149,3 +151,41 @@ def dense_beta(sys, beta):
     out = np.zeros(beta.shape[:-1] + (sys.dim,))
     out[:, sys.sources[i], ..., sys.block[i, j]] = beta[:, sys.sources[i], ..., j]
     return out
+
+
+def full_noise(sys, beta):
+    """Noise n = b @ pinv(bracket_s) @ (e_j - c_s) of every (time, source,
+    successor slot), 0 elsewhere and without beta: one product of all T
+    rows per source."""
+    noise = np.zeros((sys.horizon,) + sys.succ.shape)
+    if beta is not None:
+        rows = sys.block_rows(beta, np.arange(sys.horizon),
+                              sys.sources[:, None])
+        # pinv columns of the successors, centred under the successor law
+        cols = sys.local_pinv[:, :, 1:]
+        cols = cols - cols @ sys.prob[sys.sources][..., None]
+        noise[:, sys.sources] = (rows @ cols).transpose(1, 0, 2)
+    return noise
+
+
+def full_factors(sys, sde):
+    """Weight factors over every (time, state) on the padded successor
+    table, as (succ, prob, den, step, run): source s steps to succ[s, j]
+    with probability prob[s, j] (0 on padding); that step at time k
+    multiplies V by step[k, s, j], whose denominator is den[k, s, j] (1
+    where there is none), and W_k = V_k * run[k, s].  The (T, D, W) tables
+    the exact sweep read before it worked on the reachable cells."""
+    noise = full_noise(sys, sde.beta)
+    den, step, run = _algebra(sde.convention, sde.alpha[:, :, None], noise)
+    return sys.succ, sys.prob, np.broadcast_to(den, step.shape), step, \
+        run[:, :, 0]
+
+
+def check_walked_denominators(sys, den, walked):
+    """Raise on the first vanishing denominator, in (time, state, slot)
+    order, of the steps marked in ``walked`` (T, D, W)."""
+    bad = walked & (sys.prob > 0.0) & (np.abs(den) < DENOMINATOR_TOL)
+    if bad.any():
+        k, s, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise VanishingDenominatorError(
+            f"weight denominator {den[k, s, j]} at time {k}, state {s}")

@@ -21,11 +21,14 @@ from smcbsde import (
     GeneralDriver,
     LinearDriver,
     PolicyTable,
+    ProblemDataError,
     SemiMarkovModel,
+    VanishingDenominatorError,
     WeightSde,
     brute_force_value,
     build_lattice,
     check_comparison,
+    dual_value,
     epsilon_optimal_policy,
     max_driver,
     solve_bsde,
@@ -68,6 +71,30 @@ def reference_linear_step(sys, driver, k, s, mean, z_row):
     return (mean + reference_driver_value(sys, driver, k, s, 0.0, z_row)) / (
         1.0 - a
     )
+
+
+def reference_linear_checks(sys, driver):
+    """The data checks of the linear solve as its per-slice loop made them,
+    the latest time first: a field that is not finite (alpha, g, then beta,
+    rows read whole), then a unit drift."""
+    for k in range(sys.horizon - 1, -1, -1):
+        src = sys.reachable_at[k]
+        for name in ("alpha", "g", "beta"):
+            table = getattr(driver, name)
+            if table is None:
+                continue
+            ok = np.isfinite(table[k, src]).reshape(src.size, -1).all(axis=1)
+            if not ok.all():
+                s = int(src[np.argmin(ok)])
+                raise ProblemDataError(
+                    f"field '{name}' is not finite at time {k}, lattice state "
+                    f"{s} (state, duration) = {sys.label(s)}")
+        a = driver.alpha[k, src]
+        bad = np.abs(1.0 - a) < 1e-12
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DegenerateDriverError(
+                f"alpha[{k}, {src[i]}] = {a[i]}: y - f is not a bijection")
 
 
 def reference_general_step(sys, driver, k, s, mean, z_row):
@@ -373,6 +400,13 @@ def test_slice_step_matches_per_source_loops(case):
     sol2 = reference_solve_bsde(sys_, d2, t2)
     assert_close(report.driver_gap_min, reference_gap_min(sys_, d1, d2, sol2))
     assert report.ordered
+    # a linear driver against a general one (terminals out of order, so
+    # that no ordering is asserted)
+    report = check_comparison(sys_, d1, general, terminal + 1.0, terminal,
+                              omega2=0.0)
+    sol2 = reference_solve_bsde(sys_, general, terminal)
+    assert_close(report.driver_gap_min,
+                 reference_gap_min(sys_, d1, general, sol2))
 
     # control: closed form, forced ties, the root fallback, the oracles
     problem = random_control_problem(sys_, rng, n_controls=2)
@@ -425,6 +459,77 @@ def test_slice_step_matches_per_source_loops(case):
             assert_close(report.c_tilde, c_tilde)
             assert report.within_bound == (measured <= bound + 1e-12)
             assert_same_solution(report.policy_solution, psol)
+
+
+@st.composite
+def faulty_problems(draw):
+    """A linear problem (beta local or dense) and a copy with faults at two
+    or more reachable times: an entry that is not finite or a unit drift;
+    at the latest of them, in half the draws, a unit drift at the first
+    state and a NaN running term at the last."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys_ = build_lattice(random_model(rng, n=draw(st.integers(2, 3)),
+                                      t=draw(st.integers(2, 6))))
+    driver, terminal = random_linear_instance(sys_, rng)
+    if draw(st.booleans()):
+        driver = LinearDriver(driver.alpha, driver.g,
+                              dense_beta(sys_, driver.beta))
+    tables = {f: getattr(driver, f).copy() for f in ("alpha", "g", "beta")}
+    times = draw(st.lists(st.integers(0, sys_.horizon - 1), min_size=2,
+                          max_size=4, unique=True))
+    for k in times:
+        src = sys_.reachable_at[k]
+        s = int(src[draw(st.integers(0, src.size - 1))])
+        field = draw(st.sampled_from(["alpha", "g", "beta", "unit"]))
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if field == "unit":
+            tables["alpha"][k, s] = 1.0
+        elif field == "beta":
+            # any entry of the row, off the block of a dense one too
+            tables["beta"][k, s, draw(st.integers(0, driver.beta.shape[-1] - 1))] \
+                = value
+        else:
+            tables[field][k, s] = value
+    src = sys_.reachable_at[max(times)]
+    if src.size >= 2 and draw(st.booleans()):
+        tables["alpha"][max(times), src[0]] = 1.0
+        tables["g"][max(times), src[-1]] = np.nan
+    return sys_, driver, LinearDriver(**tables), terminal, times
+
+
+def data_error(func, *args):
+    try:
+        func(*args)
+    except (ProblemDataError, DegenerateDriverError) as err:
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(faulty_problems())
+def test_linear_checks_name_the_cell_the_slice_loop_named(case):
+    sys_, driver, faulty, terminal, times = case
+    want = data_error(reference_linear_checks, sys_, faulty)
+    assert want is not None
+    assert data_error(solve_bsde, sys_, faulty, terminal) == want
+
+    # a vanishing denominator before the start time is never walked
+    k = min(times)
+    alpha = driver.alpha.copy()
+    alpha[k, sys_.reachable_at[k]] = 1.0
+    for start in range(sys_.horizon + 1):
+        sde = WeightSde(alpha, driver.beta, start_time=start)
+        if start <= k:
+            with pytest.raises(VanishingDenominatorError,
+                               match=f"at time {k}, state "):
+                dual_value(sys_, sde, driver.g, terminal)
+            continue
+        clean = WeightSde(driver.alpha, driver.beta, start_time=start)
+        np.testing.assert_array_equal(
+            dual_value(sys_, sde, driver.g, terminal),
+            dual_value(sys_, clean, driver.g, terminal))
+        assert weight_bounds(sys_, sde).per_state \
+            == weight_bounds(sys_, clean).per_state
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])

@@ -28,6 +28,7 @@ from smcbsde import (
     solve_control,
     weight_bounds,
 )
+from smcbsde import lattice
 from smcbsde.duality import Convention, _sample_paths
 from smcbsde.instances import (
     max_beta_for_positivity,
@@ -106,6 +107,36 @@ def test_dense_and_local_beta_agree_bit_for_bit():
                                              b.min_weight, b.per_state)
             sdes = [WeightSde(d.alpha, d.beta, conv) for d in pair]
             assert_same(*(evolve_weights(sys_, sde, path) for sde in sdes))
+
+
+@pytest.mark.parametrize("entries", [1, 5, 40])
+def test_gathers_in_blocks_agree_bit_for_bit(monkeypatch, entries):
+    # the per-cell gathers of per-source tables (beta rows, projectors,
+    # noise columns) run in blocks of BLOCK_ENTRIES entries; any block size,
+    # one cell or time per block included, gives the one-block results
+    def results(sys_, driver, terminal):
+        sol = solve_bsde(sys_, driver, terminal)
+        out = [sol.values, sol.local_integrands]
+        for conv in Convention:
+            for start in range(sys_.horizon + 1):
+                sde = WeightSde(driver.alpha, driver.beta, conv, start)
+                for kwargs in ({}, {"mc_paths": 7, "seed": start}):
+                    out.append(dual_value(sys_, sde, driver.g, terminal,
+                                          **kwargs))
+                out.extend(weight_bounds(sys_, sde).per_state.values())
+        return out
+
+    for sys_, rng in lattices():
+        driver, terminal = random_linear_instance(sys_, rng)
+        for beta in (driver.beta, dense_beta(sys_, driver.beta)):
+            beta[~sys_.reachable[:-1]] = np.nan  # never read
+            blocked = LinearDriver(driver.alpha, driver.g, beta)
+            want = results(sys_, blocked, terminal)
+            with monkeypatch.context() as m:
+                m.setattr(lattice, "BLOCK_ENTRIES", entries)
+                got = results(sys_, blocked, terminal)
+            for a, b in zip(got, want):
+                assert_same(a, b)
 
 
 def test_dense_and_local_control_beta_agree_bit_for_bit():

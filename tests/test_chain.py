@@ -350,6 +350,14 @@ def test_simulate_paths_byte_identical_per_seed():
     assert a[0].tobytes() == b[0].tobytes()
 
 
+@pytest.mark.parametrize("n_paths", [0, -3, 2.0, True])
+def test_simulate_paths_rejects_a_path_count_that_is_no_positive_integer(
+        n_paths):
+    with pytest.raises(ValueError,
+                       match=rf"n_paths must be a positive integer, not {n_paths}"):
+        simulate_paths(tiny_model(), n_paths, seed=0)
+
+
 def test_simulate_error_on_dead_end():
     # State 0's sojourn law has no mass at all: duration 1 survivor is 1
     # forever, which is fine; but a zero jump row with hazard 1 is a dead end.

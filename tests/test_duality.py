@@ -35,7 +35,6 @@ from smcbsde import (
 from smcbsde import duality, instances
 from smcbsde.duality import (
     DENOMINATOR_TOL,
-    _check_denominators,
     _drawn_paths,
     _factors,
     _path_slots,
@@ -49,7 +48,15 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model, tiny_model, uniform_jump
-from dense import dense_beta, enumerate_paths, geometry_for, transition
+from dense import (
+    check_walked_denominators,
+    dense_beta,
+    enumerate_paths,
+    full_factors,
+    full_noise,
+    geometry_for,
+    transition,
+)
 
 TINY_COLUMN = np.array([0.0, 0.4, 0.6, 0.0])
 
@@ -666,7 +673,7 @@ def _path_weights(sys, fac, start, paths):
     slot = slots[at]
     walked = np.zeros(den.shape, dtype=bool)
     walked[times, cur, slot] = True
-    _check_denominators(sys, den, walked)
+    check_walked_denominators(sys, den, walked)
     v = np.ones(paths.shape)
     np.cumprod(step[times, cur, slot], axis=1, out=v[:, 1:])
     return v, v[:, :-1] * run[times, cur]
@@ -679,7 +686,7 @@ def forward_measure_dual_value(sys, sde, g, terminal):
     terminal = np.asarray(terminal, dtype=float)
     start_time = sde.start_time
     t, d = sys.horizon, sys.dim
-    succ, prob, den, step, run = _factors(sys, sde)
+    succ, prob, den, step, run = full_factors(sys, sde)
     starts = sys.reachable_at[start_time]
 
     def reached(mu, x):
@@ -734,7 +741,7 @@ def path_array_weight_bounds(sys, sde):
     start = sde.start_time
     states = sys.reachable_at[start]
     paths, weight = all_paths(sys, start, states)
-    v, w = _path_weights(sys, _factors(sys, sde), start, paths)
+    v, w = _path_weights(sys, full_factors(sys, sde), start, paths)
     ev = np.bincount(paths[:, 0], weight * np.max(v * v, axis=1),
                      minlength=sys.dim)[states]
     ew = np.bincount(paths[:, 0], weight * np.max(w * w, axis=1, initial=0.0),
@@ -851,6 +858,38 @@ def test_select_convention_builds_factors_once_per_trial_and_convention(
         assert all(calls.count(c) == trials for c in Convention)
 
 
+@pytest.mark.parametrize("entries", [1, 1 << 18])
+def test_cell_factors_are_the_full_tables_at_the_cells(monkeypatch, entries):
+    # from every start, in blocks of one time or of all, the cell-major
+    # noise and factors hold the bits of the (T, D, W) tables at the
+    # reachable cells (a one-row product would round the noise differently)
+    monkeypatch.setattr("smcbsde.lattice.BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        sys_ = build_lattice(random_model(rng, n=3, t=8))
+        driver, _ = random_linear_instance(sys_, rng)
+        plan = sys_.plan
+        for beta in (driver.beta, dense_beta(sys_, driver.beta)):
+            noise = full_noise(sys_, beta)
+            for start in range(sys_.horizon):
+                at = plan.span(start, sys_.horizon)
+                k, s = plan.times[at], plan.cells[at]
+                np.testing.assert_array_equal(
+                    duality._cell_noise(sys_, beta, start), noise[k, s])
+            for conv in Convention:
+                sde = WeightSde(driver.alpha, beta, conv)
+                _, _, den, step, run = full_factors(sys_, sde)
+                for start in range(sys_.horizon):
+                    fac = _factors(sys_, WeightSde(driver.alpha, beta, conv,
+                                                   start))
+                    at = plan.span(start, sys_.horizon)
+                    k, s = plan.times[at], plan.cells[at]
+                    np.testing.assert_array_equal(fac.step, step[k, s])
+                    np.testing.assert_array_equal(
+                        np.broadcast_to(fac.den, fac.step.shape), den[k, s])
+                    np.testing.assert_array_equal(fac.run, run[k, s])
+
+
 def test_exhaustive_weight_bounds_memory():
     # 3^10 paths from time 0; as (P, L) arrays they peaked at 30 MB
     sys_ = build_lattice(geometric_model((0.3, 0.5, 0.7), 10))
@@ -864,6 +903,25 @@ def test_exhaustive_weight_bounds_memory():
         tracemalloc.stop()
     assert report.min_weight >= -1e-10
     assert peak < 10e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_exact_dual_memory_at_a_long_horizon():
+    # geometric N=8, T=512 (D=4104, 198,768 reachable cells); the (T, D, W)
+    # factor tables over every state peaked at 420 MB
+    n, t = 8, 512
+    sys_ = build_lattice(geometric_model(np.linspace(0.2, 0.8, n), t))
+    rng = np.random.default_rng(29)
+    alpha = rng.uniform(-0.5, 0.5, (t, sys_.dim))
+    g = rng.uniform(-1.0, 1.0, (t, sys_.dim))
+    terminal = rng.uniform(-1.0, 1.0, sys_.dim)
+    tracemalloc.start()
+    try:
+        dual = dual_value(sys_, WeightSde(alpha, None), g, terminal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(dual[sys_.reachable_at[0]]).all()
+    assert peak < 100e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("start", [-1, "T+1"])
@@ -880,6 +938,24 @@ def test_start_time_is_range_checked(entry, start):
         "evolve_weights": lambda: evolve_weights(sys_, sde, [0]),
     }[entry]
     with pytest.raises(ValueError, match=rf"start_time {start} outside 0\.\.4"):
+        call()
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5])
+@pytest.mark.parametrize("entry", ["dual_value", "weight_bounds"])
+def test_path_counts_must_be_positive_integers(entry, count):
+    # 0 once divided by zero, -3 died in numpy
+    sys_ = build_lattice(geometric_model((0.3, 0.6), 4))
+    driver, terminal = random_linear_instance(sys_, np.random.default_rng(24))
+    sde = WeightSde.from_driver(driver)
+    name, call = {
+        "dual_value": ("mc_paths", lambda: dual_value(
+            sys_, sde, driver.g, terminal, mc_paths=count, seed=0)),
+        "weight_bounds": ("samples", lambda: weight_bounds(
+            sys_, sde, samples=count, seed=0)),
+    }[entry]
+    with pytest.raises(ValueError,
+                       match=rf"{name} must be a positive integer, not {count}"):
         call()
 
 
@@ -933,11 +1009,11 @@ def test_padding_slots_never_trip_the_denominator_check():
     driver, terminal = random_linear_instance(sys_, rng)
     k, s = padded[0]
     alpha = np.zeros_like(driver.alpha)
-    _, _, den, _, _ = _factors(sys_, WeightSde(alpha, driver.beta,
+    _, _, den, _, _ = full_factors(sys_, WeightSde(alpha, driver.beta,
                                                Convention.IMPLICIT))
     alpha[k, s] = den[k, s, -1]  # den is 1 - noise at alpha = 0
     sde = WeightSde(alpha, driver.beta, Convention.IMPLICIT, k)
-    assert abs(_factors(sys_, sde)[2][k, s, -1]) < DENOMINATOR_TOL
+    assert abs(full_factors(sys_, sde)[2][k, s, -1]) < DENOMINATOR_TOL
     assert_close(dual_value(sys_, sde, driver.g, terminal)[s],
                  forward_measure_dual_value(sys_, sde, driver.g, terminal)[s])
 
@@ -955,7 +1031,7 @@ def full_table_dual_value(sys, sde, g, terminal, mc_paths, seed):
     starts = sys.reachable_at[start]
     paths = np.concatenate([_sample_paths(sys, start, int(s), mc_paths, rng)
                             for s in starts])
-    v, w = _path_weights(sys, _factors(sys, sde), start, paths)
+    v, w = _path_weights(sys, full_factors(sys, sde), start, paths)
     total = (terminal[paths[:, -1]] * v[:, -1]
              + (g[np.arange(start, t), paths[:, :-1]] * w).sum(axis=1))
     out = np.full(sys.dim, np.nan)
@@ -972,7 +1048,7 @@ def full_table_weight_bounds(sys, sde, samples, seed):
     states = sys.reachable_at[start]
     paths = np.concatenate([_sample_paths(sys, start, int(s), samples, rng)
                             for s in states])
-    v, w = _path_weights(sys, _factors(sys, sde), start, paths)
+    v, w = _path_weights(sys, full_factors(sys, sde), start, paths)
     ev = np.bincount(paths[:, 0], np.max(v * v, axis=1) / samples,
                      minlength=sys.dim)[states]
     ew = np.bincount(paths[:, 0], np.max(w * w, axis=1, initial=0.0) / samples,
@@ -1026,7 +1102,7 @@ def test_drawn_step_factors_match_the_full_table(case):
                                            9, seed)
             assert_same_outcome(
                 raised(_walk, sys_, sde, start, paths, slots),
-                raised(_path_weights, sys_, _factors(sys_, sde), start, paths),
+                raised(_path_weights, sys_, full_factors(sys_, sde), start, paths),
                 assert_close_weights)
             assert_same_outcome(
                 raised(dual_value, sys_, sde, driver.g, terminal, mc_paths=9,
@@ -1050,7 +1126,7 @@ def test_drawn_step_factors_match_the_full_table(case):
             for _ in range(2):
                 assert_same_outcome(
                     raised(evolve_weights, sys_, sde, path),
-                    raised(lambda: _path_weights(sys_, _factors(sys_, sde), start,
+                    raised(lambda: _path_weights(sys_, full_factors(sys_, sde), start,
                                                  path[None, :])[0][0]),
                     assert_close)
                 if path.size > 1:

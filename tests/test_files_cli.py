@@ -261,6 +261,18 @@ def test_cli_simulate_byte_identical(workdir, capsys):
     assert header == "path,time,state,duration"
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_simulate_rejects_a_path_count_below_one(workdir, capsys, count):
+    # 0 once wrote one path and exited 0; -3 died in numpy
+    out = workdir / "paths.csv"
+    rc = cli.main(["simulate", "--model", str(workdir / "model.json"), "--out",
+                   str(out), "--seed", "9", "--mc-paths", count])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --mc-paths must be a positive integer, not {count}\n")
+    assert not out.exists()
+
+
 def _read_triplets(path, header):
     lines = path.read_text().splitlines()
     assert lines[0] == header

@@ -433,6 +433,53 @@ def test_block_geometry_matches_dense_reference(case):
     )
 
 
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(lattices())
+def test_slice_plan_invariants(case):
+    sys_, _ = case
+    plan, t, d = sys_.plan, sys_.horizon, sys_.dim
+    w = sys_.succ.shape[1]
+    # the cells, time-major: reachable_at[k] is a view of slice k
+    assert plan.offset[0] == 0 and plan.offset[-1] == plan.cells.size
+    assert len(sys_.reachable_at) == t + 1
+    for k, reach in enumerate(sys_.reachable_at):
+        np.testing.assert_array_equal(reach, np.flatnonzero(sys_.reachable[k]))
+        np.testing.assert_array_equal(reach, plan.cells[plan.span(k)])
+        assert reach.base is plan.cells
+        assert np.all(plan.times[plan.span(k)] == k)
+    np.testing.assert_array_equal(plan.key, plan.times * d + plan.cells)
+    assert np.all(np.diff(plan.key) > 0)
+    np.testing.assert_array_equal(sys_.sources[plan.source_at],
+                                  plan.cells[:plan.offset[t]])
+    # the lattice-only tables, as each call built them before
+    np.testing.assert_array_equal(plan.real, sys_.prob > 0.0)
+    cols = sys_.local_pinv[:, :, 1:]
+    np.testing.assert_array_equal(
+        plan.noise_cols, cols - cols @ sys_.prob[sys_.sources][..., None])
+    last = np.count_nonzero(sys_.prob, axis=1)[:, None] - 1
+    slot = np.minimum(np.arange(w + 1), last) % w
+    np.testing.assert_array_equal(plan.pick_slot, slot.ravel())
+    np.testing.assert_array_equal(plan.pick_next,
+                                  np.take_along_axis(sys_.succ, slot, 1).ravel())
+    # read-only like the other lattice arrays, and lean: one entry per cell
+    # per array, tables over states at most W+1 wide, and the one
+    # per-source table is not copied per cell
+    arrays = vars(plan)
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+        assert arr.shape.count(d) <= 1, name
+    with pytest.raises(ValueError):
+        sys_.reachable_at[0][0] = 0
+    cells = plan.cells.size
+    for name in ("cells", "times", "key", "source_at"):
+        assert arrays[name].ndim == 1 and arrays[name].size <= cells, name
+    for name in ("real", "pick_slot", "pick_next"):
+        assert arrays[name].size <= d * (w + 1), name
+    assert plan.noise_cols.shape == (sys_.sources.size, w + 1, w)
+    assert sum(a.nbytes for a in arrays.values()) <= (
+        8 * (4 * cells + 3 * d * (w + 1)) + plan.noise_cols.nbytes)
+
+
 def test_state_jumping_onto_itself_is_rejected():
     # a jump from (0, 1) back to state 0 lands on (0, 1): the source would be
     # one of its own successors, which no semi-Markov chain does
