@@ -9,15 +9,15 @@ Per time slice k the lattice's ``step`` gives, for every reachable source e,
 and the value is the unique root of  y - f(k, e, y, z) = mean.  Drivers must
 depend on the integrand only through its products with the realizable
 increments; this is enforced structurally by always handing them the
-canonical representative.  Linear drivers are solved slice-wide in closed
-form: their coefficients, the b . P rows among them, are gathered once over
-the lattice's reachable cells and checked there (finite, no unit drift) as
-the sweep would meet them, the latest time first; the slice loop keeps the
-step, the projected sum and the division.  The same gathered terms give a
-linear driver's values at every cell along a solution (_driver_cells), for
-the comparison gap.  General drivers get the ambient row, built per slice for the reachable sources only, and a verified
-bracket (sign change plus a monotonicity sweep) refined to 1e-12, cell by
-cell.
+canonical representative.
+
+Affine drivers, a linear driver or a control problem's grid of them, share
+one kernel: _gather reads their terms once at the plan's cells for the
+caller's checks, and _affine_solve takes the largest closed form at each
+cell, a verified root only at the cells its caller lists.  General drivers
+get the ambient row, built per slice for the reachable sources only, and a
+verified bracket (sign change plus a monotonicity sweep) refined to 1e-12,
+cell by cell.
 
 Solutions keep the integrands as the step returns them: local rows
 (T, D, W) on each source's successor slots, beside the successor table
@@ -33,7 +33,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .lattice import _blocks, _projected, projection_constants
+from .lattice import _blocks, projection_constants
+from .linalg import comparison_condition
 
 __all__ = [
     "BijectionError",
@@ -82,12 +83,10 @@ class LinearDriver:
     beta: np.ndarray | None = None
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "g", g)
-        if self.beta is not None:
-            object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+        for name in ("alpha", "g", "beta"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name,
+                                   np.asarray(getattr(self, name), dtype=float))
 
     @classmethod
     def constant(cls, horizon, dim, alpha=0.0, g=0.0):
@@ -98,15 +97,12 @@ class LinearDriver:
     def bounds(self, sys):
         """Max |alpha| and max Euclidean beta-row norm on the block over
         reachable (k, e)."""
-        mask = sys.reachable[:-1]
-        p = float(np.abs(self.alpha[mask]).max(initial=0.0))
-        l = 0.0
+        plan, l = sys.plan, 0.0
         if self.beta is not None:
-            k, s = np.nonzero(mask)
-            rows = sys.block_rows(self.beta, k, s)
-            rows[:, 1:] = np.where(sys.plan.real[s], rows[:, 1:], 0.0)
-            l = float(np.linalg.norm(rows, axis=1).max(initial=0.0))
-        return p, l
+            at = plan.span(0, sys.horizon)
+            l = float(_block_norms(sys, sys.block_rows(
+                self.beta, plan.times[at], plan.cells[at])).max(initial=0.0))
+        return float(np.abs(self.alpha[sys.reachable[:-1]]).max(initial=0.0)), l
 
 
 @dataclass(frozen=True)
@@ -234,10 +230,11 @@ def _finite_rows(table, times, states) -> np.ndarray:
     return out
 
 
-class _LinearTerms(NamedTuple):
-    """A linear driver at the plan's cells before the horizon: alpha, g,
-    the rows coef (cells, W) of b . P z (None without beta) and den =
-    1 - alpha."""
+class _AffineTerms(NamedTuple):
+    """Affine drivers  alpha y + b . P z + g  at the plan's cells before the
+    horizon: alpha, g and den = 1 - alpha, (cells,) for one driver or
+    (cells, U) over a grid of U controls, and the rows coef (cells[, U], W)
+    of b . P z on the successor slots (None without beta)."""
 
     alpha: np.ndarray
     g: np.ndarray
@@ -245,55 +242,120 @@ class _LinearTerms(NamedTuple):
     den: np.ndarray
 
     def value(self, at, y, z):
-        """alpha y + g + b . P z at the cells ``at`` (a slice or index)."""
+        """The drivers at the cells ``at`` (a slice or an index) for values
+        y and local integrands z (..., W) there.  One driver adds g before
+        its product sum, controls after a matrix product: the two round
+        apart, and each solver's values are pinned bit for bit."""
+        if self.alpha.ndim > 1:
+            noise = (self.coef[at] @ z[..., None])[..., 0]
+            return self.alpha[at] * np.expand_dims(y, -1) + noise + self.g[at]
         out = self.alpha[at] * y + self.g[at]
-        if self.coef is not None:
-            out = out + (self.coef[at] * z).sum(axis=-1)
-        return out
+        return out if self.coef is None else out + (self.coef[at] * z).sum(-1)
+
+    def closed(self, at, mean, z):
+        """The largest closed form (mean + g + b . P z) / (1 - alpha) over
+        the controls, at the cells ``at`` of one slice step."""
+        numer = self.value(at, 0.0, z)
+        if self.alpha.ndim == 1:
+            return (mean + numer) / self.den[at]
+        return ((mean[:, None] + numer) / self.den[at]).max(axis=1)
+
+    def along(self, sys, sol):
+        """The drivers at every cell before the horizon along a solution."""
+        mask = sys.reachable[:-1]
+        return self.value(slice(None), sol.values[:-1][mask],
+                          sol.local_integrands[mask])
 
 
-def _linear_terms(sys, driver) -> _LinearTerms:
-    """The _LinearTerms of a linear driver, checked as the backward sweep
-    meets the cells, the latest time first: there ProblemDataError names
-    the first field (alpha, g, then beta, read whole) that is not finite,
-    else DegenerateDriverError the first unit drift."""
+def _gather(sys, alpha, g, beta):
+    """The _AffineTerms of tables alpha, g (T, D[, U]) and beta (T, D[, U],
+    X) or None; (cells,) True where a cell's alpha, g and whole beta rows
+    are finite, elsewhere its terms are unchecked; and beta's rows on the
+    blocks (cells[, U], W+1), or None."""
     plan = sys.plan
     at = plan.span(0, sys.horizon)
     times, cells = plan.times[at], plan.cells[at]
-    a, g = driver.alpha[times, cells], driver.g[times, cells]
-    rows = None if driver.beta is None else \
-        sys.block_rows(driver.beta, times, cells)
-    den = 1.0 - a
-    ok = np.isfinite(a) & np.isfinite(g) & (np.abs(den) >= 1e-12)
-    if rows is not None:
-        ok &= _finite_rows(driver.beta, times, cells)
+    a, c = alpha[times, cells], g[times, cells]
+    ok = np.isfinite(a.reshape(cells.size, -1)).all(axis=1) \
+        & np.isfinite(c.reshape(cells.size, -1)).all(axis=1)
+    coef = rows = None
+    if beta is not None:
+        ok &= _finite_rows(beta, times, cells)
+        rows = sys.block_rows(beta, times, cells)
+        # each row b through its source's projector, in blocks of cells
+        b = rows.reshape(cells.size, -1, rows.shape[-1])
+        coef = np.empty(rows.shape[:-1] + sys.succ.shape[1:])
+        flat = coef.reshape(b.shape[:2] + (-1,))
+        with np.errstate(all="ignore"):  # rows that are not finite fail ok
+            for blk in _blocks(cells.size, b[0].size * b.shape[-1]):
+                flat[blk] = (b[blk] @ sys.local_projector[
+                    plan.source_at[blk]])[..., 1:]
+    return _AffineTerms(a, c, coef, 1.0 - a), ok, rows
+
+
+def _block_norms(sys, rows) -> np.ndarray:
+    """Euclidean norms (cells[, U]) of rows (cells[, U], W+1) on the blocks
+    at the plan's cells before the horizon, padding slots read as zero:
+    they are zeroed in ``rows`` itself."""
+    plan = sys.plan
+    real = plan.real[plan.cells[plan.span(0, sys.horizon)]]
+    real = real.reshape(real.shape[:1] + (1,) * (rows.ndim - 2) + real.shape[1:])
+    rows[..., 1:] = np.where(real, rows[..., 1:], 0.0)
+    return np.linalg.norm(rows, axis=-1)
+
+
+def _linear_terms(sys, driver) -> _AffineTerms:
+    """The _AffineTerms of a linear driver, checked as the backward sweep
+    meets the cells, the latest time first: there ProblemDataError names
+    the first field (alpha, g, then beta, read whole) that is not finite,
+    else DegenerateDriverError the first unit drift."""
+    terms, ok, _ = _gather(sys, driver.alpha, driver.g, driver.beta)
+    ok &= np.abs(terms.den) >= 1e-12
     if not ok.all():
-        k = int(times[np.flatnonzero(~ok)[-1]])
+        k = int(sys.plan.times[np.flatnonzero(~ok)[-1]])
         src = sys.reachable_at[k]
         _require_finite(sys, k, alpha=driver.alpha[k, src], g=driver.g[k, src],
-                        beta=None if rows is None else driver.beta[k, src])
+                        beta=None if driver.beta is None else driver.beta[k, src])
         i = int(np.argmax(np.abs(1.0 - driver.alpha[k, src]) < 1e-12))
         raise DegenerateDriverError(
             f"alpha[{k}, {src[i]}] = {driver.alpha[k, src[i]]}: y - f is not a "
             "bijection"
         )
-    coef = None
-    if rows is not None:
-        coef = np.empty(rows.shape[:1] + sys.succ.shape[1:])
-        for blk in _blocks(cells.size, rows.shape[-1] ** 2):
-            coef[blk] = _projected(sys, plan.source_at[blk], rows[blk])
-    return _LinearTerms(a, g, coef, den)
+    return terms
+
+
+def _affine_solve(sys, terms, values, local, roots=()):
+    """Fill the tables of _tables backward by  y = mean + max_u f_u(y, z):
+    the largest closed form at each cell, a verified root instead at the
+    cells ``roots`` (ascending positions among the plan's cells)."""
+    plan = sys.plan
+    cut = np.searchsorted(roots, plan.offset).tolist()
+    for k in range(sys.horizon - 1, -1, -1):
+        src, at = sys.reachable_at[k], plan.span(k)
+        mean, z = sys.step(k, values[k + 1])
+        local[k, src] = z
+        if cut[k] == cut[k + 1]:
+            values[k, src] = terms.closed(at, mean, z)
+            continue
+        with np.errstate(all="ignore"):  # discarded at the roots
+            y = terms.closed(at, mean, z)
+        for c in roots[cut[k]:cut[k + 1]]:
+            i = c - at.start
+            y[i] = _verified_root(
+                lambda v: v - float(np.max(terms.value(c, v, z[i]))) - mean[i],
+                float(mean[i]), f" at time {k}, state {src[i]}")
+        values[k, src] = y
 
 
 def _driver_cells(sys, driver, sol) -> np.ndarray:
     """Driver values (cells,) at the plan's cells before the horizon, at
     the values and local integrands of the solution ``sol``."""
+    if isinstance(driver, LinearDriver):
+        return _linear_terms(sys, driver).along(sys, sol)
     plan = sys.plan
     at = plan.span(0, sys.horizon)
     times, cells = plan.times[at], plan.cells[at]
     y, z = sol.values[times, cells], sol.local_integrands[times, cells]
-    if isinstance(driver, LinearDriver):
-        return _linear_terms(sys, driver).value(slice(None), y, z)
     out = np.empty(cells.size)
     for k in range(sys.horizon):
         now = plan.span(k)
@@ -312,18 +374,14 @@ def solve_bsde(sys, driver, terminal) -> BsdeSolution:
     ProblemDataError; one with a unit drift there, DegenerateDriverError,
     each at the latest such time.
     """
-    linear = isinstance(driver, LinearDriver)
     values, local = _tables(sys, terminal)
-    if linear:
-        terms = _linear_terms(sys, driver)
+    if isinstance(driver, LinearDriver):
+        _affine_solve(sys, _linear_terms(sys, driver), values, local)
+        return _solution(sys, values, local)
     for k in range(sys.horizon - 1, -1, -1):
         src = sys.reachable_at[k]
         mean, z = sys.step(k, values[k + 1])
         local[k, src] = z
-        if linear:
-            at = sys.plan.span(k)
-            values[k, src] = (mean + terms.value(at, 0.0, z)) / terms.den[at]
-            continue
         # a verified root per cell, the driver reading the ambient row
         rows = _ambient_rows(sys, k, z)
         for s, m, row in zip(src.tolist(), mean.tolist(), rows):
@@ -373,8 +431,6 @@ def check_comparison(
     When all three hold, values1 <= values2 + tol must follow; if it does
     not, an AssertionError is raised because the solver itself is wrong.
     """
-    from .linalg import comparison_condition
-
     t1 = _terminal_array(sys, terminal1)
     t2 = _terminal_array(sys, terminal2)
     sol1 = solve_bsde(sys, driver1, t1)

@@ -45,6 +45,7 @@ from .duality import (
     DEFAULT_CONVENTION,
     SelectionError,
     WeightSde,
+    _residuals,
     dual_value,
     select_convention,
     weight_bounds,
@@ -76,13 +77,12 @@ def _metadata(**extra):
     return meta
 
 
-def _values_rows(sys, values):
-    rows = []
-    for k in range(sys.horizon + 1):
-        for s in sys.reachable_at[k]:
-            state, dur = sys.label(int(s))
-            rows.append((k, state, dur, float(values[k, int(s)])))
-    return rows
+def _write_values(path, sys, values):
+    """values.csv: a (time, state, duration, value) row per reachable cell."""
+    plan, n = sys.plan, sys.model.n_states
+    files.write_csv(path, ("time", "state", "duration", "value"), zip(
+        plan.times.tolist(), (plan.cells % n).tolist(),
+        (plan.cells // n + 1).tolist(), values.take(plan.key).tolist()))
 
 
 def _block_entries(sources, block, local):
@@ -216,6 +216,24 @@ def _solve_linear(args):
     return sys_, driver, terminal, solution, tol
 
 
+def _duality_residuals(sys_, driver, terminal, solution, convention):
+    """Absolute and scaled residual (_residuals) of the exact time-0 dual
+    under ``convention`` against the backward values."""
+    sde = WeightSde.from_driver(driver, convention)
+    dual = dual_value(sys_, sde, driver.g, terminal)
+    reach0 = sys_.reachable_at[0]
+    return _residuals(dual[reach0], solution.values[0, reach0])
+
+
+def _gate(scaled, tol, what):
+    """EXIT_VIOLATION, said on stderr, where a scaled residual is not finite
+    or exceeds ``tol``; EXIT_OK otherwise."""
+    if math.isfinite(scaled) and scaled <= tol:
+        return EXIT_OK
+    print(f"{what} is not finite or exceeds tolerance {tol}", file=sys.stderr)
+    return EXIT_VIOLATION
+
+
 def _cmd_solve_bsde(args):
     sys_, driver, terminal, solution, tol = _solve_linear(args)
     _, l_bound = driver.bounds(sys_)
@@ -224,24 +242,19 @@ def _cmd_solve_bsde(args):
     comparison = comparison_condition(sys_, l_bound * lam)
 
     convention, selection = _resolve_convention(args.convention, sys_, args.seed)
-    sde = WeightSde.from_driver(driver, convention)
-    dual = dual_value(sys_, sde, driver.g, terminal)
-    reach0 = sys_.reachable_at[0]
-    residual = float(np.max(np.abs(dual[reach0] - solution.values[0, reach0])))
+    residual, scaled = _duality_residuals(sys_, driver, terminal, solution,
+                                          convention)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    files.write_csv(
-        out / "values.csv",
-        ("time", "state", "duration", "value"),
-        _values_rows(sys_, solution.values),
-    )
+    _write_values(out / "values.csv", sys_, solution.values)
     payload = {
         "metadata": _metadata(
             convention=convention.value,
             tolerance=tol,
             duality_check="exhaustive",
             duality_residual=residual,
+            duality_residual_scaled=scaled,
         ),
         "hypotheses": {
             "positivity": _condition_payload(positivity),
@@ -257,48 +270,38 @@ def _cmd_solve_bsde(args):
         payload["convention_selection"] = selection.summary()
     files.write_json(out / "solution.json", payload)
     print(f"solved backward equation; artifacts in {out}")
-    print(f"duality residual (exhaustive): {residual:.3e}")
-    if not math.isfinite(residual) or residual > tol:
-        print(f"residual is not finite or exceeds tolerance {tol}",
-              file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    print(f"duality residual (exhaustive): {residual:.3e}, scaled {scaled:.3e}")
+    return _gate(scaled, tol, "scaled residual")
 
 
 def _cmd_verify_duality(args):
     sys_, driver, terminal, solution, tol = _solve_linear(args)
-    reach0 = sys_.reachable_at[0]
-
-    per_convention = {}
-    for conv in Convention:
-        sde = WeightSde.from_driver(driver, conv)
-        dual = dual_value(sys_, sde, driver.g, terminal)
-        per_convention[conv.value] = float(
-            np.max(np.abs(dual[reach0] - solution.values[0, reach0]))
-        )
+    per_convention = {
+        conv.value: _duality_residuals(sys_, driver, terminal, solution, conv)
+        for conv in Convention
+    }
     convention, selection = _resolve_convention(args.convention, sys_, args.seed)
-    residual = per_convention[convention.value]
+    residual, scaled = per_convention[convention.value]
     payload = {
         "metadata": _metadata(
             convention=convention.value,
             tolerance=tol,
             check="exhaustive",
         ),
-        "residual_per_convention": per_convention,
+        "residual_per_convention": {c: r[0] for c, r in per_convention.items()},
+        "scaled_residual_per_convention": {
+            c: r[1] for c, r in per_convention.items()},
         "selected_residual": residual,
+        "selected_scaled_residual": scaled,
     }
     if selection is not None:
         payload["convention_selection"] = selection.summary()
     if args.out:
         files.write_json(args.out, payload)
-    for name, value in sorted(per_convention.items()):
+    for name, (value, ratio) in sorted(per_convention.items()):
         marker = "*" if name == convention.value else " "
-        print(f"{marker} {name:9s} residual {value:.3e}")
-    if not math.isfinite(residual) or residual > tol:
-        print(f"selected residual is not finite or exceeds tolerance {tol}",
-              file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+        print(f"{marker} {name:9s} residual {value:.3e}, scaled {ratio:.3e}")
+    return _gate(scaled, tol, "selected scaled residual")
 
 
 def _cmd_solve_control(args):
@@ -307,28 +310,24 @@ def _cmd_solve_control(args):
     problem = files.load_control_problem(args.problem)
     _check_problem_size(args.problem, problem.alpha, problem.beta, sys_)
     tol = args.tol if args.tol is not None else 1e-9
-    solved = solve_control(
-        problem, sys_, override_hypotheses=args.override_hypotheses
-    )
-    oracle_residual = None
-    cells = sum(len(sys_.reachable_at[k]) for k in range(sys_.horizon))
-    if problem.n_controls**cells <= 100_000:
+    solved = solve_control(problem, sys_,
+                           override_hypotheses=args.override_hypotheses)
+    oracle_residual = oracle_scaled = None
+    plan = sys_.plan
+    at = plan.span(0, sys_.horizon)
+    if problem.n_controls ** int(at.stop - at.start) <= 100_000:
         brute = brute_force_value(problem, sys_)
-        diff = solved.values - brute.per_time_max
-        oracle_residual = float(np.nanmax(np.abs(diff)))
+        oracle_residual, oracle_scaled = _residuals(
+            brute.per_time_max[sys_.reachable], solved.values[sys_.reachable])
     # one column per field over the reachable cells, in time-then-state order
-    time, flat = np.nonzero(sys_.reachable[:-1])
+    time, flat = plan.times[at], plan.cells[at]
     control = solved.policy.choices[time, flat]
     n = model.n_states
     policy = {"time": time, "state": flat % n, "duration": flat // n + 1,
               "control": control, "point": problem.controls[control]}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    files.write_csv(
-        out / "values.csv",
-        ("time", "state", "duration", "value"),
-        _values_rows(sys_, solved.values),
-    )
+    _write_values(out / "values.csv", sys_, solved.values)
     files.write_json(
         out / "control.json",
         {
@@ -344,14 +343,14 @@ def _cmd_solve_control(args):
             "policy": policy,
             "ties": solved.ties,
             "oracle_residual": oracle_residual,
+            "oracle_residual_scaled": oracle_scaled,
         },
     )
     print(f"solved control problem; artifacts in {out}")
     if oracle_residual is not None:
-        print(f"brute-force oracle residual: {oracle_residual:.3e}")
-        if oracle_residual > tol:
-            print(f"oracle residual exceeds tolerance {tol}", file=sys.stderr)
-            return EXIT_VIOLATION
+        print(f"brute-force oracle residual: {oracle_residual:.3e}, scaled "
+              f"{oracle_scaled:.3e}")
+        return _gate(oracle_scaled, tol, "scaled oracle residual")
     return EXIT_OK
 
 
@@ -416,13 +415,9 @@ def _suite_rows(seed):
             selection_done = True
         driver, terminal = random_linear_instance(sys_, rng)
         solution = solve_bsde(sys_, driver, terminal)
+        worst = max(worst, _duality_residuals(sys_, driver, terminal, solution,
+                                              DEFAULT_CONVENTION)[1])
         sde = WeightSde.from_driver(driver, DEFAULT_CONVENTION)
-        dual = dual_value(sys_, sde, driver.g, terminal)
-        reach0 = sys_.reachable_at[0]
-        worst = max(
-            worst,
-            float(np.max(np.abs(dual[reach0] - solution.values[0, reach0]))),
-        )
         _, l_bound = driver.bounds(sys_)
         report = weight_bounds(sys_, sde, beta_bound=l_bound)
         min_weight = min(min_weight, report.min_weight)
@@ -448,8 +443,8 @@ def _suite_rows(seed):
         problem = random_control_problem(sys_, rng, n_controls=2)
         solved = solve_control(problem, sys_)
         brute = brute_force_value(problem, sys_)
-        diff = solved.values - brute.per_time_max
-        worst = max(worst, float(np.nanmax(np.abs(diff))))
+        worst = max(worst, _residuals(brute.per_time_max[sys_.reachable],
+                                      solved.values[sys_.reachable])[1])
         if i < 2:
             _, report = epsilon_optimal_policy(problem, sys_, solved, 1e-2)
             eps_ok = eps_ok and report.within_bound

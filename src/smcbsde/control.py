@@ -1,13 +1,13 @@
 """Finite-horizon control over a finite grid of actions.
 
 The controlled value solves a backward recursion whose per-step scalar map is
-``y = mean + max_u f_u(y, z)``, with each ``f_u`` affine in ``(y, z)``.  Each
-time slice runs on the lattice's ``step``; where every drift coefficient of a
-cell is below one the maximum of the per-control closed forms solves its step
-exactly, elsewhere a verified bracketed root finder is used.  The policy that
-attains each per-step maximum is returned alongside the values, and a
-brute-force enumerator over all open-loop policy tables (the same slice step
-with a policy batch axis) is provided as an independent check.
+``y = mean + max_u f_u(y, z)``, with each ``f_u`` affine in ``(y, z)``: the
+affine kernel of bsde with a controls axis, exact by the largest closed
+form where every drift of a cell is below one, by a verified bracketed
+root elsewhere.  The policy that attains each per-step maximum is returned
+alongside the values, and a brute-force enumerator over all open-loop
+policy tables (the same slice step and terms with a policy batch axis) is
+provided as an independent check.
 
 Before solving, the problem data are checked at every reachable cell and the
 positivity and comparison conditions are evaluated for the declared bounds;
@@ -27,11 +27,15 @@ from .bsde import (
     DegenerateDriverError,
     LinearDriver,
     ProblemDataError,
+    _affine_solve,
+    _AffineTerms,
+    _block_norms,
+    _gather,
     _require_finite,
     _solution,
     _tables,
     _terminal_array,
-    _verified_root,
+    solve_bsde,
 )
 from .duality import DEFAULT_CONVENTION, WeightSde, _level_walk, weight_bounds
 from .lattice import _source_index, projection_constants
@@ -121,39 +125,43 @@ class ControlProblem:
     def n_controls(self) -> int:
         return int(self.controls.shape[0])
 
-    def validate(self, sys, tol: float = 1e-9) -> None:
+    def validate(self, sys, tol: float = 1e-9) -> _AffineTerms:
         """Check shapes against the lattice, then that the tables are
         finite (whole beta rows) and obey the declared bounds (beta rows on
         the block) at every reachable cell; ProblemDataError names the
-        field, time and state."""
+        field, time and state, at the earliest time that breaks a check.
+        Returns the gathered terms the solvers read."""
         t, d = sys.horizon, sys.dim
         if self.alpha.shape[:2] != (t, d):
             raise ValueError(
                 f"tables sized {self.alpha.shape[:2]} do not match the "
                 f"lattice ({t}, {d})"
             )
-        for k in range(t):
-            src = sys.reachable_at[k]
-            alpha = self.alpha[k, src]
-            _require_finite(sys, k, alpha=alpha, beta=self.beta[k, src],
-                            g=self.g[k, src])
-            beta = sys.block_rows(self.beta, k, src)
-            beta[..., 1:] = np.where(sys.plan.real[src, None], beta[..., 1:],
-                                     0.0)
-            for name, label, worst, bound in (
-                ("alpha", "|alpha|", np.abs(alpha).max(axis=1),
-                 self.alpha_bound),
-                ("beta", "an integrand row norm",
-                 np.linalg.norm(beta, axis=2).max(axis=1), self.beta_bound),
-            ):
-                over = np.flatnonzero(worst > bound + tol)
+        terms, ok, rows = _gather(sys, self.alpha, self.g, self.beta)
+        checks = (
+            ("alpha", "|alpha|", np.abs(terms.alpha).max(axis=1),
+             self.alpha_bound),
+            ("beta", "an integrand row norm",
+             _block_norms(sys, rows).max(axis=1), self.beta_bound),
+        )
+        for _, _, worst, bound in checks:
+            ok &= ~(worst > bound + tol)
+        if not ok.all():
+            # the first failing time, checked as a loop over times would
+            k = int(sys.plan.times[np.argmin(ok)])
+            src, now = sys.reachable_at[k], sys.plan.span(k)
+            _require_finite(sys, k, alpha=self.alpha[k, src],
+                            beta=self.beta[k, src], g=self.g[k, src])
+            for name, label, worst, bound in checks:
+                over = np.flatnonzero(worst[now] > bound + tol)
                 if over.size:
                     raise ProblemDataError(
-                        f"field '{name}': {label} = {worst[over[0]]} exceeds "
-                        f"the declared bound {bound} at time {k}, state "
-                        f"{src[over[0]]}"
+                        f"field '{name}': {label} = {worst[now][over[0]]} "
+                        f"exceeds the declared bound {bound} at time {k}, "
+                        f"state {src[over[0]]}"
                     )
         _terminal_array(sys, self.terminal)
+        return terms
 
 
 @dataclass(frozen=True)
@@ -245,52 +253,23 @@ def solve_control(
     candidates is the fixed point of the maximised map.  Otherwise the step
     falls back to a verified bracketed root solve.
     """
-    problem.validate(sys)
+    terms = problem.validate(sys)
     positivity, comparison, lam = _check_hypotheses(
         problem, sys, override_hypotheses
     )
     values, local = _tables(sys, problem.terminal)
+    roots = np.flatnonzero(np.any(terms.alpha >= 1.0 - _ALPHA_GUARD, axis=1))
+    _affine_solve(sys, terms, values, local, roots)
+    solution = _solution(sys, values, local)
+    # the controls within the tie tolerance of the maximum at each cell
+    vals = terms.along(sys, solution)
+    best = vals.max(axis=1, keepdims=True)
+    near = vals >= best - _TIE_TOL * (1.0 + np.abs(best))
     choices = np.full((sys.horizon, sys.dim), -1, dtype=int)
-    ties = 0
-    for k in range(sys.horizon - 1, -1, -1):
-        src = sys.reachable_at[k]
-        mean, z = sys.step(k, values[k + 1])
-        local[k, src] = z
-        alphas, noise, g = _slice_terms(problem, sys, k, z)
-        y = np.empty(src.size)
-        closed = np.all(alphas < 1.0 - _ALPHA_GUARD, axis=1)
-        numer = mean[closed, None] + (alphas[closed] * 0.0 + noise[closed]
-                                      + g[closed])
-        y[closed] = np.max(numer / (1.0 - alphas[closed]), axis=1)
-        for i in np.flatnonzero(~closed):
-            def phi(v, a=alphas[i], n=noise[i], c=g[i], m=mean[i]):
-                return v - float(np.max(a * v + n + c)) - m
-
-            y[i] = _verified_root(phi, float(mean[i]),
-                                  f" at time {k}, state {src[i]}")
-        vals = alphas * y[:, None] + noise + g
-        best = vals.max(axis=1, keepdims=True)
-        near = vals >= best - _TIE_TOL * (1.0 + np.abs(best))
-        ties += int(np.count_nonzero(near.sum(axis=1) > 1))
-        choices[k, src] = np.argmax(near, axis=1)
-        values[k, src] = y
-    return ControlSolution(
-        _solution(sys, values, local),
-        PolicyTable(choices),
-        positivity,
-        comparison,
-        float(lam),
-        ties,
-    )
-
-
-def _slice_terms(problem, sys, k, z):
-    """alpha, b . P z and g of every control, each (S_k, U), at the sources
-    reachable at time k, for their local integrands z (S_k, W)."""
-    src = sys.reachable_at[k]
-    coef = sys.projected_rows(k, sys.block_rows(problem.beta, k, src))
-    noise = (coef @ z[:, :, None])[..., 0]
-    return problem.alpha[k, src], noise, problem.g[k, src]
+    choices[sys.reachable[:-1]] = np.argmax(near, axis=1)
+    ties = int(np.count_nonzero(near.sum(axis=1) > 1))
+    return ControlSolution(solution, PolicyTable(choices), positivity,
+                           comparison, float(lam), ties)
 
 
 def _policy_driver(problem: ControlProblem, sys, policy: PolicyTable):
@@ -314,8 +293,6 @@ def _policy_driver(problem: ControlProblem, sys, policy: PolicyTable):
 
 def evaluate_policy(problem: ControlProblem, sys, policy: PolicyTable):
     """Value of one fixed policy table (solves its affine backward system)."""
-    from .bsde import solve_bsde
-
     return solve_bsde(sys, _policy_driver(problem, sys, policy), problem.terminal)
 
 
@@ -349,37 +326,25 @@ def brute_force_value(
     the value at (k, s) only depends on digits at times >= k, the per-time
     maxima are the exact sub-problem optima.
     """
-    problem.validate(sys)
-    term = _terminal_array(sys, problem.terminal)
-    t, d = sys.horizon, sys.dim
+    terms = problem.validate(sys)
+    term = problem.terminal
+    t, d, plan = sys.horizon, sys.dim, sys.plan
     u = problem.n_controls
-    sizes = [r.size for r in sys.reachable_at[:t]]
-    n_cells = sum(sizes)
+    n_cells = int(plan.offset[t])
     n_pol = u**n_cells
     if n_pol > max_policies:
         raise ValueError(
             f"{n_pol} policies exceed the enumeration cap {max_policies}"
         )
-    first = np.cumsum([0] + sizes)
+    bad = np.any(np.abs(terms.den) < _ALPHA_GUARD, axis=1)
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise DegenerateDriverError(
+            f"a drift coefficient at time {plan.times[c]}, state "
+            f"{plan.cells[c]} makes the step map non-invertible"
+        )
     width = sys.succ.shape[1]
-    # per slice: sources, their successor slots and law, alpha, g and the
-    # projected beta rows of every control, each source's first entry in a
-    # flat (S_k, U) table and the place value of each source's digit
-    slices = []
-    for k in range(t):
-        src = sys.reachable_at[k]
-        alphas, g = problem.alpha[k, src], problem.g[k, src]
-        bad = np.any(np.abs(1.0 - alphas) < _ALPHA_GUARD, axis=1)
-        if bad.any():
-            raise DegenerateDriverError(
-                f"a drift coefficient at time {k}, state {src[np.argmax(bad)]} "
-                "makes the step map non-invertible"
-            )
-        coef = sys.projected_rows(k, sys.block_rows(problem.beta, k, src))
-        slices.append((src, sys.succ[src], sys.prob[src], alphas, g, coef,
-                       np.arange(0, src.size * u, u)[:, None],
-                       u ** np.arange(first[k], first[k + 1])[:, None]))
-
+    most = int(np.diff(plan.offset[:t + 1]).max())
     per_time_max = np.full((t + 1, d), np.nan)
     reach_t, reach0 = sys.reachable_at[t], sys.reachable_at[0]
     per_time_max[t, reach_t] = term[reach_t]
@@ -389,8 +354,8 @@ def brute_force_value(
     # two buffers allocated once per call and written in place (out=), as
     # fresh tables per step would fault their pages in on every call
     block = min(_POLICY_BLOCK, n_pol)
-    buf = np.empty(block * (d + max(sizes) * (width + 3)))
-    digits = np.empty(block * max(sizes), dtype=np.int64)
+    buf = np.empty(block * (d + most * (width + 3)))
+    digits = np.empty(block * most, dtype=np.int64)
     for lo in range(0, n_pol, block):
         pol = np.arange(lo, min(lo + block, n_pol))
         n = pol.size
@@ -401,30 +366,32 @@ def brute_force_value(
         values.fill(0.0)
         values[reach_t] = term[reach_t, None]
         for k in range(t - 1, -1, -1):
-            src, succ, prob, alphas, g, coef, at, place = slices[k]
-            m = src.size
+            src, at = sys.reachable_at[k], plan.span(k)
+            m, prob = src.size, sys.prob[src]
             z, mean, acc, part = np.split(buf[d * n:(d + m * (width + 3)) * n],
                                           np.cumsum([width, 1, 1]) * m * n)
             z, mean = z.reshape(m, width, n), mean.reshape(m, 1, n)
             acc, part = acc.reshape(m, n), part.reshape(m, n)
             # the slice step, as LatticeSystem.step takes it
-            np.take(values, succ, axis=0, out=z, mode="clip")
+            np.take(values, sys.succ[src], axis=0, out=z, mode="clip")
             np.matmul(prob[:, None, :], z, out=mean)
             z -= mean
             z[prob == 0.0] = 0.0
-            # flat (source, control) entry of each policy's choice
+            # flat (source, control) entry of each policy's choice: the
+            # digit at each cell's place value, after u entries per source
+            place = u ** np.arange(at.start, at.stop)[:, None]
             pick = np.floor_divide(pol, place, out=digits[:m * n].reshape(m, n))
             np.remainder(pick, u, out=pick)
-            pick += at
+            pick += np.arange(0, m * u, u)[:, None]
+            coef = terms.coef[at]
             np.multiply(np.take(coef[:, :, 0], pick, out=acc, mode="clip"),
                         z[:, 0], out=acc)
             for w in range(1, width):
                 np.take(coef[:, :, w], pick, out=part, mode="clip")
                 acc += np.multiply(part, z[:, w], out=part)
             acc += mean[:, 0]
-            acc += np.take(g, pick, out=part, mode="clip")
-            acc /= np.subtract(1.0, np.take(alphas, pick, out=part, mode="clip"),
-                               out=part)
+            acc += np.take(terms.g[at], pick, out=part, mode="clip")
+            acc /= np.take(terms.den[at], pick, out=part, mode="clip")
             values[src] = acc
             per_time_max[k, src] = np.fmax(per_time_max[k, src],
                                            acc.max(axis=1))
@@ -493,18 +460,12 @@ def epsilon_optimal_policy(
         raise ValueError("epsilon must be nonnegative")
     sol = solved.solution if isinstance(solved, ControlSolution) else solved
     t, d = sys.horizon, sys.dim
+    vals = problem.validate(sys).along(sys, sol)
+    best = vals.max(axis=1, keepdims=True)
     choices = np.full((t, d), -1, dtype=int)
-    for k in range(t):
-        src = sys.reachable_at[k]
-        z = sol.local_integrands[k, src]
-        alphas, noise, g = _slice_terms(problem, sys, k, z)
-        vals = alphas * sol.values[k, src, None] + noise + g
-        best = vals.max(axis=1, keepdims=True)
-        choices[k, src] = np.argmax(vals >= best - epsilon, axis=1)
+    choices[sys.reachable[:-1]] = np.argmax(vals >= best - epsilon, axis=1)
     policy = PolicyTable(choices)
     driver = _policy_driver(problem, sys, policy)
-    from .bsde import solve_bsde
-
     psol = solve_bsde(sys, driver, problem.terminal)
     delta = np.where(np.isnan(sol.values), 0.0, sol.values - psol.values)
     measured = _expected_max_gap_sq(sys, delta)

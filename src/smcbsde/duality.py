@@ -501,6 +501,18 @@ def weight_bounds(
                         per_state, positivity)
 
 
+def _residuals(dual, values) -> tuple[float, float]:
+    """Largest absolute residual |dual - values| and largest scaled residual
+    |dual - values| / (1 + |values|) over the entries, NaN where any entry
+    is.  Values grow like prod 1/(1 - alpha) along a path, and rounding
+    with them, so every gate that checks a dual against backward values
+    reads the scaled one."""
+    err = np.abs(np.asarray(dual, dtype=float) - values)
+    with np.errstate(invalid="ignore"):
+        scaled = err / (1.0 + np.abs(values))
+    return float(err.max(initial=0.0)), float(scaled.max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     """Evidence from the empirical convention selection."""
@@ -527,8 +539,8 @@ def select_convention(
 
     Runs randomized linear instances on ``sys``, compares dual_value against
     solve_bsde at every reachable (time, state), and returns the convention
-    with the smallest worst-case residual; a residual that is not finite
-    counts as inf.  Instances whose conventions all coincide (zero
+    with the smallest worst-case scaled residual (_residuals); one that is
+    not finite counts as inf.  Instances whose conventions all coincide (zero
     coefficients) are marked uninformative.  If no convention agrees within
     ``tol``, or none has a finite residual, the selection fails loudly: that
     indicates either an implementation bug or an unresolved ambiguity, and
@@ -540,7 +552,6 @@ def select_convention(
     rng = np.random.default_rng(seed)
     at = sys.plan.span(0, sys.horizon)
     per_conv = {c: [] for c in Convention}
-    informative = 0
     uninformative = 0
     for _ in range(trials):
         driver, terminal = random_linear_instance(sys, rng)
@@ -549,15 +560,12 @@ def select_convention(
         trial_res = {}
         for conv in Convention:
             fac = _factors(sys, WeightSde(driver.alpha, driver.beta, conv))
-            got = _sweep(sys, fac, driver.g, terminal)[at]
-            worst = float(np.abs(got - want).max())
+            worst = _residuals(_sweep(sys, fac, driver.g, terminal)[at],
+                               want)[1]
             # a NaN residual counts as inf, so that min() never picks it
             trial_res[conv] = worst if np.isfinite(worst) else np.inf
         spread = max(trial_res.values()) - min(trial_res.values())
-        if spread < 1e-12:
-            uninformative += 1
-        else:
-            informative += 1
+        uninformative += bool(spread < 1e-12)
         for conv, r in trial_res.items():
             per_conv[conv].append(r)
     residuals = {
@@ -572,5 +580,5 @@ def select_convention(
             )
         )
     unique = sum(1 for c in residuals if residuals[c][0] <= tol) == 1
-    return SelectionResult(best, residuals, unique, trials, informative,
-                           uninformative)
+    return SelectionResult(best, residuals, unique, trials,
+                           trials - uninformative, uninformative)

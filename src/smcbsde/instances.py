@@ -137,11 +137,9 @@ def random_comparison_pair(sys, rng: np.random.Generator):
     fresh, _ = random_linear_instance(sys, rng, comparison_safe=True)
     sol2 = solve_bsde(sys, driver2, terminal2)
     carry = _driver_cells(sys, driver2, sol2) - _driver_cells(sys, fresh, sol2)
+    # the mask lists the cells in the plan's order, that of carry
     g1 = np.zeros((t, d))
-    for k in range(t):
-        src, now = sys.reachable_at[k], sys.plan.span(k)
-        g1[k, src] = (fresh.g[k, src] + carry[now]
-                      - rng.uniform(0.0, 1.0, src.size))
+    g1[mask] = fresh.g[mask] + carry - rng.uniform(0.0, 1.0, carry.size)
     driver1 = LinearDriver(fresh.alpha, g1, fresh.beta)
     return driver1, terminal1, driver2, terminal2
 

@@ -30,9 +30,8 @@ lattice sampler's pick tables.  Per-cell tables of a solve
 (cells, ...) are indexed like the plan's cells; none is stored.
 
 Every backward solver works a whole time slice through ``step`` (conditional
-means and local canonical integrands of the sources reachable at time k) and
-``projected_rows`` (coefficients of b . P z on those integrands).  A
-coefficient table b is read through ``block_rows`` alone, which takes a
+means and local canonical integrands of the sources reachable at time k).
+A coefficient table b is read through ``block_rows`` alone, which takes a
 table of rows on the blocks or of dense rows over the flat states.  A
 gather of a per-source table for every cell runs in blocks of at most
 ``BLOCK_ENTRIES`` entries (``_blocks``).
@@ -209,31 +208,12 @@ class LatticeSystem:
             return rows
         return np.ascontiguousarray(np.moveaxis(rows, -1 - len(inner), -1))
 
-    def projected_rows(self, k: int, rows) -> np.ndarray:
-        """Local coefficients of b . P z for the integrands of ``step(k)``.
-
-        rows (S_k, ..., W+1) hold a row b on the block of each source
-        reachable at time k (and any inner axes, such as controls), from
-        ``block_rows``; the result r (S_k, ..., W) is b @ P on the successor
-        slots, so that b . P z = sum(r * z) over the last axis.
-        """
-        return _projected(self, self.plan.source_at[self.plan.span(k)], rows)
-
 
 def _blocks(n: int, width: int):
     """Slices covering range(n) whose items, ``width`` entries each, fill
     at most BLOCK_ENTRIES entries per slice."""
     per = max(1, BLOCK_ENTRIES // max(width, 1))
     return [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
-
-
-def _projected(sys, pos, rows) -> np.ndarray:
-    """b @ P on the successor slots for rows (cells, ..., W+1) on the blocks
-    of the sources at positions ``pos`` (cells,)."""
-    rows = np.asarray(rows, dtype=float)
-    b = rows.reshape(rows.shape[0], -1, rows.shape[-1])
-    return (b @ sys.local_projector[pos])[..., 1:].reshape(
-        rows.shape[:-1] + (-1,))
 
 
 def build_lattice(model: SemiMarkovModel) -> LatticeSystem:

@@ -46,6 +46,7 @@ from smcbsde.instances import (
     random_linear_instance,
     random_model,
 )
+from smcbsde.lattice import BLOCK_ENTRIES
 
 from conftest import geometric_model, tiny_model, uniform_jump
 from dense import (
@@ -922,6 +923,29 @@ def test_exact_dual_memory_at_a_long_horizon():
         tracemalloc.stop()
     assert np.isfinite(dual[sys_.reachable_at[0]]).all()
     assert peak < 100e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_exact_dual_noise_runs_in_blocks_of_times():
+    # state 0 never leaves, so each time reaches one cell (0, k+1), while
+    # its T sources times T times make a noise product of T^2 rows: run as
+    # one block of times it peaked at 42 MB, in blocks at 4 MB
+    t = 1024
+    sys_ = build_lattice(geometric_model((0.0, 0.5), t))
+    assert sys_.plan.cells.size == t + 1
+    assert sys_.sources.size * t * sys_.block.shape[1] > 10 * BLOCK_ENTRIES
+    rng = np.random.default_rng(31)
+    alpha = rng.uniform(-0.5, 0.5, (t, sys_.dim))
+    beta = rng.uniform(-0.5, 0.5, (t, sys_.dim, sys_.block.shape[1]))
+    g = rng.uniform(-1.0, 1.0, (t, sys_.dim))
+    terminal = rng.uniform(-1.0, 1.0, sys_.dim)
+    tracemalloc.start()
+    try:
+        dual = dual_value(sys_, WeightSde(alpha, beta), g, terminal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(dual[sys_.reachable_at[0]]).all()
+    assert peak < 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("start", [-1, "T+1"])

@@ -400,6 +400,40 @@ def test_cli_solve_bsde_residual_gate(workdir):
     assert rc == 2
 
 
+def test_cli_duality_gates_read_the_scaled_residual(tmp_path):
+    # geometric N=2, T=300 without beta: the time-0 values reach 4e11, so
+    # the mixed convention's rounding alone leaves an absolute residual near
+    # 1e-3, far above the default --tol 1e-9, while the scaled residual
+    # |dual - value| / (1 + |value|) is near 3e-15; shifted is wrong (1.0)
+    t = 300
+    model = geometric_model((0.2, 0.8), t)
+    d = build_lattice(model).dim
+    rng = np.random.default_rng(0)
+    files.save_model(tmp_path / "model.json", model)
+    files.save_linear_problem(
+        tmp_path / "lin.json",
+        LinearDriver(rng.uniform(-0.5, 0.5, (t, d)),
+                     rng.uniform(-1.0, 1.0, (t, d))),
+        rng.uniform(-1.0, 1.0, d))
+    args = ["--model", str(tmp_path / "model.json"), "--problem",
+            str(tmp_path / "lin.json")]
+    out = tmp_path / "sol"
+    assert cli.main(["solve-bsde", *args, "--out", str(out),
+                     "--convention", "mixed"]) == 0
+    meta = json.loads((out / "solution.json").read_text())["metadata"]
+    assert meta["duality_residual"] > 1e-6
+    assert meta["duality_residual_scaled"] <= 1e-12
+    dual = tmp_path / "dual.json"
+    assert cli.main(["verify-duality", *args, "--convention", "mixed",
+                     "--out", str(dual)]) == 0
+    payload = json.loads(dual.read_text())
+    assert payload["selected_residual"] == meta["duality_residual"]
+    assert payload["selected_scaled_residual"] \
+        == meta["duality_residual_scaled"]
+    assert payload["scaled_residual_per_convention"]["shifted"] > 0.5
+    assert cli.main(["verify-duality", *args, "--convention", "shifted"]) == 2
+
+
 def test_cli_verify_duality(workdir, capsys):
     rc = cli.main(
         ["verify-duality", "--model", str(workdir / "model.json"),
@@ -443,6 +477,26 @@ def test_cli_solve_control(workdir, capsys):
         len(policy["control"])}
     for u in policy["control"]:
         assert 0 <= u < 2
+
+
+def test_cli_solve_control_skips_the_oracle_past_its_cap(tmp_path, capsys):
+    # 91 cells before the horizon and U = 2: 2**91 open-loop policies, far
+    # past the enumeration cap (2**91 wraps to 0 in 64-bit integers, which
+    # would pass a size test and leave the enumeration to fail)
+    model = geometric_model((0.2, 0.8), 10)
+    sys_ = build_lattice(model)
+    assert int(sys_.plan.offset[sys_.horizon]) >= 64
+    files.save_model(tmp_path / "model.json", model)
+    prob = random_control_problem(sys_, np.random.default_rng(2))
+    files.save_control_problem(tmp_path / "control.json", prob)
+    out = tmp_path / "ctl"
+    assert cli.main(
+        ["solve-control", "--model", str(tmp_path / "model.json"),
+         "--problem", str(tmp_path / "control.json"), "--out", str(out)]
+    ) == 0
+    payload = json.loads((out / "control.json").read_text())
+    assert payload["oracle_residual"] is None
+    assert payload["oracle_residual_scaled"] is None
 
 
 def test_cli_solve_control_hypothesis_failure(workdir, capsys):
