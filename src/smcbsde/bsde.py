@@ -16,8 +16,14 @@ one kernel: _gather reads their terms once at the plan's cells for the
 caller's checks, and _affine_solve takes the largest closed form at each
 cell, a verified root only at the cells its caller lists.  General drivers
 get the ambient row, built per slice for the reachable sources only, and a
-verified bracket (sign change plus a monotonicity sweep) refined to 1e-12,
-cell by cell.
+verified root cell by cell: a sign change of y - f on a wide bracket, a
+sweep of 32 samples spaced as np.linspace spaces them that finds y - f
+monotone, and Brent's refinement to 1e-12 (_brent, a port of scipy's
+brentq.c that gives brentq's root bit for bit).  Each bracket end is
+evaluated once: its value serves the sign check, the sweep and the start
+of the refinement.  A NaN of y - f at any sample or step raises
+BijectionError naming the cell.  The root needs no scipy, so importing
+the package loads numpy alone.
 
 Solutions keep the integrands as the step returns them: local rows
 (T, D, W) on each source's successor slots, beside the successor table
@@ -27,11 +33,11 @@ Solutions keep the integrands as the step returns them: local rows
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .lattice import _blocks, projection_constants
 from .linalg import comparison_condition
@@ -51,6 +57,8 @@ __all__ = [
 ROOT_TOL = 1e-12
 _BRACKET_FACTOR = 1e3
 _MONOTONE_SAMPLES = 32
+_BRENT_STEPS = 100
+_RTOL = 4 * math.ulp(1.0)  # 4 eps, the least rtol brentq takes
 
 
 class DegenerateDriverError(ValueError):
@@ -65,7 +73,8 @@ class ProblemDataError(ValueError):
 
 class BijectionError(RuntimeError):
     """The scalar backward map y -> y - f(k, y, z) failed the bracket or
-    monotonicity verification at some solve point."""
+    monotonicity verification, was NaN, or did not converge at some solve
+    point; the message names the cell."""
 
 
 @dataclass(frozen=True)
@@ -181,19 +190,73 @@ def _terminal_array(sys, terminal):
     return term
 
 
+def _evaluate(phi, y, context):
+    """phi(y) as a Python float; BijectionError where it is NaN."""
+    v = float(phi(y))
+    if math.isnan(v):
+        raise BijectionError(f"y - f is NaN at y = {y}{context}")
+    return v
+
+
 def _verified_root(phi, center, context=""):
-    """Root of y -> phi(y) after checking the map brackets and is monotone."""
+    """Root of y -> phi(y) after checking the map brackets and is monotone.
+
+    The samples are spaced as np.linspace spaces them, its two ends
+    included; each end is evaluated once, for the sign check, the sweep and
+    the refinement alike."""
     radius = (1.0 + abs(center)) * _BRACKET_FACTOR
     lo, hi = center - radius, center + radius
-    flo, fhi = phi(lo), phi(hi)
+    flo, fhi = _evaluate(phi, lo, context), _evaluate(phi, hi, context)
     if not (flo < 0.0 < fhi):
         raise BijectionError(f"no sign change for y - f on [{lo}, {hi}]{context}")
-    ys = np.linspace(lo, hi, _MONOTONE_SAMPLES)
-    vals = np.array([phi(y) for y in ys])
-    if np.any(np.diff(vals) < -ROOT_TOL * (1.0 + np.abs(vals[:-1]))):
-        raise BijectionError(f"y - f is not monotone on the bracket{context}")
-    root = brentq(phi, lo, hi, xtol=ROOT_TOL, rtol=8.881784197001252e-16)
-    return float(root)
+    step = (hi - lo) / (_MONOTONE_SAMPLES - 1)
+    vals = [flo, *(_evaluate(phi, i * step + lo, context)
+                   for i in range(1, _MONOTONE_SAMPLES - 1)), fhi]
+    for a, b in zip(vals, vals[1:]):
+        if b - a < -ROOT_TOL * (1.0 + abs(a)):
+            raise BijectionError(f"y - f is not monotone on the bracket{context}")
+    return _brent(phi, lo, hi, flo, fhi, context)
+
+
+def _brent(phi, xpre, xcur, fpre, fcur, context):
+    """Brent's root of phi between xpre and xcur, where it takes the values
+    fpre < 0 < fcur: scipy's brentq.c line for line (xtol ROOT_TOL, rtol
+    4 eps, at most _BRENT_STEPS steps), started from the known values."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_STEPS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_TOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or NaN fails the test below
+                stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _evaluate(phi, xcur, context)
+    raise BijectionError(
+        f"the root did not converge in {_BRENT_STEPS} steps{context}")
 
 
 def _tables(sys, terminal):

@@ -32,7 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, files
-from .bsde import ProblemDataError, solve_bsde
+from .bsde import (
+    BijectionError,
+    DegenerateDriverError,
+    ProblemDataError,
+    solve_bsde,
+)
 from .chain import InvalidModelError, simulate_paths, validate_model
 from .control import (
     HypothesisError,
@@ -225,12 +230,22 @@ def _duality_residuals(sys_, driver, terminal, solution, convention):
     return _residuals(dual[reach0], solution.values[0, reach0])
 
 
-def _gate(scaled, tol, what):
+def _gate(scaled, tol, what, sys_, values):
     """EXIT_VIOLATION, said on stderr, where a scaled residual is not finite
-    or exceeds ``tol``; EXIT_OK otherwise."""
+    or exceeds ``tol``; EXIT_OK otherwise.  The message names the first
+    reachable cell whose value is not finite, as the backward sweep met it
+    (the latest time first), if there is one."""
     if math.isfinite(scaled) and scaled <= tol:
         return EXIT_OK
-    print(f"{what} is not finite or exceeds tolerance {tol}", file=sys.stderr)
+    where, plan = "", sys_.plan
+    bad = np.flatnonzero(~np.isfinite(values.take(plan.key)))
+    if bad.size:
+        k = int(plan.times[bad[-1]])
+        s = int(plan.cells[bad[plan.times[bad] == k][0]])
+        where = (f"; the backward values are first not finite at time {k}, "
+                 f"lattice state {s} (state, duration) = {sys_.label(s)}")
+    print(f"{what} is not finite or exceeds tolerance {tol}{where}",
+          file=sys.stderr)
     return EXIT_VIOLATION
 
 
@@ -271,7 +286,7 @@ def _cmd_solve_bsde(args):
     files.write_json(out / "solution.json", payload)
     print(f"solved backward equation; artifacts in {out}")
     print(f"duality residual (exhaustive): {residual:.3e}, scaled {scaled:.3e}")
-    return _gate(scaled, tol, "scaled residual")
+    return _gate(scaled, tol, "scaled residual", sys_, solution.values)
 
 
 def _cmd_verify_duality(args):
@@ -301,7 +316,8 @@ def _cmd_verify_duality(args):
     for name, (value, ratio) in sorted(per_convention.items()):
         marker = "*" if name == convention.value else " "
         print(f"{marker} {name:9s} residual {value:.3e}, scaled {ratio:.3e}")
-    return _gate(scaled, tol, "selected scaled residual")
+    return _gate(scaled, tol, "selected scaled residual", sys_,
+                 solution.values)
 
 
 def _cmd_solve_control(args):
@@ -350,7 +366,8 @@ def _cmd_solve_control(args):
     if oracle_residual is not None:
         print(f"brute-force oracle residual: {oracle_residual:.3e}, scaled "
               f"{oracle_scaled:.3e}")
-        return _gate(oracle_scaled, tol, "scaled oracle residual")
+        return _gate(oracle_scaled, tol, "scaled oracle residual", sys_,
+                     solved.values)
     return EXIT_OK
 
 
@@ -564,7 +581,7 @@ def main(argv=None) -> int:
     except (InvalidModelError, HypothesisError, SelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ProblemDataError as exc:
+    except (ProblemDataError, DegenerateDriverError, BijectionError) as exc:
         print(f"error: {args.problem}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

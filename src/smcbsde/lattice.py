@@ -42,8 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .chain import (
     InvalidModelError,
@@ -385,6 +383,11 @@ def canonical_integrand(
     """
     if state is not None:
         return _source_integrand(sys, state, row)
+    # scipy is imported here, its only use in the package, so that importing
+    # the package loads numpy alone
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     _check_time(sys, k)
     row = np.asarray(row, dtype=float)
     src = sys.reachable_at[k]

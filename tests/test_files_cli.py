@@ -19,6 +19,7 @@ from smcbsde import (
     cli,
     files,
     solve_bsde,
+    solve_control,
 )
 from smcbsde.instances import (
     random_control_problem,
@@ -645,6 +646,63 @@ def test_cli_solve_control_rejects_a_broken_bound(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: field '{field}': ")
     assert "exceeds the declared bound 1e-06 at time 0" in err
+
+
+def test_cli_solve_bsde_unit_drift_exits_1(tmp_path, capsys):
+    model, sys_, doc = _problem_copy("solve-bsde")
+    k = sys_.horizon // 2
+    s = int(sys_.reachable_at[k][-1])
+    alpha = np.array(doc["alpha"], dtype=float)
+    alpha[k, s] = 1.0
+    doc["alpha"] = alpha.tolist()
+    rc, path = _run_on(tmp_path, "solve-bsde", model, doc)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: alpha[{k}, {s}] = 1.0: y - f is not a bijection\n")
+
+
+def test_cli_solve_control_without_a_sign_change_exits_1(tmp_path, capsys):
+    # one control's drift is 1 at a cell: the step there falls back to the
+    # verified root, and y - max_u f_u stays below zero to the bracket's end
+    model, sys_, doc = _problem_copy("solve-control")
+    k = sys_.horizon // 2
+    s = int(sys_.reachable_at[k][-1])
+    alpha = np.array(doc["alpha"], dtype=float)
+    alpha[k, s, 0] = 1.0
+    doc["alpha"], doc["alpha_bound"] = alpha.tolist(), 1.0
+    rc, path = _run_on(tmp_path, "solve-control", model, doc)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: no sign change for y - f on [")
+    assert err.endswith(f" at time {k}, state {s}\n")
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLE_PROBLEMS))
+def test_cli_gate_names_the_first_value_not_finite(tmp_path, capsys, command):
+    # the overflow recipe of test_cli_non_finite_duality_residual_is_a_violation:
+    # finite running terms whose sums overflow the backward values
+    model, sys_, doc = _problem_copy(command)
+    doc["g"] = np.where(np.array(doc["g"]) != 0.0, 1e308, 0.0).tolist()
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    args = [command, "--model", model, "--problem", str(path), "--out",
+            str(tmp_path / "out")]
+    with np.errstate(all="ignore"):
+        if command == "solve-control":
+            values = solve_control(files.load_control_problem(path),
+                                   sys_).values
+        else:
+            values = solve_bsde(sys_, *files.load_linear_problem(path)).values
+            args += ["--convention", "mixed"]
+        rc = cli.main(args)
+    assert rc == 2
+    # the backward sweep meets the latest time first
+    bad = ~np.isfinite(values) & sys_.reachable
+    k = int(np.flatnonzero(bad.any(axis=1))[-1])
+    s = int(np.flatnonzero(bad[k])[0])
+    assert (f"is not finite or exceeds tolerance 1e-09; the backward values "
+            f"are first not finite at time {k}, lattice state {s} "
+            f"(state, duration) = {sys_.label(s)}\n") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(SAMPLE_PROBLEMS))
