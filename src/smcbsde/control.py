@@ -6,8 +6,10 @@ affine kernel of bsde with a controls axis, exact by the largest closed
 form where every drift of a cell is below one, by a verified bracketed
 root elsewhere.  The policy that attains each per-step maximum is returned
 alongside the values, and a brute-force enumerator over all open-loop
-policy tables (the same slice step and terms with a policy batch axis) is
-provided as an independent check.
+policy tables is provided as an independent check.  It reads the same
+terms but takes no argmax: a policy's values at time k depend only on its
+digits at times >= k (its suffix), so the enumerator runs the slice step
+once per distinct suffix, and every policy still gets its own exact value.
 
 Before solving, the problem data are checked at every reachable cell and the
 positivity and comparison conditions are evaluated for the declared bounds;
@@ -321,16 +323,24 @@ def brute_force_value(
     """Enumerate every policy table and take pointwise value maxima.
 
     Policies are encoded as base-U digit strings over the reachable
-    (time, state) cells, in time-then-state order; the backward evaluation
-    runs the slice step with all policies on its batch axis.  Because
-    the value at (k, s) only depends on digits at times >= k, the per-time
-    maxima are the exact sub-problem optima.
+    (time, state) cells, in time-then-state order, so the digits of policy
+    p at times >= k form its time-k suffix p // U**offset[k], and its
+    values at time k depend on that suffix alone.  The backward walk
+    evaluates each suffix once: slice k takes the conditional means, the
+    integrands and every control's closed form on the distinct time-(k+1)
+    suffixes, then lays them out over the time-k suffixes by each cell's
+    own digit (a broadcast; no digit table is built).  Policies run in
+    blocks of U**e <= _POLICY_BLOCK sharing their digits from cell e on.
+    The enumeration stays exhaustive: every policy gets its own exact
+    objective, and the per-time maxima, taken over every policy, are the
+    exact sub-problem optima, read without solve_control's argmax.
     """
     terms = problem.validate(sys)
     term = problem.terminal
     t, d, plan = sys.horizon, sys.dim, sys.plan
     u = problem.n_controls
-    n_cells = int(plan.offset[t])
+    off = plan.offset[:t + 1].tolist()
+    n_cells = off[t]
     n_pol = u**n_cells
     if n_pol > max_policies:
         raise ValueError(
@@ -343,66 +353,76 @@ def brute_force_value(
             f"a drift coefficient at time {plan.times[c]}, state "
             f"{plan.cells[c]} makes the step map non-invertible"
         )
-    width = sys.succ.shape[1]
-    most = int(np.diff(plan.offset[:t + 1]).max())
-    per_time_max = np.full((t + 1, d), np.nan)
-    reach_t, reach0 = sys.reachable_at[t], sys.reachable_at[0]
-    per_time_max[t, reach_t] = term[reach_t]
-    initial_values = np.full(d, np.nan)
+    # a block: the u**e policies sharing their digits from cell e on; it
+    # holds cols[k] distinct time-k suffixes
+    e = 0
+    while e < n_cells and u ** (e + 1) <= _POLICY_BLOCK:
+        e += 1
+    cols = [u ** max(e - o, 0) for o in off]
+    reach_t = sys.reachable_at[t]
+    # the running maxima per cell, the horizon's the terminal data
+    peak = np.full(plan.cells.size, np.nan)
+    peak[plan.span(t)] = term[reach_t]
     objective = np.empty(n_pol)
-    # policies evaluate independently, in blocks; a block's tables live in
-    # two buffers allocated once per call and written in place (out=), as
-    # fresh tables per step would fault their pages in on every call
-    block = min(_POLICY_BLOCK, n_pol)
-    buf = np.empty(block * (d + most * (width + 3)))
-    digits = np.empty(block * most, dtype=np.int64)
-    for lo in range(0, n_pol, block):
-        pol = np.arange(lo, min(lo + block, n_pol))
-        n = pol.size
-        # values per state and policy, (D, policies), so the slice step
-        # reads whole rows; each slice overwrites its sources' rows, the
-        # only rows the next (earlier) slice reads
-        values = buf[:d * n].reshape(d, n)
-        values.fill(0.0)
-        values[reach_t] = term[reach_t, None]
+    # per slice, sized once per call: each control's closed form on the
+    # block's time-(k+1) suffixes, and the values on its time-k suffixes
+    cand = [np.empty((src.size, u, n)) for src, n in
+            zip(sys.reachable_at[:t], cols[1:])]
+    values = [np.empty((src.size, n)) for src, n in zip(sys.reachable_at, cols)]
+    values[t][:] = term[reach_t, None]
+    weight = sys.dist_at[0][sys.reachable_at[0]]
+    # each source's successor rows in the time-(k+1) values
+    rows = [np.searchsorted(sys.reachable_at[k + 1], sys.succ[src])
+            for k, src in enumerate(sys.reachable_at[:t])]
+    width = sys.succ.shape[1]
+    for b in range(n_pol // cols[0]):
         for k in range(t - 1, -1, -1):
-            src, at = sys.reachable_at[k], plan.span(k)
-            m, prob = src.size, sys.prob[src]
-            z, mean, acc, part = np.split(buf[d * n:(d + m * (width + 3)) * n],
-                                          np.cumsum([width, 1, 1]) * m * n)
-            z, mean = z.reshape(m, width, n), mean.reshape(m, 1, n)
-            acc, part = acc.reshape(m, n), part.reshape(m, n)
-            # the slice step, as LatticeSystem.step takes it
-            np.take(values, sys.succ[src], axis=0, out=z, mode="clip")
-            np.matmul(prob[:, None, :], z, out=mean)
-            z -= mean
-            z[prob == 0.0] = 0.0
-            # flat (source, control) entry of each policy's choice: the
-            # digit at each cell's place value, after u entries per source
-            place = u ** np.arange(at.start, at.stop)[:, None]
-            pick = np.floor_divide(pol, place, out=digits[:m * n].reshape(m, n))
-            np.remainder(pick, u, out=pick)
-            pick += np.arange(0, m * u, u)[:, None]
-            coef = terms.coef[at]
-            np.multiply(np.take(coef[:, :, 0], pick, out=acc, mode="clip"),
-                        z[:, 0], out=acc)
+            src, at, c = sys.reachable_at[k], plan.span(k), cand[k]
+            m, n = src.size, cols[k + 1]
+            # the slice step, as LatticeSystem.step takes it, with the mean
+            # summed slot by slot so that no column count changes its
+            # rounding
+            z = values[k + 1][rows[k]]
+            prob = sys.prob[src]
+            mean = z[:, 0] * prob[:, :1]
             for w in range(1, width):
-                np.take(coef[:, :, w], pick, out=part, mode="clip")
-                acc += np.multiply(part, z[:, w], out=part)
-            acc += mean[:, 0]
-            acc += np.take(terms.g[at], pick, out=part, mode="clip")
-            acc /= np.take(terms.den[at], pick, out=part, mode="clip")
-            values[src] = acc
-            per_time_max[k, src] = np.fmax(per_time_max[k, src],
-                                           acc.max(axis=1))
-        initial_values[reach0] = np.fmax(initial_values[reach0],
-                                         values[reach0].max(axis=1))
-        objective[pol] = sys.dist_at[0] @ values
+                mean += z[:, w] * prob[:, w:w + 1]
+            z -= mean[:, None]
+            z[~plan.real[src]] = 0.0
+            coef = terms.coef[at]
+            np.multiply(coef[:, :, :1], z[:, None, 0], out=c)
+            for w in range(1, width):
+                c += coef[:, :, w:w + 1] * z[:, None, w]
+            c += mean[:, None]
+            c += terms.g[at][:, :, None]
+            c /= terms.den[at][:, :, None]
+            # every control at every cell of the slice is the choice of some
+            # policy with one of these time-(k+1) suffixes, so the whole
+            # table enters the maxima
+            np.fmax(peak[at], c.max(axis=(1, 2)), out=peak[at])
+            # time-k suffix j = parent * u**free + the digits of the slice's
+            # first `free` cells, cell i's the i-th; the other cells hold
+            # the block's own digits
+            free = min(max(e - off[k], 0), m)
+            own = np.arange(free, m)
+            out = values[k]
+            out[free:].reshape(m - free, n, u**free)[...] = \
+                c[own, b // u ** (own + off[k] - e) % u][:, :, None]
+            for i in range(free):
+                out[i].reshape(n, -1, u, u**i)[...] = c[i].T[:, None, :, None]
+        # the start-weighted sum, taken state by state for every block size
+        # alike
+        obj = objective[b * cols[0]:(b + 1) * cols[0]]
+        obj[...] = 0.0
+        for w, row in zip(weight, values[0]):
+            obj += w * row
+    per_time_max = np.full((t + 1, d), np.nan)
+    per_time_max.flat[plan.key] = peak
     best = int(np.argmax(objective))
     choices = np.full((t, d), -1, dtype=int)
     choices[sys.reachable[:-1]] = best // u ** np.arange(n_cells) % u
     return BruteForceResult(
-        initial_values,
+        per_time_max[0].copy(),
         per_time_max,
         PolicyTable(choices),
         float(objective[best]),

@@ -8,6 +8,7 @@ StateGeometry view (now in ``dense``).  They are kept as oracles for the
 slice step.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +31,7 @@ from smcbsde import (
     check_comparison,
     dual_value,
     epsilon_optimal_policy,
+    evaluate_policy,
     max_driver,
     solve_bsde,
     solve_control,
@@ -532,25 +534,96 @@ def test_linear_checks_name_the_cell_the_slice_loop_named(case):
             == weight_bounds(sys_, clean).per_state
 
 
-@pytest.mark.parametrize("block", [1, 7, 100])
-def test_brute_force_evaluates_policies_in_blocks(monkeypatch, block):
-    # every block size, a last block cut short included, gives the
-    # reference's maxima and best policy
-    monkeypatch.setattr(control, "_POLICY_BLOCK", block)
+def sparse_lattice(cells, seed=7):
+    """The first random N=2, T=5 lattice from one-hot starts with ``cells``
+    reachable cells before the horizon."""
+    rng = np.random.default_rng(seed)
+    while True:
+        sys_ = build_lattice(random_model(rng, n=2, t=5, one_hot_start=True))
+        if int(sys_.plan.offset[sys_.horizon]) == cells:
+            return sys_
+
+
+@pytest.fixture(scope="module")
+def block_cases():
+    """(lattice, problem, reference outcome): four random N=2, T=3 draws
+    with U = 2, then lattices with several cells per slice, geometric N=3
+    from a spread start (slices of 3 and 6 cells) and from one state and
+    sparse N=2, T=5 ones of 12, 9 and 16 cells, with U = 3, 2, 2, 3, 2 and
+    beta rows alternately on the blocks and dense."""
     rng = np.random.default_rng(81)
-    checked = 0
-    while checked < 4:
+    cases = []
+    while len(cases) < 4:
         sys_ = build_lattice(random_model(rng, n=2, t=3))
         problem = random_control_problem(sys_, rng, n_controls=2)
-        if 2 ** sum(r.size for r in sys_.reachable_at[:-1]) > 2048:
+        if 2 ** sum(r.size for r in sys_.reachable_at[:-1]) <= 2048:
+            cases.append((sys_, problem))
+    spread = geometric_model([0.3, 0.5, 0.7], 2, x0=np.full(3, 1.0 / 3.0))
+    for i, (sys_, u) in enumerate((
+            (build_lattice(spread), 3),
+            (build_lattice(geometric_model([0.3, 0.5, 0.7], 3)), 2),
+            (sparse_lattice(12), 2),
+            (sparse_lattice(9), 3),
+            (sparse_lattice(16), 2))):
+        problem = random_control_problem(sys_, np.random.default_rng(i),
+                                         n_controls=u)
+        if i % 2:
+            problem = with_tables(problem,
+                                  beta=dense_beta(sys_, problem.beta))
+        cases.append((sys_, problem))
+    return [(sys_, problem, reference_brute_force_value(problem, sys_))
+            for sys_, problem in cases]
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, None])
+def test_brute_force_evaluates_policies_in_blocks(block_cases, block):
+    # every block size (None: the default) walks the suffixes alike:
+    # within 1e-12 of the per-policy reference, and bit for bit the default
+    # block's result.  The 2**16-policy lattice runs at the larger blocks
+    # only (a block of one policy takes seconds there)
+    for sys_, problem, want in block_cases:
+        if block is not None and block < 100 and want[4] > 20_000:
             continue
-        got = brute_force_value(problem, sys_)
-        want = reference_brute_force_value(problem, sys_)
+        full = brute_force_value(problem, sys_)
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(control, "_POLICY_BLOCK", block)
+            got = brute_force_value(problem, sys_)
         assert_close(got.initial_values, want[0])
         assert_close(got.per_time_max, want[1])
         np.testing.assert_array_equal(got.best_policy.choices, want[2])
         assert_close(got.objective, want[3])
-        checked += 1
+        assert got.n_policies == want[4]
+        np.testing.assert_array_equal(got.per_time_max, full.per_time_max)
+        assert got.objective == full.objective
+
+
+def test_brute_force_memory_stays_within_the_block_buffers():
+    # one slice of 19 cells before the horizon: 2**19 policies, near the
+    # enumeration cap.  The peak stays within the order of the block
+    # buffers, _POLICY_BLOCK * (D + largest slice * (W + 3)) floats, where a
+    # table over every digit pattern of the slice would take 2**19 rows
+    x0 = np.r_[np.full(19, 1.0 / 19.0), 0.0]
+    sys_ = build_lattice(geometric_model(np.linspace(0.2, 0.6, 20), 1, x0=x0))
+    most = sys_.reachable_at[0].size
+    assert most == 19 and sys_.horizon == 1
+    problem = random_control_problem(sys_, np.random.default_rng(3))
+    bound = 8 * control._POLICY_BLOCK * (
+        sys_.dim + most * (sys_.succ.shape[1] + 3))
+    tracemalloc.start()
+    try:
+        got = brute_force_value(problem, sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.n_policies == 2**19
+    assert peak <= bound
+    # the best policy attains the objective, and its values the maxima
+    # no higher
+    values = evaluate_policy(problem, sys_, got.best_policy).values
+    assert_close(sys_.dist_at[0] @ np.nan_to_num(values[0]), got.objective)
+    assert np.all(values[sys_.reachable] <= got.per_time_max[sys_.reachable]
+                  + 1e-12)
 
 
 # ---------------------------------------------------------------------------

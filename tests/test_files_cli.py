@@ -2,7 +2,9 @@
 
 import base64
 import json
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -498,6 +500,62 @@ def test_cli_solve_control_skips_the_oracle_past_its_cap(tmp_path, capsys):
     payload = json.loads((out / "control.json").read_text())
     assert payload["oracle_residual"] is None
     assert payload["oracle_residual_scaled"] is None
+    assert ("brute-force oracle skipped: 2**91 policies exceed its cap of "
+            "100000\n") in capsys.readouterr().out
+
+
+def test_cli_solve_control_skip_line_states_the_count_as_a_power(tmp_path,
+                                                                 capsys):
+    # 9,130 cells before the horizon and U = 4: 4**9130 has about 5,500
+    # digits, past the 4,300 that Python converts to a string by default,
+    # so the skip line must not print the count itself
+    model = geometric_model((0.2, 0.8), 120)
+    sys_ = build_lattice(model)
+    cells = int(sys_.plan.offset[sys_.horizon])
+    assert cells * math.log10(4) > 4300
+    files.save_model(tmp_path / "model.json", model)
+    prob = random_control_problem(sys_, np.random.default_rng(2), n_controls=4)
+    files.save_control_problem(tmp_path / "control.json", prob)
+    out = tmp_path / "ctl"
+    assert cli.main(
+        ["solve-control", "--model", str(tmp_path / "model.json"),
+         "--problem", str(tmp_path / "control.json"), "--out", str(out)]
+    ) == 0
+    payload = json.loads((out / "control.json").read_text())
+    assert payload["oracle_residual"] is None
+    assert payload["oracle_residual_scaled"] is None
+    assert (f"brute-force oracle skipped: 4**{cells} policies exceed its cap "
+            "of 100000\n") in capsys.readouterr().out
+
+
+def test_cli_solve_control_gates_values_without_the_oracle(tmp_path, capsys):
+    # past the oracle's cap, finite running terms of 1e308 overflow the
+    # values: no oracle residual reads them, the finiteness gate does
+    model = geometric_model((0.2, 0.8), 10)
+    sys_ = build_lattice(model)
+    files.save_model(tmp_path / "model.json", model)
+    prob = random_control_problem(sys_, np.random.default_rng(2))
+    prob = replace(prob, g=np.where(prob.g != 0.0, 1e308, 0.0))
+    files.save_control_problem(tmp_path / "control.json", prob)
+    out = tmp_path / "ctl"
+    with np.errstate(all="ignore"):
+        values = solve_control(prob, sys_).values
+        rc = cli.main(
+            ["solve-control", "--model", str(tmp_path / "model.json"),
+             "--problem", str(tmp_path / "control.json"), "--out", str(out)])
+    assert rc == 2
+    bad = ~np.isfinite(values) & sys_.reachable
+    assert bad.any()
+    payload = json.loads((out / "control.json").read_text())
+    assert payload["oracle_residual"] is None
+    k = int(np.flatnonzero(bad.any(axis=1))[-1])
+    s = int(np.flatnonzero(bad[k])[0])
+    captured = capsys.readouterr()
+    assert "brute-force oracle skipped: " in captured.out
+    assert captured.err == (
+        "a reachable value is not finite; the "
+        f"backward values are first not finite at time {k}, lattice state "
+        f"{s} (state, duration) = {sys_.label(s)}\n")
 
 
 def test_cli_solve_control_hypothesis_failure(workdir, capsys):
@@ -675,6 +733,29 @@ def test_cli_solve_control_without_a_sign_change_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: no sign change for y - f on [")
     assert err.endswith(f" at time {k}, state {s}\n")
+
+
+def test_cli_solve_control_skips_the_oracle_at_a_unit_drift(tmp_path, capsys):
+    # one control's drift is 1 at a cell, and its running term low enough
+    # that y - max_u f_u still changes sign: the solve takes the verified
+    # root there, the oracle's closed forms cannot, so it is skipped
+    model, sys_, doc = _problem_copy("solve-control")
+    k = sys_.horizon // 2
+    s = int(sys_.reachable_at[k][-1])
+    alpha = np.array(doc["alpha"], dtype=float)
+    g = np.array(doc["g"], dtype=float)
+    alpha[k, s, 0], g[k, s, 0] = 1.0, -10.0
+    doc["alpha"], doc["g"], doc["alpha_bound"] = alpha.tolist(), g.tolist(), 1.0
+    rc, path = _run_on(tmp_path, "solve-control", model, doc)
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert (f"brute-force oracle skipped: a drift coefficient at time {k}, "
+            f"state {s} makes the step map non-invertible\n") in out
+    payload = json.loads((tmp_path / "out" / "control.json").read_text())
+    assert payload["oracle_residual"] is None
+    assert payload["oracle_residual_scaled"] is None
+    values = solve_control(files.load_control_problem(path), sys_).values
+    assert np.isfinite(values[sys_.reachable]).all()
 
 
 @pytest.mark.parametrize("command", sorted(SAMPLE_PROBLEMS))
