@@ -25,21 +25,24 @@ of the refinement.  A NaN of y - f at any sample or step raises
 BijectionError naming the cell.  The root needs no scipy, so importing
 the package loads numpy alone.
 
-Solutions keep the integrands as the step returns them: local rows
-(T, D, W) on each source's successor slots, beside the successor table
-(D, W) with -1 on padding.  The ambient (T, D, D) table is built only when
-``BsdeSolution.integrands`` is read.
+Solutions are cell-major over the lattice's slice plan: a value per
+reachable cell, and the local integrand rows (W,) on each source's
+successor slots per cell before the horizon, beside the successor table
+(D, W) with -1 on padding.  The tables over every (time, state), (T+1, D)
+values, (T, D, W) local and (T, D, D) ambient integrands, are views built
+on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import _blocks, projection_constants
+from .lattice import SlicePlan, _blocks, projection_constants
 from .linalg import comparison_condition
 
 __all__ = [
@@ -130,29 +133,53 @@ class GeneralDriver:
 
 @dataclass(frozen=True)
 class BsdeSolution:
-    """Backward solution tables.
+    """Backward solution tables, cell-major over the slice plan ``plan``.
 
-    values[k, e]              : value at time k in reachable state e (NaN
-                                elsewhere)
-    local_integrands[k, e, j] : canonical integrand over step k -> k+1 from
-                                e, at its successor successors[e, j]; zero on
-                                padding and at cells never reached
-    successors[e, j]          : flat successor indices, padded with -1
+    cell_values[c]         : value at the reachable cell c (plan.times[c],
+                             plan.cells[c])
+    cell_integrands[c, j]  : canonical integrand over the step from the cell
+                             c before the horizon, at the successor
+                             successors[plan.cells[c], j]; zero on padding
+    successors[e, j]       : flat successor indices, padded with -1
+
+    ``values`` (T+1, D), NaN off the reachable cells, ``local_integrands``
+    (T, D, W) and ``integrands`` (T, D, D), zero off them, hold the same
+    entries over every (time, state): read-only views, built on first read
+    and then kept.
     """
 
-    values: np.ndarray
-    local_integrands: np.ndarray
+    cell_values: np.ndarray
+    cell_integrands: np.ndarray
     successors: np.ndarray
+    plan: SlicePlan = field(repr=False)
 
-    @property
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self._spread(self.cell_values, np.nan)
+
+    @cached_property
+    def local_integrands(self) -> np.ndarray:
+        return self._spread(self.cell_integrands, 0.0)
+
+    @cached_property
     def integrands(self) -> np.ndarray:
         """Ambient (T, D, D) table: row [k, e] is the canonical integrand
-        row applied over step k -> k+1 from e.  Built on every read."""
-        t, d = self.local_integrands.shape[:2]
-        out = np.zeros((t, d, d))
-        rows, slots = np.nonzero(self.successors >= 0)
-        out[:, rows, self.successors[rows, slots]] = \
-            self.local_integrands[:, rows, slots]
+        row applied over step k -> k+1 from e."""
+        local, succ = self.local_integrands, self.successors
+        rows, slots = np.nonzero(succ >= 0)
+        out = np.zeros(local.shape[:2] + local.shape[1:2])
+        out[:, rows, succ[rows, slots]] = local[:, rows, slots]
+        out.flags.writeable = False
+        return out
+
+    def _spread(self, cells, fill) -> np.ndarray:
+        """The read-only table (times, D, ...) of entries (n, ...) at the
+        plan's first n cells, ``fill`` at every other (time, state)."""
+        plan, n = self.plan, len(cells)
+        out = np.full((plan.times[n - 1] + 1, self.successors.shape[0])
+                      + cells.shape[1:], fill)
+        out[plan.times[:n], plan.cells[:n]] = cells
+        out.flags.writeable = False
         return out
 
     @property
@@ -259,18 +286,31 @@ def _brent(phi, xpre, xcur, fpre, fcur, context):
         f"the root did not converge in {_BRENT_STEPS} steps{context}")
 
 
-def _tables(sys, terminal):
-    """Values (T+1, D), NaN but at the reachable terminal states, and zero
-    local integrands (T, D, W) for a backward solve to fill."""
-    term = _terminal_array(sys, terminal)
-    values = np.full((sys.horizon + 1, sys.dim), np.nan)
-    reach_t = sys.reachable_at[sys.horizon]
-    values[-1, reach_t] = term[reach_t]
-    return values, np.zeros((sys.horizon,) + sys.succ.shape)
+def _tables(sys, term):
+    """Values (C,) at the plan's cells, the terminal data ``term`` (checked
+    by _terminal_array) at the horizon's, and local integrands (cells
+    before T, W), for a backward solve to fill every other entry."""
+    plan = sys.plan
+    values = np.empty(plan.cells.size)
+    at = plan.span(sys.horizon)
+    values[at] = term[plan.cells[at]]
+    return values, np.empty((at.start, sys.succ.shape[1]))
 
 
 def _solution(sys, values, local) -> BsdeSolution:
-    return BsdeSolution(values, local, np.where(sys.plan.real, sys.succ, -1))
+    return BsdeSolution(values, local, np.where(sys.plan.real, sys.succ, -1),
+                        sys.plan)
+
+
+def _backward(sys, values):
+    """The slice steps of a backward solve over the values (C,), the latest
+    time first: yields k, the span of its cells and sys.step's means and
+    integrands there, read from the time-(k+1) values as the caller left
+    them."""
+    plan, row = sys.plan, np.full(sys.dim, np.nan)
+    for k in range(sys.horizon - 1, -1, -1):
+        row[sys.reachable_at[k + 1]] = values[plan.span(k + 1)]
+        yield (k, plan.span(k)) + sys.step(k, row)
 
 
 def _ambient_rows(sys, k, z):
@@ -323,11 +363,10 @@ class _AffineTerms(NamedTuple):
             return (mean + numer) / self.den[at]
         return ((mean[:, None] + numer) / self.den[at]).max(axis=1)
 
-    def along(self, sys, sol):
+    def along(self, sol):
         """The drivers at every cell before the horizon along a solution."""
-        mask = sys.reachable[:-1]
-        return self.value(slice(None), sol.values[:-1][mask],
-                          sol.local_integrands[mask])
+        z = sol.cell_integrands
+        return self.value(slice(None), sol.cell_values[:z.shape[0]], z)
 
 
 def _gather(sys, alpha, g, beta):
@@ -391,14 +430,11 @@ def _affine_solve(sys, terms, values, local, roots=()):
     """Fill the tables of _tables backward by  y = mean + max_u f_u(y, z):
     the largest closed form at each cell, a verified root instead at the
     cells ``roots`` (ascending positions among the plan's cells)."""
-    plan = sys.plan
-    cut = np.searchsorted(roots, plan.offset).tolist()
-    for k in range(sys.horizon - 1, -1, -1):
-        src, at = sys.reachable_at[k], plan.span(k)
-        mean, z = sys.step(k, values[k + 1])
-        local[k, src] = z
+    cut = np.searchsorted(roots, sys.plan.offset).tolist()
+    for k, at, mean, z in _backward(sys, values):
+        local[at] = z
         if cut[k] == cut[k + 1]:
-            values[k, src] = terms.closed(at, mean, z)
+            values[at] = terms.closed(at, mean, z)
             continue
         with np.errstate(all="ignore"):  # discarded at the roots
             y = terms.closed(at, mean, z)
@@ -406,20 +442,18 @@ def _affine_solve(sys, terms, values, local, roots=()):
             i = c - at.start
             y[i] = _verified_root(
                 lambda v: v - float(np.max(terms.value(c, v, z[i]))) - mean[i],
-                float(mean[i]), f" at time {k}, state {src[i]}")
-        values[k, src] = y
+                float(mean[i]), f" at time {k}, state {sys.plan.cells[c]}")
+        values[at] = y
 
 
 def _driver_cells(sys, driver, sol) -> np.ndarray:
     """Driver values (cells,) at the plan's cells before the horizon, at
     the values and local integrands of the solution ``sol``."""
     if isinstance(driver, LinearDriver):
-        return _linear_terms(sys, driver).along(sys, sol)
-    plan = sys.plan
-    at = plan.span(0, sys.horizon)
-    times, cells = plan.times[at], plan.cells[at]
-    y, z = sol.values[times, cells], sol.local_integrands[times, cells]
-    out = np.empty(cells.size)
+        return _linear_terms(sys, driver).along(sol)
+    plan, z = sys.plan, sol.cell_integrands
+    y, cells = sol.cell_values, plan.cells
+    out = np.empty(z.shape[0])
     for k in range(sys.horizon):
         now = plan.span(k)
         rows = _ambient_rows(sys, k, z[now])
@@ -437,20 +471,23 @@ def solve_bsde(sys, driver, terminal) -> BsdeSolution:
     ProblemDataError; one with a unit drift there, DegenerateDriverError,
     each at the latest such time.
     """
-    values, local = _tables(sys, terminal)
+    term = _terminal_array(sys, terminal)
     if isinstance(driver, LinearDriver):
-        _affine_solve(sys, _linear_terms(sys, driver), values, local)
+        # the terms first, so that the peak of their gather and the tables
+        # do not add up
+        terms = _linear_terms(sys, driver)
+        values, local = _tables(sys, term)
+        _affine_solve(sys, terms, values, local)
         return _solution(sys, values, local)
-    for k in range(sys.horizon - 1, -1, -1):
-        src = sys.reachable_at[k]
-        mean, z = sys.step(k, values[k + 1])
-        local[k, src] = z
+    values, local = _tables(sys, term)
+    for k, at, mean, z in _backward(sys, values):
+        local[at] = z
         # a verified root per cell, the driver reading the ambient row
-        rows = _ambient_rows(sys, k, z)
-        for s, m, row in zip(src.tolist(), mean.tolist(), rows):
-            values[k, s] = _verified_root(
-                lambda y: y - driver.fn(k, s, y, row) - m, m,
-                f" at time {k}, state {s}")
+        values[at] = [_verified_root(lambda y: y - driver.fn(k, s, y, row) - m,
+                                     m, f" at time {k}, state {s}")
+                      for s, m, row in zip(sys.reachable_at[k].tolist(),
+                                           mean.tolist(),
+                                           _ambient_rows(sys, k, z))]
     return _solution(sys, values, local)
 
 
@@ -509,7 +546,7 @@ def check_comparison(
         omega2 = max(_omega2_for(sys, driver1), _omega2_for(sys, driver2))
     cond = comparison_condition(sys, omega2)
 
-    diff = sol1.values - sol2.values
+    diff = sol1.cell_values - sol2.cell_values
     with np.errstate(invalid="ignore"):
         max_violation = float(np.nanmax(diff)) if np.any(~np.isnan(diff)) else 0.0
     ordered = max_violation <= tol

@@ -27,6 +27,7 @@ import logging
 import math
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -83,11 +84,12 @@ def _metadata(**extra):
 
 
 def _write_values(path, sys, values):
-    """values.csv: a (time, state, duration, value) row per reachable cell."""
+    """values.csv: a (time, state, duration, value) row per reachable cell,
+    from the values (C,) at the plan's cells."""
     plan, n = sys.plan, sys.model.n_states
     files.write_csv(path, ("time", "state", "duration", "value"), zip(
         plan.times.tolist(), (plan.cells % n).tolist(),
-        (plan.cells // n + 1).tolist(), values.take(plan.key).tolist()))
+        (plan.cells // n + 1).tolist(), values.tolist()))
 
 
 def _block_entries(sources, block, local):
@@ -226,19 +228,20 @@ def _duality_residuals(sys_, driver, terminal, solution, convention):
     under ``convention`` against the backward values."""
     sde = WeightSde.from_driver(driver, convention)
     dual = dual_value(sys_, sde, driver.g, terminal)
-    reach0 = sys_.reachable_at[0]
-    return _residuals(dual[reach0], solution.values[0, reach0])
+    return _residuals(dual[sys_.reachable_at[0]],
+                      solution.cell_values[sys_.plan.span(0)])
 
 
 def _gate(scaled, tol, what, sys_, values):
     """EXIT_VIOLATION, said on stderr, where a scaled residual is not finite
     or exceeds ``tol`` (None: finiteness only); EXIT_OK otherwise.  The
-    message names the first reachable cell whose value is not finite, as
-    the backward sweep met it (the latest time first), if there is one."""
+    message names the first reachable cell whose value (of the values (C,)
+    at the plan's cells) is not finite, as the backward sweep met it (the
+    latest time first), if there is one."""
     if math.isfinite(scaled) and (tol is None or scaled <= tol):
         return EXIT_OK
     where, plan = "", sys_.plan
-    bad = np.flatnonzero(~np.isfinite(values.take(plan.key)))
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         k = int(plan.times[bad[-1]])
         s = int(plan.cells[bad[plan.times[bad] == k][0]])
@@ -262,7 +265,7 @@ def _cmd_solve_bsde(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_values(out / "values.csv", sys_, solution.values)
+    _write_values(out / "values.csv", sys_, solution.cell_values)
     payload = {
         "metadata": _metadata(
             convention=convention.value,
@@ -277,16 +280,20 @@ def _cmd_solve_bsde(args):
             "coefficient_bound": l_bound,
             "scale_constant": lam,
         },
-        "values": solution.values,
-        "integrands": solution.local_integrands,
-        "successors": solution.successors,
+        # cell-major: integrands[c][j] applies from cell c at successors[c][j]
+        "times": sys_.plan.times,
+        "cells": sys_.plan.cells,
+        "values": solution.cell_values,
+        "integrands": solution.cell_integrands,
+        "successors": solution.successors[
+            sys_.plan.cells[:len(solution.cell_integrands)]],
     }
     if selection is not None:
         payload["convention_selection"] = selection.summary()
     files.write_json(out / "solution.json", payload)
     print(f"solved backward equation; artifacts in {out}")
     print(f"duality residual (exhaustive): {residual:.3e}, scaled {scaled:.3e}")
-    return _gate(scaled, tol, "scaled residual", sys_, solution.values)
+    return _gate(scaled, tol, "scaled residual", sys_, solution.cell_values)
 
 
 def _cmd_verify_duality(args):
@@ -317,7 +324,7 @@ def _cmd_verify_duality(args):
         marker = "*" if name == convention.value else " "
         print(f"{marker} {name:9s} residual {value:.3e}, scaled {ratio:.3e}")
     return _gate(scaled, tol, "selected scaled residual", sys_,
-                 solution.values)
+                 solution.cell_values)
 
 
 def _cmd_solve_control(args):
@@ -328,6 +335,7 @@ def _cmd_solve_control(args):
     tol = args.tol if args.tol is not None else 1e-9
     solved = solve_control(problem, sys_,
                            override_hypotheses=args.override_hypotheses)
+    values = solved.solution.cell_values
     oracle_residual = oracle_scaled = None
     plan = sys_.plan
     at = plan.span(0, sys_.horizon)
@@ -346,8 +354,7 @@ def _cmd_solve_control(args):
             skipped = str(exc)
         else:
             oracle_residual, oracle_scaled = _residuals(
-                brute.per_time_max[sys_.reachable],
-                solved.values[sys_.reachable])
+                brute.per_time_max[sys_.reachable], values)
     # one column per field over the reachable cells, in time-then-state order
     time, flat = plan.times[at], plan.cells[at]
     control = solved.policy.choices[time, flat]
@@ -356,7 +363,7 @@ def _cmd_solve_control(args):
               "control": control, "point": problem.controls[control]}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_values(out / "values.csv", sys_, solved.values)
+    _write_values(out / "values.csv", sys_, values)
     files.write_json(
         out / "control.json",
         {
@@ -368,7 +375,7 @@ def _cmd_solve_control(args):
                 "comparison": _condition_payload(solved.comparison),
                 "scale_constant": solved.lambda_overall,
             },
-            "values": solved.values,
+            "values": values,
             "policy": policy,
             "ties": solved.ties,
             "oracle_residual": oracle_residual,
@@ -383,10 +390,10 @@ def _cmd_solve_control(args):
     else:
         # without the oracle the values still have to be finite
         print(f"brute-force oracle skipped: {skipped}")
-        finite = np.isfinite(solved.values[sys_.reachable]).all()
+        finite = np.isfinite(values).all()
         scaled, bound, what = (0.0 if finite else math.inf), None, \
             "a reachable value"
-    return _gate(scaled, bound, what, sys_, solved.values)
+    return _gate(scaled, bound, what, sys_, values)
 
 
 def _suite_rows(seed):
@@ -466,7 +473,7 @@ def _suite_rows(seed):
         d1, t1, d2, t2 = random_comparison_pair(sys_, rng)
         s1 = solve_bsde(sys_, d1, t1)
         s2 = solve_bsde(sys_, d2, t2)
-        gap = s1.values - s2.values
+        gap = s1.cell_values - s2.cell_values
         worst = max(worst, float(np.nanmax(gap)))
     add("comparison-ordering", max(0.0, worst), 1e-10)
 
@@ -479,7 +486,7 @@ def _suite_rows(seed):
         solved = solve_control(problem, sys_)
         brute = brute_force_value(problem, sys_)
         worst = max(worst, _residuals(brute.per_time_max[sys_.reachable],
-                                      solved.values[sys_.reachable])[1])
+                                      solved.solution.cell_values)[1])
         if i < 2:
             _, report = epsilon_optimal_policy(problem, sys_, solved, 1e-2)
             eps_ok = eps_ok and report.within_bound
@@ -519,6 +526,33 @@ def _cmd_verify_all(args):
     return EXIT_OK if all_pass else EXIT_VIOLATION
 
 
+# each command's options, in the order its help lists them: "!" marks a
+# required one, "=" gives a default
+_COMMANDS = (
+    ("validate", _cmd_validate, "check a model document", "model! out"),
+    ("simulate", _cmd_simulate, "draw seeded chain paths",
+     "model! out! seed! mc-paths"),
+    ("build-lattice", _cmd_build_lattice,
+     "export transition and noise matrices", "model! out!"),
+    ("solve-bsde", _cmd_solve_bsde, "solve a linear problem",
+     f"model! problem! out! seed tol convention={DEFAULT_CONVENTION.value}"),
+    ("verify-duality", _cmd_verify_duality,
+     "cross-check the weighted representation",
+     "model! problem! out seed tol convention=auto"),
+    ("solve-control", _cmd_solve_control, "solve a control problem",
+     "model! problem! out! tol override-hypotheses"),
+    ("verify-all", _cmd_verify_all, "run the desk-scale property suite",
+     "out seed"),
+)
+_OPTIONS = {
+    "seed": {"type": int},
+    "mc-paths": {"type": int},
+    "tol": {"type": float},
+    "convention": {"choices": ["auto"] + [c.value for c in Convention]},
+    "override-hypotheses": {"action": "store_true"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smcbsde",
@@ -526,71 +560,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, func, **help_):
-        p = sub.add_parser(name, help=help_.get("help"))
+    for name, func, help_, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
-        return p
-
-    p = cmd("validate", _cmd_validate, help="check a model document")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out")
-
-    p = cmd("simulate", _cmd_simulate, help="draw seeded chain paths")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mc-paths", type=int)
-
-    p = cmd("build-lattice", _cmd_build_lattice,
-            help="export transition and noise matrices")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-
-    p = cmd("solve-bsde", _cmd_solve_bsde, help="solve a linear problem")
-    p.add_argument("--model", required=True)
-    p.add_argument("--problem", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument(
-        "--convention",
-        default=DEFAULT_CONVENTION.value,
-        choices=["auto"] + [c.value for c in Convention],
-    )
-
-    p = cmd("verify-duality", _cmd_verify_duality,
-            help="cross-check the weighted representation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--problem", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument(
-        "--convention",
-        default="auto",
-        choices=["auto"] + [c.value for c in Convention],
-    )
-
-    p = cmd("solve-control", _cmd_solve_control, help="solve a control problem")
-    p.add_argument("--model", required=True)
-    p.add_argument("--problem", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--override-hypotheses", action="store_true")
-
-    p = cmd("verify-all", _cmd_verify_all,
-            help="run the desk-scale property suite")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-
+        for option in options.split():
+            option, _, default = option.partition("=")
+            key = option.rstrip("!")
+            extra = {"default": default} if default else {}
+            p.add_argument(f"--{key}", required=option.endswith("!"),
+                           **_OPTIONS.get(key, {}), **extra)
     return parser
+
+
+# one parser per process, built on the first call of main
+_parser = cache(build_parser)
 
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except files.FileFormatError as exc:

@@ -264,7 +264,7 @@ def solve_control(
     _affine_solve(sys, terms, values, local, roots)
     solution = _solution(sys, values, local)
     # the controls within the tie tolerance of the maximum at each cell
-    vals = terms.along(sys, solution)
+    vals = terms.along(solution)
     best = vals.max(axis=1, keepdims=True)
     near = vals >= best - _TIE_TOL * (1.0 + np.abs(best))
     choices = np.full((sys.horizon, sys.dim), -1, dtype=int)
@@ -480,14 +480,16 @@ def epsilon_optimal_policy(
         raise ValueError("epsilon must be nonnegative")
     sol = solved.solution if isinstance(solved, ControlSolution) else solved
     t, d = sys.horizon, sys.dim
-    vals = problem.validate(sys).along(sys, sol)
+    vals = problem.validate(sys).along(sol)
     best = vals.max(axis=1, keepdims=True)
     choices = np.full((t, d), -1, dtype=int)
     choices[sys.reachable[:-1]] = np.argmax(vals >= best - epsilon, axis=1)
     policy = PolicyTable(choices)
     driver = _policy_driver(problem, sys, policy)
     psol = solve_bsde(sys, driver, problem.terminal)
-    delta = np.where(np.isnan(sol.values), 0.0, sol.values - psol.values)
+    delta = np.zeros((t + 1, d))
+    delta[sys.reachable] = np.where(np.isnan(sol.cell_values), 0.0,
+                                    sol.cell_values - psol.cell_values)
     measured = _expected_max_gap_sq(sys, delta)
     c_tilde = 0.0
     for start in range(t):

@@ -556,7 +556,7 @@ def select_convention(
     for _ in range(trials):
         driver, terminal = random_linear_instance(sys, rng)
         sol = solve_bsde(sys, driver, terminal)
-        want = sol.values[sys.plan.times[at], sys.plan.cells[at]]
+        want = sol.cell_values[at]
         trial_res = {}
         for conv in Convention:
             fac = _factors(sys, WeightSde(driver.alpha, driver.beta, conv))

@@ -49,6 +49,7 @@ import numpy as np
 from .bsde import LinearDriver
 from .chain import InvalidModelError, SemiMarkovModel, validate_model
 from .control import ControlProblem
+from .lattice import _blocks
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -104,13 +105,41 @@ def write_json(path, payload) -> None:
     Path(path).write_text(_json_text(payload) + "\n")
 
 
+def _int_lines(rows) -> bytes:
+    """The lines "%d,...,%d" of an integer array (R, C) as ASCII, built in
+    numpy per block of rows: each column right-aligned in a (width, rows)
+    byte table by repeated divmod, a '-' before a negative's first digit,
+    then every blank (a zero byte) dropped by one compress."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = []
+    for at in _blocks(rows.shape[0], rows.shape[1]):
+        parts, n = [], at.stop - at.start
+        for col in rows[at].T:
+            # |int64 min| wraps to itself, which reads right as uint64; the
+            # divmods run in the narrowest type that holds the column
+            left, sign = np.abs(col).view(np.uint64), col < 0
+            width = len(str(left.max())) + bool(sign.any())
+            left = left.astype(np.min_scalar_type(left.max()))
+            table = np.empty((width, n), np.uint8)
+            for i in range(width - 1, -1, -1):
+                digit = (left > 0) | (i == width - 1)
+                left, d = np.divmod(left, 10)
+                table[i] = np.where(digit, d + 48, sign * np.uint8(45))
+                sign &= digit
+            parts += [table, np.full((1, n), ord(","), np.uint8)]
+        parts[-1:] = [np.full((1, n), ord("\n"), np.uint8)]
+        line = np.concatenate(parts).T
+        out.append(line[line != 0].tobytes())
+    return b"".join(out)
+
+
 def write_csv(path, header, rows) -> None:
     """CSV of a header and rows: tuples (floats by format_number, anything
-    else by str), or a 2-D integer array, formatted in one pass."""
+    else by str), or a 2-D integer array, whose text (_int_lines) is the
+    same as the %d format's."""
     if isinstance(rows, np.ndarray):
-        line = ",".join(["%d"] * rows.shape[1]) + "\n"
-        text = line * rows.shape[0] % tuple(rows.ravel().tolist())
-        Path(path).write_text(",".join(header) + "\n" + text)
+        Path(path).write_bytes((",".join(header) + "\n").encode()
+                               + _int_lines(rows))
         return
     lines = [",".join(header)]
     for row in rows:

@@ -27,7 +27,8 @@ Beside it the plan keeps the lattice-only tables the loops would otherwise
 rebuild on every call: the real-slot mask (the one spelling of
 ``prob > 0`` in the library), the centred pinv columns of the noise and the
 lattice sampler's pick tables.  Per-cell tables of a solve
-(cells, ...) are indexed like the plan's cells; none is stored.
+(cells, ...), such as a solution's values, are indexed like the plan's
+cells; the plan stores none of them.
 
 Every backward solver works a whole time slice through ``step`` (conditional
 means and local canonical integrands of the sources reachable at time k).
@@ -383,28 +384,34 @@ def canonical_integrand(
     """
     if state is not None:
         return _source_integrand(sys, state, row)
-    # scipy is imported here, its only use in the package, so that importing
-    # the package loads numpy alone
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     _check_time(sys, k)
     row = np.asarray(row, dtype=float)
     src = sys.reachable_at[k]
     rows, slots = np.nonzero(sys.plan.real[src])
     succ = sys.succ[src[rows], slots]
-    # overlap components: connected components of the graph joining each
-    # source (node i) to its successors (node S_k + j)
-    n = src.size + sys.dim
-    graph = coo_matrix((np.ones(rows.size), (rows, src.size + succ)), (n, n))
-    comp = np.unique(connected_components(graph, directed=False)[1][:src.size],
-                     return_inverse=True)[1]
+    comp = _overlap_components(rows, succ, src.size, sys.dim)
     mix = np.zeros((comp.max() + 1, sys.dim))
     np.add.at(mix, (comp[rows], succ), sys.prob[src[rows], slots])
     mix /= np.bincount(comp)[:, None]
     out = np.zeros_like(row)
     out[succ] = row[succ] - (mix @ row)[comp[rows]]
     return out
+
+
+def _overlap_components(rows, succ, n, d) -> np.ndarray:
+    """Labels (n,) of the connected components of the graph joining source
+    rows[i] (of n) to successor succ[i] (of d), numbered 0, 1, ... by each
+    component's least source: the least source index spread over the
+    source-successor pairs until no label falls."""
+    label = np.arange(n)
+    while True:
+        low = np.full(d, n)
+        np.minimum.at(low, succ, label[rows])
+        new = label.copy()
+        np.minimum.at(new, rows, low[succ])
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
 
 
 def integrands_equivalent(

@@ -3,17 +3,25 @@
 The lattice stores one per-source geometry: the padded successor table and
 the stacked blocks (source, *successors).  Before that it handed out a
 per-source view with D x D matrices, a dense D x D transition matrix and a
-recursive path enumerator, and the weight recursions read (T, D, W) factor
-tables over every state.  They live on here, unchanged in substance, as
-the oracle for the slice step, the level walk, the cell-major factors and
-the hand-computed tiny-model tables.
+recursive path enumerator, the weight recursions read (T, D, W) factor
+tables over every state, and the backward solvers filled (T+1, D) value
+and (T, D, W) integrand tables.  They live on here, unchanged in
+substance, as the oracle for the slice step, the level walk, the
+cell-major factors and solution tables and the hand-computed tiny-model
+tables.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from smcbsde import UnreachableStateError, VanishingDenominatorError
+from smcbsde import (
+    LinearDriver,
+    UnreachableStateError,
+    VanishingDenominatorError,
+)
+from smcbsde.bsde import _ambient_rows, _linear_terms, _verified_root
+from smcbsde.control import _ALPHA_GUARD
 from smcbsde.duality import DENOMINATOR_TOL, _algebra
 
 
@@ -189,3 +197,73 @@ def check_walked_denominators(sys, den, walked):
         k, s, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise VanishingDenominatorError(
             f"weight denominator {den[k, s, j]} at time {k}, state {s}")
+
+
+def _dense_tables(sys, terminal):
+    """Values (T+1, D), NaN but at the reachable terminal states, and zero
+    local integrands (T, D, W) for a backward solve to fill."""
+    term = np.asarray(terminal, dtype=float)
+    values = np.full((sys.horizon + 1, sys.dim), np.nan)
+    reach_t = sys.reachable_at[sys.horizon]
+    values[-1, reach_t] = term[reach_t]
+    return values, np.zeros((sys.horizon,) + sys.succ.shape)
+
+
+def _dense_affine_solve(sys, terms, values, local, roots=()):
+    """The affine kernel over (T+1, D) tables: the largest closed form at
+    each cell, a verified root at the cells ``roots``."""
+    plan = sys.plan
+    cut = np.searchsorted(roots, plan.offset).tolist()
+    for k in range(sys.horizon - 1, -1, -1):
+        src, at = sys.reachable_at[k], plan.span(k)
+        mean, z = sys.step(k, values[k + 1])
+        local[k, src] = z
+        if cut[k] == cut[k + 1]:
+            values[k, src] = terms.closed(at, mean, z)
+            continue
+        with np.errstate(all="ignore"):  # discarded at the roots
+            y = terms.closed(at, mean, z)
+        for c in roots[cut[k]:cut[k + 1]]:
+            i = c - at.start
+            y[i] = _verified_root(
+                lambda v: v - float(np.max(terms.value(c, v, z[i]))) - mean[i],
+                float(mean[i]), f" at time {k}, state {src[i]}")
+        values[k, src] = y
+
+
+def _dense_ambient(sys, local):
+    """The ambient (T, D, D) integrand table of local rows (T, D, W)."""
+    succ = np.where(sys.prob > 0.0, sys.succ, -1)
+    t, d = local.shape[:2]
+    out = np.zeros((t, d, d))
+    rows, slots = np.nonzero(succ >= 0)
+    out[:, rows, succ[rows, slots]] = local[:, rows, slots]
+    return out
+
+
+def dense_solve(sys, driver, terminal):
+    """solve_bsde over (T+1, D) tables: (values, local integrands (T, D,
+    W), ambient integrands (T, D, D))."""
+    values, local = _dense_tables(sys, terminal)
+    if isinstance(driver, LinearDriver):
+        _dense_affine_solve(sys, _linear_terms(sys, driver), values, local)
+    else:
+        for k in range(sys.horizon - 1, -1, -1):
+            src = sys.reachable_at[k]
+            mean, z = sys.step(k, values[k + 1])
+            local[k, src] = z
+            rows = _ambient_rows(sys, k, z)
+            for s, m, row in zip(src.tolist(), mean.tolist(), rows):
+                values[k, s] = _verified_root(
+                    lambda y: y - driver.fn(k, s, y, row) - m, m,
+                    f" at time {k}, state {s}")
+    return values, local, _dense_ambient(sys, local)
+
+
+def dense_solve_control(problem, sys):
+    """solve_control's tables over (T+1, D), as dense_solve returns them."""
+    terms = problem.validate(sys)
+    values, local = _dense_tables(sys, problem.terminal)
+    roots = np.flatnonzero(np.any(terms.alpha >= 1.0 - _ALPHA_GUARD, axis=1))
+    _dense_affine_solve(sys, terms, values, local, roots)
+    return values, local, _dense_ambient(sys, local)

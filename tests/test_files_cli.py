@@ -480,6 +480,14 @@ def test_cli_solve_control(workdir, capsys):
         len(policy["control"])}
     for u in policy["control"]:
         assert 0 <= u < 2
+    # the values column runs over every reachable cell, time-major: the
+    # policy's cells first, then the horizon's
+    sys_ = build_lattice(files.load_model(workdir / "model.json"))
+    solved = solve_control(files.load_control_problem(workdir / "control.json"),
+                           sys_)
+    assert np.array_equal(np.array(payload["values"]),
+                          solved.values[sys_.reachable])
+    assert policy["time"] == sys_.plan.times[:len(policy["time"])].tolist()
 
 
 def test_cli_solve_control_skips_the_oracle_past_its_cap(tmp_path, capsys):
@@ -818,6 +826,54 @@ def test_cli_artifacts_do_not_depend_on_the_beta_layout(tmp_path, command):
     assert written[0] == written[1]
 
 
+_I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("rows", [
+    np.zeros((4, 3), dtype=np.int64),
+    np.array([[-1, 0, 1], [-10, -99, 100], [-7, 5, -123456]]),
+    np.array([[10**12, -10**12, 10**15 + 7], [_I64.max, _I64.min, 0]]),
+    np.array([[255, 256, 65535, 65536, 2**32, -(2**32) - 1]]),  # one row
+    np.arange(-12, 13).reshape(-1, 1),  # one column
+    np.zeros((0, 4), dtype=np.int64),  # zero rows
+    # several blocks of rows, each with its own column widths
+    np.random.default_rng(5).integers(-10**6, 10**9, (150_000, 3)),
+], ids=["zeros", "negatives", "large", "one-row", "one-column", "no-rows",
+        "blocks"])
+def test_write_csv_integer_array_is_the_percent_format(tmp_path, rows):
+    header = tuple(f"c{j}" for j in range(rows.shape[1]))
+    files.write_csv(tmp_path / "out.csv", header, rows)
+    line = ",".join(["%d"] * rows.shape[1]) + "\n"
+    want = ",".join(header) + "\n" + line * rows.shape[0] % tuple(
+        rows.ravel().tolist())
+    assert (tmp_path / "out.csv").read_bytes() == want.encode()
+
+
+def test_cli_main_builds_its_parser_once(tmp_path, capsys):
+    model = str(SAMPLES / "geometric_model.json")
+    cli._parser.cache_clear()
+    assert cli.main(["validate", "--model", model]) == 0
+    assert "model ok" in capsys.readouterr().out
+    argv = ["simulate", "--model", model, "--seed", "3", "--out"]
+    assert cli.main(argv + [str(tmp_path / "five.csv"), "--mc-paths", "5"]) == 0
+    # an option of an earlier call does not carry over: one path by default
+    assert cli.main(argv + [str(tmp_path / "one.csv")]) == 0
+    rows = (tmp_path / "one.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"0"}
+    assert len((tmp_path / "five.csv").read_text().splitlines()) \
+        == 5 * len(rows) + 1
+    capsys.readouterr()
+    # a bad command exits through argparse; the next call still parses
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["no-such-command"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert cli.main(argv + [str(tmp_path / "bad.csv"), "--mc-paths", "0"]) \
+        == 1
+    assert cli.main(["validate", "--model", model]) == 0
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_cli_solution_local_integrands_rebuild_the_ambient_table(tmp_path):
     model, problem = (SAMPLES / f"{name}.json"
                       for name in SAMPLE_PROBLEMS["solve-bsde"])
@@ -827,17 +883,25 @@ def test_cli_solution_local_integrands_rebuild_the_ambient_table(tmp_path):
     doc = json.loads((tmp_path / "solution.json").read_text())
     sys_ = build_lattice(files.load_model(model))
     driver, terminal = files.load_linear_problem(problem)
-    want = solve_bsde(sys_, driver, terminal).integrands
+    sol = solve_bsde(sys_, driver, terminal)
+    want = sol.integrands
 
+    # cell-major: a value per reachable cell (times, cells), integrand rows
+    # on the successor slots per cell before the horizon
+    times, cells = np.array(doc["times"]), np.array(doc["cells"])
+    assert np.array_equal(times, sys_.plan.times)
+    assert np.array_equal(cells, sys_.plan.cells)
+    assert np.array_equal(np.array(doc["values"]), sol.cell_values)
     local = np.array(doc["integrands"], dtype=float)
     succ = np.array(doc["successors"])
-    assert local.shape == (sys_.horizon, sys_.dim, sys_.succ.shape[1])
-    assert succ.shape == sys_.succ.shape
-    assert np.array_equal(succ, np.where(sys_.prob > 0.0, sys_.succ, -1))
-    assert np.all(local[:, succ < 0] == 0.0)
+    n = int(sys_.plan.offset[sys_.horizon])
+    assert local.shape == succ.shape == (n, sys_.succ.shape[1])
+    assert np.array_equal(succ, np.where(sys_.prob > 0.0, sys_.succ,
+                                         -1)[cells[:n]])
+    assert np.all(local[succ < 0] == 0.0)
     rebuilt = np.zeros(want.shape)
-    for s, j in zip(*np.nonzero(succ >= 0)):
-        rebuilt[:, s, succ[s, j]] = local[:, s, j]
+    for c, j in zip(*np.nonzero(succ >= 0)):
+        rebuilt[times[c], cells[c], succ[c, j]] = local[c, j]
     assert np.array_equal(rebuilt, want)
 
 

@@ -17,6 +17,7 @@ from smcbsde import (
     projection_constants,
 )
 from smcbsde.instances import random_model
+from smcbsde.lattice import _overlap_components
 from smcbsde.linalg import comparison_condition, positivity_condition
 
 from conftest import TINY_TRANSITION, geometric_model, tiny_model
@@ -190,6 +191,38 @@ def test_canonical_integrand_joint_handles_overlap():
         )
         off = np.setdiff1d(np.arange(sys_.dim), union)
         assert np.all(can[off] == 0.0)
+
+
+def scipy_components(rows, succ, n, d):
+    """The overlap components as canonical_integrand took them from scipy:
+    connected components of the graph joining source i to successor node
+    n + j, numbered by np.unique over the sources' scipy labels."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_matrix((np.ones(rows.size), (rows, n + succ)), (n + d, n + d))
+    labels = connected_components(graph, directed=False)[1][:n]
+    return np.unique(labels, return_inverse=True)[1]
+
+
+def test_overlap_components_match_scipy():
+    rng = np.random.default_rng(19)
+    # the source-successor pairs of random lattices at every time
+    for _ in range(30):
+        sys_ = build_lattice(random_model(rng, n_max=5, t_max=8))
+        for k in range(sys_.horizon):
+            src = sys_.reachable_at[k]
+            rows, slots = np.nonzero(sys_.plan.real[src])
+            pairs = rows, sys_.succ[src[rows], slots], src.size, sys_.dim
+            np.testing.assert_array_equal(_overlap_components(*pairs),
+                                          scipy_components(*pairs))
+    # random sparse pairs: chains, isolated sources and unused successors
+    for _ in range(200):
+        n, d = (int(v) for v in rng.integers(1, 40, 2))
+        m = int(rng.integers(0, 2 * n))
+        pairs = rng.integers(0, n, m), rng.integers(0, d, m), n, d
+        np.testing.assert_array_equal(_overlap_components(*pairs),
+                                      scipy_components(*pairs))
 
 
 def test_equivalence_three_way_coherence():
