@@ -14,10 +14,11 @@ solve-control  solve a control problem, with a brute-force oracle residual
 verify-all     run the bundled desk-scale property suite and print a
                summary table
 
-Exit status: 0 success, 1 validation or hypothesis failure, 2 internal
-invariant violation (a residual above tolerance or not finite).  Outputs are
-byte-identical for identical inputs, seed and package version.  Set
-SMCBSDE_LOG to a level name (DEBUG, INFO, ...) for diagnostics on stderr.
+Exit status: 0 success, 1 validation or hypothesis failure or a path that
+cannot be read or written, 2 internal invariant violation (a residual above
+tolerance or not finite).  Outputs are byte-identical for identical inputs,
+seed and package version.  Set SMCBSDE_LOG to a level name (DEBUG, INFO,
+...) for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -87,20 +88,18 @@ def _write_values(path, sys, values):
     """values.csv: a (time, state, duration, value) row per reachable cell,
     from the values (C,) at the plan's cells."""
     plan, n = sys.plan, sys.model.n_states
-    files.write_csv(path, ("time", "state", "duration", "value"), zip(
-        plan.times.tolist(), (plan.cells % n).tolist(),
-        (plan.cells // n + 1).tolist(), values.tolist()))
+    files.write_csv(path, ("time", "state", "duration", "value"),
+                    (plan.times, plan.cells % n, plan.cells // n + 1, values))
 
 
 def _block_entries(sources, block, local):
-    """(source, row, column, value) rows of the nonzero entries of each
+    """(source, row, column, value) columns of the nonzero entries of each
     source's block matrix local[i] on the flat indices block[i], sorted by
     source, row and column."""
     i, r, c = np.nonzero(local)
     src, row, col = sources[i], block[i, r], block[i, c]
     order = np.lexsort((col, row, src))
-    return zip(src[order].tolist(), row[order].tolist(), col[order].tolist(),
-               local[i, r, c][order].tolist())
+    return src[order], row[order], col[order], local[i, r, c][order]
 
 
 def _check_problem_size(path, alpha, beta, sys_):
@@ -171,8 +170,7 @@ def _cmd_build_lattice(args):
     rows, slots = np.nonzero(sys_.plan.real)
     files.write_csv(
         out / "transition.csv", ("source", "target", "probability"),
-        zip(rows.tolist(), sys_.succ[rows, slots].tolist(),
-            sys_.prob[rows, slots].tolist()),
+        (rows, sys_.succ[rows, slots], sys_.prob[rows, slots]),
     )
     src = sys_.sources
     entry = ("source", "row", "column", "value")
@@ -589,6 +587,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (ProblemDataError, DegenerateDriverError, BijectionError) as exc:
         print(f"error: {args.problem}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:  # a path that cannot be read or written
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

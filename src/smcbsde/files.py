@@ -22,6 +22,16 @@ from ``json.dumps`` without indent, which runs json's C encoder (an indent
 forces its pure-Python encoder on every number).  Numbers that are not
 finite are written as null, so every artifact is strict JSON.
 
+Memory: the writers stream.  ``write_json`` writes each piece of its text to
+the open file and never holds the whole text; an array's line is dumped a
+block of rows at a time (``lattice._blocks``), with the bytes one dump of
+the whole array gives, and a packed table is base64-encoded from slices of
+``_PIECE`` entries (a multiple of 3, so the pieces join into the text one
+encode of the whole table gives).  ``write_csv`` formats a block of rows at
+a time.  A packed field is decoded the same way, piece by piece, straight
+into the table it returns, so a load holds the document's text and strings
+and the tables, about twice the file, and a save no copy of its tables.
+
 Document kinds
 --------------
 semi_markov_model : n_states, horizon, pi (N x (T+1)), jump (N x (T+1) x N),
@@ -40,8 +50,10 @@ layout the object holds, and the lattice checks the width where it is read.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -77,41 +89,114 @@ def format_number(x) -> str:
     return "%.17g" % float(x)
 
 
-def _json_text(obj, indent=""):
-    """obj as JSON, nested lines indented past ``indent``."""
+# entries of a packed table per base64 piece: 3 << 13 float64 values are
+# 3 << 16 bytes, a multiple of 3, so each piece encodes to whole quads
+_PIECE = 3 << 13
+
+
+# an array's JSON text is dumped in blocks of BLOCK_ENTRIES / _TEXT_WEIGHT
+# entries: while dumped, an entry weighs far more than its 8 bytes (a float
+# object and its list slot, its repr in json's accumulator, its share of
+# the joined text and of the slice without brackets), about 5 MB a block
+_TEXT_WEIGHT = 8
+
+
+class _Base64:
+    """A float table that write_json emits as the base64 string of its
+    little-endian float64 bytes in C order, encoded piece by piece."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def pieces(self):
+        flat = self.table.flat
+        for lo in range(0, self.table.size, _PIECE):
+            piece = flat[lo:lo + _PIECE].astype("<f8", copy=False)
+            yield binascii.b2a_base64(piece, newline=False).decode("ascii")
+
+
+def _array_pieces(arr):
+    """The text json.dumps gives for arr.tolist(), with every entry that is
+    not finite as null, dumped a block of rows at a time."""
+    def text(part):
+        if part.dtype.kind == "f" and not np.isfinite(part).all():
+            part = np.where(np.isfinite(part), part, None)
+        return json.dumps(part.tolist(), allow_nan=False)
+
+    if arr.ndim == 0:
+        yield text(arr)
+        return
+    yield "["
+    width = _TEXT_WEIGHT * math.prod(arr.shape[1:])
+    for i, at in enumerate(_blocks(arr.shape[0], width)):
+        if i:
+            yield ", "
+        yield text(arr[at])[1:-1]
+    yield "]"
+
+
+def _json_pieces(obj, indent=""):
+    """The text of obj as JSON, in pieces; nested lines are indented past
+    ``indent``."""
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
-            obj = np.where(np.isfinite(obj), obj, None)
-        return json.dumps(obj.tolist(), allow_nan=False)
+        yield from _array_pieces(obj)
+        return
+    if isinstance(obj, _Base64):
+        yield '"'
+        yield from obj.pieces()
+        yield '"'
+        return
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
-        items = []
+        sep = "{\n"
         for k, v in sorted(obj.items()):
             # json names a key that is no string by that key's own JSON
             key = k if isinstance(k, str) else json.dumps(k)
-            items.append(f"{inner}{json.dumps(key)}: {_json_text(v, inner)}")
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield from _json_pieces(v, inner)
+            sep = ",\n"
+        yield f"\n{indent}}}"
+        return
     if isinstance(obj, (list, tuple)) and obj:
-        items = (inner + _json_text(v, inner) for v in obj)
-        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+        sep = "[\n"
+        for v in obj:
+            yield sep + inner
+            yield from _json_pieces(v, inner)
+            sep = ",\n"
+        yield f"\n{indent}]"
+        return
     if isinstance(obj, float) and not math.isfinite(obj):
         obj = None
-    return json.dumps(obj, allow_nan=False)
+    yield json.dumps(obj, allow_nan=False)
+
+
+@contextmanager
+def _output(path, mode):
+    """``path`` open for writing in ``mode``; a write that fails removes
+    the file, so that no partial artifact is left behind."""
+    with open(path, mode) as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            Path(path).unlink(missing_ok=True)
+            raise
 
 
 def write_json(path, payload) -> None:
     """Strict JSON of dicts, lists and numpy arrays, laid out as the module
     notes say; NaN and +-inf as null."""
-    Path(path).write_text(_json_text(payload) + "\n")
+    with _output(path, "w") as fh:
+        fh.writelines(_json_pieces(payload))
+        fh.write("\n")
 
 
-def _int_lines(rows) -> bytes:
-    """The lines "%d,...,%d" of an integer array (R, C) as ASCII, built in
-    numpy per block of rows: each column right-aligned in a (width, rows)
-    byte table by repeated divmod, a '-' before a negative's first digit,
-    then every blank (a zero byte) dropped by one compress."""
+def _int_lines(rows):
+    """The lines "%d,...,%d" of an integer array (R, C) as ASCII, one block
+    of rows at a time, built in numpy: each column right-aligned in a
+    (width, rows) byte table by repeated divmod, a '-' before a negative's
+    first digit, then every blank (a zero byte) dropped by one compress."""
     rows = np.asarray(rows, dtype=np.int64)
-    out = []
     for at in _blocks(rows.shape[0], rows.shape[1]):
         parts, n = [], at.stop - at.start
         for col in rows[at].T:
@@ -129,26 +214,32 @@ def _int_lines(rows) -> bytes:
             parts += [table, np.full((1, n), ord(","), np.uint8)]
         parts[-1:] = [np.full((1, n), ord("\n"), np.uint8)]
         line = np.concatenate(parts).T
-        out.append(line[line != 0].tobytes())
-    return b"".join(out)
+        yield line[line != 0].tobytes()
+
+
+def _column_lines(columns):
+    """The CSV lines of equally long 1-D columns as ASCII, one block of
+    rows at a time, each block by one % format: integer columns by %d,
+    the others by format_number's %.17g."""
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.17g"
+                    for c in columns) + "\n"
+    for at in _blocks(len(columns[0]), len(columns)):
+        block = np.empty((at.stop - at.start, len(columns)), dtype=object)
+        for j, c in enumerate(columns):
+            block[:, j] = c[at]  # Python ints and floats, which % reads fast
+        yield (line * len(block) % tuple(block.ravel().tolist())).encode()
 
 
 def write_csv(path, header, rows) -> None:
-    """CSV of a header and rows: tuples (floats by format_number, anything
-    else by str), or a 2-D integer array, whose text (_int_lines) is the
-    same as the %d format's."""
-    if isinstance(rows, np.ndarray):
-        Path(path).write_bytes((",".join(header) + "\n").encode()
-                               + _int_lines(rows))
-        return
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                format_number(x) if isinstance(x, float) else str(x) for x in row
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """CSV of a header and rows: a 2-D integer array, whose text
+    (_int_lines) is the same as the %d format's, or a tuple of 1-D numpy
+    columns (_column_lines); written a block of rows at a time."""
+    with _output(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if isinstance(rows, np.ndarray):
+            fh.writelines(_int_lines(rows))
+        else:
+            fh.writelines(_column_lines(rows))
 
 
 def _require(doc, field, path):
@@ -162,7 +253,11 @@ def load_document(path, expected_kind=None) -> dict:
     if not path.exists():
         raise FileFormatError(f"{path}: file not found")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at "
+            f"offset {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
@@ -184,11 +279,39 @@ def load_document(path, expected_kind=None) -> dict:
 
 def _packed(arr):
     """The packed form of a float table: its little-endian float64 bytes in
-    C order, base64-encoded, with the shape."""
-    arr = np.ascontiguousarray(arr, dtype="<f8")
+    C order, base64-encoded by write_json, with the shape (a 0-d table's
+    is (1,))."""
+    arr = np.atleast_1d(arr)
     # the shape as an array, which write_json lays out on one line
     return {"dtype": "<f8", "shape": np.array(arr.shape, dtype=np.int64),
-            "data": base64.b64encode(arr.data).decode("ascii")}
+            "data": _Base64(arr)}
+
+
+def _decode(data, shape):
+    """The float64 table of ``shape`` whose bytes ``data`` holds in strict
+    base64, decoded a piece at a time into the table; ValueError or
+    TypeError where data is anything else.  The byte count that data's
+    length and padding give is checked before the table is allocated, and
+    each piece must decode to exactly its share of it: a2b_base64 skips a
+    character outside the alphabet and stops at padding, so a shortfall
+    marks both, which holds on every Python (strict_mode is 3.11+)."""
+    if not isinstance(data, str) or len(data) % 4:
+        raise ValueError(data)
+    pad = 2 if data.endswith("==") else int(data.endswith("="))
+    size = len(data) // 4 * 3 - pad
+    if size != 8 * math.prod(shape):
+        raise ValueError(size)
+    table = np.empty(shape, dtype="<f8")
+    out, step = table.reshape(-1).view(np.uint8), _PIECE // 3 * 32
+    for lo in range(0, len(data), step):
+        raw = binascii.a2b_base64(data[lo:lo + step])
+        at = lo // 4 * 3
+        if len(raw) != min(size - at, step // 4 * 3):
+            raise ValueError(lo)
+        out[at:at + len(raw)] = np.frombuffer(raw, np.uint8)
+    # native byte order, as a nested list loads: no copy on a little-endian
+    # machine
+    return table.astype(float, copy=False)
 
 
 def _unpack(value, field, path):
@@ -208,20 +331,27 @@ def _unpack(value, field, path):
         raise bad(f"shape {json.dumps(shape)} is not a list of "
                   f"non-negative integers")
     try:
+        return _decode(value["data"], shape)
+    except (TypeError, ValueError):
+        pass
+    # a defect: the whole-string decode names it
+    try:
         raw = base64.b64decode(value["data"], validate=True)
     except (TypeError, ValueError) as exc:
         raise bad(f"data is not a base64 string ({exc})") from exc
     if len(raw) != 8 * math.prod(shape):
         raise bad(f"{len(raw)} data bytes for shape {tuple(shape)}, expected "
                   f"{8 * math.prod(shape)}")
-    # a copy: writable and in native byte order, as a nested list loads
-    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    # Python 3.10's b64decode, unlike 3.11's, takes '=' past the padding
+    raise bad("data is not a base64 string (padding past its end)")
 
 
 def _array(doc, field, path, shape=None):
     """A table field, packed or as nested lists, as a float array; a None
-    in ``shape`` takes any length on that axis."""
+    in ``shape`` takes any length on that axis.  The field leaves the
+    document, so that a packed table's text is freed once decoded."""
     value = _require(doc, field, path)
+    del doc[field]
     if isinstance(value, dict):
         arr = _unpack(value, field, path)
     else:
