@@ -214,7 +214,7 @@ def _resolve_convention(name, sys_, seed):
 def _solve_linear(args):
     """Lattice, problem, backward solution and tolerance of a linear command."""
     sys_ = build_lattice(files.load_model(args.model))
-    driver, terminal = files.load_linear_problem(args.problem)
+    driver, terminal = files.load_linear_problem(args.problem, sys_)
     _check_problem_size(args.problem, driver.alpha, driver.beta, sys_)
     solution = solve_bsde(sys_, driver, terminal)
     tol = 1e-9 if args.tol is None else args.tol
@@ -328,7 +328,7 @@ def _cmd_verify_duality(args):
 def _cmd_solve_control(args):
     model = files.load_model(args.model)
     sys_ = build_lattice(model)
-    problem = files.load_control_problem(args.problem)
+    problem = files.load_control_problem(args.problem, sys_)
     _check_problem_size(args.problem, problem.alpha, problem.beta, sys_)
     tol = args.tol if args.tol is not None else 1e-9
     solved = solve_control(problem, sys_,

@@ -82,6 +82,10 @@ class ControlProblem:
     alpha_bound, beta_bound : declared uniform bounds used by the
                hypothesis checks, finite; ``validate`` confirms the tables
                obey them.
+
+    The problem holds read-only copies of the tables, so that no later
+    write to an array it was given changes it; an array that is read-only
+    and owns its memory (as the loaders make them) is held as it is.
     """
 
     controls: np.ndarray
@@ -103,8 +107,11 @@ class ControlProblem:
             ("g", np.asarray(self.g, dtype=float)),
             ("terminal", np.asarray(self.terminal, dtype=float)),
         ):
-            arr = arr.copy()
-            arr.flags.writeable = False
+            # a read-only array that owns its memory is adopted as it is;
+            # any other is copied, so that no later write reaches the problem
+            if arr.flags.writeable or not arr.flags.owndata:
+                arr = arr.copy()
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         u = self.controls.shape[0]
         if self.alpha.ndim != 3 or self.alpha.shape[2] != u:

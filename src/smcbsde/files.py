@@ -32,6 +32,17 @@ a time.  A packed field is decoded the same way, piece by piece, straight
 into the table it returns, so a load holds the document's text and strings
 and the tables, about twice the file, and a save no copy of its tables.
 
+Rows: a problem loader given the lattice ``sys`` the problem is solved on
+(as the CLI's solve-bsde, verify-duality and solve-control do) decodes a
+packed beta only at the rows the solvers read, those of the cells before
+the horizon (``sys.plan.key[:sys.plan.offset[T]]``), each whole, dense or on
+the block; each run of consecutive rows is one slice of the string, cut at
+quads.  The other rows are zero, in pages of a calloc-backed table that are
+never written, so never made resident.  The whole string is still checked:
+its length, its padding and, a piece at a time, its alphabet, so a defect
+in a row never decoded is refused as one in a row that is.  A file whose
+(T, D) is not the lattice's, and a nested-list beta, is decoded whole.
+
 Document kinds
 --------------
 semi_markov_model : n_states, horizon, pi (N x (T+1)), jump (N x (T+1) x N),
@@ -45,14 +56,17 @@ control_problem   : controls (U x q), alpha (T x D x U), g (T x D x U),
 beta rows are W+1 wide, on each source's block of the model's lattice, or D
 wide (dense): the loaders check the leading axes, the savers write the
 layout the object holds, and the lattice checks the width where it is read.
+A beta row is beta[k, s], the cell's (X,) row or (U, X) rows.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import ctypes
 import json
 import math
+import mmap
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -287,36 +301,83 @@ def _packed(arr):
             "data": _Base64(arr)}
 
 
-def _decode(data, shape):
+# numpy advises huge pages for a table of at least this many bytes
+_HUGE = 1 << 22
+
+
+def _zeros(shape, sparse):
+    """A float64 table of zeros, calloc-backed, so that a page is made
+    resident only when written.  Where only some rows will be written
+    (``sparse``), a large table is advised against the huge pages numpy
+    asks for: with them the first write into each 2 MB commits all of
+    it."""
+    table = np.zeros(shape, dtype="<f8")
+    if sparse and table.nbytes >= _HUGE and hasattr(mmap, "MADV_NOHUGEPAGE"):
+        madvise = ctypes.CDLL(None).madvise
+        madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+        madvise.restype = ctypes.c_int
+        page, at = mmap.PAGESIZE, table.ctypes.data
+        lo, hi = -(-at // page) * page, (at + table.nbytes) // page * page
+        # advice refused costs memory, not correctness
+        madvise(lo, hi - lo, mmap.MADV_NOHUGEPAGE)
+    return table
+
+
+# the base64 alphabet, which a packed field's data holds before its padding
+_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _decode(data, shape, rows=None):
     """The float64 table of ``shape`` whose bytes ``data`` holds in strict
     base64, decoded a piece at a time into the table; ValueError or
-    TypeError where data is anything else.  The byte count that data's
-    length and padding give is checked before the table is allocated, and
-    each piece must decode to exactly its share of it: a2b_base64 skips a
-    character outside the alphabet and stops at padding, so a shortfall
-    marks both, which holds on every Python (strict_mode is 3.11+)."""
+    TypeError where data is anything else.  ``rows``: ascending flat
+    indices over the table's two leading axes, the only rows decoded (all
+    by default); the others stay zero, in pages the table never touches.
+    The byte count that data's length and padding give is checked before
+    the table is allocated, and the whole string, a piece at a time, for
+    characters outside the alphabet before its ``pad`` trailing '='s, so a
+    row never decoded is checked as strictly as one that is."""
     if not isinstance(data, str) or len(data) % 4:
         raise ValueError(data)
     pad = 2 if data.endswith("==") else int(data.endswith("="))
     size = len(data) // 4 * 3 - pad
     if size != 8 * math.prod(shape):
         raise ValueError(size)
-    table = np.empty(shape, dtype="<f8")
-    out, step = table.reshape(-1).view(np.uint8), _PIECE // 3 * 32
-    for lo in range(0, len(data), step):
-        raw = binascii.a2b_base64(data[lo:lo + step])
-        at = lo // 4 * 3
-        if len(raw) != min(size - at, step // 4 * 3):
+    step = _PIECE // 3 * 32
+    for lo in range(0, len(data) - pad, step):
+        if data[lo:min(lo + step, len(data) - pad)].encode("ascii").translate(
+                None, _ALPHABET):
             raise ValueError(lo)
-        out[at:at + len(raw)] = np.frombuffer(raw, np.uint8)
+    table = _zeros(shape, rows is not None)
+    out = table.reshape(-1).view(np.uint8)
+    if rows is None:
+        runs = [(0, size)]
+    elif not len(rows):
+        runs = []
+    else:
+        # each run of consecutive rows as the byte range it covers
+        width = 8 * math.prod(shape[2:])
+        cut = np.flatnonzero(np.diff(rows) != 1) + 1
+        first, last = rows[np.r_[0, cut]], rows[np.r_[cut - 1, -1]] + 1
+        runs = zip((first * width).tolist(), (last * width).tolist())
+    for begin, end in runs:
+        # the run's quads, a piece at a time; each decodes to 3 bytes but
+        # the padded last, and only the run's own bytes are kept
+        for lo in range(begin // 3 * 4, -(-end // 3) * 4, step):
+            raw = binascii.a2b_base64(data[lo:min(lo + step, -(-end // 3) * 4)])
+            at = lo // 4 * 3
+            a, b = max(at, begin), min(at + len(raw), end)
+            out[a:b] = np.frombuffer(raw, np.uint8, b - a, a - at)
     # native byte order, as a nested list loads: no copy on a little-endian
     # machine
     return table.astype(float, copy=False)
 
 
-def _unpack(value, field, path):
+def _unpack(value, field, path, rows=None):
     """The table a packed field holds; anything but the exact packed form
-    raises FileFormatError naming the field."""
+    raises FileFormatError naming the field.  ``rows`` = (lead, index):
+    where the table's leading axes are ``lead``, only its rows at the flat
+    indices ``index`` over them are decoded (_decode)."""
     def bad(why):
         return FileFormatError(f"{path}: field '{field}' is not a packed "
                                f"array: {why}")
@@ -330,8 +391,11 @@ def _unpack(value, field, path):
             and all(type(n) is int and n >= 0 for n in shape)):
         raise bad(f"shape {json.dumps(shape)} is not a list of "
                   f"non-negative integers")
+    if rows is not None:
+        lead, index = rows
+        rows = index if shape[:2] == list(lead) else None
     try:
-        return _decode(value["data"], shape)
+        return _decode(value["data"], shape, rows)
     except (TypeError, ValueError):
         pass
     # a defect: the whole-string decode names it
@@ -346,14 +410,17 @@ def _unpack(value, field, path):
     raise bad("data is not a base64 string (padding past its end)")
 
 
-def _array(doc, field, path, shape=None):
+def _array(doc, field, path, shape=None, rows=None):
     """A table field, packed or as nested lists, as a float array; a None
-    in ``shape`` takes any length on that axis.  The field leaves the
-    document, so that a packed table's text is freed once decoded."""
+    in ``shape`` takes any length on that axis.  ``rows``: a packed table
+    decodes only these flat indices over its leading two axes where those
+    are shape[:2] (_unpack).  The field leaves the document, so that a
+    packed table's text is freed once decoded."""
     value = _require(doc, field, path)
     del doc[field]
     if isinstance(value, dict):
-        arr = _unpack(value, field, path)
+        arr = _unpack(value, field, path,
+                      None if rows is None else (shape[:2], rows))
     else:
         try:
             arr = np.asarray(value, dtype=float)
@@ -425,8 +492,20 @@ def save_model(path, model: SemiMarkovModel) -> None:
     )
 
 
-def load_linear_problem(path):
-    """Returns (LinearDriver, terminal array)."""
+def _solved_rows(sys, t, d):
+    """The flat indices over a (T, D) table of the lattice ``sys``'s cells
+    before the horizon, the only rows of beta the solvers read; None
+    without a lattice or where (t, d) is not its (T, D)."""
+    if sys is None or (t, d) != (sys.horizon, sys.dim):
+        return None
+    return sys.plan.key[:sys.plan.offset[t]]
+
+
+def load_linear_problem(path, sys=None):
+    """Returns (LinearDriver, terminal array).  Given the lattice ``sys``
+    the problem is solved on, a packed beta is decoded only at its cells
+    before the horizon (_solved_rows), its other rows left zero, where the
+    file's (T, D) is the lattice's; its whole data are still checked."""
     doc = load_document(path, "linear_bsde")
     alpha = _array(doc, "alpha", path)
     if alpha.ndim != 2:
@@ -435,7 +514,7 @@ def load_linear_problem(path):
     g = _array(doc, "g", path, (t, d))
     beta = None
     if doc.get("beta") is not None:
-        beta = _array(doc, "beta", path, (t, d, None))
+        beta = _array(doc, "beta", path, (t, d, None), _solved_rows(sys, t, d))
     terminal = _array(doc, "terminal", path, (d,))
     return LinearDriver(alpha, g, beta), terminal
 
@@ -454,7 +533,9 @@ def save_linear_problem(path, driver: LinearDriver, terminal) -> None:
     )
 
 
-def load_control_problem(path) -> ControlProblem:
+def load_control_problem(path, sys=None) -> ControlProblem:
+    """Read a control problem; ``sys`` selects the rows of beta decoded as
+    in load_linear_problem."""
     doc = load_document(path, "control_problem")
     alpha = _array(doc, "alpha", path)
     if alpha.ndim != 3:
@@ -471,10 +552,13 @@ def load_control_problem(path) -> ControlProblem:
             f"{path}: {controls.shape[0]} control points but alpha has {u}"
         )
     g = _array(doc, "g", path, (t, d, u))
-    beta = _array(doc, "beta", path, (t, d, u, None))
+    beta = _array(doc, "beta", path, (t, d, u, None), _solved_rows(sys, t, d))
     terminal = _array(doc, "terminal", path, (d,))
     alpha_bound = _number(doc, "alpha_bound", path)
     beta_bound = _number(doc, "beta_bound", path)
+    # fresh tables, which the problem adopts read-only without a copy
+    for arr in (controls, alpha, g, beta, terminal):
+        arr.flags.writeable = False
     try:
         return ControlProblem(
             controls=controls,

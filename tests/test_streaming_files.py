@@ -106,6 +106,25 @@ def _outcome(unpack, value):
     return "ok", (table.shape, table.tobytes())
 
 
+def _outcomes(value, rows):
+    """The outcomes of files._unpack and of the oracle on a value, with
+    ``rows`` (flat indices over the value's two leading axes, or None) the
+    only rows files._unpack decodes, and the only rows of the oracle's
+    table that are kept: a row-selected decode leaves the others zero."""
+    if rows is None:
+        return _outcome(files._unpack, value), _outcome(oracle_unpack, value)
+    got = _outcome(lambda *a: files._unpack(*a, (value["shape"][:2], rows)),
+                   value)
+    want = _outcome(oracle_unpack, value)
+    if want[0] == "ok":
+        shape, raw = want[1]
+        lead = (math.prod(shape[:2]),) + shape[2:]
+        table, kept = np.frombuffer(raw).reshape(lead), np.zeros(lead)
+        kept[rows] = table[rows]
+        want = "ok", (shape, kept.tobytes())
+    return got, want
+
+
 # --------------------------------------------------------------------------
 # byte identity of the writers
 
@@ -285,15 +304,36 @@ MALFORMED_DATA = {
 }
 
 
+# the rows of DATA's 10 entries, as a (10, 1) table, that a selection
+# decodes: none past the third, so that the middle and the last piece's
+# defects sit in rows never decoded, or a run across the 3-entry pieces
+SELECTIONS = {"all": None, "first-rows": [0, 1, 2],
+              "across-pieces": [2, 3, 4, 7]}
+
+
+@pytest.mark.parametrize("selection", sorted(SELECTIONS))
 @pytest.mark.parametrize("piece", [3, files._PIECE])
 @pytest.mark.parametrize("defect", sorted(MALFORMED_DATA))
 def test_malformed_data_gets_the_whole_string_message(monkeypatch, piece,
-                                                      defect):
+                                                      defect, selection):
     monkeypatch.setattr(files, "_PIECE", piece)
-    value = {"dtype": "<f8", "shape": [10], "data": MALFORMED_DATA[defect]}
-    kind, message = _outcome(oracle_unpack, value)
-    assert kind == "error"
-    assert _outcome(files._unpack, value) == (kind, message)
+    rows = SELECTIONS[selection]
+    value = {"dtype": "<f8", "shape": [10] if rows is None else [10, 1],
+             "data": MALFORMED_DATA[defect]}
+    got, want = _outcomes(value, rows)
+    assert want[0] == "error"
+    assert got == want
+
+
+@pytest.mark.parametrize("piece", [3, files._PIECE])
+def test_a_defect_in_a_row_never_decoded_is_still_refused(monkeypatch, piece):
+    # the last entry's first character, where only the first row is decoded
+    monkeypatch.setattr(files, "_PIECE", piece)
+    data = DATA[:96] + "*" + DATA[97:]
+    value = {"dtype": "<f8", "shape": [10, 1], "data": data}
+    got, want = _outcomes(value, [0])
+    assert want[0] == "error" and "not a base64 string" in want[1]
+    assert got == want
 
 
 def test_a_valid_field_decodes_under_each_piece(monkeypatch):
@@ -324,14 +364,22 @@ def _mutated_fields(draw):
     return {"dtype": "<f8", "shape": shape, "data": "".join(data)}
 
 
+@pytest.mark.parametrize("select", [False, True])
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(_mutated_fields(), st.sampled_from([3, 6]))
-def test_piecewise_decode_takes_what_the_whole_string_decode_takes(value,
-                                                                   piece):
-    want = _outcome(oracle_unpack, value)
+@given(_mutated_fields(), st.sampled_from([3, 6]),
+       st.sets(st.integers(0, 7)).map(sorted))
+def test_piecewise_decode_takes_what_the_whole_string_decode_takes(
+        select, value, piece, rows):
+    if select:
+        # the same data as a (m, 1) table, of which only ``rows`` are read
+        m = value["shape"][0]
+        value = {**value, "shape": [m, 1]}
+        rows = np.array([r for r in rows if r < m], dtype=np.int64)
+    else:
+        rows = None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(files, "_PIECE", piece)
-        got = _outcome(files._unpack, value)
+        got, want = _outcomes(value, rows)
     if got != want and sys.version_info < (3, 11):
         # 3.10's b64decode takes '=' past a padding's end; 3.11's refuses it
         assert want[0] == "ok" and got[1].endswith("(padding past its end)")
