@@ -1,6 +1,6 @@
 """Backward solver for value/integrand pairs on the lattice.
 
-Per time slice k the lattice's ``step`` gives, for every reachable source e,
+Per time slice k the backward step gives, for every reachable source e,
 
     mean    = sum_succ c(succ) * values[k+1, succ]
     z       = canonical integrand: z @ increment = values[k+1, succ] - mean
@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import SlicePlan, _blocks, projection_constants
+from .lattice import SlicePlan, _blocks, _centre, projection_constants
 from .linalg import comparison_condition
 
 __all__ = [
@@ -305,12 +305,12 @@ def _solution(sys, values, local) -> BsdeSolution:
 def _backward(sys, values):
     """The slice steps of a backward solve over the values (C,), the latest
     time first: yields k, the span of its cells and sys.step's means and
-    integrands there, read from the time-(k+1) values as the caller left
-    them."""
-    plan, row = sys.plan, np.full(sys.dim, np.nan)
+    integrands there, read at the plan's successor cells from the
+    time-(k+1) values as the caller left them."""
     for k in range(sys.horizon - 1, -1, -1):
-        row[sys.reachable_at[k + 1]] = values[plan.span(k + 1)]
-        yield (k, plan.span(k)) + sys.step(k, row)
+        at = sys.plan.span(k)
+        yield (k, at) + _centre(sys.prob[sys.reachable_at[k]],
+                                values[sys.plan.next_cell[at]])
 
 
 def _ambient_rows(sys, k, z):

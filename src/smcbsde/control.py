@@ -379,8 +379,7 @@ def brute_force_value(
     values[t][:] = term[reach_t, None]
     weight = sys.dist_at[0][sys.reachable_at[0]]
     # each source's successor rows in the time-(k+1) values
-    rows = [np.searchsorted(sys.reachable_at[k + 1], sys.succ[src])
-            for k, src in enumerate(sys.reachable_at[:t])]
+    rows = [plan.next_cell[plan.span(k)] - off[k + 1] for k in range(t)]
     width = sys.succ.shape[1]
     for b in range(n_pol // cols[0]):
         for k in range(t - 1, -1, -1):

@@ -360,25 +360,24 @@ def _sweep(sys, fac, g, terminal):
     """Dual value u at the plan's cells from time fac.start to the horizon,
     cell-major (see the module notes)."""
     _check_denominators(sys, fac)
-    plan, t, start, d = sys.plan, sys.horizon, fac.start, sys.dim
-    first, n = plan.offset[start], plan.offset[t] - plan.offset[start]
-    cells, key = plan.cells[first:], plan.key[first:]
+    plan, t, start = sys.plan, sys.horizon, fac.start
+    bounds = (plan.offset[start:t + 1] - plan.offset[start]).tolist()
+    first, n = int(plan.offset[start]), bounds[-1]
+    cells = plan.cells[first:]
     src = cells[:n]
     u = np.empty(cells.size + 1)
-    u[n:-1] = terminal[cells[n:]]
+    terminal.take(cells[n:], out=u[n:-1])
     u[-1] = 0.0
-    bounds = (plan.offset[start:t + 1] - first).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = sys.prob[src]
+        flow = sys.prob.take(src, axis=0)
         flow *= fac.step
-        live = plan.real[src] & (flow != 0.0)
-        # a live route reads its successor's cell, found by its key; the
-        # others multiply a zero flow by the zero after the last cell, as a
-        # masked route adds zero
-        nxt = key.searchsorted((key[:n] + d - src)[:, None] + sys.succ[src])
-        nxt = np.where(live, nxt, cells.size)
-        flow = np.where(live, flow, 0.0)
-        base = g.take(key[:n]) * fac.run
+        dead = (flow == 0.0) | ~plan.real.take(src, axis=0)
+        # a live route reads its successor's cell; a dead one multiplies a
+        # zero flow by the zero after the last cell, as a masked route adds
+        nxt = plan.next_cell[first:first + n] - first
+        nxt[dead] = cells.size
+        flow[dead] = 0.0
+        base = g.take(plan.key[first:first + n]) * fac.run
         for k in range(t - start - 1, -1, -1):
             now = slice(bounds[k], bounds[k + 1])
             np.add(base[now], np.add.reduce(flow[now] * u[nxt[now]], axis=1),

@@ -22,16 +22,16 @@ per-source geometry; no D x D matrix is ever built.
 The reachability pass also lays out one slice plan (``SlicePlan``): the
 reachable cells (time, state) in time-then-state order, so that time k's
 slice is one contiguous run and ``reachable_at[k]`` a view of it, with each
-cell's time and, before the horizon, its source's position in ``sources``.
-Beside it the plan keeps the lattice-only tables the loops would otherwise
-rebuild on every call: the real-slot mask (the one spelling of
-``prob > 0`` in the library), the centred pinv columns of the noise and the
-lattice sampler's pick tables.  Per-cell tables of a solve
-(cells, ...), such as a solution's values, are indexed like the plan's
-cells; the plan stores none of them.
+cell's time and, before the horizon, its source's position in ``sources``
+and its successors' positions in the cells (``next_cell``).  Beside it the
+plan keeps the lattice-only tables the loops would otherwise rebuild on
+every call: the real-slot mask (the one spelling of ``prob > 0`` in the
+library), the centred pinv columns of the noise and the lattice sampler's
+pick tables.  Per-cell tables of a solve (cells, ...), such as a solution's
+values, are indexed like the plan's cells; the plan stores none of them.
 
-Every backward solver works a whole time slice through ``step`` (conditional
-means and local canonical integrands of the sources reachable at time k).
+Every backward solver takes a whole time slice's step (``_centre``) on the
+successor values read through ``next_cell``; ``step`` takes it on a row.
 A coefficient table b is read through ``block_rows`` alone, which takes a
 table of rows on the blocks or of dense rows over the flat states.  A
 gather of a per-source table for every cell runs in blocks of at most
@@ -92,6 +92,8 @@ class SlicePlan:
                : (D * (W+1),) slot and successor of the lattice sampler's
                  pick p (the count of cumulative probabilities at or below
                  the draw) from state s, at s * (W+1) + p
+    next_cell  : (offset[T], W) int32 positions in ``cells`` of the cells
+                 (k+1, succ[cells[c]]) after each cell c at k, padded as succ
     """
 
     cells: np.ndarray
@@ -103,6 +105,7 @@ class SlicePlan:
     noise_cols: np.ndarray
     pick_slot: np.ndarray
     pick_next: np.ndarray
+    next_cell: np.ndarray
 
     def span(self, k: int, end: int | None = None) -> slice:
         """The cells of times k..end-1 (of time k alone by default)."""
@@ -168,14 +171,10 @@ class LatticeSystem:
         the mean, zero on padding.
         """
         src = self.reachable_at[k]
-        prob = self.prob[src]
         # batch axes last, (S_k, W, ...): the gather reads whole rows of the
         # transposed values, and the one (S_k, W, ...) array becomes z
-        z = np.asarray(values, dtype=float).T[self.succ[src]]
-        mean = prob[:, None, :] @ z.reshape(z.shape[:2] + (-1,))
-        mean = mean.reshape(z.shape[:1] + z.shape[2:])
-        z -= mean[:, None]
-        z[prob == 0.0] = 0.0
+        mean, z = _centre(self.prob[src],
+                          np.asarray(values, dtype=float).T[self.succ[src]])
         batch = tuple(range(z.ndim - 1, 1, -1))
         return mean.T, z.transpose(batch + (0, 1))
 
@@ -206,6 +205,16 @@ class LatticeSystem:
         if not inner:
             return rows
         return np.ascontiguousarray(np.moveaxis(rows, -1 - len(inner), -1))
+
+
+def _centre(prob, z):
+    """Means (S_k, ...) of successor values z (S_k, W, ...) under the laws
+    prob (S_k, W), and z centred in place, zero on padding: a slice step."""
+    mean = prob[:, None, :] @ z.reshape(z.shape[:2] + (-1,))
+    mean = mean.reshape(z.shape[:1] + z.shape[2:])
+    z -= mean[:, None]
+    z[prob == 0.0] = 0.0
+    return mean, z
 
 
 def _blocks(n: int, width: int):
@@ -300,9 +309,16 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     # padding slot (which the path walk rejects) for a row without any
     pick_slot = np.minimum(np.arange(width + 1), count[:, None] - 1) % width
     pick_next = succ[flat[:, None], pick_slot].ravel()
+    # slice k's successor cells, read off slice k+1's positions by state
+    next_cell = succ.astype(np.int32).take(cells[:offset[t]], axis=0)
+    pos, at = np.empty(dim, np.int32), np.arange(cells.size, dtype=np.int32)
+    for k in range(t):
+        pos[reachable[k + 1]] = at[offset[k + 1]:offset[k + 2]]
+        nxt = next_cell[offset[k]:offset[k + 1]]
+        pos.take(nxt, out=nxt)
     plan = SlicePlan(cells, offset, times, times * dim + cells,
                      np.searchsorted(sources, cells[:offset[t]]), valid, cols,
-                     pick_slot.ravel(), pick_next)
+                     pick_slot.ravel(), pick_next, next_cell)
     for arr in (mask, dist, sources, succ, prob, cdf, block, br, bp, proj, psd,
                 *vars(plan).values()):
         arr.flags.writeable = False

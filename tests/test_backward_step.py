@@ -37,7 +37,7 @@ from smcbsde import (
     solve_control,
     weight_bounds,
 )
-from smcbsde import control
+from smcbsde import bsde, control
 from smcbsde.bsde import _terminal_array, _verified_root
 from smcbsde.control import _expected_max_gap_sq
 from smcbsde.instances import (
@@ -47,7 +47,7 @@ from smcbsde.instances import (
     random_model,
 )
 
-from conftest import geometric_model
+from conftest import geometric_model, tiny_model
 from dense import dense_beta, geometry_for, transition
 
 # ---------------------------------------------------------------------------
@@ -641,6 +641,49 @@ def test_step_pads_single_successor_rows():
         (j,) = geometry_for(sys_, s).support
         np.testing.assert_array_equal(mean[:, 0], values[:, j])
         np.testing.assert_array_equal(z, 0.0)
+
+
+STEP_CASES = {
+    "tiny": lambda: tiny_model(),
+    "tiny-spread-start": lambda: tiny_model((0.3, 0.7)),
+    "geometric-2": lambda: geometric_model([0.3, 0.6], 5),
+    "geometric-3": lambda: geometric_model([0.2, 0.5, 0.8], 6),
+    # state 1 leaves after one step: its stay slot is padding
+    "geometric-padded": lambda: geometric_model([0.3, 1.0], 4),
+    "single-path": lambda: single_path_model(np.random.default_rng(4), 3, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_backward_gather_is_the_step_of_the_scattered_row(case):
+    sys_ = build_lattice(STEP_CASES[case]())
+    plan = sys_.plan
+    tables = [np.random.default_rng(7).standard_normal(plan.cells.size)]
+    # inf at the first successor of a source with a padding slot, which
+    # reads it with probability zero: the mean is NaN on both paths
+    padded = np.flatnonzero(~plan.real[plan.cells[:plan.offset[-2]]].all(1))
+    assert padded.size or case not in ("geometric-padded", "single-path")
+    if padded.size:
+        inf = tables[0].copy()
+        inf[plan.next_cell[padded[0], 0]] = np.inf
+        tables.append(inf)
+    for values in tables:
+        with np.errstate(invalid="ignore"):
+            steps = list(bsde._backward(sys_, values))
+        assert [k for k, *_ in steps] == list(range(sys_.horizon - 1, -1, -1))
+        for k, at, mean, z in steps:
+            assert at == plan.span(k)
+            row = np.full(sys_.dim, np.nan)
+            row[sys_.reachable_at[k + 1]] = values[plan.span(k + 1)]
+            with np.errstate(invalid="ignore"):
+                ref = sys_.step(k, row)
+            for got, want in zip((mean, z), ref):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        if values is not tables[0]:
+            k = int(plan.times[padded[0]])
+            mean = steps[sys_.horizon - 1 - k][2]
+            assert np.isnan(mean[padded[0] - plan.offset[k]])
 
 
 def test_lattice_stores_no_dense_matrix():

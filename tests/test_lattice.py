@@ -494,6 +494,15 @@ def test_slice_plan_invariants(case):
     np.testing.assert_array_equal(plan.pick_slot, slot.ravel())
     np.testing.assert_array_equal(plan.pick_next,
                                   np.take_along_axis(sys_.succ, slot, 1).ravel())
+    # the successor cells, against a search over the keys (padding
+    # included) and against the successor table
+    n, key = plan.offset[t], plan.key
+    src = plan.cells[:n]
+    want = key.searchsorted((key[:n] + d - src)[:, None] + sys_.succ[src])
+    assert plan.next_cell.shape == want.shape
+    assert plan.next_cell.dtype.itemsize == 4
+    np.testing.assert_array_equal(plan.next_cell, want)
+    np.testing.assert_array_equal(plan.cells[plan.next_cell], sys_.succ[src])
     # read-only like the other lattice arrays, and lean: one entry per cell
     # per array, tables over states at most W+1 wide, and the one
     # per-source table is not copied per cell
@@ -509,8 +518,10 @@ def test_slice_plan_invariants(case):
     for name in ("real", "pick_slot", "pick_next"):
         assert arrays[name].size <= d * (w + 1), name
     assert plan.noise_cols.shape == (sys_.sources.size, w + 1, w)
+    # the successor index adds its own (offset[T], W) int32 entries
     assert sum(a.nbytes for a in arrays.values()) <= (
-        8 * (4 * cells + 3 * d * (w + 1)) + plan.noise_cols.nbytes)
+        8 * (4 * cells + 3 * d * (w + 1)) + plan.noise_cols.nbytes
+        + 4 * plan.offset[t] * w)
 
 
 def test_state_jumping_onto_itself_is_rejected():
