@@ -42,7 +42,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import SlicePlan, _blocks, _centre, projection_constants
+from .lattice import (ProblemDataError, SlicePlan, _blocks, _centre,
+                      _require_fit, projection_constants)
 from .linalg import comparison_condition
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "DegenerateDriverError",
     "GeneralDriver",
     "LinearDriver",
-    "ProblemDataError",
     "check_comparison",
     "solve_bsde",
 ]
@@ -67,11 +67,6 @@ _RTOL = 4 * math.ulp(1.0)  # 4 eps, the least rtol brentq takes
 class DegenerateDriverError(ValueError):
     """A linear driver has a unit drift coefficient: the affine solve is
     singular and no solution exists (or infinitely many do)."""
-
-
-class ProblemDataError(ValueError):
-    """Problem data are not finite, or break a declared bound, at a reachable
-    cell; the message names the field, the time and the state."""
 
 
 class BijectionError(RuntimeError):
@@ -109,6 +104,7 @@ class LinearDriver:
     def bounds(self, sys):
         """Max |alpha| and max Euclidean beta-row norm on the block over
         reachable (k, e)."""
+        _require_fit(sys, alpha=self.alpha, g=self.g, beta=self.beta)
         plan, l = sys.plan, 0.0
         if self.beta is not None:
             at = plan.span(0, sys.horizon)
@@ -122,12 +118,11 @@ class GeneralDriver:
     """Arbitrary driver fn(k, state, y, z_row) -> float.
 
     The solver hands fn the canonical integrand representative, so fn may
-    read z_row freely and still respect equivalence.  Optional Lipschitz
-    bounds (in y, and in the integrand seminorm) feed the comparison check.
+    read z_row freely and still respect equivalence.  An optional Lipschitz
+    bound in the integrand seminorm, omega2, feeds the comparison check.
     """
 
     fn: Callable
-    omega1: float | None = None
     omega2: float | None = None
 
 
@@ -210,8 +205,7 @@ def _require_finite(sys, k, **cells):
 
 def _terminal_array(sys, terminal):
     term = np.asarray(terminal, dtype=float)
-    if term.shape != (sys.dim,):
-        raise ValueError(f"terminal must have shape ({sys.dim},)")
+    _require_fit(sys, terminal=term)
     _require_finite(sys, sys.horizon,
                     terminal=term[sys.reachable_at[sys.horizon]])
     return term
@@ -407,10 +401,11 @@ def _block_norms(sys, rows) -> np.ndarray:
 
 
 def _linear_terms(sys, driver) -> _AffineTerms:
-    """The _AffineTerms of a linear driver, checked as the backward sweep
-    meets the cells, the latest time first: there ProblemDataError names
-    the first field (alpha, g, then beta, read whole) that is not finite,
-    else DegenerateDriverError the first unit drift."""
+    """The _AffineTerms of a linear driver that fits the lattice, checked
+    as the backward sweep meets the cells, the latest time first: there
+    ProblemDataError names the first field (alpha, g, then beta, read
+    whole) that is not finite, else DegenerateDriverError the first unit
+    drift."""
     terms, ok, _ = _gather(sys, driver.alpha, driver.g, driver.beta)
     ok &= np.abs(terms.den) >= 1e-12
     if not ok.all():
@@ -466,20 +461,22 @@ def solve_bsde(sys, driver, terminal) -> BsdeSolution:
     """Solve the backward equation over all reachable states.
 
     Values at states unreachable at a given time are NaN and never read, so
-    the solution is invariant to perturbing inputs there.  A linear driver
-    with a non-finite coefficient at a reachable cell raises
-    ProblemDataError; one with a unit drift there, DegenerateDriverError,
-    each at the latest such time.
+    the solution is invariant to perturbing inputs there.  Tables that do
+    not fit the lattice (alpha, g, beta, then the terminal), or a linear
+    driver with a non-finite coefficient at a reachable cell, raise
+    ProblemDataError; a unit drift there, DegenerateDriverError, each at
+    the latest such time.
     """
-    term = _terminal_array(sys, terminal)
     if isinstance(driver, LinearDriver):
+        _require_fit(sys, alpha=driver.alpha, g=driver.g, beta=driver.beta)
+        term = _terminal_array(sys, terminal)
         # the terms first, so that the peak of their gather and the tables
         # do not add up
         terms = _linear_terms(sys, driver)
         values, local = _tables(sys, term)
         _affine_solve(sys, terms, values, local)
         return _solution(sys, values, local)
-    values, local = _tables(sys, term)
+    values, local = _tables(sys, _terminal_array(sys, terminal))
     for k, at, mean, z in _backward(sys, values):
         local[at] = z
         # a verified root per cell, the driver reading the ambient row
@@ -531,12 +528,11 @@ def check_comparison(
     When all three hold, values1 <= values2 + tol must follow; if it does
     not, an AssertionError is raised because the solver itself is wrong.
     """
-    t1 = _terminal_array(sys, terminal1)
-    t2 = _terminal_array(sys, terminal2)
-    sol1 = solve_bsde(sys, driver1, t1)
-    sol2 = solve_bsde(sys, driver2, t2)
-    reach_t = sys.reachable_at[sys.horizon]
-    terminal_ordered = bool(np.all(t1[reach_t] <= t2[reach_t] + tol))
+    sol1 = solve_bsde(sys, driver1, terminal1)
+    sol2 = solve_bsde(sys, driver2, terminal2)
+    at = sys.plan.span(sys.horizon)
+    terminal_ordered = bool(np.all(sol1.cell_values[at]
+                                   <= sol2.cell_values[at] + tol))
 
     gaps = _driver_cells(sys, driver2, sol2) - _driver_cells(sys, driver1, sol2)
     gap_min = float(gaps.min(initial=np.inf))

@@ -298,17 +298,15 @@ def simulate(
     horizon: int | None = None,
     *,
     seed=None,
-    rng: np.random.Generator | None = None,
 ) -> ChainPath:
-    """Simulate one path by inverse-CDF sampling, reproducible from a seed:
-    the single path of ``simulate_paths`` (drawn from ``rng`` if given).
+    """Simulate one path by inverse-CDF sampling, reproducible from a seed
+    (or drawn from a Generator passed as ``seed``): the single path of
+    ``simulate_paths``.
 
     Raises SimulationError when the path enters a state/duration whose
     outcome law has no mass (possible only for invalid models).
     """
-    states, durations = simulate_paths(
-        model, 1, horizon, seed=rng if rng is not None else seed
-    )
+    states, durations = simulate_paths(model, 1, horizon, seed=seed)
     return ChainPath(states[0], durations[0], np.flatnonzero(durations[0] == 1))
 
 

@@ -34,12 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, files
-from .bsde import (
-    BijectionError,
-    DegenerateDriverError,
-    ProblemDataError,
-    solve_bsde,
-)
+from .bsde import BijectionError, DegenerateDriverError, solve_bsde
 from .chain import InvalidModelError, simulate_paths, validate_model
 from .control import (
     HypothesisError,
@@ -57,7 +52,7 @@ from .duality import (
     select_convention,
     weight_bounds,
 )
-from .lattice import build_lattice, projection_constants
+from .lattice import ProblemDataError, build_lattice, projection_constants
 from .linalg import comparison_condition, penrose_residuals, pinv, positivity_condition
 
 EXIT_OK = 0
@@ -100,22 +95,6 @@ def _block_entries(sources, block, local):
     src, row, col = sources[i], block[i, r], block[i, c]
     order = np.lexsort((col, row, src))
     return src[order], row[order], col[order], local[i, r, c][order]
-
-
-def _check_problem_size(path, alpha, beta, sys_):
-    """Reject a problem whose tables were sized for another model."""
-    if alpha.shape[:2] != (sys_.horizon, sys_.dim):
-        raise files.FileFormatError(
-            f"{path}: field 'alpha' is sized (T, D) = {alpha.shape[:2]} but "
-            f"the model's lattice has (T, D) = {(sys_.horizon, sys_.dim)}"
-        )
-    widths = (sys_.block.shape[1], sys_.dim)
-    if beta is not None and beta.shape[-1] not in widths:
-        raise files.FileFormatError(
-            f"{path}: field 'beta' has rows of width {beta.shape[-1]} but the "
-            f"model's lattice takes W+1 = {widths[0]} (rows on the blocks) or "
-            f"D = {widths[1]} (dense rows)"
-        )
 
 
 def _condition_payload(report):
@@ -215,7 +194,6 @@ def _solve_linear(args):
     """Lattice, problem, backward solution and tolerance of a linear command."""
     sys_ = build_lattice(files.load_model(args.model))
     driver, terminal = files.load_linear_problem(args.problem, sys_)
-    _check_problem_size(args.problem, driver.alpha, driver.beta, sys_)
     solution = solve_bsde(sys_, driver, terminal)
     tol = 1e-9 if args.tol is None else args.tol
     return sys_, driver, terminal, solution, tol
@@ -329,7 +307,6 @@ def _cmd_solve_control(args):
     model = files.load_model(args.model)
     sys_ = build_lattice(model)
     problem = files.load_control_problem(args.problem, sys_)
-    _check_problem_size(args.problem, problem.alpha, problem.beta, sys_)
     tol = args.tol if args.tol is not None else 1e-9
     solved = solve_control(problem, sys_,
                            override_hypotheses=args.override_hypotheses)

@@ -40,7 +40,7 @@ from .bsde import (
     solve_bsde,
 )
 from .duality import DEFAULT_CONVENTION, WeightSde, _level_walk, weight_bounds
-from .lattice import _source_index, projection_constants
+from .lattice import _require_fit, _source_index, projection_constants
 from .linalg import ConditionReport, comparison_condition, positivity_condition
 
 __all__ = [
@@ -135,17 +135,13 @@ class ControlProblem:
         return int(self.controls.shape[0])
 
     def validate(self, sys, tol: float = 1e-9) -> _AffineTerms:
-        """Check shapes against the lattice, then that the tables are
-        finite (whole beta rows) and obey the declared bounds (beta rows on
-        the block) at every reachable cell; ProblemDataError names the
-        field, time and state, at the earliest time that breaks a check.
-        Returns the gathered terms the solvers read."""
-        t, d = sys.horizon, sys.dim
-        if self.alpha.shape[:2] != (t, d):
-            raise ValueError(
-                f"tables sized {self.alpha.shape[:2]} do not match the "
-                f"lattice ({t}, {d})"
-            )
+        """Check that the tables fit the lattice, then that they are finite
+        (whole beta rows) and obey the declared bounds (beta rows on the
+        block) at every reachable cell; ProblemDataError names the field,
+        and the time and state at the earliest time that breaks a cell
+        check.  Returns the gathered terms the solvers read."""
+        _require_fit(sys, (self.n_controls,), alpha=self.alpha, g=self.g,
+                     beta=self.beta, terminal=self.terminal)
         terms, ok, rows = _gather(sys, self.alpha, self.g, self.beta)
         checks = (
             ("alpha", "|alpha|", np.abs(terms.alpha).max(axis=1),
@@ -219,6 +215,8 @@ def max_driver(problem: ControlProblem, sys, k, state, y, z_row):
 
     Returns (best_value, best_index, all_values).
     """
+    _require_fit(sys, (problem.n_controls,), alpha=problem.alpha, g=problem.g,
+                 beta=problem.beta)
     # P z on the source's block; the projector is zero on the padding
     i = _source_index(sys, state)
     pz = sys.local_projector[i] @ np.asarray(z_row, dtype=float)[sys.block[i]]
@@ -282,6 +280,8 @@ def solve_control(
 
 
 def _policy_driver(problem: ControlProblem, sys, policy: PolicyTable):
+    _require_fit(sys, (problem.n_controls,), alpha=problem.alpha, g=problem.g,
+                 beta=problem.beta, terminal=problem.terminal)
     mask = sys.reachable[:-1]
     u = policy.choices
     bad = mask & ((u < 0) | (u >= problem.n_controls))

@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import _require_count
-from .lattice import _blocks
+from .lattice import _blocks, _require_fit
 
 __all__ = [
     "Convention",
@@ -152,7 +152,10 @@ def _cell_noise(sys, beta, start):
     blocks.  The times go in blocks; each source's rows of a block go
     through one product, with a neighbouring time's row added where the
     block holds a single time (once T >= 2: a one-row product rounds
-    differently)."""
+    differently).  The product covers every source at every time of the
+    block, reachable then or not, so it runs without invalid or overflow
+    warnings: the rows of cells never reached may hold anything, and no
+    result reads them."""
     plan, t = sys.plan, sys.horizon
     first = plan.offset[start]
     noise = np.empty((plan.offset[t] - first, sys.succ.shape[1]))
@@ -162,9 +165,10 @@ def _cell_noise(sys, beta, start):
         rows = sys.block_rows(beta, slice(lo, max(b, min(lo + 2, t))),
                               sys.sources)
         at = plan.span(a, b)
-        noise[at.start - first:at.stop - first] = (
-            rows.transpose(1, 0, 2) @ plan.noise_cols
-        )[plan.source_at[at], plan.times[at] - lo]
+        with np.errstate(invalid="ignore", over="ignore"):
+            prod = rows.transpose(1, 0, 2) @ plan.noise_cols
+        noise[at.start - first:at.stop - first] = \
+            prod[plan.source_at[at], plan.times[at] - lo]
     return noise
 
 
@@ -344,16 +348,10 @@ def _sample_steps(sys, start_time, states, n, rng):
 
 
 def _check_tables(sys, sde, g=None, terminal=None):
-    # beta's shape is checked where it is read, by the lattice's block_rows
-    t, d = sys.horizon, sys.dim
+    t = sys.horizon
     if not 0 <= sde.start_time <= t:
         raise ValueError(f"start_time {sde.start_time} outside 0..{t}")
-    if sde.alpha.shape != (t, d):
-        raise ValueError(f"alpha must have shape {(t, d)}")
-    if g is not None and np.asarray(g).shape != (t, d):
-        raise ValueError(f"g must have shape {(t, d)}")
-    if terminal is not None and np.asarray(terminal).shape != (d,):
-        raise ValueError(f"terminal must have shape ({d},)")
+    _require_fit(sys, alpha=sde.alpha, g=g, beta=sde.beta, terminal=terminal)
 
 
 def _sweep(sys, fac, g, terminal):

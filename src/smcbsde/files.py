@@ -41,7 +41,9 @@ quads.  The other rows are zero, in pages of a calloc-backed table that are
 never written, so never made resident.  The whole string is still checked:
 its length, its padding and, a piece at a time, its alphabet, so a defect
 in a row never decoded is refused as one in a row that is.  A file whose
-(T, D) is not the lattice's, and a nested-list beta, is decoded whole.
+alpha does not fit the lattice is refused (ProblemDataError, from the
+lattice's one fit check) before any other field is decoded; a nested-list
+beta is decoded whole.
 
 Document kinds
 --------------
@@ -75,7 +77,7 @@ import numpy as np
 from .bsde import LinearDriver
 from .chain import InvalidModelError, SemiMarkovModel, validate_model
 from .control import ControlProblem
-from .lattice import _blocks
+from .lattice import _blocks, _require_fit
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -477,69 +479,61 @@ def load_model(path) -> SemiMarkovModel:
     return model
 
 
+def _save(path, kind, **fields) -> None:
+    """Write a document of ``kind``: each table field packed, None and
+    scalar fields as they are."""
+    write_json(path, {"schema_version": SCHEMA_VERSION, "kind": kind, **{
+        name: value if np.ndim(value) == 0 else _packed(value)
+        for name, value in fields.items()}})
+
+
 def save_model(path, model: SemiMarkovModel) -> None:
-    write_json(
-        path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "semi_markov_model",
-            "n_states": model.n_states,
-            "horizon": model.horizon,
-            "pi": _packed(model.pi),
-            "jump": _packed(model.jump),
-            "x0": _packed(model.x0),
-        },
-    )
+    _save(path, "semi_markov_model", n_states=model.n_states,
+          horizon=model.horizon, pi=model.pi, jump=model.jump, x0=model.x0)
 
 
-def _solved_rows(sys, t, d):
+def _solved_rows(sys):
     """The flat indices over a (T, D) table of the lattice ``sys``'s cells
     before the horizon, the only rows of beta the solvers read; None
-    without a lattice or where (t, d) is not its (T, D)."""
-    if sys is None or (t, d) != (sys.horizon, sys.dim):
-        return None
-    return sys.plan.key[:sys.plan.offset[t]]
+    without a lattice."""
+    return None if sys is None else sys.plan.key[:sys.plan.offset[sys.horizon]]
 
 
 def load_linear_problem(path, sys=None):
     """Returns (LinearDriver, terminal array).  Given the lattice ``sys``
-    the problem is solved on, a packed beta is decoded only at its cells
-    before the horizon (_solved_rows), its other rows left zero, where the
-    file's (T, D) is the lattice's; its whole data are still checked."""
+    the problem is solved on, an alpha that does not fit it raises
+    ProblemDataError before any other field is decoded, and a packed beta
+    is decoded only at its cells before the horizon (_solved_rows), its
+    other rows left zero; its whole data are still checked."""
     doc = load_document(path, "linear_bsde")
     alpha = _array(doc, "alpha", path)
     if alpha.ndim != 2:
         raise FileFormatError(f"{path}: alpha must be a (T, D) table")
+    if sys is not None:
+        _require_fit(sys, alpha=alpha)
     t, d = alpha.shape
     g = _array(doc, "g", path, (t, d))
     beta = None
     if doc.get("beta") is not None:
-        beta = _array(doc, "beta", path, (t, d, None), _solved_rows(sys, t, d))
+        beta = _array(doc, "beta", path, (t, d, None), _solved_rows(sys))
     terminal = _array(doc, "terminal", path, (d,))
     return LinearDriver(alpha, g, beta), terminal
 
 
 def save_linear_problem(path, driver: LinearDriver, terminal) -> None:
-    write_json(
-        path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "linear_bsde",
-            "alpha": _packed(driver.alpha),
-            "g": _packed(driver.g),
-            "beta": None if driver.beta is None else _packed(driver.beta),
-            "terminal": _packed(terminal),
-        },
-    )
+    _save(path, "linear_bsde", alpha=driver.alpha, g=driver.g,
+          beta=driver.beta, terminal=terminal)
 
 
 def load_control_problem(path, sys=None) -> ControlProblem:
-    """Read a control problem; ``sys`` selects the rows of beta decoded as
-    in load_linear_problem."""
+    """Read a control problem; ``sys`` checks alpha's fit and selects the
+    rows of beta decoded as in load_linear_problem."""
     doc = load_document(path, "control_problem")
     alpha = _array(doc, "alpha", path)
     if alpha.ndim != 3:
         raise FileFormatError(f"{path}: alpha must be a (T, D, U) table")
+    if sys is not None:
+        _require_fit(sys, alpha.shape[2:], alpha=alpha)
     t, d, u = alpha.shape
     controls = _array(doc, "controls", path)
     if controls.ndim == 1:
@@ -552,7 +546,7 @@ def load_control_problem(path, sys=None) -> ControlProblem:
             f"{path}: {controls.shape[0]} control points but alpha has {u}"
         )
     g = _array(doc, "g", path, (t, d, u))
-    beta = _array(doc, "beta", path, (t, d, u, None), _solved_rows(sys, t, d))
+    beta = _array(doc, "beta", path, (t, d, u, None), _solved_rows(sys))
     terminal = _array(doc, "terminal", path, (d,))
     alpha_bound = _number(doc, "alpha_bound", path)
     beta_bound = _number(doc, "beta_bound", path)
@@ -574,17 +568,7 @@ def load_control_problem(path, sys=None) -> ControlProblem:
 
 
 def save_control_problem(path, problem: ControlProblem) -> None:
-    write_json(
-        path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "control_problem",
-            "controls": _packed(problem.controls),
-            "alpha": _packed(problem.alpha),
-            "g": _packed(problem.g),
-            "beta": _packed(problem.beta),
-            "terminal": _packed(problem.terminal),
-            "alpha_bound": problem.alpha_bound,
-            "beta_bound": problem.beta_bound,
-        },
-    )
+    _save(path, "control_problem", controls=problem.controls,
+          alpha=problem.alpha, g=problem.g, beta=problem.beta,
+          terminal=problem.terminal, alpha_bound=problem.alpha_bound,
+          beta_bound=problem.beta_bound)

@@ -36,6 +36,10 @@ A coefficient table b is read through ``block_rows`` alone, which takes a
 table of rows on the blocks or of dense rows over the flat states.  A
 gather of a per-source table for every cell runs in blocks of at most
 ``BLOCK_ENTRIES`` entries (``_blocks``).
+
+Whether a problem's table fits the lattice is decided by ``_require_fit``
+alone, wherever a table first meets the lattice (``block_rows`` for beta,
+the solvers, the dual side, the problem loaders), before any entry is read.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .linalg import _per_time_max, pinv
 
 __all__ = [
     "LatticeSystem",
+    "ProblemDataError",
     "ProjectionConstants",
     "SlicePlan",
     "UnreachableStateError",
@@ -72,6 +77,12 @@ BLOCK_ENTRIES = 1 << 18
 
 class UnreachableStateError(KeyError):
     """The requested lattice state is never occupied as a transition source."""
+
+
+class ProblemDataError(ValueError):
+    """Problem data do not fit the lattice, or are not finite or break a
+    declared bound at a reachable cell; the message names the field, and
+    for a cell the time and the state."""
 
 
 @dataclass(frozen=True)
@@ -187,14 +198,9 @@ class LatticeSystem:
         T = 1, where the two layouts hold the same entries.  For a table
         without inner axes ``times`` may be a slice, and ``states`` (S,):
         the rows come out (times, S, W+1)."""
-        table, local = np.asarray(table, dtype=float), self.block.shape[1]
-        if table.ndim < 3 or table.shape[:2] != (self.horizon, self.dim) \
-                or table.shape[-1] not in (local, self.dim):
-            raise ValueError(
-                f"coefficient table of shape {table.shape}: expected (T, D) = "
-                f"{(self.horizon, self.dim)} leading axes and rows of width "
-                f"W+1 = {local} (local) or D = {self.dim} (dense)")
-        if table.shape[-1] == local:
+        table = np.asarray(table, dtype=float)
+        _require_fit(self, table.shape[2:-1], beta=table)
+        if table.shape[-1] == self.block.shape[1]:
             return table[times, states]
         # one fancy index, which puts the block axis right after the cell
         # axes; inner axes move before it
@@ -205,6 +211,37 @@ class LatticeSystem:
         if not inner:
             return rows
         return np.ascontiguousarray(np.moveaxis(rows, -1 - len(inner), -1))
+
+
+def _require_fit(sys, inner=(), **tables):
+    """Raise ProblemDataError at the first of the named arrays (None stands
+    for an absent one) that does not fit the lattice ``sys``: ``terminal``
+    is (D,), ``beta`` (T, D, *inner, X) with rows of width X = W+1 (on the
+    blocks) or D (dense), and any other field (T, D, *inner)."""
+    t, d, w = sys.horizon, sys.dim, sys.block.shape[1]
+    lead = (t, d, *inner)
+    for name, table in tables.items():
+        if table is None:
+            continue
+        shape, step, beta = table.shape, name != "terminal", name == "beta"
+        want = lead if step else (d,)
+        if (shape[:-1] if beta else shape) == want \
+                and (not beta or shape[-1] in (w, d)):
+            continue
+        if step and len(shape) >= 2 and shape[:2] != (t, d):
+            why = (f"is sized (T, D) = {shape[:2]} but the model's lattice "
+                   f"has (T, D) = {(t, d)}")
+        elif beta and shape[:-1] == lead:
+            why = (f"has rows of width {shape[-1]} but the model's lattice "
+                   f"takes W+1 = {w} (rows on the blocks) or D = {d} (dense "
+                   f"rows)")
+        else:
+            axes = ("T", "D") + ("U",) * len(inner) + ("X",) * beta if step \
+                else ("D",)
+            want += (f"{w} or {d}",) * beta
+            why = (f"has shape {shape} but the model's lattice takes "
+                   f"({', '.join(axes)}) = ({', '.join(map(str, want))})")
+        raise ProblemDataError(f"field '{name}' {why}")
 
 
 def _centre(prob, z):

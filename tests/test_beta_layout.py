@@ -40,7 +40,8 @@ from smcbsde.instances import (
 from conftest import geometric_model
 from dense import dense_beta, geometry_for
 
-WIDTHS = r"rows of width W\+1 = \d+ \(local\) or D = \d+ \(dense\)"
+WIDTHS = (r"field 'beta' has rows of width \d+ but the model's lattice takes "
+          r"W\+1 = \d+ \(rows on the blocks\) or D = \d+ \(dense rows\)$")
 
 
 def gathered(sys_, table):

@@ -316,6 +316,16 @@ def test_simulate_seeded_reproducibility():
     )
 
 
+def test_simulate_draws_from_a_generator_passed_as_seed():
+    model = geometric_model([0.3, 0.6], 15)
+    # one Generator serves both calls, as simulate_paths draws from it
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for path in (simulate(model, seed=rng), simulate(model, seed=rng)):
+        states, durations = simulate_paths(model, 1, seed=ref)
+        assert np.array_equal(path.states, states[0])
+        assert np.array_equal(path.durations, durations[0])
+
+
 def test_simulate_deterministic_sojourn():
     # All sojourns last exactly 2 steps; with two states the path alternates.
     pi = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])

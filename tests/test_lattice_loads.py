@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smcbsde import ControlProblem, LinearDriver, build_lattice, cli, files
+from smcbsde import (
+    ControlProblem,
+    LinearDriver,
+    ProblemDataError,
+    build_lattice,
+    cli,
+    files,
+)
 from smcbsde.instances import (
     random_control_problem,
     random_linear_instance,
@@ -141,15 +148,26 @@ def test_selected_rows_are_the_full_decodes_rows(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
-def test_a_file_sized_for_another_lattice_decodes_every_row(tmp_path, lattice,
-                                                            name):
+def test_a_file_sized_for_another_lattice_is_refused_before_beta_is_decoded(
+        tmp_path, monkeypatch, lattice, name):
     problems, terminal = _problems(lattice)
     path = tmp_path / "problem.json"
     _save(path, problems[name], terminal)
     other = build_lattice(random_model(np.random.default_rng(4), n=2, t=3))
-    full, got = _load(path), _load(path, other)
-    for field, table in full.items():
-        assert np.array_equal(_bits(got[field]), _bits(table)), field
+    decode, decoded = files._decode, []
+
+    def spied(data, shape, rows=None):
+        decoded.append(tuple(shape))
+        return decode(data, shape, rows)
+
+    monkeypatch.setattr(files, "_decode", spied)
+    with pytest.raises(ProblemDataError) as exc:
+        _load(path, other)
+    assert str(exc.value) == (
+        f"field 'alpha' is sized (T, D) = {(lattice.horizon, lattice.dim)} "
+        f"but the model's lattice has (T, D) = {(other.horizon, other.dim)}")
+    # alpha alone was decoded, the first field read
+    assert decoded == [problems[name].alpha.shape]
 
 
 CUTS = {"one-time": (slice(1),), "one-state-short": (slice(None), slice(-1)),
@@ -340,9 +358,7 @@ def _artifacts(out, argv):
     return {p.relative_to(out): p.read_bytes() for p in paths}
 
 
-# a full decode hands the duality check's noise product every source's row
-# at each time, the junk of the rows never read among them
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_cli_artifacts_are_those_of_a_full_decode(tmp_path, monkeypatch,
                                                   cli_inputs, case):
