@@ -78,7 +78,8 @@ class BijectionError(RuntimeError):
 @dataclass(frozen=True)
 class LinearDriver:
     """Driver  f(k, e, y, z) = alpha[k, e] * y + beta[k, e] . P_e z + g[k, e]
-    with P_e the bracket projector of the source state.
+    with P_e the bracket projector of the source state: the identity on its
+    block (the source and its real successor slots), zero elsewhere.
 
     alpha, g : (T, D); beta : (T, D, W+1) rows laid out as the lattice's
     ``block`` (padding 0) or (T, D, D) dense rows, or None.  Entries at
@@ -378,25 +379,25 @@ def _gather(sys, alpha, g, beta):
     if beta is not None:
         ok &= _finite_rows(beta, times, cells)
         rows = sys.block_rows(beta, times, cells)
-        # each row b through its source's projector, in blocks of cells
-        b = rows.reshape(cells.size, -1, rows.shape[-1])
-        coef = np.empty(rows.shape[:-1] + sys.succ.shape[1:])
-        flat = coef.reshape(b.shape[:2] + (-1,))
-        with np.errstate(all="ignore"):  # rows that are not finite fail ok
-            for blk in _blocks(cells.size, b[0].size * b.shape[-1]):
-                flat[blk] = (b[blk] @ sys.local_projector[
-                    plan.source_at[blk]])[..., 1:]
+        # b P: the projector is the identity on the block
+        coef = _on_real(sys, rows)
     return _AffineTerms(a, c, coef, 1.0 - a), ok, rows
+
+
+def _on_real(sys, rows) -> np.ndarray:
+    """The successor slots (cells[, U], W) of rows (cells[, U], W+1) on the
+    blocks at the plan's cells before the horizon, zero on padding."""
+    plan = sys.plan
+    real = plan.real[plan.cells[plan.span(0, sys.horizon)]]
+    real = real.reshape(real.shape[:1] + (1,) * (rows.ndim - 2) + real.shape[1:])
+    return np.where(real, rows[..., 1:], 0.0)
 
 
 def _block_norms(sys, rows) -> np.ndarray:
     """Euclidean norms (cells[, U]) of rows (cells[, U], W+1) on the blocks
     at the plan's cells before the horizon, padding slots read as zero:
     they are zeroed in ``rows`` itself."""
-    plan = sys.plan
-    real = plan.real[plan.cells[plan.span(0, sys.horizon)]]
-    real = real.reshape(real.shape[:1] + (1,) * (rows.ndim - 2) + real.shape[1:])
-    rows[..., 1:] = np.where(real, rows[..., 1:], 0.0)
+    rows[..., 1:] = _on_real(sys, rows)
     return np.linalg.norm(rows, axis=-1)
 
 

@@ -153,8 +153,13 @@ def _cmd_build_lattice(args):
     )
     src = sys_.sources
     entry = ("source", "row", "column", "value")
+    # diag(c) - e c' - c e' on the block: c on the diagonal, -c in row and
+    # column 0 (the source, where c is zero)
+    c = np.pad(sys_.prob[src], ((0, 0), (1, 0)))
+    bracket = c[:, :, None] * np.eye(c.shape[1])
+    bracket[:, 0], bracket[:, :, 0] = -c, -c
     files.write_csv(out / "bracket.csv", entry,
-                    _block_entries(src, sys_.block, sys_.local_bracket))
+                    _block_entries(src, sys_.block, bracket))
     # diag(c) - c c' lives on the successor slots
     p = sys_.prob[src][:, :, None]
     files.write_csv(out / "covariance.csv", entry, _block_entries(
@@ -164,9 +169,8 @@ def _cmd_build_lattice(args):
         str(s): {
             "label": np.array(sys_.label(int(s))),
             "support": sys_.succ[s][sys_.plan.real[s]],
-            "bracket_psd": bool(psd),
         }
-        for s, psd in zip(src, sys_.bracket_psd)
+        for s in src
     }
     files.write_json(
         out / "summary.json",

@@ -217,9 +217,11 @@ def max_driver(problem: ControlProblem, sys, k, state, y, z_row):
     """
     _require_fit(sys, (problem.n_controls,), alpha=problem.alpha, g=problem.g,
                  beta=problem.beta)
-    # P z on the source's block; the projector is zero on the padding
-    i = _source_index(sys, state)
-    pz = sys.local_projector[i] @ np.asarray(z_row, dtype=float)[sys.block[i]]
+    # P z on the source's block: the projector is the identity there, zero
+    # on the padding and at a source without successors
+    i, real = _source_index(sys, state), sys.plan.real[state]
+    pz = np.where(np.concatenate(([real.any()], real)),
+                  np.asarray(z_row, dtype=float)[sys.block[i]], 0.0)
     vals = (
         problem.alpha[k, state] * y
         + sys.block_rows(problem.beta, k, state) @ pz

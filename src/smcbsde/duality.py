@@ -15,8 +15,13 @@ of the coefficient tables.  Three algebraic forms of the step are provided:
 - shifted:  V_{k+1} = V_k * (1 + a + n),            W_k = V_k
 - mixed:    V_{k+1} = V_k * (1 + n) / (1 - a),      W_k = V_k / (1 - a)
 
-with n = b @ pinv(bracket) @ increment (for a symmetric bracket this equals
-the pinv-projector-pinv' sandwich, by the Penrose identities).  The first
+with n = b @ pinv(bracket) @ increment.  On the source's block the bracket
+is invertible (see the lattice notes), so for the step to successor slot j
+with law c over the real slots and sigma = sum c,
+
+    n_j = b_j / c_j - (sum_i b_i - (sigma - 1) b_0) / sigma,
+
+an O(W) closed form per cell (_noise; b_0 is the source's entry).  The first
 two are the naive readings of the recursion written with the drift summand
 implicit, respectively fully explicit.  A two-line expansion shows neither
 reproduces the backward solver once a and n are both nonzero: matching the
@@ -48,8 +53,8 @@ statistics and evolve_weights evaluate V and W along a (P, L) array of
 drawn or given paths, with the factors evaluated at the drawn (or given)
 steps only: the sampler returns each step's slot, a given path's slots are
 looked up among the transitions of positive probability.  The tables and
-the drawn steps share the plan's centred pinv columns for the noise and one
-copy of the convention algebra (_algebra).
+the drawn steps share one noise formula (_noise) and one copy of the
+convention algebra (_algebra).
 """
 
 from __future__ import annotations
@@ -147,29 +152,33 @@ def _factors(sys, sde):
 
 
 def _cell_noise(sys, beta, start):
-    """Noise n = b @ pinv(bracket_s) @ (e_j - c_s) (cells, W) at the plan's
-    cells from time ``start`` to the horizon, for the rows b of beta on the
-    blocks.  The times go in blocks; each source's rows of a block go
-    through one product, with a neighbouring time's row added where the
-    block holds a single time (once T >= 2: a one-row product rounds
-    differently).  The product covers every source at every time of the
-    block, reachable then or not, so it runs without invalid or overflow
-    warnings: the rows of cells never reached may hold anything, and no
-    result reads them."""
-    plan, t = sys.plan, sys.horizon
-    first = plan.offset[start]
-    noise = np.empty((plan.offset[t] - first, sys.succ.shape[1]))
-    for blk in _blocks(t - start, sys.block.size):
-        a, b = start + blk.start, start + blk.stop
-        lo = max(min(a, b - 2), 0)
-        rows = sys.block_rows(beta, slice(lo, max(b, min(lo + 2, t))),
-                              sys.sources)
-        at = plan.span(a, b)
-        with np.errstate(invalid="ignore", over="ignore"):
-            prod = rows.transpose(1, 0, 2) @ plan.noise_cols
-        noise[at.start - first:at.stop - first] = \
-            prod[plan.source_at[at], plan.times[at] - lo]
+    """Noise (cells, W) at the plan's cells from time ``start`` to the
+    horizon, for the rows b of beta on the blocks, in blocks of cells."""
+    plan = sys.plan
+    at = plan.span(start, sys.horizon)
+    times, cells = plan.times[at], plan.cells[at]
+    noise = np.empty((cells.size, sys.succ.shape[1]))
+    for blk in _blocks(cells.size, sys.block.shape[1]):
+        noise[blk] = _noise(sys, sys.block_rows(beta, times[blk], cells[blk]),
+                            cells[blk])
     return noise
+
+
+def _noise(sys, rows, states):
+    """Noise n = b @ pinv(bracket_s) @ (e_j - c_s) (..., W) of rows b (...,
+    W+1) on the blocks of the sources ``states`` (...), at every successor
+    slot j, in closed form (see the module notes), with sum_i b_i read as
+    sum_i c_i (b_i / c_i); the padding slots hold a value that no reader
+    weights.  Each row's bits do not depend on the batch it is in."""
+    c = sys.prob.take(states, axis=0)
+    n = np.divide(rows[..., 1:], c, out=np.zeros(rows[..., 1:].shape),
+                  where=sys.plan.real.take(states, axis=0))
+    sigma = np.einsum("...j->...", c)
+    shift = np.einsum("...j,...j->...", c, n) - (sigma - 1.0) * rows[..., 0]
+    # a source without successors (build_lattice admits one) has no noise
+    n -= np.divide(shift, sigma, out=np.zeros(shift.shape),
+                   where=sigma > 0.0)[..., None]
+    return n
 
 
 def _algebra(conv, a, noise):
@@ -243,15 +252,9 @@ def _walk(sys, sde, start, paths, slots):
     times = np.arange(start, start + cur.shape[1])
     noise = np.zeros(cur.shape)
     if sde.beta is not None:
-        # each step's row through its source's noise columns, at the drawn
-        # slot, in blocks of steps
-        rows = sys.block_rows(sde.beta, times, cur)
-        rows = rows.reshape(cur.size, 1, sys.block.shape[1])
-        pos = np.searchsorted(sys.sources, cur).ravel()
-        at, out = slots.reshape(-1, 1), noise.reshape(-1)
-        for blk in _blocks(cur.size, sys.plan.noise_cols[0].size):
-            n = (rows[blk] @ sys.plan.noise_cols[pos[blk]])[:, 0]
-            out[blk] = np.take_along_axis(n, at[blk], axis=-1)[:, 0]
+        # each step's noise at its source, read at the drawn slot
+        n = _noise(sys, sys.block_rows(sde.beta, times, cur), cur)
+        noise = np.take_along_axis(n, slots[..., None], axis=-1)[..., 0]
     den, step, run = _algebra(sde.convention, sde.alpha[times, cur], noise)
     bad = np.abs(den) < DENOMINATOR_TOL
     if bad.any():

@@ -13,11 +13,14 @@ carries the covariance diag(c) - c c' (c the successor law; positive
 semidefinite, it backs the integrand seminorm) and the bracket
 diag(c) - e c' - c e', indefinite whenever the step is random.  The two agree
 on integrands supported on the successors with c-weighted mean zero; formulas
-downstream are indexed against the bracket's pseudoinverse.  Both vanish off
-the block (source, *successors) of at most N+1 indices, so the bracket, its
-pseudoinverse and projector are stored per block, stacked over ``sources``
-and padded with zeros like the table.  These stacked tables are the only
-per-source geometry; no D x D matrix is ever built.
+downstream are indexed against the bracket's inverse.  Both vanish off the
+block (source, *successors) of at most N+1 indices (``block``), and on it
+the bracket B = [[0, -c'], [-c, diag c]] has the Schur complement -sigma
+about diag c (sigma = sum c), so it is invertible with the closed-form
+inverse [[-1, -1'], [-1, sigma diag(1/c) - 1 1']] / sigma and exactly one
+negative eigenvalue (Haynsworth).  Its projector B+ B is the identity on the
+block.  Every reader computes what it needs of these from ``prob`` where it
+reads it; the lattice stores no per-source matrix and no D x D matrix.
 
 The reachability pass also lays out one slice plan (``SlicePlan``): the
 reachable cells (time, state) in time-then-state order, so that time k's
@@ -26,9 +29,9 @@ cell's time and, before the horizon, its source's position in ``sources``
 and its successors' positions in the cells (``next_cell``).  Beside it the
 plan keeps the lattice-only tables the loops would otherwise rebuild on
 every call: the real-slot mask (the one spelling of ``prob > 0`` in the
-library), the centred pinv columns of the noise and the lattice sampler's
-pick tables.  Per-cell tables of a solve (cells, ...), such as a solution's
-values, are indexed like the plan's cells; the plan stores none of them.
+library) and the lattice sampler's pick tables.  Per-cell tables of a solve
+(cells, ...), such as a solution's values, are indexed like the plan's
+cells; the plan stores none of them.
 
 Every backward solver takes a whole time slice's step (``_centre``) on the
 successor values read through ``next_cell``; ``step`` takes it on a row.
@@ -56,7 +59,7 @@ from .chain import (
     _require_laws,
     sojourn_quantities,
 )
-from .linalg import _per_time_max, pinv
+from .linalg import _per_time_max
 
 __all__ = [
     "LatticeSystem",
@@ -71,7 +74,6 @@ __all__ = [
     "projection_constants",
 ]
 
-_EIG_TOL = 1e-10
 BLOCK_ENTRIES = 1 << 18
 
 
@@ -97,8 +99,6 @@ class SlicePlan:
                  cell's entry in a (T, D) or (T+1, D) table read flat
     source_at  : (offset[T],) position in ``sources`` of each cell before T
     real       : (D, W) True on the slots of positive probability
-    noise_cols : (S, W+1, W) each source's bracket pinv columns at its
-                 successor slots, centred under its successor law
     pick_slot, pick_next
                : (D * (W+1),) slot and successor of the lattice sampler's
                  pick p (the count of cumulative probabilities at or below
@@ -113,7 +113,6 @@ class SlicePlan:
     key: np.ndarray
     source_at: np.ndarray
     real: np.ndarray
-    noise_cols: np.ndarray
     pick_slot: np.ndarray
     pick_next: np.ndarray
     next_cell: np.ndarray
@@ -133,9 +132,6 @@ class LatticeSystem:
                        over the slots of s (the path sampler's table)
     sources          : (S,) ascending states ever stepped from before T
     block            : (S, W+1) each source's block (source, *successors)
-    local_bracket, local_pinv, local_projector
-                     : (S, W+1, W+1) per-source blocks, padded with zeros
-    bracket_psd      : (S,) True where the bracket is positive semidefinite
     plan             : the slice plan over the reachable cells (SlicePlan)
     """
 
@@ -150,10 +146,6 @@ class LatticeSystem:
     prob: np.ndarray
     cdf: np.ndarray
     block: np.ndarray
-    local_bracket: np.ndarray
-    local_pinv: np.ndarray
-    local_projector: np.ndarray
-    bracket_psd: np.ndarray
     plan: SlicePlan
 
     @property
@@ -262,7 +254,8 @@ def _blocks(n: int, width: int):
 
 
 def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
-    """Assemble the successor table, reachability and per-source blocks.
+    """Assemble the successor table, reachability, the sources' blocks and
+    the slice plan.
 
     Raises InvalidModelError on a non-finite pi, jump or x0 entry, an x0
     that is no probability vector, inconsistent sojourn data (via
@@ -322,25 +315,7 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     cells = np.concatenate(reachable)
     times = np.repeat(np.arange(t + 1), sizes)
     sources = np.unique(cells[:offset[t]])
-    # block (source, *successors): c is zero at the source coordinate, so
-    # diag(c) - e c' - c e' has c on the diagonal and -c in row/column 0
     block = np.concatenate((sources[:, None], succ[sources]), axis=1)
-    p = prob[sources]
-    br = np.zeros((sources.size, width + 1, width + 1))
-    diag = np.arange(1, width + 1)
-    br[:, diag, diag] = p
-    br[:, 0, 1:] = -p
-    br[:, 1:, 0] = -p
-    keep = np.concatenate((np.ones((sources.size, 1), bool), p > 0.0), axis=1)
-    bp = pinv(br) * (keep[:, :, None] & keep[:, None, :])
-    proj = bp @ br
-    w = np.linalg.eigvalsh(br)
-    scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1.0)
-    psd = w[:, 0] >= -_EIG_TOL * scale
-    # noise n = b @ pinv @ (e_j - c): the pinv columns of the successors,
-    # centred under the successor law
-    cols = bp[:, :, 1:]
-    cols = cols - cols @ p[..., None]
     # the sampler's pick p from s is its count of cumulative probabilities
     # at or below the draw: slot min(p, last real slot), or the last
     # padding slot (which the path walk rejects) for a row without any
@@ -354,15 +329,15 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
         nxt = next_cell[offset[k]:offset[k + 1]]
         pos.take(nxt, out=nxt)
     plan = SlicePlan(cells, offset, times, times * dim + cells,
-                     np.searchsorted(sources, cells[:offset[t]]), valid, cols,
+                     np.searchsorted(sources, cells[:offset[t]]), valid,
                      pick_slot.ravel(), pick_next, next_cell)
-    for arr in (mask, dist, sources, succ, prob, cdf, block, br, bp, proj, psd,
+    for arr in (mask, dist, sources, succ, prob, cdf, block,
                 *vars(plan).values()):
         arr.flags.writeable = False
     bounds = offset.tolist()
     return LatticeSystem(
         model, sq, dim, tuple(cells[a:b] for a, b in zip(bounds, bounds[1:])),
-        mask, dist, sources, succ, prob, cdf, block, br, bp, proj, psd, plan,
+        mask, dist, sources, succ, prob, cdf, block, plan,
     )
 
 
@@ -491,16 +466,15 @@ class ProjectionConstants:
     every canonical representative v (zero off the successor support, mean
     zero under the successor law) at any source reachable at time k, where
     s(.) is the one-step noise seminorm.  On that subspace the bracket and
-    covariance quadratic forms coincide, so one constant serves both; the
-    bracket itself is indefinite at every genuinely random source, and
-    ``fallbacks`` counts the sources where the covariance form is the
-    defining one.  Zero noise contributes zero.
+    covariance quadratic forms coincide, so one constant serves both (the
+    bracket itself has one negative eigenvalue at every source with a
+    successor).  A source with one successor carries no noise and
+    contributes zero.  Computed from ``prob``, one small eigenproblem per
+    source.
     """
 
     per_time: np.ndarray
     overall: float
-    fallbacks: int
-    psd_states: int
 
 
 def projection_constants(sys: LatticeSystem) -> ProjectionConstants:
@@ -513,12 +487,9 @@ def projection_constants(sys: LatticeSystem) -> ProjectionConstants:
     inv = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
     q = np.eye(p.shape[1]) - u[:, :, None] * u[:, None, :]
     top = np.linalg.eigvalsh(q @ (inv[:, :, None] * q))[:, -1]
-    per_source = np.where(top < 1.0 / _EIG_TOL, np.sqrt(np.maximum(top, 0.0)),
-                          0.0)
-    psd_states = int(np.count_nonzero(sys.bracket_psd))
+    noisy = np.count_nonzero(p, axis=1) > 1
+    per_source = np.where(noisy, np.sqrt(np.maximum(top, 0.0)), 0.0)
     per_time = _per_time_max(sys, per_source)
     overall = float(per_time.max()) if per_time.size else 0.0
     per_time.flags.writeable = False
-    return ProjectionConstants(
-        per_time, overall, sys.sources.size - psd_states, psd_states
-    )
+    return ProjectionConstants(per_time, overall)

@@ -1,14 +1,19 @@
 """Dense reference geometry, kept as a test oracle.
 
 The lattice stores one per-source geometry: the padded successor table and
-the stacked blocks (source, *successors).  Before that it handed out a
+each source's block (source, *successors); the library computes the
+bracket's inverse, its projector and the noise in closed form where it
+reads them.  Before that the lattice stacked the bracket, its SVD
+pseudoinverse, the projector B+ B, the bracket's PSD flag (an eigvalsh)
+and the centred pinv columns of the noise over the sources
+(``block_geometry``, ``pinv_noise``), and before that it handed out a
 per-source view with D x D matrices, a dense D x D transition matrix and a
 recursive path enumerator, the weight recursions read (T, D, W) factor
 tables over every state, and the backward solvers filled (T+1, D) value
 and (T, D, W) integrand tables.  They live on here, unchanged in
-substance, as the oracle for the slice step, the level walk, the
-cell-major factors and solution tables and the hand-computed tiny-model
-tables.
+substance, as the oracle for the closed forms, the slice step, the level
+walk, the cell-major factors and solution tables and the hand-computed
+tiny-model tables.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,29 @@ from smcbsde import (
 )
 from smcbsde.bsde import _ambient_rows, _linear_terms, _verified_root
 from smcbsde.control import _ALPHA_GUARD
-from smcbsde.duality import DENOMINATOR_TOL, _algebra
+from smcbsde.duality import DENOMINATOR_TOL, _algebra, _noise
+
+
+def _brackets(p):
+    """Bracket, SVD pseudoinverse, projector (S, W+1, W+1) on the blocks and
+    PSD flag (S,) of sources with successor laws p (S, W), padded with
+    zeros, as the lattice built them."""
+    br = np.zeros((p.shape[0], p.shape[1] + 1, p.shape[1] + 1))
+    diag = np.arange(1, p.shape[1] + 1)
+    br[:, diag, diag] = p
+    br[:, 0, 1:] = -p
+    br[:, 1:, 0] = -p
+    keep = np.concatenate((np.ones((p.shape[0], 1), bool), p > 0.0), axis=1)
+    bp = np.linalg.pinv(br, rcond=1e-12) * (keep[:, :, None] & keep[:, None, :])
+    w = np.linalg.eigvalsh(br)
+    scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1.0)
+    return br, bp, bp @ br, w[:, 0] >= -1e-10 * scale
+
+
+def block_geometry(sys):
+    """(local_bracket, local_pinv, local_projector, bracket_psd) stacked
+    over ``sys.sources``, the tables the lattice once stored."""
+    return _brackets(sys.prob[sys.sources])
 
 
 @dataclass(frozen=True)
@@ -83,7 +110,7 @@ class StateGeometry:
 
 
 def geometry_for(sys, state: int) -> StateGeometry:
-    """One source's view of the lattice's stacked tables."""
+    """One source's view of the geometry of ``block_geometry``."""
     i = int(np.searchsorted(sys.sources, state))
     if i == sys.sources.size or sys.sources[i] != state:
         raise UnreachableStateError(
@@ -93,10 +120,10 @@ def geometry_for(sys, state: int) -> StateGeometry:
     support, b = sys.succ[state, :m], slice(0, m + 1)
     column = np.zeros(sys.dim)
     column[support] = sys.prob[state, :m]
+    br, bp, proj, psd = _brackets(sys.prob[state][None])
     return StateGeometry(
         int(state), column, support, sys.block[i, b],
-        sys.local_bracket[i, b, b], sys.local_pinv[i, b, b],
-        sys.local_projector[i, b, b], bool(sys.bracket_psd[i]),
+        br[0, b, b], bp[0, b, b], proj[0, b, b], bool(psd[0]),
     )
 
 
@@ -161,18 +188,26 @@ def dense_beta(sys, beta):
     return out
 
 
-def full_noise(sys, beta):
+def pinv_noise(sys, beta):
     """Noise n = b @ pinv(bracket_s) @ (e_j - c_s) of every (time, source,
-    successor slot), 0 elsewhere and without beta: one product of all T
+    successor slot) (T, S, W), through the SVD pseudoinverse's columns of
+    the successors, centred under the successor law: one product of all T
     rows per source."""
+    rows = sys.block_rows(beta, np.arange(sys.horizon), sys.sources[:, None])
+    cols = block_geometry(sys)[1][:, :, 1:]
+    cols = cols - cols @ sys.prob[sys.sources][..., None]
+    return (rows @ cols).transpose(1, 0, 2)
+
+
+def full_noise(sys, beta):
+    """Noise of every (time, source, successor slot) (T, D, W), 0 elsewhere
+    and without beta, by the library's closed form (duality._noise)."""
     noise = np.zeros((sys.horizon,) + sys.succ.shape)
     if beta is not None:
         rows = sys.block_rows(beta, np.arange(sys.horizon),
                               sys.sources[:, None])
-        # pinv columns of the successors, centred under the successor law
-        cols = sys.local_pinv[:, :, 1:]
-        cols = cols - cols @ sys.prob[sys.sources][..., None]
-        noise[:, sys.sources] = (rows @ cols).transpose(1, 0, 2)
+        noise[:, sys.sources] = _noise(sys, rows, sys.sources[:, None]
+                                       ).transpose(1, 0, 2)
     return noise
 
 

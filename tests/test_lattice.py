@@ -290,8 +290,6 @@ def test_projection_constants_frozen_tiny():
     # |(3,-2)|^2 / (0.4*9 + 0.6*4) = 13/6, so the sharp constant is its root
     assert pc.overall == pytest.approx(np.sqrt(13.0 / 6.0), rel=1e-12)
     assert pc.per_time.shape == (1,)
-    assert pc.fallbacks == 1
-    assert pc.psd_states == 0
 
 
 def test_projection_constants_zero_noise():
@@ -310,6 +308,20 @@ def test_projection_constants_zero_noise():
     geo = geometry_for(sys_, 0)
     np.testing.assert_allclose(geo.covariance, 0.0, atol=1e-15)
     assert np.linalg.norm(geo.bracket) > 0.5
+
+
+def test_projection_constants_near_deterministic_source():
+    # state 0 leaves with probability 1e-11: at time 0 the mean-zero
+    # directions under c = (c1, c2) are multiples of (c2, -c1), so the sharp
+    # constant is sqrt(c2/c1 + c1/c2), about 3.16e5, the largest of the run
+    sys_ = build_lattice(geometric_model([1e-11, 0.5], 3))
+    assert sys_.reachable_at[0].tolist() == [0]
+    c1, c2 = sys_.prob[0][sys_.plan.real[0]]
+    want = np.sqrt(c2 / c1 + c1 / c2)
+    pc = projection_constants(sys_)
+    assert pc.per_time[0] == pytest.approx(want, rel=1e-9)
+    assert pc.overall == pc.per_time[0]
+    assert want > 3e5
 
 
 def test_projection_constant_bounds_canonical_rows_and_is_sharp():
@@ -486,9 +498,6 @@ def test_slice_plan_invariants(case):
                                   plan.cells[:plan.offset[t]])
     # the lattice-only tables, as each call built them before
     np.testing.assert_array_equal(plan.real, sys_.prob > 0.0)
-    cols = sys_.local_pinv[:, :, 1:]
-    np.testing.assert_array_equal(
-        plan.noise_cols, cols - cols @ sys_.prob[sys_.sources][..., None])
     last = np.count_nonzero(sys_.prob, axis=1)[:, None] - 1
     slot = np.minimum(np.arange(w + 1), last) % w
     np.testing.assert_array_equal(plan.pick_slot, slot.ravel())
@@ -504,8 +513,7 @@ def test_slice_plan_invariants(case):
     np.testing.assert_array_equal(plan.next_cell, want)
     np.testing.assert_array_equal(plan.cells[plan.next_cell], sys_.succ[src])
     # read-only like the other lattice arrays, and lean: one entry per cell
-    # per array, tables over states at most W+1 wide, and the one
-    # per-source table is not copied per cell
+    # per array and tables over states at most W+1 wide
     arrays = vars(plan)
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
@@ -517,11 +525,9 @@ def test_slice_plan_invariants(case):
         assert arrays[name].ndim == 1 and arrays[name].size <= cells, name
     for name in ("real", "pick_slot", "pick_next"):
         assert arrays[name].size <= d * (w + 1), name
-    assert plan.noise_cols.shape == (sys_.sources.size, w + 1, w)
     # the successor index adds its own (offset[T], W) int32 entries
     assert sum(a.nbytes for a in arrays.values()) <= (
-        8 * (4 * cells + 3 * d * (w + 1)) + plan.noise_cols.nbytes
-        + 4 * plan.offset[t] * w)
+        8 * (4 * cells + 3 * d * (w + 1)) + 4 * plan.offset[t] * w)
 
 
 def test_state_jumping_onto_itself_is_rejected():
