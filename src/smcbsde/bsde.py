@@ -42,8 +42,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import (ProblemDataError, SlicePlan, _blocks, _centre,
-                      _require_fit, projection_constants)
+from .lattice import (ProblemDataError, SlicePlan, _at_cells, _blocks,
+                      _centre, _require_fit, projection_constants)
 from .linalg import comparison_condition
 
 __all__ = [
@@ -323,7 +323,7 @@ def _finite_rows(table, times, states) -> np.ndarray:
     read in blocks of cells."""
     out = np.empty(times.size, dtype=bool)
     for at in _blocks(times.size, int(np.prod(table.shape[2:]))):
-        rows = table[times[at], states[at]]
+        rows = _at_cells(table, times[at], states[at])
         out[at] = np.isfinite(rows.reshape(rows.shape[0], -1)).all(axis=1)
     return out
 
@@ -372,7 +372,7 @@ def _gather(sys, alpha, g, beta):
     plan = sys.plan
     at = plan.span(0, sys.horizon)
     times, cells = plan.times[at], plan.cells[at]
-    a, c = alpha[times, cells], g[times, cells]
+    a, c = _at_cells(alpha, times, cells), _at_cells(g, times, cells)
     ok = np.isfinite(a.reshape(cells.size, -1)).all(axis=1) \
         & np.isfinite(c.reshape(cells.size, -1)).all(axis=1)
     coef = rows = None

@@ -7,12 +7,17 @@ mass is allowed to be sub-stochastic: leftover probability means the sojourn
 outlasts the horizon and no renormalisation is applied.
 
 Durations are counts starting at 1 ("just arrived"), states are 0-based.
+
+On the flat cells (duration-1)*N + state the chain is Markov.  Its padded
+successor table (``_successors``) is the lattice's too, and simulation and
+the lattice's path sampler take one inverse-CDF step on it (``_stepper``).
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -318,14 +323,11 @@ def simulate_paths(
     seed=None,
 ):
     """Vectorised batch simulation by inverse-CDF sampling of each step's
-    outcome law, in the outcome order of ``_outcome_law``.
+    outcome law, read off the model's successor table (``_successors``).
 
     Each path carries one flat cell (duration-1)*N + state.  A step draws
-    one uniform per path, scales it by the total mass of the path's cell
-    and picks the first outcome whose cumulative mass exceeds it (a draw
-    that rounds up to the total stays put); a lookup table maps (cell,
-    pick) to the next cell, and cells are split into states and durations
-    once, at the end.
+    one uniform per path and takes the inverse-CDF step (``_stepper``); cells
+    are split into states and durations once, at the end.
 
     Returns (states, durations), each (n_paths, horizon+1).  A fixed seed
     yields bit-identical output on repeated calls; a Generator is drawn
@@ -338,44 +340,94 @@ def simulate_paths(
         raise ValueError("cannot simulate past the model horizon")
     rng = np.random.default_rng(seed)
     n = model.n_states
-    # cumulative outcome law with one column per cell, so that the rows of
-    # a step are one take along axis 1
-    cum = np.cumsum(_outcome_law(model, sojourn_quantities(model)), axis=2)
-    cum = cum.transpose(2, 1, 0).reshape(n + 1, -1)
-    # pick j < N jumps to cell j (state j, duration 1); picks N and N + 1
-    # stay, one duration deeper
-    cells = np.arange(cum.shape[1])
-    after = np.empty((cells.size, n + 2), dtype=np.int64)
-    after[:, :n] = np.arange(n)
-    after[:, n:] = (cells + n)[:, None]
-    after = after.ravel()
-    count = np.min_scalar_type(n + 1)
+    table = _successors(model, sojourn_quantities(model))
+    total = table.cdf[-1]
     # a cell without mass ends every path that enters it; most models have
-    # none, and then no step needs the check
-    dead = bool(np.any(cum[-1] <= 0.0))
+    # none that a step leaves, and then no step needs the check
+    dead = bool(np.any(total[:horizon * n] <= 0.0))
     path = np.empty((horizon + 1, n_paths), dtype=np.int64)
     path[0] = rng.choice(n, size=n_paths, p=model.x0)
     u, at = np.empty(n_paths), np.empty(n_paths, dtype=np.int64)
-    hit = np.empty((n + 1, n_paths), dtype=bool)
+    step = _stepper(table.cdf, table.pick_next, n_paths)
     for k in range(horizon):
         cell = path[k]
-        rows = cum.take(cell, axis=1)
-        if dead and np.any(rows[-1] <= 0.0):
-            m, s = divmod(int(cell[np.argmax(rows[-1] <= 0.0)]), n)
+        if dead and np.any(empty := total.take(cell) <= 0.0):
+            m, s = divmod(int(cell[np.argmax(empty)]), n)
             raise SimulationError(
                 f"state {s} at duration {m + 1} has no defined continuation"
             )
-        np.multiply(rng.random(out=u), rows[-1], out=u)
-        picks = np.less_equal(rows, u, out=hit).sum(axis=0, dtype=count)
-        # picks stay unsigned and narrow; the int64 cell carries the sum
-        np.multiply(cell, n + 2, out=at)
-        at += picks
-        after.take(at, out=path[k + 1])
+        step(cell, rng.random(out=u), at, path[k + 1])
     states = np.ascontiguousarray(path.T)
     durations = states // n
     states -= durations * n
     durations += 1
     return states, durations
+
+
+class _Successors(NamedTuple):
+    """The padded successor table of the flat cells, as LatticeSystem
+    (succ, prob, cdf) and SlicePlan (real and the pick tables) hold it."""
+
+    succ: np.ndarray
+    prob: np.ndarray
+    real: np.ndarray
+    cdf: np.ndarray
+    pick_slot: np.ndarray
+    pick_next: np.ndarray
+
+
+def _successors(model, sq):
+    """The _Successors of ``model``: the outcomes of ``_outcome_law`` with
+    positive mass, in its order, which is ascending flat order (a jump j to
+    cell j, then the stay, which leaves the lattice at duration T+1)."""
+    n, t = model.n_states, model.horizon
+    dim = (t + 1) * n
+    flat = np.arange(dim)
+    cprob = _outcome_law(model, sq).transpose(1, 0, 2).reshape(dim, n + 1)
+    cprob[t * n:, n] = 0.0
+    real = cprob > 0.0
+    count = real.sum(axis=1)
+    width = max(int(count.max()), 1)
+    order = np.argsort(~real, axis=1, kind="stable")[:, :width]
+    slots = (flat[:, None], order)
+    real = real[slots]
+    succ = np.where(order < n, order, flat[:, None] + n)
+    succ = np.where(real, succ, succ[:, :1])
+    prob = np.where(real, cprob[slots], 0.0)
+    cdf = np.ascontiguousarray(np.cumsum(prob, axis=1).T)
+    # pick p from s: slot min(p, last real slot), or the last padding slot
+    # (which the path walk rejects) for a cell without any
+    pick_slot = np.minimum(np.arange(width + 1), count[:, None] - 1) % width
+    pick_next = succ[flat[:, None], pick_slot].ravel()
+    return _Successors(succ, prob, real, cdf, pick_slot.ravel(), pick_next)
+
+
+def _stepper(cdf, pick_next, size):
+    """The inverse-CDF step of ``size`` paths on a successor table,
+    step(cur, u, at, out): each path at a cell of ``cur`` moves to the
+    first slot whose cumulative probability exceeds its uniform u (scaled
+    in place) times its cell's total; its pick p counts those at or below.
+    It writes cur * (W+1) + p to ``at``, the next cells to ``out``.
+
+    The largest draw, 1 - 2**-53, times a total above 2**-1022 rounds
+    below it, so p is a real slot; only a smaller total (a jump row summing
+    to that little where the sojourn law puts at most validate_model's
+    tolerance) can give p = W, the last real slot."""
+    width = cdf.shape[0]
+    rows, hit = np.empty((width, size)), np.empty((width, size), dtype=bool)
+    picks = np.empty(size, dtype=np.min_scalar_type(width))
+
+    def step(cur, u, at, out):
+        # array methods and out= buffers: at a few paths per call the loop
+        # is all per-call overhead; every index is in range, and mode="clip"
+        # lets take write into out without a temporary
+        cdf.take(cur, axis=1, out=rows, mode="clip")
+        np.less_equal(rows, np.multiply(u, rows[-1], out=u), out=hit)
+        # picks stay unsigned and narrow; the int64 cell carries the sum
+        pick = np.multiply(cur, width + 1, out=at)
+        pick += np.add.reduce(hit, axis=0, dtype=picks.dtype, out=picks)
+        pick_next.take(pick, out=out, mode="clip")
+    return step
 
 
 def martingale_increment(

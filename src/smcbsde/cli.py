@@ -316,24 +316,17 @@ def _cmd_solve_control(args):
                            override_hypotheses=args.override_hypotheses)
     values = solved.solution.cell_values
     oracle_residual = oracle_scaled = None
+    # over its cap, or at a unit drift the solve passed by its verified
+    # root, the oracle stops: the problem is solved, only unchecked
+    try:
+        brute = brute_force_value(problem, sys_, max_policies=100_000)
+    except ValueError as exc:
+        skipped = str(exc)
+    else:
+        oracle_residual, oracle_scaled = _residuals(
+            brute.per_time_max[sys_.reachable], values)
     plan = sys_.plan
     at = plan.span(0, sys_.horizon)
-    # the count is exact but never printed: U**cells may run past the
-    # digits Python converts to a string
-    cells = int(at.stop - at.start)
-    if problem.n_controls ** cells > 100_000:
-        skipped = (f"{problem.n_controls}**{cells} policies exceed its cap "
-                   f"of 100000")
-    else:
-        # a unit drift the solve passed by its verified root stops the
-        # oracle's closed forms: the problem is solved, only unchecked
-        try:
-            brute = brute_force_value(problem, sys_)
-        except DegenerateDriverError as exc:
-            skipped = str(exc)
-        else:
-            oracle_residual, oracle_scaled = _residuals(
-                brute.per_time_max[sys_.reachable], values)
     # one column per field over the reachable cells, in time-then-state order
     time, flat = plan.times[at], plan.cells[at]
     control = solved.policy.choices[time, flat]

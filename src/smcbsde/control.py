@@ -344,17 +344,20 @@ def brute_force_value(
     objective, and the per-time maxima, taken over every policy, are the
     exact sub-problem optima, read without solve_control's argmax.
     """
-    terms = problem.validate(sys)
-    term = problem.terminal
     t, d, plan = sys.horizon, sys.dim, sys.plan
     u = problem.n_controls
     off = plan.offset[:t + 1].tolist()
     n_cells = off[t]
     n_pol = u**n_cells
+    # before any entry is read; the count is never printed, as it may run
+    # past the digits Python converts to a string
+    _require_fit(sys, (u,), alpha=problem.alpha, g=problem.g,
+                 beta=problem.beta, terminal=problem.terminal)
     if n_pol > max_policies:
         raise ValueError(
-            f"{n_pol} policies exceed the enumeration cap {max_policies}"
-        )
+            f"{u}**{n_cells} policies exceed its cap of {max_policies}")
+    terms = problem.validate(sys)
+    term = problem.terminal
     bad = np.any(np.abs(terms.den) < _ALPHA_GUARD, axis=1)
     if bad.any():
         c = int(np.argmax(bad))

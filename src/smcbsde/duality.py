@@ -35,15 +35,16 @@ successor slot j, and r_k(s) = W_k / V_k: (cells, W) tables laid out like
 the lattice's slice plan, never tables over every (time, state).  Before
 anything is walked, the first vanishing denominator among the real slots
 of those cells, in (time, state, slot) order, raises; cells before the
-start time are never checked.  By the Markov property the dual value obeys
-u_T = terminal and u_k(s) = g_k(s) r_k(s) + sum_j c_s(j) f_k(s, j)
-u_{k+1}(j), so one backward sweep over the cells, a time slice at a step,
-gives it from every reachable (time, state) from the start on in
-O(T * S * N), independent of the backward solver it checks.  A route
-s -> j of zero weight c_s(j) f_k(s, j) adds nothing, even where u_{k+1}(j)
-is not finite, so data a start never reaches is never read.  The rule
-holds per route: a cell reached only by routes whose weights cancel to
-zero is still read.
+start time are never checked.  One search (_check_denominators) finds it,
+for these tables and for the steps of a path array alike.  By the Markov
+property the dual value obeys u_T = terminal and u_k(s) = g_k(s) r_k(s) +
+sum_j c_s(j) f_k(s, j) u_{k+1}(j), so one backward sweep over the cells, a
+time slice at a step, gives it from every reachable (time, state) from the
+start on in O(T * S * N), independent of the backward solver it checks.
+A route s -> j of zero weight c_s(j) f_k(s, j) adds nothing, even where
+u_{k+1}(j) is not finite, so data a start never reaches is never read.
+The rule holds per route: a cell reached only by routes whose weights
+cancel to zero is still read.
 
 Exhaustive weight_bounds and the epsilon-policy gap in control fold V, W,
 their running maxima, the path probability and the running minimum over a
@@ -51,10 +52,11 @@ breadth-first level walk of every realizable path, which holds only the
 vectors of the paths alive at one time; no list of paths is built.  Sampled
 statistics and evolve_weights evaluate V and W along a (P, L) array of
 drawn or given paths, with the factors evaluated at the drawn (or given)
-steps only: the sampler returns each step's slot, a given path's slots are
-looked up among the transitions of positive probability.  The tables and
-the drawn steps share one noise formula (_noise) and one copy of the
-convention algebra (_algebra).
+steps only: paths are drawn by the chain's one inverse-CDF step
+(chain._stepper) on the lattice's successor table, which returns each
+step's slot, and a given path's slots are matched against the successors
+on the real slots.  The tables and the drawn steps share one noise formula
+(_noise) and one copy of the convention algebra (_algebra).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import _require_count
+from .chain import _require_count, _stepper
 from .lattice import _blocks, _require_fit
 
 __all__ = [
@@ -140,14 +142,17 @@ class _Factors(NamedTuple):
 
 
 def _factors(sys, sde):
-    """The _Factors of sde from sde.start_time on.  Only the steps a caller
-    walks are checked, by _check_denominators."""
+    """The _Factors of sde from sde.start_time on, the cells the sweep and
+    the level walk read; raises VanishingDenominatorError on the first
+    vanishing denominator among their real slots."""
     plan = sys.plan
     at = plan.span(sde.start_time, sys.horizon)
     a = sde.alpha.take(plan.key[at])[:, None]
     noise = np.zeros(a.shape) if sde.beta is None else \
         _cell_noise(sys, sde.beta, sde.start_time)
     den, step, run = _algebra(sde.convention, a, noise)
+    _check_denominators(sys, den, plan.times[at, None], plan.cells[at, None],
+                        np.arange(sys.succ.shape[1]))
     return _Factors(sde.start_time, den, step, run[:, 0])
 
 
@@ -196,36 +201,32 @@ def _algebra(conv, a, noise):
         return den, (1.0 + noise) / den, 1.0 / den
 
 
-def _vanishing(den, k, s):
-    return VanishingDenominatorError(
-        f"weight denominator {den} at time {k}, state {s}"
-    )
-
-
-def _check_denominators(sys, fac):
-    """Raise on the first vanishing denominator, in (time, state, slot)
-    order, among the real slots of the cells of ``fac``."""
-    small = np.abs(fac.den) < DENOMINATOR_TOL
+def _check_denominators(sys, den, times, states, slots):
+    """Raise VanishingDenominatorError at the first step, in (time, state,
+    slot) order, from ``states`` at ``times`` through a real slot of
+    ``slots`` whose denominator ``den`` is within DENOMINATOR_TOL of zero;
+    the arguments broadcast together.  Returns at once when no |den| is."""
+    small = np.abs(den) < DENOMINATOR_TOL
     if not small.any():
         return
-    plan = sys.plan
-    at = plan.span(fac.start, sys.horizon)
-    bad = plan.real[plan.cells[at]] & small
+    bad = small & sys.plan.real[states, slots]
     if bad.any():
-        c, j = np.unravel_index(np.argmax(bad), bad.shape)
-        den = np.broadcast_to(fac.den, bad.shape)[c, j]
-        raise _vanishing(den, plan.times[at][c], plan.cells[at][c])
+        den, times, states, slots, bad = np.broadcast_arrays(
+            den, times, states, slots, bad)
+        key = np.where(bad, (times * sys.dim + states) * sys.succ.shape[1]
+                       + slots, np.iinfo(np.int64).max)
+        i = np.unravel_index(np.argmin(key), key.shape)
+        raise VanishingDenominatorError(f"weight denominator {den[i]} at "
+                                        f"time {times[i]}, state {states[i]}")
 
 
 def _path_slots(sys, paths):
-    """Slot of each step of a (P, L) array of lattice paths, looked up
-    among the transitions of positive probability; a step that is none of
-    them gets a slot that _walk rejects."""
-    rows, slots = np.nonzero(sys.plan.real)
-    # transitions s -> j keyed s * D + j, in ascending order
-    keys = rows * sys.dim + sys.succ[rows, slots]
-    query = paths[:, :-1] * sys.dim + paths[:, 1:]
-    return slots[np.minimum(np.searchsorted(keys, query), keys.size - 1)]
+    """Slot of each step of a (P, L) array of lattice paths: the real slot
+    whose successor is the next state; a step that is none of them gets a
+    slot that _walk rejects."""
+    cur = paths[:, :-1]
+    match = (sys.succ[cur] == paths[:, 1:, None]) & sys.plan.real[cur]
+    return match.argmax(axis=-1)
 
 
 def _walk(sys, sde, start, paths, slots):
@@ -239,8 +240,7 @@ def _walk(sys, sde, start, paths, slots):
     (time, state, slot) order among the steps.
     """
     cur, nxt = paths[:, :-1], paths[:, 1:]
-    width = sys.succ.shape[1]
-    flat = cur * width + slots
+    flat = cur * sys.succ.shape[1] + slots
     missing = np.flatnonzero((sys.succ.take(flat) != nxt)
                              | ~sys.plan.real.take(flat))
     if missing.size:
@@ -256,13 +256,7 @@ def _walk(sys, sde, start, paths, slots):
         n = _noise(sys, sys.block_rows(sde.beta, times, cur), cur)
         noise = np.take_along_axis(n, slots[..., None], axis=-1)[..., 0]
     den, step, run = _algebra(sde.convention, sde.alpha[times, cur], noise)
-    bad = np.abs(den) < DENOMINATOR_TOL
-    if bad.any():
-        # the first in (time, state, slot) order
-        key = np.where(bad, (times * sys.dim + cur) * width + slots,
-                       np.iinfo(np.int64).max)
-        i = np.unravel_index(np.argmin(key), key.shape)
-        raise _vanishing(den[i], times[i[1]], cur[i])
+    _check_denominators(sys, den, times, cur, slots)
     v = np.ones(paths.shape)
     np.cumprod(step, axis=1, out=v[:, 1:])
     return v, v[:, :-1] * run
@@ -283,12 +277,31 @@ def _level_walk(sys, start, states):
 
 
 def _drawn_paths(sys, start, states, n, seed, name="mc_paths"):
-    """n seeded paths per start state, drawn in turn, with the slot of each
-    step and the path weights 1/n; ValueError names ``name`` unless n is a
-    positive integer."""
+    """Inverse-CDF sampling of n seeded lattice paths from each of
+    ``states`` at ``start``, the states in turn; ValueError names ``name``
+    unless n is a positive integer.
+
+    Each state draws one uniform per path and step, as one (steps, n)
+    block; a step hands its row out to the paths grouped by current state,
+    states ascending and paths in order within a state, and takes the
+    chain's inverse-CDF step (chain._stepper).  Returns the paths (P, L),
+    the slot of each step (P, L-1) and the path weights 1/n.
+    """
     _require_count(name, n)
-    paths, slots = _sample_steps(sys, start, states, n, np.random.default_rng(seed))
-    return paths, slots, np.full(paths.shape[0], 1.0 / n)
+    rng = np.random.default_rng(seed)
+    states = np.asarray(states, dtype=np.int64)
+    steps, size = sys.horizon - start, states.size * n
+    draws = rng.random((states.size, steps, n)).transpose(1, 0, 2)
+    draws = draws.reshape(steps, size)
+    paths = np.empty((steps + 1, size), dtype=np.int64)
+    at = np.empty((steps, size), dtype=np.int64)
+    paths[0] = np.repeat(states, n)
+    group = np.repeat(np.arange(states.size) * sys.dim, n)
+    u, step = np.empty(size), _stepper(sys.cdf, sys.plan.pick_next, size)
+    for j in range(steps):
+        u[(group + paths[j]).argsort(kind="stable")] = draws[j]
+        step(paths[j], u, at[j], paths[j + 1])
+    return paths.T, sys.plan.pick_slot.take(at).T, np.full(size, 1.0 / n)
 
 
 def evolve_weights(sys, sde: WeightSde, path) -> np.ndarray:
@@ -304,52 +317,6 @@ def evolve_weights(sys, sde: WeightSde, path) -> np.ndarray:
     return v[0]
 
 
-def _sample_paths(sys, start_time, state, n, rng):
-    """n lattice paths from one (time, state) node, as _sample_steps draws
-    them."""
-    return _sample_steps(sys, start_time, [state], n, rng)[0]
-
-
-def _sample_steps(sys, start_time, states, n, rng):
-    """Inverse-CDF sampling of n lattice paths from each of ``states`` at
-    ``start_time``, the states in turn.
-
-    Each state draws one uniform per path and step, as one (steps, n)
-    block; a step hands its row out to the paths grouped by current state,
-    states ascending and paths in order within a state.  A path's successor
-    is the first slot whose cumulative probability exceeds its draw times
-    the row total (the last real slot if the draw rounds up to the total).
-    Returns the paths (P, L) and the slot of each step (P, L-1).
-    """
-    states = np.asarray(states, dtype=np.int64)
-    steps, width = sys.horizon - start_time, sys.succ.shape[1]
-    draws = rng.random((states.size, steps, n)).transpose(1, 0, 2)
-    draws = draws.reshape(steps, states.size * n)
-    plan = sys.plan
-    count = np.min_scalar_type(width)
-    paths = np.empty((steps + 1, draws.shape[1]), dtype=np.int64)
-    at = np.empty((steps, draws.shape[1]), dtype=np.int64)
-    paths[0] = np.repeat(states, n)
-    group = np.repeat(np.arange(states.size) * sys.dim, n)
-    u = np.empty(draws.shape[1])
-    cdf = np.empty((width, draws.shape[1]))
-    hit = np.empty(cdf.shape, dtype=bool)
-    picks = np.empty(draws.shape[1], dtype=count)
-    # array methods and out= buffers: at a few paths per call the loop is
-    # all per-call overhead; every index is in range, and mode="clip" lets
-    # take write into out without a temporary
-    for j in range(steps):
-        cur = paths[j]
-        u[(group + cur).argsort(kind="stable")] = draws[j]
-        sys.cdf.take(cur, axis=1, out=cdf, mode="clip")
-        np.less_equal(cdf, np.multiply(u, cdf[-1], out=u), out=hit)
-        # picks stay unsigned and narrow; the int64 state carries the sum
-        pick = np.multiply(cur, width + 1, out=at[j])
-        pick += np.add.reduce(hit, axis=0, dtype=count, out=picks)
-        plan.pick_next.take(pick, out=paths[j + 1], mode="clip")
-    return paths.T, plan.pick_slot.take(at).T
-
-
 def _check_tables(sys, sde, g=None, terminal=None):
     t = sys.horizon
     if not 0 <= sde.start_time <= t:
@@ -360,7 +327,6 @@ def _check_tables(sys, sde, g=None, terminal=None):
 def _sweep(sys, fac, g, terminal):
     """Dual value u at the plan's cells from time fac.start to the horizon,
     cell-major (see the module notes)."""
-    _check_denominators(sys, fac)
     plan, t, start = sys.plan, sys.horizon, fac.start
     bounds = (plan.offset[start:t + 1] - plan.offset[start]).tolist()
     first, n = int(plan.offset[start]), bounds[-1]
@@ -462,7 +428,6 @@ def weight_bounds(
         # fold V, W and the path probability over the level walk, reading
         # each time's factors by state
         fac = _factors(sys, sde)
-        _check_denominators(sys, fac)
         bounds = (sys.plan.offset[start:] - sys.plan.offset[start]).tolist()
         run, step = np.empty(sys.dim), np.empty(sys.succ.shape)
         root, weight, v = states, np.ones(states.size), np.ones(states.size)

@@ -6,7 +6,9 @@ the duration to 1, staying put carries it one deeper, and duration T+1 has no
 in-horizon continuation.  The lattice stores one padded successor table
 indexed by flat state: ``succ[s, :m]`` are the m successors of s, ascending,
 and ``prob[s, :m]`` their probabilities; the slots up to W, the widest
-support, repeat the first successor with probability zero.
+support, repeat the first successor with probability zero.  The chain's
+``_successors`` builds it, the one table that simulation reads as well;
+``build_lattice`` adds the self-jump check and the reachability pass.
 
 For each source the one-step noise (the innovation martingale increment)
 carries the covariance diag(c) - c c' (c the successor law; positive
@@ -25,13 +27,12 @@ reads it; the lattice stores no per-source matrix and no D x D matrix.
 The reachability pass also lays out one slice plan (``SlicePlan``): the
 reachable cells (time, state) in time-then-state order, so that time k's
 slice is one contiguous run and ``reachable_at[k]`` a view of it, with each
-cell's time and, before the horizon, its source's position in ``sources``
-and its successors' positions in the cells (``next_cell``).  Beside it the
-plan keeps the lattice-only tables the loops would otherwise rebuild on
-every call: the real-slot mask (the one spelling of ``prob > 0`` in the
-library) and the lattice sampler's pick tables.  Per-cell tables of a solve
-(cells, ...), such as a solution's values, are indexed like the plan's
-cells; the plan stores none of them.
+cell's time and, before the horizon, its successors' positions in the cells
+(``next_cell``).  Beside it the plan keeps the successor table's real-slot
+mask (the one spelling of ``prob > 0`` in the library) and the path
+sampler's pick tables, which the loops would otherwise rebuild on every
+call.  Per-cell tables of a solve (cells, ...), such as a solution's
+values, are indexed like the plan's cells; the plan stores none of them.
 
 Every backward solver takes a whole time slice's step (``_centre``) on the
 successor values read through ``next_cell``; ``step`` takes it on a row.
@@ -55,8 +56,8 @@ from .chain import (
     InvalidModelError,
     SemiMarkovModel,
     SojournQuantities,
-    _outcome_law,
     _require_laws,
+    _successors,
     sojourn_quantities,
 )
 from .linalg import _per_time_max
@@ -97,12 +98,10 @@ class SlicePlan:
     times      : (C,) time of each cell
     key        : (C,) ascending index time * D + state of each cell, the
                  cell's entry in a (T, D) or (T+1, D) table read flat
-    source_at  : (offset[T],) position in ``sources`` of each cell before T
     real       : (D, W) True on the slots of positive probability
     pick_slot, pick_next
-               : (D * (W+1),) slot and successor of the lattice sampler's
-                 pick p (the count of cumulative probabilities at or below
-                 the draw) from state s, at s * (W+1) + p
+               : (D * (W+1),) slot and successor of the path sampler's
+                 pick p from state s, at s * (W+1) + p (see chain._stepper)
     next_cell  : (offset[T], W) int32 positions in ``cells`` of the cells
                  (k+1, succ[cells[c]]) after each cell c at k, padded as succ
     """
@@ -111,7 +110,6 @@ class SlicePlan:
     offset: np.ndarray
     times: np.ndarray
     key: np.ndarray
-    source_at: np.ndarray
     real: np.ndarray
     pick_slot: np.ndarray
     pick_next: np.ndarray
@@ -187,18 +185,16 @@ class LatticeSystem:
         D, ..., X) of local rows (X = W+1, laid out as ``block``) or dense
         rows (X = D; padding slots repeat the first successor's entry, which
         every reader weights by zero).  The widths coincide only at N = 1,
-        T = 1, where the two layouts hold the same entries.  For a table
-        without inner axes ``times`` may be a slice, and ``states`` (S,):
-        the rows come out (times, S, W+1)."""
+        T = 1, where the two layouts hold the same entries."""
         table = np.asarray(table, dtype=float)
         _require_fit(self, table.shape[2:-1], beta=table)
         if table.shape[-1] == self.block.shape[1]:
-            return table[times, states]
+            return _at_cells(table, times, states)
         # one fancy index, which puts the block axis right after the cell
         # axes; inner axes move before it
         inner = (slice(None),) * (table.ndim - 3)
         blk = self.block[self.sources.searchsorted(states)]
-        when = times if isinstance(times, slice) else np.asarray(times)[..., None]
+        when = np.asarray(times)[..., None]
         rows = table[(when, np.asarray(states)[..., None]) + inner + (blk,)]
         if not inner:
             return rows
@@ -236,6 +232,14 @@ def _require_fit(sys, inner=(), **tables):
         raise ProblemDataError(f"field '{name}' {why}")
 
 
+def _at_cells(table, times, states):
+    """table[times, states] of a (T, D, ...) table at index arrays that
+    broadcast together, as one flat take: a two-index gather reads its
+    rows several times slower."""
+    flat = table.reshape((-1,) + table.shape[2:])
+    return flat.take(np.asarray(times) * table.shape[1] + states, axis=0)
+
+
 def _centre(prob, z):
     """Means (S_k, ...) of successor values z (S_k, W, ...) under the laws
     prob (S_k, W), and z centred in place, zero on padding: a slice step."""
@@ -266,25 +270,9 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     sq = sojourn_quantities(model)
     n, t = model.n_states, model.horizon
     dim = (t + 1) * n
-    flat = np.arange(dim)
-    # outcomes in ascending flat order: a jump to (j, 1) for every j, then
-    # staying at (state, duration + 1), which leaves the lattice at T+1
-    cand = np.concatenate(
-        (np.broadcast_to(np.arange(n), (dim, n)), (flat + n)[:, None]), axis=1
-    )
-    cprob = _outcome_law(model, sq).transpose(1, 0, 2).reshape(dim, n + 1)
-    cprob[t * n:, n] = 0.0
-    valid = cprob > 0.0
-    order = np.argsort(~valid, axis=1, kind="stable")
-    count = valid.sum(axis=1)
-    width = max(int(count.max()), 1)
-    slots = (flat[:, None], order[:, :width])
-    valid = valid[slots]
-    succ = cand[slots]
-    succ = np.where(valid, succ, succ[:, :1])
-    prob = np.where(valid, cprob[slots], 0.0)
-    cdf = np.ascontiguousarray(np.cumsum(prob, axis=1).T)
-    own = valid & (succ == flat[:, None])
+    table = _successors(model, sq)
+    succ, prob, valid = table.succ, table.prob, table.real
+    own = valid & (succ == np.arange(dim)[:, None])
     if own.any():
         s = int(np.argwhere(own)[0, 0])
         raise InvalidModelError(
@@ -316,11 +304,6 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     times = np.repeat(np.arange(t + 1), sizes)
     sources = np.unique(cells[:offset[t]])
     block = np.concatenate((sources[:, None], succ[sources]), axis=1)
-    # the sampler's pick p from s is its count of cumulative probabilities
-    # at or below the draw: slot min(p, last real slot), or the last
-    # padding slot (which the path walk rejects) for a row without any
-    pick_slot = np.minimum(np.arange(width + 1), count[:, None] - 1) % width
-    pick_next = succ[flat[:, None], pick_slot].ravel()
     # slice k's successor cells, read off slice k+1's positions by state
     next_cell = succ.astype(np.int32).take(cells[:offset[t]], axis=0)
     pos, at = np.empty(dim, np.int32), np.arange(cells.size, dtype=np.int32)
@@ -328,16 +311,15 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
         pos[reachable[k + 1]] = at[offset[k + 1]:offset[k + 2]]
         nxt = next_cell[offset[k]:offset[k + 1]]
         pos.take(nxt, out=nxt)
-    plan = SlicePlan(cells, offset, times, times * dim + cells,
-                     np.searchsorted(sources, cells[:offset[t]]), valid,
-                     pick_slot.ravel(), pick_next, next_cell)
-    for arr in (mask, dist, sources, succ, prob, cdf, block,
+    plan = SlicePlan(cells, offset, times, times * dim + cells, valid,
+                     table.pick_slot, table.pick_next, next_cell)
+    for arr in (mask, dist, sources, succ, prob, table.cdf, block,
                 *vars(plan).values()):
         arr.flags.writeable = False
     bounds = offset.tolist()
     return LatticeSystem(
         model, sq, dim, tuple(cells[a:b] for a, b in zip(bounds, bounds[1:])),
-        mask, dist, sources, succ, prob, cdf, block, plan,
+        mask, dist, sources, succ, prob, table.cdf, block, plan,
     )
 
 

@@ -29,7 +29,7 @@ from smcbsde import (
     weight_bounds,
 )
 from smcbsde import lattice
-from smcbsde.duality import Convention, _sample_paths
+from smcbsde.duality import Convention, _drawn_paths
 from smcbsde.instances import (
     max_beta_for_positivity,
     random_control_problem,
@@ -94,7 +94,8 @@ def test_dense_and_local_beta_agree_bit_for_bit():
         assert_same(sols[0].local_integrands, sols[1].local_integrands)
         assert pair[0].bounds(sys_) == pair[1].bounds(sys_)
 
-        path = _sample_paths(sys_, 0, int(sys_.reachable_at[0][0]), 1, rng)[0]
+        path = _drawn_paths(sys_, 0, [int(sys_.reachable_at[0][0])], 1,
+                            rng)[0][0]
         for conv in Convention:
             for start in range(sys_.horizon + 1):
                 sdes = [WeightSde(d.alpha, d.beta, conv, start) for d in pair]

@@ -11,6 +11,7 @@ from smcbsde import (
     InvalidModelError,
     SemiMarkovModel,
     SimulationError,
+    build_lattice,
     martingale_increment,
     simulate,
     simulate_paths,
@@ -531,3 +532,36 @@ def test_a_draw_on_a_cumulative_boundary_moves_past_it():
     states, durations = simulate_paths(model, 1, seed=seed)
     assert states.tolist() == [[0, 0]]
     assert durations.tolist() == [[1, 2]]
+
+
+# ---------------------------------------------------------------------------
+# The pick rule both samplers share (chain._stepper) moves a path to the
+# first slot whose cumulative probability exceeds its draw times the
+# cell's total.  A draw is below 1, and its product with a total above
+# 2**-1022, the least normal double, rounds below the total, so the pick is
+# a real slot: on these lattices every cell's total is zero (a dead cell,
+# which no step leaves) or above it.  At 2**-1022 itself the largest
+# draw's product is a tie that rounds up to the total.
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.floats(2.0**-1022, 2.0, exclude_min=True))
+def test_the_largest_draw_times_a_normal_total_is_below_it(total):
+    assert np.nextafter(1.0, 0.0) * total < total
+    tiny = np.finfo(float).tiny
+    assert np.nextafter(1.0, 0.0) * tiny == tiny
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_cell_totals_are_zero_or_normal(seed, geometric):
+    rng = np.random.default_rng(seed)
+    if geometric:
+        n = int(rng.integers(2, 6))
+        model = geometric_model(rng.uniform(0.05, 0.95, n),
+                                int(rng.integers(1, 40)))
+    else:
+        model = random_model(rng, n_max=5, t_max=10, sub_stochastic_prob=float(
+            rng.choice([0.0, 0.5, 1.0])))
+    total = build_lattice(model).cdf[-1]
+    assert np.all((total == 0.0) | (total > np.finfo(float).tiny))

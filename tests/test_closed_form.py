@@ -118,7 +118,8 @@ def test_closed_forms_match_the_svd_oracle(make):
     # the noise at the plan's cells, on the real slots
     plan = sys_.plan
     at = plan.span(0, t)
-    times, cells, src = plan.times[at], plan.cells[at], plan.source_at
+    times, cells = plan.times[at], plan.cells[at]
+    src = np.searchsorted(sys_.sources, cells)
     real = plan.real[cells]
     beta = rng.standard_normal((t, d, w + 1))
     want = pinv_noise(sys_, beta)[times, src]

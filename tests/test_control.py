@@ -21,7 +21,7 @@ from smcbsde import (
 )
 from smcbsde.instances import random_control_problem, random_model
 
-from conftest import tiny_model
+from conftest import geometric_model, tiny_model
 from dense import dense_beta, geometry_for
 
 
@@ -174,6 +174,19 @@ def test_brute_force_policy_cap():
     prob = random_control_problem(sys_, rng, n_controls=3)
     with pytest.raises(ValueError):
         brute_force_value(prob, sys_, max_policies=2)
+
+
+def test_brute_force_cap_names_a_count_of_any_size():
+    # 3**10375 policies: the count has 4,950 digits, past the 4,300 that
+    # Python converts to a string, so the message names it as a power
+    sys_ = build_lattice(geometric_model((0.3, 0.6), 128))
+    cells = int(sys_.plan.offset[sys_.horizon])
+    assert cells * np.log10(3.0) > 4300
+    prob = random_control_problem(sys_, np.random.default_rng(38),
+                                  n_controls=3)
+    with pytest.raises(ValueError) as err:
+        brute_force_value(prob, sys_, max_policies=100_000)
+    assert str(err.value) == f"3**{cells} policies exceed its cap of 100000"
 
 
 def test_constant_g_shift_leaves_policy_invariant():

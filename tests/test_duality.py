@@ -38,7 +38,6 @@ from smcbsde.duality import (
     _drawn_paths,
     _factors,
     _path_slots,
-    _sample_paths,
     _walk,
 )
 from smcbsde.instances import (
@@ -388,7 +387,7 @@ def reference_dual_value(sys, sde, g, terminal, mc_paths=None, seed=None):
         rng = np.random.default_rng(seed)
         for s in sys.reachable_at[start_time]:
             s = int(s)
-            paths = _sample_paths(sys, start_time, s, mc_paths, rng)
+            paths = _drawn_paths(sys, start_time, [s], mc_paths, rng)[0]
             total = 0.0
             for row in paths:
                 v = 1.0
@@ -456,7 +455,7 @@ def reference_weight_bounds(sys, sde, samples=None, seed=None):
         if samples is None:
             per_state[s] = walk(start, s, 1.0, 1.0, 0.0, 1.0)
         else:
-            paths = _sample_paths(sys, start, s, samples, rng)
+            paths = _drawn_paths(sys, start, [s], samples, rng)[0]
             ev = ew = 0.0
             for row in paths:
                 v, vmax, wmax = 1.0, 1.0, 0.0
@@ -528,8 +527,8 @@ def test_sample_paths_keep_their_stream(n):
         for start in (0, sys_.horizon // 2, sys_.horizon):
             for s in sys_.reachable_at[start]:
                 seed = int(rng.integers(2**31))
-                got = _sample_paths(sys_, start, int(s), n,
-                                    np.random.default_rng(seed))
+                got = _drawn_paths(sys_, start, [int(s)], n,
+                                   np.random.default_rng(seed))[0]
                 want = reference_sample_paths(sys_, start, int(s), n,
                                               np.random.default_rng(seed))
                 np.testing.assert_array_equal(got, want)
@@ -1045,7 +1044,7 @@ def test_padding_slots_never_trip_the_denominator_check():
 # ---------------------------------------------------------------------------
 # Differential oracles for the sampled forms: the weights of drawn or given
 # paths read off the full (T, D, W) factor table by _path_weights, with the
-# paths drawn one start state at a time by _sample_paths.
+# paths drawn one start state at a time by _drawn_paths.
 
 
 def full_table_dual_value(sys, sde, g, terminal, mc_paths, seed):
@@ -1053,8 +1052,8 @@ def full_table_dual_value(sys, sde, g, terminal, mc_paths, seed):
     start, t = sde.start_time, sys.horizon
     rng = np.random.default_rng(seed)
     starts = sys.reachable_at[start]
-    paths = np.concatenate([_sample_paths(sys, start, int(s), mc_paths, rng)
-                            for s in starts])
+    paths = np.concatenate([_drawn_paths(sys, start, [int(s)], mc_paths,
+                                         rng)[0] for s in starts])
     v, w = _path_weights(sys, full_factors(sys, sde), start, paths)
     total = (terminal[paths[:, -1]] * v[:, -1]
              + (g[np.arange(start, t), paths[:, :-1]] * w).sum(axis=1))
@@ -1070,8 +1069,8 @@ def full_table_weight_bounds(sys, sde, samples, seed):
     start = sde.start_time
     rng = np.random.default_rng(seed)
     states = sys.reachable_at[start]
-    paths = np.concatenate([_sample_paths(sys, start, int(s), samples, rng)
-                            for s in states])
+    paths = np.concatenate([_drawn_paths(sys, start, [int(s)], samples,
+                                         rng)[0] for s in states])
     v, w = _path_weights(sys, full_factors(sys, sde), start, paths)
     ev = np.bincount(paths[:, 0], np.max(v * v, axis=1) / samples,
                      minlength=sys.dim)[states]
@@ -1196,11 +1195,11 @@ def test_a_draw_on_a_cumulative_boundary_moves_past_it():
     pi = np.array([[h, 1.0 - h], [0.5, 0.5]])
     sys_ = build_lattice(SemiMarkovModel(2, 1, pi, uniform_jump(2, 2), [1.0, 0.0]))
     assert sys_.prob[0].tolist() == [h, 1.0 - h] and sys_.cdf[-1, 0] == 1.0
-    path = _sample_paths(sys_, 0, 0, 1, np.random.default_rng(seed))
+    path = _drawn_paths(sys_, 0, [0], 1, np.random.default_rng(seed))[0]
     assert path.tolist() == [[0, sys_.flat_index(0, 2)]]
 
 
-# sha256 of _sample_paths(...).tobytes(), computed with the per-call table
+# sha256 of _drawn_paths(...)[0].tobytes(), computed with the per-call table
 # and the per-step draws: any change to the lattice sampler's stream (the
 # hand-out order, the pick rule) changes it
 SAMPLE_PATHS_DIGEST = "b13cbd72ffb2c367b6b3d532db362f6f8675063cb5a872d93f5342a47f3a0135"
@@ -1210,5 +1209,5 @@ def test_sample_paths_stream_digest():
     sys_ = build_lattice(geometric_model((0.25, 0.5, 0.75), 9,
                                          x0=np.full(3, 1.0 / 3.0)))
     state = int(sys_.reachable_at[3][-1])
-    paths = _sample_paths(sys_, 3, state, 300, np.random.default_rng(2026))
+    paths = _drawn_paths(sys_, 3, [state], 300, np.random.default_rng(2026))[0]
     assert hashlib.sha256(paths.tobytes()).hexdigest() == SAMPLE_PATHS_DIGEST

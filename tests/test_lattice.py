@@ -494,8 +494,8 @@ def test_slice_plan_invariants(case):
         assert np.all(plan.times[plan.span(k)] == k)
     np.testing.assert_array_equal(plan.key, plan.times * d + plan.cells)
     assert np.all(np.diff(plan.key) > 0)
-    np.testing.assert_array_equal(sys_.sources[plan.source_at],
-                                  plan.cells[:plan.offset[t]])
+    np.testing.assert_array_equal(sys_.sources,
+                                  np.unique(plan.cells[:plan.offset[t]]))
     # the lattice-only tables, as each call built them before
     np.testing.assert_array_equal(plan.real, sys_.prob > 0.0)
     last = np.count_nonzero(sys_.prob, axis=1)[:, None] - 1
@@ -521,13 +521,13 @@ def test_slice_plan_invariants(case):
     with pytest.raises(ValueError):
         sys_.reachable_at[0][0] = 0
     cells = plan.cells.size
-    for name in ("cells", "times", "key", "source_at"):
+    for name in ("cells", "times", "key"):
         assert arrays[name].ndim == 1 and arrays[name].size <= cells, name
     for name in ("real", "pick_slot", "pick_next"):
         assert arrays[name].size <= d * (w + 1), name
     # the successor index adds its own (offset[T], W) int32 entries
     assert sum(a.nbytes for a in arrays.values()) <= (
-        8 * (4 * cells + 3 * d * (w + 1)) + 4 * plan.offset[t] * w)
+        8 * (3 * cells + 3 * d * (w + 1)) + 4 * plan.offset[t] * w)
 
 
 def test_state_jumping_onto_itself_is_rejected():

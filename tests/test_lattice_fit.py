@@ -31,7 +31,7 @@ from smcbsde import (
     solve_control,
     weight_bounds,
 )
-from smcbsde.duality import _sample_paths
+from smcbsde.duality import _drawn_paths
 from smcbsde.instances import random_control_problem, random_linear_instance
 
 from conftest import geometric_model
@@ -103,8 +103,8 @@ def test_weight_recursion_tables_that_do_not_fit_are_refused(sys_, linear,
         refused(field, lambda: dual_value(sys_, sde, tables["g"],
                                           tables["terminal"], **kwargs))
     if field in ("alpha", "beta"):
-        path = _sample_paths(sys_, 0, int(sys_.reachable_at[0][0]), 1,
-                             np.random.default_rng(1))[0]
+        path = _drawn_paths(sys_, 0, [int(sys_.reachable_at[0][0])], 1,
+                            np.random.default_rng(1))[0][0]
         refused(field, lambda: weight_bounds(sys_, sde))
         refused(field, lambda: weight_bounds(sys_, sde, samples=3, seed=0))
         refused(field, lambda: evolve_weights(sys_, sde, path))
