@@ -156,9 +156,12 @@ def validate_model(model: SemiMarkovModel, tol: float = VALIDATION_TOL):
             Violation("pi", (i,), f"sojourn law has total mass {total[i]} > 1")
         )
     # per (state, duration): a negative entry, a self-jump, the row sum
+    # where the law puts mass or the chain can leave (an attainable cell
+    # with a positive hazard, whose outcome law is then the jump row)
+    leaves = (pi > tol) | (_sojourn_tables(pi)[3] > 0.0)
     low = np.argmin(jump, axis=2)
     bad = np.stack((np.any(jump < -tol, axis=2), np.diagonal(jump, 0, 0, 2).T > tol,
-                    (pi > tol) & (np.abs(sums - 1.0) > tol)), axis=2)
+                    leaves & (np.abs(sums - 1.0) > tol)), axis=2)
     for i, m, kind in np.argwhere(bad).tolist():
         j = int(low[i, m])
         out.append((
@@ -212,19 +215,7 @@ def sojourn_quantities(
     Raises InvalidModelError when some pi[i, m] exceeds the survivor mass
     available at duration m (the hazard would leave [0, 1]).
     """
-    cumulative = np.cumsum(model.pi, axis=1)
-    survivor = 1.0 - cumulative
-    # Cumulative sums of an exhausted law land within roundoff of 1; snap
-    # that noise to an exact zero so certain departures come out as hazard
-    # exactly 1 (otherwise a 1e-16 stay probability leaks into the lattice
-    # and fabricates unreachable states).
-    survivor[np.abs(survivor) <= _SURVIVOR_SNAP] = 0.0
-    np.clip(survivor, 0.0, None, out=survivor)
-    # survivor at duration m-1, i.e. mass still present when duration m starts
-    prev = np.concatenate(
-        [np.ones((model.n_states, 1)), survivor[:, :-1]], axis=1
-    )
-    attainable = prev > 0.0
+    cumulative, survivor, prev, hazard = _sojourn_tables(model.pi)
     bad = model.pi > prev + tol
     if np.any(bad):
         i, m = np.argwhere(bad)[0]
@@ -232,15 +223,34 @@ def sojourn_quantities(
             f"pi[{i},{m + 1}] = {model.pi[i, m]} exceeds the survivor mass "
             f"{prev[i, m]} remaining at that duration"
         )
-    hazard = np.full_like(model.pi, np.nan)
-    np.divide(model.pi, prev, out=hazard, where=attainable)
-    np.clip(hazard, 0.0, 1.0, out=hazard)
-    hazard[attainable & (survivor == 0.0)] = 1.0
+    attainable = prev > 0.0
     hazard.flags.writeable = False
     cumulative.flags.writeable = False
     survivor.flags.writeable = False
     attainable.flags.writeable = False
     return SojournQuantities(cumulative, survivor, hazard, attainable)
+
+
+def _sojourn_tables(pi):
+    """Unchecked (cumulative, survivor, prev, hazard) of sojourn laws pi:
+    prev is the survivor mass when each duration starts, and the hazard is
+    NaN where none is, 1 where none survives the duration."""
+    cumulative = np.cumsum(pi, axis=1)
+    survivor = 1.0 - cumulative
+    # Cumulative sums of an exhausted law land within roundoff of 1; snap
+    # that noise to an exact zero so certain departures come out as hazard
+    # exactly 1 (otherwise a 1e-16 stay probability leaks into the lattice
+    # and fabricates unreachable states).
+    survivor[np.abs(survivor) <= _SURVIVOR_SNAP] = 0.0
+    np.clip(survivor, 0.0, None, out=survivor)
+    prev = np.concatenate([np.ones((pi.shape[0], 1)), survivor[:, :-1]],
+                          axis=1)
+    attainable = prev > 0.0
+    hazard = np.full_like(pi, np.nan)
+    np.divide(pi, prev, out=hazard, where=attainable)
+    np.clip(hazard, 0.0, 1.0, out=hazard)
+    hazard[attainable & (survivor == 0.0)] = 1.0
+    return cumulative, survivor, prev, hazard
 
 
 def transition_matrix(

@@ -46,6 +46,7 @@ from .duality import (
     Convention,
     DEFAULT_CONVENTION,
     SelectionError,
+    VanishingDenominatorError,
     WeightSde,
     _residuals,
     dual_value,
@@ -278,11 +279,18 @@ def _cmd_solve_bsde(args):
 
 def _cmd_verify_duality(args):
     sys_, driver, terminal, solution, tol = _solve_linear(args)
-    per_convention = {
-        conv.value: _duality_residuals(sys_, driver, terminal, solution, conv)
-        for conv in Convention
-    }
+    per_convention, failed = {}, {}
+    for conv in Convention:
+        # weights that meet a vanishing denominator have no residuals; they
+        # abort the command only under the selected convention
+        try:
+            per_convention[conv.value] = _duality_residuals(
+                sys_, driver, terminal, solution, conv)
+        except VanishingDenominatorError as exc:
+            per_convention[conv.value], failed[conv.value] = (None, None), exc
     convention, selection = _resolve_convention(args.convention, sys_, args.seed)
+    if convention.value in failed:
+        raise failed[convention.value]
     residual, scaled = per_convention[convention.value]
     payload = {
         "metadata": _metadata(
@@ -302,7 +310,8 @@ def _cmd_verify_duality(args):
         files.write_json(args.out, payload)
     for name, (value, ratio) in sorted(per_convention.items()):
         marker = "*" if name == convention.value else " "
-        print(f"{marker} {name:9s} residual {value:.3e}, scaled {ratio:.3e}")
+        print(f"{marker} {name:9s} " + (str(failed[name]) if name in failed
+              else f"residual {value:.3e}, scaled {ratio:.3e}"))
     return _gate(scaled, tol, "selected scaled residual", sys_,
                  solution.cell_values)
 
@@ -559,7 +568,8 @@ def main(argv=None) -> int:
     except (InvalidModelError, HypothesisError, SelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ProblemDataError, DegenerateDriverError, BijectionError) as exc:
+    except (ProblemDataError, DegenerateDriverError, BijectionError,
+            VanishingDenominatorError) as exc:
         print(f"error: {args.problem}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:  # a path that cannot be read or written

@@ -29,22 +29,23 @@ solver requires the ratio in a together with the affine factor in n, which
 is the mixed form (its noise integrand is also the only predictable one).
 select_convention settles the choice empirically and never silently.
 
-Each call tabulates the factor f_k(s, j) by which the step s -> j at time k
-multiplies V, per reachable cell (k, s) from the start time on and
-successor slot j, and r_k(s) = W_k / V_k: (cells, W) tables laid out like
-the lattice's slice plan, never tables over every (time, state).  Before
-anything is walked, the first vanishing denominator among the real slots
-of those cells, in (time, state, slot) order, raises; cells before the
-start time are never checked.  One search (_check_denominators) finds it,
-for these tables and for the steps of a path array alike.  By the Markov
-property the dual value obeys u_T = terminal and u_k(s) = g_k(s) r_k(s) +
-sum_j c_s(j) f_k(s, j) u_{k+1}(j), so one backward sweep over the cells, a
-time slice at a step, gives it from every reachable (time, state) from the
-start on in O(T * S * N), independent of the backward solver it checks.
-A route s -> j of zero weight c_s(j) f_k(s, j) adds nothing, even where
-u_{k+1}(j) is not finite, so data a start never reaches is never read.
-The rule holds per route: a cell reached only by routes whose weights
-cancel to zero is still read.
+Each call gathers the keys, successor laws c_s and real slots of the
+reachable cells (k, s) from the start time on once, for the noise (the
+closed form above), the step and the sweep, and tabulates the factor
+f_k(s, j) by which the step s -> j at time k multiplies V, per cell and
+slot j, in the noise's buffer, and r_k(s) = W_k / V_k: (cells, W) tables
+laid out like the slice plan.  Before a step is formed, the first vanishing
+denominator among the real slots, in (time, state, slot) order, raises;
+cells before the start time are never checked.  One search
+(_check_denominators) finds it, for these tables and for the steps of a
+path array alike.  By the Markov property the dual value obeys u_T =
+terminal and u_k(s) = g_k(s) r_k(s) + sum_j c_s(j) f_k(s, j) u_{k+1}(j),
+so one backward sweep over the cells, a time slice at a step, gives it
+from every reachable (time, state) from the start on in O(T * S * N),
+independent of the backward solver it checks.  A route s -> j of zero
+flow c_s(j) f_k(s, j) adds nothing, even where u_{k+1}(j) is not finite,
+so data a start never reaches is never read.  The rule holds per route: a
+cell reached only by routes whose weights cancel to zero is still read.
 
 Exhaustive weight_bounds and the epsilon-policy gap in control fold V, W,
 their running maxima, the path probability and the running minimum over a
@@ -68,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import _require_count, _stepper
-from .lattice import _blocks, _require_fit
+from .lattice import _blocks, _require_fit, _rows_at
 
 __all__ = [
     "Convention",
@@ -129,14 +130,12 @@ class WeightSde:
 
 
 class _Factors(NamedTuple):
-    """Weight factors at the plan's cells from time ``start`` to the
-    horizon, cell-major: the step from cell c through slot j multiplies V by
-    step[c, j], whose denominator is den[c, j] (1 where there is none), and
-    W = V * run[c].  den and step have one column where they do not depend
-    on the slot."""
+    """Weight factors at the plan's cells from the start time on, with their
+    keys, laws and real slots: V *= step[c, j or 0] via slot j, W = V*run[c]."""
 
-    start: int
-    den: np.ndarray
+    key: np.ndarray
+    prob: np.ndarray
+    real: np.ndarray
     step: np.ndarray
     run: np.ndarray
 
@@ -147,37 +146,34 @@ def _factors(sys, sde):
     vanishing denominator among their real slots."""
     plan = sys.plan
     at = plan.span(sde.start_time, sys.horizon)
-    a = sde.alpha.take(plan.key[at])[:, None]
+    key, cells = plan.key[at], plan.cells[at]
+    prob, real = sys.prob.take(cells, axis=0), plan.real.take(cells, axis=0)
+    a = sde.alpha.take(key)[:, None]
     noise = np.zeros(a.shape) if sde.beta is None else \
-        _cell_noise(sys, sde.beta, sde.start_time)
-    den, step, run = _algebra(sde.convention, a, noise)
-    _check_denominators(sys, den, plan.times[at, None], plan.cells[at, None],
-                        np.arange(sys.succ.shape[1]))
-    return _Factors(sde.start_time, den, step, run[:, 0])
+        _cell_noise(sys, sde.beta, at, prob, real)
+    step, run = _algebra(sys, sde.convention, a, noise, lambda: (
+        plan.times[at, None], cells[:, None], np.arange(real.shape[1])))
+    return _Factors(key, prob, real, step, run[:, 0])
 
 
-def _cell_noise(sys, beta, start):
-    """Noise (cells, W) at the plan's cells from time ``start`` to the
-    horizon, for the rows b of beta on the blocks, in blocks of cells."""
-    plan = sys.plan
-    at = plan.span(start, sys.horizon)
-    times, cells = plan.times[at], plan.cells[at]
-    noise = np.empty((cells.size, sys.succ.shape[1]))
+def _cell_noise(sys, beta, at, prob, real):
+    """Noise (cells, W) at the plan's cells ``at`` (a slice), of laws
+    ``prob`` and real slots ``real``, for beta's rows, in blocks of cells."""
+    times, cells, key = sys.plan.times[at], sys.plan.cells[at], sys.plan.key[at]
+    noise = np.zeros(prob.shape)
     for blk in _blocks(cells.size, sys.block.shape[1]):
-        noise[blk] = _noise(sys, sys.block_rows(beta, times[blk], cells[blk]),
-                            cells[blk])
+        _noise(_rows_at(sys, beta, times[blk], cells[blk], key[blk]),
+               prob[blk], real[blk], noise[blk])
     return noise
 
 
-def _noise(sys, rows, states):
+def _noise(rows, c, real, out):
     """Noise n = b @ pinv(bracket_s) @ (e_j - c_s) (..., W) of rows b (...,
-    W+1) on the blocks of the sources ``states`` (...), at every successor
-    slot j, in closed form (see the module notes), with sum_i b_i read as
-    sum_i c_i (b_i / c_i); the padding slots hold a value that no reader
-    weights.  Each row's bits do not depend on the batch it is in."""
-    c = sys.prob.take(states, axis=0)
-    n = np.divide(rows[..., 1:], c, out=np.zeros(rows[..., 1:].shape),
-                  where=sys.plan.real.take(states, axis=0))
+    W+1) on the blocks of sources of successor laws c and real slots
+    ``real`` (..., W), in closed form (see the module notes) with sum_i b_i
+    read as sum_i c_i (b_i / c_i), into ``out`` (zeros); padding slots hold
+    a value no reader weights.  A row's bits do not depend on its batch."""
+    n = np.divide(rows[..., 1:], c, out=out, where=real)
     sigma = np.einsum("...j->...", c)
     shift = np.einsum("...j,...j->...", c, n) - (sigma - 1.0) * rows[..., 0]
     # a source without successors (build_lattice admits one) has no noise
@@ -186,29 +182,30 @@ def _noise(sys, rows, states):
     return n
 
 
-def _algebra(conv, a, noise):
-    """(den, step, run) of the steps with drift a and noise n (broadcast
-    together) under the convention: the step multiplies V by ``step``,
-    whose denominator is ``den`` (1 where there is none; it broadcasts
-    against step), and W_k = V_k * run, with run shaped like a."""
+def _algebra(sys, conv, a, noise, steps):
+    """(step, run) of the steps with drift a and noise n (a broadcasts
+    against n) under the convention, V *= step and W = V * run, the step in
+    n's buffer once its denominators pass _check_denominators(``steps``)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if conv is Convention.SHIFTED:
-            return np.ones(noise.shape), 1.0 + a + noise, np.ones(np.shape(a))
-        if conv is Convention.IMPLICIT:
-            den = 1.0 - a - noise
-            return den, 1.0 / den, np.ones(np.shape(a))
-        den = 1.0 - a
-        return den, (1.0 + noise) / den, 1.0 / den
+            return np.add(1.0 + a, noise, out=noise), np.ones(a.shape)
+        mixed = conv is Convention.MIXED
+        den = 1.0 - a if mixed else np.subtract(1.0 - a, noise, out=noise)
+        _check_denominators(sys, den, steps)
+        if not mixed:
+            return np.divide(1.0, den, out=den), np.ones(a.shape)
+        noise += 1.0
+        return np.divide(noise, den, out=noise), 1.0 / den
 
 
-def _check_denominators(sys, den, times, states, slots):
+def _check_denominators(sys, den, steps):
     """Raise VanishingDenominatorError at the first step, in (time, state,
-    slot) order, from ``states`` at ``times`` through a real slot of
-    ``slots`` whose denominator ``den`` is within DENOMINATOR_TOL of zero;
-    the arguments broadcast together.  Returns at once when no |den| is."""
+    slot) order, through a real slot with |den| < DENOMINATOR_TOL; steps(),
+    called only if some |den| is, gives the (times, states, slots) of den."""
     small = np.abs(den) < DENOMINATOR_TOL
     if not small.any():
         return
+    times, states, slots = steps()
     bad = small & sys.plan.real[states, slots]
     if bad.any():
         den, times, states, slots, bad = np.broadcast_arrays(
@@ -253,10 +250,12 @@ def _walk(sys, sde, start, paths, slots):
     noise = np.zeros(cur.shape)
     if sde.beta is not None:
         # each step's noise at its source, read at the drawn slot
-        n = _noise(sys, sys.block_rows(sde.beta, times, cur), cur)
+        c = sys.prob.take(cur, axis=0)
+        n = _noise(_rows_at(sys, sde.beta, times, cur, times * sys.dim + cur),
+                   c, sys.plan.real.take(cur, axis=0), np.zeros(c.shape))
         noise = np.take_along_axis(n, slots[..., None], axis=-1)[..., 0]
-    den, step, run = _algebra(sde.convention, sde.alpha[times, cur], noise)
-    _check_denominators(sys, den, times, cur, slots)
+    step, run = _algebra(sys, sde.convention, sde.alpha[times, cur], noise,
+                         lambda: (times, cur, slots))
     v = np.ones(paths.shape)
     np.cumprod(step, axis=1, out=v[:, 1:])
     return v, v[:, :-1] * run
@@ -324,27 +323,28 @@ def _check_tables(sys, sde, g=None, terminal=None):
     _require_fit(sys, alpha=sde.alpha, g=g, beta=sde.beta, terminal=terminal)
 
 
-def _sweep(sys, fac, g, terminal):
-    """Dual value u at the plan's cells from time fac.start to the horizon,
-    cell-major (see the module notes)."""
-    plan, t, start = sys.plan, sys.horizon, fac.start
+def _sweep(sys, sde, g, terminal):
+    """Dual value u at the plan's cells from time sde.start_time to the
+    horizon, cell-major, over the _factors of sde (see the module notes)."""
+    key, flow, real, step, run = _factors(sys, sde)
+    plan, t, start = sys.plan, sys.horizon, sde.start_time
     bounds = (plan.offset[start:t + 1] - plan.offset[start]).tolist()
     first, n = int(plan.offset[start]), bounds[-1]
     cells = plan.cells[first:]
-    src = cells[:n]
     u = np.empty(cells.size + 1)
     terminal.take(cells[n:], out=u[n:-1])
     u[-1] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = sys.prob.take(src, axis=0)
-        flow *= fac.step
-        dead = (flow == 0.0) | ~plan.real.take(src, axis=0)
+        flow *= step  # in the gathered laws' buffer; the loop reads no step
+        del step
+        dead = (flow == 0.0) | ~real
         # a live route reads its successor's cell; a dead one multiplies a
-        # zero flow by the zero after the last cell, as a masked route adds
-        nxt = plan.next_cell[first:first + n] - first
-        nxt[dead] = cells.size
-        flow[dead] = 0.0
-        base = g.take(plan.key[first:first + n]) * fac.run
+        # zero flow by the zero after the last cell, as a masked route adds;
+        # the index has the platform's width, which a gather takes as it is
+        nxt = np.subtract(plan.next_cell[first:], first, dtype=np.intp)
+        np.putmask(nxt, dead, cells.size)
+        np.putmask(flow, dead, 0.0)
+        base = g.take(key) * run
         for k in range(t - start - 1, -1, -1):
             now = slice(bounds[k], bounds[k + 1])
             np.add(base[now], np.add.reduce(flow[now] * u[nxt[now]], axis=1),
@@ -379,7 +379,7 @@ def dual_value(
     starts = sys.reachable_at[start_time]
     out = np.full(d, np.nan)
     if mc_paths is None:
-        out[starts] = _sweep(sys, _factors(sys, sde), g, terminal)[:starts.size]
+        out[starts] = _sweep(sys, sde, g, terminal)[:starts.size]
         return out
     paths, slots, weight = _drawn_paths(sys, start_time, starts, mc_paths, seed)
     v, w = _walk(sys, sde, start_time, paths, slots)
@@ -524,8 +524,8 @@ def select_convention(
         want = sol.cell_values[at]
         trial_res = {}
         for conv in Convention:
-            fac = _factors(sys, WeightSde(driver.alpha, driver.beta, conv))
-            worst = _residuals(_sweep(sys, fac, driver.g, terminal)[at],
+            sde = WeightSde(driver.alpha, driver.beta, conv)
+            worst = _residuals(_sweep(sys, sde, driver.g, terminal)[at],
                                want)[1]
             # a NaN residual counts as inf, so that min() never picks it
             trial_res[conv] = worst if np.isfinite(worst) else np.inf

@@ -36,8 +36,9 @@ values, are indexed like the plan's cells; the plan stores none of them.
 
 Every backward solver takes a whole time slice's step (``_centre``) on the
 successor values read through ``next_cell``; ``step`` takes it on a row.
-A coefficient table b is read through ``block_rows`` alone, which takes a
-table of rows on the blocks or of dense rows over the flat states.  A
+A coefficient table b is read through ``block_rows`` alone (``_rows_at``
+once the caller has checked the fit and holds the cells' keys), which
+takes a table of rows on the blocks or of dense rows over the flat states.  A
 gather of a per-source table for every cell runs in blocks of at most
 ``BLOCK_ENTRIES`` entries (``_blocks``).
 
@@ -188,17 +189,8 @@ class LatticeSystem:
         T = 1, where the two layouts hold the same entries."""
         table = np.asarray(table, dtype=float)
         _require_fit(self, table.shape[2:-1], beta=table)
-        if table.shape[-1] == self.block.shape[1]:
-            return _at_cells(table, times, states)
-        # one fancy index, which puts the block axis right after the cell
-        # axes; inner axes move before it
-        inner = (slice(None),) * (table.ndim - 3)
-        blk = self.block[self.sources.searchsorted(states)]
-        when = np.asarray(times)[..., None]
-        rows = table[(when, np.asarray(states)[..., None]) + inner + (blk,)]
-        if not inner:
-            return rows
-        return np.ascontiguousarray(np.moveaxis(rows, -1 - len(inner), -1))
+        return _rows_at(self, table, times, states,
+                        np.asarray(times) * self.dim + states)
 
 
 def _require_fit(sys, inner=(), **tables):
@@ -238,6 +230,22 @@ def _at_cells(table, times, states):
     rows several times slower."""
     flat = table.reshape((-1,) + table.shape[2:])
     return flat.take(np.asarray(times) * table.shape[1] + states, axis=0)
+
+
+def _rows_at(sys, table, times, states, key):
+    """block_rows of a table that fits the lattice, with ``key`` the cells'
+    times * D + states (as SlicePlan.key)."""
+    if table.shape[-1] == sys.block.shape[1]:
+        return table.reshape((-1,) + table.shape[2:]).take(key, axis=0)
+    # one fancy index, which puts the block axis right after the cell axes;
+    # inner axes move before it
+    inner = (slice(None),) * (table.ndim - 3)
+    blk = sys.block[sys.sources.searchsorted(states)]
+    when = np.asarray(times)[..., None]
+    rows = table[(when, np.asarray(states)[..., None]) + inner + (blk,)]
+    if not inner:
+        return rows
+    return np.ascontiguousarray(np.moveaxis(rows, -1 - len(inner), -1))
 
 
 def _centre(prob, z):

@@ -39,6 +39,29 @@ def geometric_model(deltas, horizon, jump=None, x0=None):
     return SemiMarkovModel(n, horizon, pi, jump, x0)
 
 
+def deterministic_model():
+    """Every step has one outcome: a lattice of width W = 1."""
+    pi = np.zeros((2, 5))
+    pi[:, 0] = 1.0
+    jump = np.zeros((2, 5, 2))
+    jump[0, :, 1] = jump[1, :, 0] = 1.0
+    return SemiMarkovModel(2, 4, pi, jump, [1.0, 0.0])
+
+
+def dead_end_model():
+    """State 1 leaves with certainty at duration 1 and has nowhere to go (a
+    model validate_model rejects, which build_lattice accepts): its bracket,
+    pseudoinverse and noise vanish."""
+    t = 4
+    pi = np.zeros((2, t + 1))
+    pi[0] = 0.5 ** np.arange(1, t + 2)
+    pi[0, -1] = 0.5**t
+    pi[1, 0] = 1.0
+    jump = np.zeros((2, t + 1, 2))
+    jump[0, :, 1] = 1.0
+    return SemiMarkovModel(2, t, pi, jump, [1.0, 0.0])
+
+
 def tiny_model(x0=(1.0, 0.0)):
     """Two states, horizon 1: every derived matrix is hand-checkable."""
     pi = np.array([[0.4, 0.6], [0.5, 0.5]])

@@ -13,10 +13,15 @@ tables over every state, and the backward solvers filled (T+1, D) value
 and (T, D, W) integrand tables.  They live on here, unchanged in
 substance, as the oracle for the closed forms, the slice step, the level
 walk, the cell-major factors and solution tables and the hand-computed
-tiny-model tables.
+tiny-model tables.  The exact dual's per-call composition from before
+one call gathered the successor laws, real-slot masks and keys once and
+shared them between the noise, the step and the sweep (``oracle_factors``
+through ``oracle_dual_value``) is here too, its noise, step and flow each
+on arrays of their own.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +32,8 @@ from smcbsde import (
 )
 from smcbsde.bsde import _ambient_rows, _linear_terms, _verified_root
 from smcbsde.control import _ALPHA_GUARD
-from smcbsde.duality import DENOMINATOR_TOL, _algebra, _noise
+from smcbsde.duality import DENOMINATOR_TOL, Convention, _check_tables
+from smcbsde.lattice import _blocks
 
 
 def _brackets(p):
@@ -201,13 +207,13 @@ def pinv_noise(sys, beta):
 
 def full_noise(sys, beta):
     """Noise of every (time, source, successor slot) (T, D, W), 0 elsewhere
-    and without beta, by the library's closed form (duality._noise)."""
+    and without beta, by the closed form (oracle_noise)."""
     noise = np.zeros((sys.horizon,) + sys.succ.shape)
     if beta is not None:
         rows = sys.block_rows(beta, np.arange(sys.horizon),
                               sys.sources[:, None])
-        noise[:, sys.sources] = _noise(sys, rows, sys.sources[:, None]
-                                       ).transpose(1, 0, 2)
+        noise[:, sys.sources] = oracle_noise(sys, rows, sys.sources[:, None]
+                                             ).transpose(1, 0, 2)
     return noise
 
 
@@ -219,9 +225,132 @@ def full_factors(sys, sde):
     where there is none), and W_k = V_k * run[k, s].  The (T, D, W) tables
     the exact sweep read before it worked on the reachable cells."""
     noise = full_noise(sys, sde.beta)
-    den, step, run = _algebra(sde.convention, sde.alpha[:, :, None], noise)
+    den, step, run = oracle_algebra(sde.convention, sde.alpha[:, :, None],
+                                    noise)
     return sys.succ, sys.prob, np.broadcast_to(den, step.shape), step, \
         run[:, :, 0]
+
+
+class OracleFactors(NamedTuple):
+    """Weight factors at the plan's cells from time ``start`` on, cell-major:
+    the step from cell c through slot j multiplies V by step[c, j], whose
+    denominator is den[c, j], and W = V * run[c]."""
+
+    start: int
+    den: np.ndarray
+    step: np.ndarray
+    run: np.ndarray
+
+
+def oracle_noise(sys, rows, states):
+    """Noise (..., W) of rows b (..., W+1) on the blocks of the sources
+    ``states`` (...), in closed form with sum_i b_i read as sum_i c_i (b_i /
+    c_i), gathering the successor laws and real slots itself."""
+    c = sys.prob.take(states, axis=0)
+    n = np.divide(rows[..., 1:], c, out=np.zeros(rows[..., 1:].shape),
+                  where=sys.plan.real.take(states, axis=0))
+    sigma = np.einsum("...j->...", c)
+    shift = np.einsum("...j,...j->...", c, n) - (sigma - 1.0) * rows[..., 0]
+    n -= np.divide(shift, sigma, out=np.zeros(shift.shape),
+                   where=sigma > 0.0)[..., None]
+    return n
+
+
+def oracle_cell_noise(sys, beta, start):
+    """Noise (cells, W) at the plan's cells from time ``start`` on, gathered
+    in blocks of cells through the public block_rows into a table of its
+    own."""
+    plan = sys.plan
+    at = plan.span(start, sys.horizon)
+    times, cells = plan.times[at], plan.cells[at]
+    noise = np.empty((cells.size, sys.succ.shape[1]))
+    for blk in _blocks(cells.size, sys.block.shape[1]):
+        noise[blk] = oracle_noise(
+            sys, sys.block_rows(beta, times[blk], cells[blk]), cells[blk])
+    return noise
+
+
+def oracle_algebra(conv, a, noise):
+    """(den, step, run) of the steps with drift a and noise n under the
+    convention, each a new table: den is 1 where there is none."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if conv is Convention.SHIFTED:
+            return np.ones(noise.shape), 1.0 + a + noise, np.ones(np.shape(a))
+        if conv is Convention.IMPLICIT:
+            den = 1.0 - a - noise
+            return den, 1.0 / den, np.ones(np.shape(a))
+        den = 1.0 - a
+        return den, (1.0 + noise) / den, 1.0 / den
+
+
+def oracle_check_denominators(sys, den, times, states, slots):
+    """Raise VanishingDenominatorError at the first step, in (time, state,
+    slot) order, through a real slot whose denominator is within
+    DENOMINATOR_TOL of zero; the arguments broadcast together."""
+    bad = (np.abs(den) < DENOMINATOR_TOL) & sys.plan.real[states, slots]
+    if bad.any():
+        den, times, states, slots, bad = np.broadcast_arrays(
+            den, times, states, slots, bad)
+        key = np.where(bad, (times * sys.dim + states) * sys.succ.shape[1]
+                       + slots, np.iinfo(np.int64).max)
+        i = np.unravel_index(np.argmin(key), key.shape)
+        raise VanishingDenominatorError(f"weight denominator {den[i]} at "
+                                        f"time {times[i]}, state {states[i]}")
+
+
+def oracle_factors(sys, sde):
+    """The OracleFactors of sde from sde.start_time on; raises on the first
+    vanishing denominator among their real slots."""
+    plan = sys.plan
+    at = plan.span(sde.start_time, sys.horizon)
+    a = sde.alpha.take(plan.key[at])[:, None]
+    noise = np.zeros(a.shape) if sde.beta is None else \
+        oracle_cell_noise(sys, sde.beta, sde.start_time)
+    den, step, run = oracle_algebra(sde.convention, a, noise)
+    oracle_check_denominators(sys, den, plan.times[at, None],
+                              plan.cells[at, None],
+                              np.arange(sys.succ.shape[1]))
+    return OracleFactors(sde.start_time, den, step, run[:, 0])
+
+
+def oracle_sweep(sys, fac, g, terminal):
+    """Dual value u at the plan's cells from time fac.start on, cell-major:
+    u_k(s) = g_k(s) run_k(s) + sum_j c_s(j) step_k(s, j) u_{k+1}(j), a dead
+    route (zero flow or padding) adding nothing."""
+    plan, t, start = sys.plan, sys.horizon, fac.start
+    bounds = (plan.offset[start:t + 1] - plan.offset[start]).tolist()
+    first, n = int(plan.offset[start]), bounds[-1]
+    cells = plan.cells[first:]
+    src = cells[:n]
+    u = np.empty(cells.size + 1)
+    terminal.take(cells[n:], out=u[n:-1])
+    u[-1] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = sys.prob.take(src, axis=0)
+        flow *= fac.step
+        dead = (flow == 0.0) | ~plan.real.take(src, axis=0)
+        nxt = plan.next_cell[first:first + n] - first
+        nxt[dead] = cells.size
+        flow[dead] = 0.0
+        base = g.take(plan.key[first:first + n]) * fac.run
+        for k in range(t - start - 1, -1, -1):
+            now = slice(bounds[k], bounds[k + 1])
+            np.add(base[now], np.add.reduce(flow[now] * u[nxt[now]], axis=1),
+                   out=u[now])
+    return u[:-1]
+
+
+def oracle_dual_value(sys, sde, g, terminal):
+    """The exact dual_value (D,) from sde.start_time, NaN off the start
+    states, by oracle_factors and oracle_sweep."""
+    g = np.asarray(g, dtype=float)
+    terminal = np.asarray(terminal, dtype=float)
+    _check_tables(sys, sde, g, terminal)
+    starts = sys.reachable_at[sde.start_time]
+    out = np.full(sys.dim, np.nan)
+    out[starts] = oracle_sweep(sys, oracle_factors(sys, sde), g,
+                               terminal)[:starts.size]
+    return out
 
 
 def check_walked_denominators(sys, den, walked):

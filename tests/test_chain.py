@@ -1,6 +1,7 @@
 """Model validation, hazard tables, one-step matrices and simulation."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from smcbsde import (
     SemiMarkovModel,
     SimulationError,
     build_lattice,
+    files,
     martingale_increment,
     simulate,
     simulate_paths,
@@ -20,6 +22,7 @@ from smcbsde import (
     validate_model,
 )
 from smcbsde.chain import (
+    _SURVIVOR_SNAP,
     VALIDATION_TOL,
     Violation,
     _non_finite,
@@ -59,6 +62,16 @@ def test_from_start_state():
 def test_validate_clean_model():
     assert validate_model(tiny_model()) == []
     assert validate_model(geometric_model([0.3, 0.6], 5)) == []
+    # the generator's draws, full and sub-stochastic, and the sample models
+    # (a jump row is read at every attainable duration of positive hazard)
+    rng = np.random.default_rng(57)
+    for i in range(300):
+        model = random_model(rng, n_max=6, t_max=12,
+                             sub_stochastic_prob=(0.0, 0.3, 1.0)[i % 3])
+        assert validate_model(model) == []
+    samples = Path(__file__).resolve().parent.parent / "sample_inputs"
+    for path in sorted(samples.glob("*_model.json")):
+        assert validate_model(files._read_model(path)) == []
 
 
 def test_validate_finds_each_violation_kind():
@@ -89,6 +102,19 @@ def test_validate_finds_each_violation_kind():
                             uniform_jump(2, 2), [1.0, 0.0])
     assert any(v.field == "pi" and "outside" in v.message
                for v in validate_model(model))
+
+
+def _leaves(pi_i, m):
+    """True where a chain at duration m of a state with sojourn law pi_i
+    leaves with positive probability: mass survives to m, and pi_i puts
+    some at m or none survives m (a survivor mass at most _SURVIVOR_SNAP
+    counts as none)."""
+    def survivor(k):
+        s = 1.0 - sum(pi_i[:k])
+        return 0.0 if s <= _SURVIVOR_SNAP else s
+
+    prev = survivor(m - 1)
+    return prev > 0.0 and (pi_i[m - 1] / prev > 0.0 or survivor(m) == 0.0)
 
 
 def reference_validate_model(model, tol=VALIDATION_TOL):
@@ -126,7 +152,8 @@ def reference_validate_model(model, tol=VALIDATION_TOL):
                         f"self-jump probability {row[i]} must be zero",
                     )
                 )
-            if model.pi[i, m - 1] > tol and abs(row.sum() - 1.0) > tol:
+            if (model.pi[i, m - 1] > tol or _leaves(model.pi[i], m)) \
+                    and abs(row.sum() - 1.0) > tol:
                 out.append(
                     Violation(
                         "jump",
@@ -165,6 +192,21 @@ def test_validate_model_matches_cell_loop(model):
     got = validate_model(model)
     assert got == reference_validate_model(model)
     assert [str(v) for v in got] == [str(v) for v in reference_validate_model(model)]
+
+
+def test_validate_model_checks_the_jump_row_where_the_chain_leaves():
+    # duration 2 of state 0 holds 1e-11 of its sojourn law, below the
+    # tolerance, yet a chain there leaves with certainty (hazard 1): the
+    # cell's outcome law is its jump row, which sums to 1e-310
+    pi = np.array([[1.0 - 1e-11, 1e-11, 0.0], [0.5, 0.5, 0.0]])
+    jump = np.zeros((2, 3, 2))
+    jump[0, :, 1] = jump[1, :, 0] = 1.0
+    jump[0, 1] = [0.0, 1e-310]
+    model = SemiMarkovModel(2, 2, pi, jump, [1.0, 0.0])
+    assert validate_model(model) == [Violation(
+        "jump", (0, 2), "jump row sums to 1e-310, must be 1 where the "
+        "sojourn law puts mass")]
+    assert validate_model(model) == reference_validate_model(model)
 
 
 def test_violation_str_is_informative():

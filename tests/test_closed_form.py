@@ -13,12 +13,11 @@ draws, a lattice of width W = 1 and one with a source without successors.
 import numpy as np
 import pytest
 
-from conftest import geometric_model
+from conftest import dead_end_model, deterministic_model, geometric_model
 from dense import block_geometry, pinv_noise
 from smcbsde import (
     ControlProblem,
     Convention,
-    SemiMarkovModel,
     WeightSde,
     build_lattice,
     comparison_condition,
@@ -31,32 +30,10 @@ from smcbsde.instances import random_model
 from smcbsde.linalg import _bracket_norms, _per_time_max
 
 
-def _deterministic():
-    # every step has one outcome: W = 1
-    pi = np.zeros((2, 5))
-    pi[:, 0] = 1.0
-    jump = np.zeros((2, 5, 2))
-    jump[0, :, 1] = jump[1, :, 0] = 1.0
-    return SemiMarkovModel(2, 4, pi, jump, [1.0, 0.0])
-
-
-def _dead_end():
-    # state 1 leaves with certainty at duration 1 and has nowhere to go (a
-    # model validate_model rejects, which build_lattice accepts): its
-    # bracket, pseudoinverse and noise vanish
-    t = 4
-    pi = np.zeros((2, t + 1))
-    pi[0] = 0.5 ** np.arange(1, t + 2)
-    pi[0, -1] = 0.5**t
-    pi[1, 0] = 1.0
-    jump = np.zeros((2, t + 1, 2))
-    jump[0, :, 1] = 1.0
-    return SemiMarkovModel(2, t, pi, jump, [1.0, 0.0])
-
-
 def _models():
     rng = np.random.default_rng(2024)
-    out = [("deterministic-W1", _deterministic), ("dead-end", _dead_end)]
+    out = [("deterministic-W1", deterministic_model),
+           ("dead-end", dead_end_model)]
     for i in range(24):
         n, t = int(rng.integers(2, 7)), int(rng.integers(2, 11))
         deltas = rng.uniform(0.05, 0.95, n)
@@ -123,7 +100,8 @@ def test_closed_forms_match_the_svd_oracle(make):
     real = plan.real[cells]
     beta = rng.standard_normal((t, d, w + 1))
     want = pinv_noise(sys_, beta)[times, src]
-    assert_near(_cell_noise(sys_, beta, 0)[real], want[real])
+    got = _cell_noise(sys_, beta, at, sys_.prob[cells], real)
+    assert_near(got[real], want[real])
 
     # _gather's coef: each row b through the oracle projector
     for shape in ((t, d), (t, d, 3)):

@@ -874,19 +874,17 @@ def test_cell_factors_are_the_full_tables_at_the_cells(monkeypatch, entries):
             for start in range(sys_.horizon):
                 at = plan.span(start, sys_.horizon)
                 k, s = plan.times[at], plan.cells[at]
-                np.testing.assert_array_equal(
-                    duality._cell_noise(sys_, beta, start), noise[k, s])
+                np.testing.assert_array_equal(duality._cell_noise(
+                    sys_, beta, at, sys_.prob[s], plan.real[s]), noise[k, s])
             for conv in Convention:
                 sde = WeightSde(driver.alpha, beta, conv)
-                _, _, den, step, run = full_factors(sys_, sde)
+                _, _, _, step, run = full_factors(sys_, sde)
                 for start in range(sys_.horizon):
                     fac = _factors(sys_, WeightSde(driver.alpha, beta, conv,
                                                    start))
                     at = plan.span(start, sys_.horizon)
                     k, s = plan.times[at], plan.cells[at]
                     np.testing.assert_array_equal(fac.step, step[k, s])
-                    np.testing.assert_array_equal(
-                        np.broadcast_to(fac.den, fac.step.shape), den[k, s])
                     np.testing.assert_array_equal(fac.run, run[k, s])
 
 

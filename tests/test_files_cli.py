@@ -30,7 +30,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model, tiny_model
-from dense import geometry_for, transition
+from dense import geometry_for, oracle_cell_noise, transition
 
 
 @pytest.fixture
@@ -725,6 +725,63 @@ def test_cli_solve_bsde_unit_drift_exits_1(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (
         f"error: {path}: alpha[{k}, {s}] = 1.0: y - f is not a bijection\n")
+
+
+@pytest.fixture
+def vanishing_implicit(tmp_path):
+    """Model and problem files on geometric N=2, T=4 with beta rows on the
+    blocks, where the implicit weight denominator 1 - a - n_0 of the cell
+    at plan position 3 (time 2, state 0) is exactly zero."""
+    model = geometric_model([0.3, 0.6], 4)
+    sys_ = build_lattice(model)
+    t, d, w = sys_.horizon, sys_.dim, sys_.block.shape[1]
+    rng = np.random.default_rng(0)
+    beta = rng.standard_normal((t, d, w)) * 0.2
+    alpha = np.full((t, d), 0.1)
+    k, s = int(sys_.plan.times[3]), int(sys_.plan.cells[3])
+    assert (k, s) == (2, 0)
+    alpha[k, s] = 1.0 - oracle_cell_noise(sys_, beta, 0)[3, 0]
+    assert 1.0 - alpha[k, s] - oracle_cell_noise(sys_, beta, 0)[3, 0] == 0.0
+    files.save_model(tmp_path / "model.json", model)
+    files.save_linear_problem(
+        tmp_path / "problem.json",
+        LinearDriver(alpha, rng.uniform(-1.0, 1.0, (t, d)), beta),
+        rng.uniform(-1.0, 1.0, d))
+    return ["--model", str(tmp_path / "model.json"),
+            "--problem", str(tmp_path / "problem.json")]
+
+
+@pytest.mark.parametrize("command", ["solve-bsde", "verify-duality"])
+def test_cli_selected_vanishing_denominator_exits_1(
+        tmp_path, capsys, vanishing_implicit, command):
+    out = tmp_path / "out"
+    rc = cli.main([command, *vanishing_implicit, "--convention", "implicit",
+                   "--out", str(out)])
+    assert rc == 1
+    problem = vanishing_implicit[-1]
+    assert capsys.readouterr().err == (
+        f"error: {problem}: weight denominator 0.0 at time 2, state 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("convention", ["auto", "mixed"])
+def test_cli_unselected_vanishing_denominator_has_null_residuals(
+        tmp_path, capsys, vanishing_implicit, convention):
+    out = tmp_path / "duality.json"
+    rc = cli.main(["verify-duality", *vanishing_implicit, "--convention",
+                   convention, "--out", str(out)])
+    assert rc == 0
+    assert "  implicit  weight denominator 0.0 at time 2, state 0\n" in \
+        capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["metadata"]["convention"] == "mixed"
+    for field in ("residual_per_convention",
+                  "scaled_residual_per_convention"):
+        assert payload[field]["implicit"] is None
+        assert payload[field]["mixed"] <= 1e-12
+        assert payload[field]["shifted"] > 0.0
+    assert cli.main(["solve-bsde", *vanishing_implicit, "--out",
+                     str(tmp_path / "sol")]) == 0
 
 
 def test_cli_solve_control_without_a_sign_change_exits_1(tmp_path, capsys):
