@@ -15,15 +15,15 @@ Affine drivers, a linear driver or a control problem's grid of them, share
 one kernel: _gather reads their terms once at the plan's cells for the
 caller's checks, and _affine_solve takes the largest closed form at each
 cell, a verified root only at the cells its caller lists.  General drivers
-get the ambient row, built per slice for the reachable sources only, and a
-verified root cell by cell: a sign change of y - f on a wide bracket, a
-sweep of 32 samples spaced as np.linspace spaces them that finds y - f
-monotone, and Brent's refinement to 1e-12 (_brent, a port of scipy's
-brentq.c that gives brentq's root bit for bit).  Each bracket end is
-evaluated once: its value serves the sign check, the sweep and the start
-of the refinement.  A NaN of y - f at any sample or step raises
-BijectionError naming the cell.  The root needs no scipy, so importing
-the package loads numpy alone.
+get the ambient row, built per slice for the reachable sources only.  Both
+take one verified root per time slice, _verified_roots: every cell's wide
+bracket and 32 samples spaced as np.linspace spaces them, as arrays; the
+driver once per sample; a sign change and monotone y - f as array checks;
+then Brent's refinement to 1e-12 per cell from the two end values (_brent,
+a port of scipy's brentq.c that gives brentq's root bit for bit).  A NaN
+of y - f at any sample or step, or a bracket that is not finite, raises
+BijectionError naming the first failing cell of the slice.  The root needs
+no scipy, so importing the package loads numpy alone.
 
 Solutions are cell-major over the lattice's slice plan: a value per
 reachable cell, and the local integrand rows (W,) on each source's
@@ -212,32 +212,46 @@ def _terminal_array(sys, terminal):
     return term
 
 
-def _evaluate(phi, y, context):
-    """phi(y) as a Python float; BijectionError where it is NaN."""
-    v = float(phi(y))
-    if math.isnan(v):
-        raise BijectionError(f"y - f is NaN at y = {y}{context}")
-    return v
-
-
-def _verified_root(phi, center, context=""):
-    """Root of y -> phi(y) after checking the map brackets and is monotone.
-
-    The samples are spaced as np.linspace spaces them, its two ends
-    included; each end is evaluated once, for the sign check, the sweep and
-    the refinement alike."""
-    radius = (1.0 + abs(center)) * _BRACKET_FACTOR
-    lo, hi = center - radius, center + radius
-    flo, fhi = _evaluate(phi, lo, context), _evaluate(phi, hi, context)
-    if not (flo < 0.0 < fhi):
-        raise BijectionError(f"no sign change for y - f on [{lo}, {hi}]{context}")
-    step = (hi - lo) / (_MONOTONE_SAMPLES - 1)
-    vals = [flo, *(_evaluate(phi, i * step + lo, context)
-                   for i in range(1, _MONOTONE_SAMPLES - 1)), fhi]
-    for a, b in zip(vals, vals[1:]):
-        if b - a < -ROOT_TOL * (1.0 + abs(a)):
-            raise BijectionError(f"y - f is not monotone on the bracket{context}")
-    return _brent(phi, lo, hi, flo, fhi, context)
+def _verified_roots(center, drivers, driver, k, states):
+    """Roots of y - F_j(y) = center[j] at the cells j of one time slice, each
+    after checking that the map brackets and is monotone on 32 samples
+    spaced as np.linspace spaces them.  drivers(calls) gives F (float64) at
+    the samples (m, 32) of the first m cells in a scalar driver's call
+    order, the ends then the inner samples; driver(j, y) gives F_j(y).  The
+    first failing cell raises what the cell-wise checks raised, naming time
+    k and states[j], once the cells before it are refined; one whose
+    bracket is not finite, before F is read there."""
+    with np.errstate(all="ignore"):  # the cell-wise floats never warned
+        radius = (1.0 + np.abs(center)) * _BRACKET_FACTOR
+        lo, hi = center - radius, center + radius
+        inner = np.arange(1, _MONOTONE_SAMPLES - 1) \
+            * ((hi - lo) / (_MONOTONE_SAMPLES - 1))[:, None] + lo[:, None]
+    # the first cell whose bracket is not finite, n if none
+    m = int(np.argmin(np.append(np.isfinite(lo) & np.isfinite(hi), False)))
+    calls = np.concatenate((lo[:m, None], hi[:m, None], inner[:m]), axis=1)
+    f = drivers(calls).reshape(calls.shape)
+    with np.errstate(all="ignore"):
+        p = calls - f - center[:m, None]
+        vals = p[:, [0, *range(2, _MONOTONE_SAMPLES), 1]]  # linspace's order
+        fail = np.isnan(p).any(axis=1) | ~((p[:, 0] < 0.0) & (p[:, 1] > 0.0))
+        fail |= (np.diff(vals) < -ROOT_TOL * (1.0 + np.abs(vals[:, :-1]))).any(1)
+    j, c = int(np.argmax(np.append(fail, True))), center.tolist()
+    where = [f" at time {k}, state {s}" for s in states[:j + 1]]
+    roots = [_brent(lambda y: y - float(driver(i, y)) - c[i], *ends, where[i])
+             for i, ends in enumerate(zip(lo.tolist(), hi.tolist(),
+                                          *p[:j, :2].T.tolist()))]
+    if j == len(c):
+        return roots
+    if j == m:
+        raise BijectionError(f"the bracket [{float(lo[j])}, {float(hi[j])}] "
+                             f"of y - f is not finite{where[j]}")
+    y, v = calls[j].tolist(), p[j].tolist()
+    nan = [i for i, x in enumerate(v) if math.isnan(x)]
+    sign = v[0] < 0.0 < v[1]
+    raise BijectionError((
+        f"y - f is NaN at y = {y[nan[0]]}" if nan and (sign or nan[0] < 2)
+        else "y - f is not monotone on the bracket" if sign
+        else f"no sign change for y - f on [{y[0]}, {y[1]}]") + where[j])
 
 
 def _brent(phi, xpre, xcur, fpre, fcur, context):
@@ -276,7 +290,8 @@ def _brent(phi, xpre, xcur, fpre, fcur, context):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _evaluate(phi, xcur, context)
+        if math.isnan(fcur := float(phi(xcur))):
+            raise BijectionError(f"y - f is NaN at y = {xcur}{context}")
     raise BijectionError(
         f"the root did not converge in {_BRENT_STEPS} steps{context}")
 
@@ -434,11 +449,14 @@ def _affine_solve(sys, terms, values, local, roots=()):
             continue
         with np.errstate(all="ignore"):  # discarded at the roots
             y = terms.closed(at, mean, z)
-        for c in roots[cut[k]:cut[k + 1]]:
-            i = c - at.start
-            y[i] = _verified_root(
-                lambda v: v - float(np.max(terms.value(c, v, z[i]))) - mean[i],
-                float(mean[i]), f" at time {k}, state {sys.plan.cells[c]}")
+        c = roots[cut[k]:cut[k + 1]]
+        i = c - at.start
+        # the largest driver at each sample, taken over the cells' controls
+        y[i] = _verified_roots(
+            mean[i], lambda calls: terms.value(
+                c[:len(calls)], calls.T, z[i[:len(calls)]]).max(axis=-1).T,
+            lambda j, v: np.max(terms.value(c[j], v, z[i[j]])), k,
+            sys.plan.cells[c])
         values[at] = y
 
 
@@ -480,12 +498,13 @@ def solve_bsde(sys, driver, terminal) -> BsdeSolution:
     values, local = _tables(sys, _terminal_array(sys, terminal))
     for k, at, mean, z in _backward(sys, values):
         local[at] = z
-        # a verified root per cell, the driver reading the ambient row
-        values[at] = [_verified_root(lambda y: y - driver.fn(k, s, y, row) - m,
-                                     m, f" at time {k}, state {s}")
-                      for s, m, row in zip(sys.reachable_at[k].tolist(),
-                                           mean.tolist(),
-                                           _ambient_rows(sys, k, z))]
+        # the driver reads the ambient rows, called once per sample
+        src, rows = sys.reachable_at[k].tolist(), _ambient_rows(sys, k, z)
+        values[at] = _verified_roots(
+            mean, lambda calls: np.fromiter(
+                (driver.fn(k, s, y, row) for s, row, ys in zip(src, rows, calls)
+                 for y in ys.tolist()), float, calls.size),
+            lambda j, y: driver.fn(k, src[j], y, rows[j]), k, src)
     return _solution(sys, values, local)
 
 

@@ -17,9 +17,12 @@ tiny-model tables.  The exact dual's per-call composition from before
 one call gathered the successor laws, real-slot masks and keys once and
 shared them between the noise, the step and the sweep (``oracle_factors``
 through ``oracle_dual_value``) is here too, its noise, step and flow each
-on arrays of their own.
+on arrays of their own, and so is the general driver's verified root from
+before its checks read a whole time slice as arrays: ``_verified_root``,
+one cell at a time, the oracle of ``bsde._verified_roots``.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,10 +33,39 @@ from smcbsde import (
     UnreachableStateError,
     VanishingDenominatorError,
 )
-from smcbsde.bsde import _ambient_rows, _linear_terms, _verified_root
+from smcbsde.bsde import (_BRACKET_FACTOR, _MONOTONE_SAMPLES, ROOT_TOL,
+                          BijectionError, _ambient_rows, _brent, _linear_terms)
 from smcbsde.control import _ALPHA_GUARD
 from smcbsde.duality import DENOMINATOR_TOL, Convention, _check_tables
 from smcbsde.lattice import _blocks
+
+
+def _evaluate(phi, y, context):
+    """phi(y) as a Python float; BijectionError where it is NaN."""
+    v = float(phi(y))
+    if math.isnan(v):
+        raise BijectionError(f"y - f is NaN at y = {y}{context}")
+    return v
+
+
+def _verified_root(phi, center, context=""):
+    """Root of y -> phi(y) after checking the map brackets and is monotone.
+
+    The samples are spaced as np.linspace spaces them, its two ends
+    included; each end is evaluated once, for the sign check, the sweep and
+    the refinement alike."""
+    radius = (1.0 + abs(center)) * _BRACKET_FACTOR
+    lo, hi = center - radius, center + radius
+    flo, fhi = _evaluate(phi, lo, context), _evaluate(phi, hi, context)
+    if not (flo < 0.0 < fhi):
+        raise BijectionError(f"no sign change for y - f on [{lo}, {hi}]{context}")
+    step = (hi - lo) / (_MONOTONE_SAMPLES - 1)
+    vals = [flo, *(_evaluate(phi, i * step + lo, context)
+                   for i in range(1, _MONOTONE_SAMPLES - 1)), fhi]
+    for a, b in zip(vals, vals[1:]):
+        if b - a < -ROOT_TOL * (1.0 + abs(a)):
+            raise BijectionError(f"y - f is not monotone on the bracket{context}")
+    return _brent(phi, lo, hi, flo, fhi, context)
 
 
 def _brackets(p):

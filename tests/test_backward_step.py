@@ -38,7 +38,7 @@ from smcbsde import (
     weight_bounds,
 )
 from smcbsde import bsde, control
-from smcbsde.bsde import _terminal_array, _verified_root
+from smcbsde.bsde import _terminal_array
 from smcbsde.control import _expected_max_gap_sq
 from smcbsde.instances import (
     random_comparison_pair,
@@ -48,7 +48,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model, tiny_model
-from dense import dense_beta, geometry_for, transition
+from dense import _verified_root, dense_beta, geometry_for, transition
 
 # ---------------------------------------------------------------------------
 # References: the per-source loops

@@ -4,8 +4,11 @@ scipy-based root it replaced.
 ``scipy_verified_root`` is that root as it was: a sign check on the bracket
 ends, 32 ``np.linspace`` samples for the monotonicity sweep, then
 ``scipy.optimize.brentq`` from the two ends, so each end was evaluated three
-times.  The package's root reuses the two end values and refines by its own
-port of brentq.c; it must return the same float, bit for bit.
+times.  The per-cell root that followed it (``dense._verified_root``)
+reuses the two end values and refines by the package's port of brentq.c,
+and the package's slice routine (``bsde._verified_roots``) checks a whole
+time slice's samples as arrays before that refinement; each must return
+the same float, bit for bit.
 """
 
 import math
@@ -24,9 +27,10 @@ from scipy.optimize import brentq
 import smcbsde
 from smcbsde import BijectionError, GeneralDriver, build_lattice, solve_bsde
 from smcbsde import bsde
-from smcbsde.bsde import ROOT_TOL, _verified_root
+from smcbsde.bsde import ROOT_TOL, _verified_roots
 
 from conftest import geometric_model, tiny_model
+from dense import _verified_root
 
 
 def scipy_verified_root(phi, center, context=""):
@@ -68,18 +72,62 @@ MAPS = {
 }
 
 
-@settings(max_examples=600, deadline=None, database=None, derandomize=True)
-@given(kind=st.sampled_from(sorted(MAPS)), a=_scale(), b=_scale(),
-       c=_scale(), center=_scale())
-def test_verified_root_matches_scipy_brentq_bit_for_bit(kind, a, b, c, center):
-    phi = MAPS[kind](a, b, c)
-    want = _outcome(scipy_verified_root, phi, center)
-    got = _outcome(_verified_root, phi, center)
+# maps of the affine, tanh and cubic kinds as drivers F: the slice routine
+# reads y - F(y) - center at a cell of the given centre.  The tiny map has
+# no such form, as y - F(y) cannot resolve values near 1e-300
+DRIVERS = {
+    "affine": lambda a, b, c: lambda y: a * y + b + c,
+    "tanh": lambda a, b, c: lambda y: 2.0 * a * math.tanh(b * y + c),
+    "cubic": lambda a, b, c: lambda y: y - (y - b) ** 3 * abs(a) - (y - b) * a,
+}
+
+
+def _slice_outcome(fns, centers):
+    try:
+        return _verified_roots(
+            np.array(centers),
+            lambda calls: np.array([fns[j](y) for j, ys in
+                                    enumerate(calls.tolist()) for y in ys]),
+            lambda j, y: fns[j](y), 0, range(len(fns)))
+    except BijectionError:
+        return BijectionError
+
+
+def _same(got, want):
     if want is BijectionError:
         assert got is BijectionError
     else:
         assert type(got) is float
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(MAPS)), a=_scale(), b=_scale(),
+       c=_scale(), center=_scale())
+def test_verified_root_matches_scipy_brentq_bit_for_bit(kind, a, b, c, center):
+    phi = MAPS[kind](a, b, c)
+    _same(_outcome(_verified_root, phi, center),
+          _outcome(scipy_verified_root, phi, center))
+    if kind not in DRIVERS:
+        return
+    # the slice routine, on a one-cell slice, and on a slice of five cells
+    # whose drivers and centres differ: its roots where every cell has one,
+    # else a BijectionError
+    fns, centers = [], []
+    for j, scale in enumerate((1.0, -0.5, 2.0, 1e-3, -3.0)):
+        fns.append(DRIVERS[kind](a * scale, b + j, c * scale))
+        centers.append(center * scale + j)
+    want = [_outcome(scipy_verified_root,
+                     lambda y, f=f, m=m: y - f(y) - m, m)
+            for f, m in zip(fns, centers)]
+    for n in (1, len(fns)):
+        got = _slice_outcome(fns[:n], centers[:n])
+        if BijectionError in want[:n]:
+            assert got is BijectionError
+        else:
+            assert len(got) == n
+            for g, w in zip(got, want):
+                _same(g, w)
 
 
 def test_each_bracket_end_is_evaluated_once_per_cell():
