@@ -21,7 +21,7 @@ bracket and 32 samples spaced as np.linspace spaces them, as arrays; the
 driver once per sample; a sign change and monotone y - f as array checks;
 then Brent's refinement to 1e-12 per cell from the two end values (_brent,
 a port of scipy's brentq.c that gives brentq's root bit for bit).  A NaN
-of y - f at any sample or step, or a bracket that is not finite, raises
+of y - f at any sample or step, or a bracket of no finite width, raises
 BijectionError naming the first failing cell of the slice.  The root needs
 no scipy, so importing the package loads numpy alone.
 
@@ -220,14 +220,14 @@ def _verified_roots(center, drivers, driver, k, states):
     order, the ends then the inner samples; driver(j, y) gives F_j(y).  The
     first failing cell raises what the cell-wise checks raised, naming time
     k and states[j], once the cells before it are refined; one whose
-    bracket is not finite, before F is read there."""
+    bracket's width is not finite, before F is read there."""
     with np.errstate(all="ignore"):  # the cell-wise floats never warned
         radius = (1.0 + np.abs(center)) * _BRACKET_FACTOR
         lo, hi = center - radius, center + radius
         inner = np.arange(1, _MONOTONE_SAMPLES - 1) \
             * ((hi - lo) / (_MONOTONE_SAMPLES - 1))[:, None] + lo[:, None]
-    # the first cell whose bracket is not finite, n if none
-    m = int(np.argmin(np.append(np.isfinite(lo) & np.isfinite(hi), False)))
+        # the first cell whose bracket's width is not finite, n if none
+        m = int(np.argmin(np.append(np.isfinite(hi - lo), False)))
     calls = np.concatenate((lo[:m, None], hi[:m, None], inner[:m]), axis=1)
     f = drivers(calls).reshape(calls.shape)
     with np.errstate(all="ignore"):
@@ -243,8 +243,8 @@ def _verified_roots(center, drivers, driver, k, states):
     if j == len(c):
         return roots
     if j == m:
-        raise BijectionError(f"the bracket [{float(lo[j])}, {float(hi[j])}] "
-                             f"of y - f is not finite{where[j]}")
+        raise BijectionError(f"the width of the bracket [{float(lo[j])}, "
+                             f"{float(hi[j])}] of y - f is not finite{where[j]}")
     y, v = calls[j].tolist(), p[j].tolist()
     nan = [i for i, x in enumerate(v) if math.isnan(x)]
     sign = v[0] < 0.0 < v[1]

@@ -135,9 +135,9 @@ def _cmd_simulate(args):
         return EXIT_INVALID
     model = files.load_model(args.model)
     states, durations = simulate_paths(model, n, seed=args.seed)
-    path, time = np.indices(states.shape)
-    table = np.stack((path, time, states, durations), axis=-1).reshape(-1, 4)
-    files.write_csv(args.out, ("path", "time", "state", "duration"), table)
+    t, drawn = states.shape[1], (states.ravel(), durations.ravel())
+    files.write_csv(args.out, ("path", "time", "state", "duration"),
+                    (np.arange(n).repeat(t), np.tile(np.arange(t), n), *drawn))
     print(f"wrote {n} path(s) of length {model.horizon + 1} to {args.out}")
     return EXIT_OK
 
@@ -560,6 +560,10 @@ _parser = cache(build_parser)
 def main(argv=None) -> int:
     _configure_logging()
     args = _parser().parse_args(argv)
+    if (getattr(args, "seed", None) or 0) < 0:
+        print(f"error: --seed must be a non-negative integer, not {args.seed}",
+              file=sys.stderr)
+        return EXIT_INVALID
     try:
         return args.func(args)
     except files.FileFormatError as exc:

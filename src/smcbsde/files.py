@@ -27,10 +27,11 @@ the open file and never holds the whole text; an array's line is dumped a
 block of rows at a time (``lattice._blocks``), with the bytes one dump of
 the whole array gives, and a packed table is base64-encoded from slices of
 ``_PIECE`` entries (a multiple of 3, so the pieces join into the text one
-encode of the whole table gives).  ``write_csv`` formats a block of rows at
-a time.  A packed field is decoded the same way, piece by piece, straight
-into the table it returns, so a load holds the document's text and strings
-and the tables, about twice the file, and a save no copy of its tables.
+encode of the whole table gives).  ``write_csv`` formats 1-D columns a block
+of rows at a time, integers from digit tables (``_int_lines``).  A packed
+field is decoded the same way, piece by piece, straight into the table it
+returns, so a load holds the document's text and strings and the tables,
+about twice the file, and a save no copy of its tables.
 
 Rows: a problem loader given the lattice ``sys`` the problem is solved on
 (as the CLI's solve-bsde, verify-duality and solve-control do) decodes a
@@ -207,30 +208,34 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _int_lines(rows):
-    """The lines "%d,...,%d" of an integer array (R, C) as ASCII, one block
-    of rows at a time, built in numpy: each column right-aligned in a
-    (width, rows) byte table by repeated divmod, a '-' before a negative's
-    first digit, then every blank (a zero byte) dropped by one compress."""
-    rows = np.asarray(rows, dtype=np.int64)
-    for at in _blocks(rows.shape[0], rows.shape[1]):
+def _int_lines(columns):
+    """The lines "%d,...,%d" of equally long 1-D integer columns as ASCII,
+    one block of rows at a time, built in numpy: each column right-aligned
+    in a (width, rows) byte table by repeated divmod (once per value of its
+    span where that is no wider than the block, then taken by row), a '-'
+    before a negative's first digit, every blank (a zero byte) dropped."""
+    for at in _blocks(len(columns[0]), len(columns)):
         parts, n = [], at.stop - at.start
-        for col in rows[at].T:
+        for c in columns:
+            col = np.asarray(c[at], dtype=np.int64)
+            lo, hi = int(col.min()), int(col.max())
+            values = np.arange(hi - lo + 1, dtype=np.int64) + lo \
+                if hi - lo < n else col
             # |int64 min| wraps to itself, which reads right as uint64; the
             # divmods run in the narrowest type that holds the column
-            left, sign = np.abs(col).view(np.uint64), col < 0
-            width = len(str(left.max())) + bool(sign.any())
-            left = left.astype(np.min_scalar_type(left.max()))
-            table = np.empty((width, n), np.uint8)
+            left, sign = np.abs(values).view(np.uint64), values < 0
+            width = len(str(max(-lo, hi))) + (lo < 0)
+            left = left.astype(np.min_scalar_type(max(-lo, hi)))
+            table = np.empty((width, len(values)), np.uint8)
             for i in range(width - 1, -1, -1):
                 digit = (left > 0) | (i == width - 1)
                 left, d = np.divmod(left, 10)
                 table[i] = np.where(digit, d + 48, sign * np.uint8(45))
                 sign &= digit
-            parts += [table, np.full((1, n), ord(","), np.uint8)]
+            parts += [table if values is col else table.take(col - lo, 1),
+                      np.full((1, n), ord(","), np.uint8)]
         parts[-1:] = [np.full((1, n), ord("\n"), np.uint8)]
-        line = np.concatenate(parts).T
-        yield line[line != 0].tobytes()
+        yield np.concatenate(parts).T.tobytes().translate(None, b"\0")
 
 
 def _column_lines(columns):
@@ -246,16 +251,17 @@ def _column_lines(columns):
         yield (line * len(block) % tuple(block.ravel().tolist())).encode()
 
 
-def write_csv(path, header, rows) -> None:
-    """CSV of a header and rows: a 2-D integer array, whose text
-    (_int_lines) is the same as the %d format's, or a tuple of 1-D numpy
-    columns (_column_lines); written a block of rows at a time."""
+def write_csv(path, header, columns) -> None:
+    """CSV of a header and a tuple of equally long 1-D numpy columns,
+    written a block of rows at a time: columns that are all integers by
+    _int_lines, whose text is the same as the %d format's, any others by
+    _column_lines."""
     with _output(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if isinstance(rows, np.ndarray):
-            fh.writelines(_int_lines(rows))
+        if all(np.can_cast(c.dtype, np.int64) for c in columns):
+            fh.writelines(_int_lines(columns))
         else:
-            fh.writelines(_column_lines(rows))
+            fh.writelines(_column_lines(columns))
 
 
 def _require(doc, field, path):

@@ -53,9 +53,13 @@ def _verified_root(phi, center, context=""):
 
     The samples are spaced as np.linspace spaces them, its two ends
     included; each end is evaluated once, for the sign check, the sweep and
-    the refinement alike."""
+    the refinement alike.  A bracket whose width is not finite (its ends or
+    their difference overflow) raises before phi is read."""
     radius = (1.0 + abs(center)) * _BRACKET_FACTOR
     lo, hi = center - radius, center + radius
+    if not math.isfinite(hi - lo):
+        raise BijectionError(f"the width of the bracket [{lo}, {hi}] of y - f "
+                             f"is not finite{context}")
     flo, fhi = _evaluate(phi, lo, context), _evaluate(phi, hi, context)
     if not (flo < 0.0 < fhi):
         raise BijectionError(f"no sign change for y - f on [{lo}, {hi}]{context}")

@@ -20,6 +20,8 @@ from smcbsde import (
     build_lattice,
     cli,
     files,
+    lattice,
+    simulate_paths,
     solve_bsde,
     solve_control,
 )
@@ -262,6 +264,45 @@ def test_cli_simulate_byte_identical(workdir, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "path,time,state,duration"
+
+
+def _path_rows(model, n_paths, seed):
+    """The rows (path, time, state, duration) of simulate_paths' draws."""
+    states, durations = simulate_paths(model, n_paths, seed=seed)
+    path, time = np.indices(states.shape)
+    return np.stack((path, time, states, durations), axis=-1).reshape(-1, 4)
+
+
+def test_cli_simulate_writes_the_percent_text_of_simulate_paths(tmp_path):
+    model = geometric_model((0.3, 0.5, 0.6), 8)
+    files.save_model(tmp_path / "model.json", model)
+    out = tmp_path / "paths.csv"
+    assert cli.main(["simulate", "--model", str(tmp_path / "model.json"),
+                     "--out", str(out), "--seed", "11", "--mc-paths",
+                     "400"]) == 0
+    rows = _path_rows(model, 400, 11)
+    want = "path,time,state,duration\n" + "%d,%d,%d,%d\n" * len(rows) % tuple(
+        rows.ravel().tolist())
+    assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve-bsde",
+                                     "verify-duality", "verify-all"])
+def test_a_negative_seed_exits_one(workdir, capsys, command):
+    # -1 once raised numpy's ValueError from np.random.default_rng
+    model, problem = str(workdir / "model.json"), str(workdir / "linear.json")
+    out = workdir / "out"
+    argv = {
+        "simulate": ["--model", model, "--out", str(out)],
+        "solve-bsde": ["--model", model, "--problem", problem, "--out",
+                       str(out), "--convention", "auto"],
+        "verify-duality": ["--model", model, "--problem", problem],
+        "verify-all": ["--out", str(out)],
+    }[command]
+    assert cli.main([command, *argv, "--seed", "-1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --seed must be a non-negative integer, not -1\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -886,20 +927,44 @@ def test_cli_artifacts_do_not_depend_on_the_beta_layout(tmp_path, command):
 _I64 = np.iinfo(np.int64)
 
 
-@pytest.mark.parametrize("rows", [
-    np.zeros((4, 3), dtype=np.int64),
-    np.array([[-1, 0, 1], [-10, -99, 100], [-7, 5, -123456]]),
-    np.array([[10**12, -10**12, 10**15 + 7], [_I64.max, _I64.min, 0]]),
-    np.array([[255, 256, 65535, 65536, 2**32, -(2**32) - 1]]),  # one row
-    np.arange(-12, 13).reshape(-1, 1),  # one column
-    np.zeros((0, 4), dtype=np.int64),  # zero rows
+@pytest.mark.parametrize("rows, block_entries", [
+    (np.zeros((4, 3), dtype=np.int64), None),
+    (np.array([[-1, 0, 1], [-10, -99, 100], [-7, 5, -123456]]), None),
+    (np.array([[10**12, -10**12, 10**15 + 7], [_I64.max, _I64.min, 0]]), None),
+    (np.array([[255, 256, 65535, 65536, 2**32, -(2**32) - 1]]),
+     None),  # one row
+    (np.arange(-12, 13).reshape(-1, 1), None),  # one column
+    (np.zeros((0, 4), dtype=np.int64), None),  # zero rows
     # several blocks of rows, each with its own column widths
-    np.random.default_rng(5).integers(-10**6, 10**9, (150_000, 3)),
+    (np.random.default_rng(5).integers(-10**6, 10**9, (150_000, 3)), None),
+    # simulate's table: 3000 paths of 31 steps in two blocks of rows
+    (_path_rows(geometric_model((0.2, 0.4, 0.6, 0.8), 30), 3000, 4), None),
+    # a negative range no wider than the rows: the digit-table side
+    (np.random.default_rng(6).integers(-5000, -4000, (2000, 2)), None),
+    # value ranges (max - min + 1) of rows - 1 and of rows, which take the
+    # digit table, and of rows + 1, which takes the digits per entry
+    (np.stack((np.arange(40) % 39 - 20, np.arange(40)[::-1] - 21,
+               np.r_[0:39, 40] + 10**6), 1), None),
+    # blocks of 7 rows, each with its own ranges: the first column narrow
+    # (3 values, its least rising by 1000 a block), the second narrow or
+    # wide by block, the third wide and changing sign
+    (np.stack((np.arange(50) // 7 * 1000 - 20_000 + np.arange(50) % 3,
+               np.arange(50) % 9 - 4, np.arange(50) ** 5 - 10**8), 1), 21),
+    # the int64 extremes in ranges of 2, and alone, ranges of 1: each
+    # column takes the digit table
+    (np.array([[_I64.min, _I64.max], [_I64.min + 1, _I64.max - 1],
+               [_I64.min, _I64.max]]), None),
+    (np.full((5, 2), _I64.min), None),
+    (np.full((5, 2), _I64.max), None),
 ], ids=["zeros", "negatives", "large", "one-row", "one-column", "no-rows",
-        "blocks"])
-def test_write_csv_integer_array_is_the_percent_format(tmp_path, rows):
+        "blocks", "simulate", "negative-narrow", "ranges-about-rows",
+        "blocks-of-ranges", "extremes", "int64-min", "int64-max"])
+def test_write_csv_integer_array_is_the_percent_format(
+        tmp_path, monkeypatch, rows, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(lattice, "BLOCK_ENTRIES", block_entries)
     header = tuple(f"c{j}" for j in range(rows.shape[1]))
-    files.write_csv(tmp_path / "out.csv", header, rows)
+    files.write_csv(tmp_path / "out.csv", header, tuple(rows.T))
     line = ",".join(["%d"] * rows.shape[1]) + "\n"
     want = ",".join(header) + "\n" + line * rows.shape[0] % tuple(
         rows.ravel().tolist())

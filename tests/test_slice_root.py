@@ -137,19 +137,28 @@ def test_two_failing_cells_raise_the_oracle_message_without_a_warning(
     assert re.fullmatch(FAILURES[lower][1] + f"at time {k}, state {s1}", got)
 
 
-def test_a_bracket_that_overflows_names_the_bracket():
-    # |mean| = 1e306: the bracket's radius (1 + |mean|) 1e3 overflows, and
-    # the cell-wise checks read it as a NaN of y - f at y = nan
+@pytest.mark.parametrize("mean, bracket", [
+    # the bracket's radius (1 + |mean|) 1e3 overflows: ends of +-inf
+    (1e306, r"\[-inf, inf\]"),
+    # finite ends whose difference overflows: the step and every inner
+    # sample would be inf, and the refinement would not converge
+    (1e305, r"\[-9\.99e\+307, 1\.001e\+308\]"),
+], ids=["infinite-ends", "infinite-width"])
+def test_a_bracket_that_overflows_names_the_bracket(mean, bracket):
     sys_ = build_lattice(geometric_model((0.3, 0.6), 4))
     calls = defaultdict(list)
     driver = GeneralDriver(_logged(lambda k, s, y, z: 0.5 * math.tanh(y),
                                    calls))
-    terminal = np.full(sys_.dim, 1e306)
-    message = r"the bracket \[-inf, inf\] of y - f is not finite at time 3, "
+    terminal = np.full(sys_.dim, mean)
+    message = (rf"the width of the bracket {bracket} of y - f is not finite "
+               r"at time 3, ")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BijectionError, match=message + "state 0$"):
             solve_bsde(sys_, driver, terminal)
+        assert (3, 0) not in calls
+        with pytest.raises(BijectionError, match=message + "state 0$"):
+            dense_solve(sys_, driver, terminal)
         assert (3, 0) not in calls
 
         # the control fallback: a unit drift for control 1 at every cell of
@@ -160,6 +169,7 @@ def test_a_bracket_that_overflows_names_the_bracket():
         alpha[3, src[1:], 1] = 1.0
         rooted = replace(problem, alpha=alpha, alpha_bound=1.1,
                          terminal=terminal)
-        with pytest.raises(BijectionError,
-                           match=message + f"state {src[1]}$"):
-            solve_control(rooted, sys_)
+        for solve in (solve_control, dense_solve_control):
+            with pytest.raises(BijectionError,
+                               match=message + f"state {src[1]}$"):
+                solve(rooted, sys_)
