@@ -47,6 +47,16 @@ flow c_s(j) f_k(s, j) adds nothing, even where u_{k+1}(j) is not finite,
 so data a start never reaches is never read.  The rule holds per route: a
 cell reached only by routes whose weights cancel to zero is still read.
 
+The bits of u at a cell depend only on the entries read from that cell on,
+so a lattice keeps its last exact sweep (_Memo): its start j, the entries it
+read (_Reads; the beta rows as _rows_at gathers them) and u per convention.
+A call from i >= j of a swept convention whose entries from i on are the
+memo's bit for bit returns the memo's rows from i on; any other gathers its
+entries once, for the check and the sweep, and its sweep replaces the memo,
+or joins it from the memo's own start and entries.  A sweep that raises
+stores nothing, and one whose memo would exceed one block (BLOCK_ENTRIES)
+checks and keeps nothing, so it runs and peaks as without a memo.
+
 Exhaustive weight_bounds and the epsilon-policy gap in control fold V, W,
 their running maxima, the path probability and the running minimum over a
 breadth-first level walk of every realizable path, which holds only the
@@ -68,6 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import lattice
 from .chain import _require_count, _stepper
 from .lattice import _blocks, _require_fit, _rows_at
 
@@ -109,9 +120,11 @@ class SelectionError(RuntimeError):
 class WeightSde:
     """Coefficient tables and algebraic form of a weight recursion.
 
-    alpha : (T, D) drift coefficients, read at the step's source state.
-    beta  : (T, D, W+1) integrand rows on the blocks or (T, D, D) dense
-            rows (see LinearDriver), or None for noise-free weights.
+    alpha      : (T, D) drift coefficients, read at the step's source state.
+    beta       : (T, D, W+1) integrand rows on the blocks or (T, D, D) dense
+                 rows (see LinearDriver), or None for noise-free weights.
+    convention : a Convention or its value ("mixed"), kept as the Convention;
+                 any other raises ValueError.
     """
 
     alpha: np.ndarray
@@ -120,6 +133,11 @@ class WeightSde:
     start_time: int = 0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "convention", Convention(self.convention))
+        except ValueError:
+            raise ValueError(f"convention {self.convention!r} is none of "
+                             f"{[c.value for c in Convention]}") from None
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
         if self.beta is not None:
             object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
@@ -127,6 +145,25 @@ class WeightSde:
     @classmethod
     def from_driver(cls, driver, convention=DEFAULT_CONVENTION, start_time=0):
         return cls(driver.alpha, driver.beta, convention, start_time)
+
+
+class _Reads(NamedTuple):
+    """What a sweep from a start reads: alpha, g and the beta rows ((cells,
+    0) without beta) at its cells before the horizon, and the terminal at
+    the horizon's cells."""
+
+    alpha: np.ndarray
+    g: np.ndarray
+    rows: np.ndarray
+    terminal: np.ndarray
+
+
+class _Memo(NamedTuple):
+    """A lattice's last exact sweep: start, _Reads and u per convention."""
+
+    start: int
+    reads: _Reads
+    u: dict
 
 
 class _Factors(NamedTuple):
@@ -140,27 +177,42 @@ class _Factors(NamedTuple):
     run: np.ndarray
 
 
-def _factors(sys, sde):
+def _reads(sys, sde, g, terminal):
+    """The _Reads of a sweep of sde from sde.start_time on."""
+    plan = sys.plan
+    at = plan.span(sde.start_time, sys.horizon)
+    key = plan.key[at]
+    rows = np.empty((key.size, 0)) if sde.beta is None else \
+        _rows_at(sys, sde.beta, plan.times[at], plan.cells[at], key)
+    return _Reads(sde.alpha.take(key), g.take(key), rows,
+                  terminal.take(sys.reachable_at[-1]))
+
+
+def _factors(sys, sde, reads=None):
     """The _Factors of sde from sde.start_time on, the cells the sweep and
-    the level walk read; raises VanishingDenominatorError on the first
-    vanishing denominator among their real slots."""
+    the level walk read, from ``reads`` (_Reads) when given; raises
+    VanishingDenominatorError on the first vanishing denominator among
+    their real slots."""
     plan = sys.plan
     at = plan.span(sde.start_time, sys.horizon)
     key, cells = plan.key[at], plan.cells[at]
     prob, real = sys.prob.take(cells, axis=0), plan.real.take(cells, axis=0)
-    a = sde.alpha.take(key)[:, None]
-    noise = np.zeros(a.shape) if sde.beta is None else \
-        _cell_noise(sys, sde.beta, at, prob, real)
+    a = (sde.alpha.take(key) if reads is None else reads.alpha)[:, None]
+    noise = np.zeros(a.shape) if sde.beta is None else _cell_noise(
+        sys, sde.beta, at, prob, real, None if reads is None else reads.rows)
     step, run = _algebra(sys, sde.convention, a, noise, lambda: (
         plan.times[at, None], cells[:, None], np.arange(real.shape[1])))
     return _Factors(key, prob, real, step, run[:, 0])
 
 
-def _cell_noise(sys, beta, at, prob, real):
+def _cell_noise(sys, beta, at, prob, real, rows=None):
     """Noise (cells, W) at the plan's cells ``at`` (a slice), of laws
-    ``prob`` and real slots ``real``, for beta's rows, in blocks of cells."""
-    times, cells, key = sys.plan.times[at], sys.plan.cells[at], sys.plan.key[at]
+    ``prob`` and real slots ``real``, for beta's rows, in blocks of cells
+    unless ``rows`` holds them all."""
     noise = np.zeros(prob.shape)
+    if rows is not None:
+        return _noise(rows, prob, real, noise)
+    times, cells, key = sys.plan.times[at], sys.plan.cells[at], sys.plan.key[at]
     for blk in _blocks(cells.size, sys.block.shape[1]):
         _noise(_rows_at(sys, beta, times[blk], cells[blk], key[blk]),
                prob[blk], real[blk], noise[blk])
@@ -317,22 +369,25 @@ def evolve_weights(sys, sde: WeightSde, path) -> np.ndarray:
 
 
 def _check_tables(sys, sde, g=None, terminal=None):
-    t = sys.horizon
-    if not 0 <= sde.start_time <= t:
-        raise ValueError(f"start_time {sde.start_time} outside 0..{t}")
+    t, start = sys.horizon, sde.start_time
+    if isinstance(start, bool) or not isinstance(start, (int, np.integer)):
+        raise ValueError(f"start_time {start!r} is not an integer in 0..{t}")
+    if not 0 <= start <= t:
+        raise ValueError(f"start_time {start} outside 0..{t}")
     _require_fit(sys, alpha=sde.alpha, g=g, beta=sde.beta, terminal=terminal)
 
 
-def _sweep(sys, sde, g, terminal):
+def _sweep(sys, sde, g, terminal, reads=None):
     """Dual value u at the plan's cells from time sde.start_time to the
-    horizon, cell-major, over the _factors of sde (see the module notes)."""
-    key, flow, real, step, run = _factors(sys, sde)
+    horizon, cell-major, over the _factors of sde (see the module notes),
+    from ``reads`` (_Reads) when given, else from g and terminal."""
+    key, flow, real, step, run = _factors(sys, sde, reads)
     plan, t, start = sys.plan, sys.horizon, sde.start_time
     bounds = (plan.offset[start:t + 1] - plan.offset[start]).tolist()
     first, n = int(plan.offset[start]), bounds[-1]
     cells = plan.cells[first:]
     u = np.empty(cells.size + 1)
-    terminal.take(cells[n:], out=u[n:-1])
+    u[n:-1] = terminal.take(cells[n:]) if reads is None else reads.terminal
     u[-1] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         flow *= step  # in the gathered laws' buffer; the loop reads no step
@@ -344,12 +399,38 @@ def _sweep(sys, sde, g, terminal):
         nxt = np.subtract(plan.next_cell[first:], first, dtype=np.intp)
         np.putmask(nxt, dead, cells.size)
         np.putmask(flow, dead, 0.0)
-        base = g.take(key) * run
+        base = (g.take(key) if reads is None else reads.g) * run
         for k in range(t - start - 1, -1, -1):
             now = slice(bounds[k], bounds[k + 1])
             np.add(base[now], np.add.reduce(flow[now] * u[nxt[now]], axis=1),
                    out=u[now])
     return u[:-1]
+
+
+def _exact(sys, sde, g, terminal):
+    """_sweep's u, read off the lattice's memo (see the module notes) on a
+    hit, else swept and then kept in the memo if it fits one block."""
+    plan, start, conv = sys.plan, sde.start_time, sde.convention
+    # alpha, g, the beta rows and three conventions' u at the cells
+    if (plan.cells.size - plan.offset[start]) * (sys.block.shape[1] + 5) \
+            > lattice.BLOCK_ENTRIES:
+        return _sweep(sys, sde, g, terminal)
+    reads, memo, same = _reads(sys, sde, g, terminal), sys._dual_memo, False
+    if memo is not None and start >= memo.start:
+        old = memo.reads
+        skip = int(plan.offset[start] - plan.offset[memo.start])
+        # bit for bit (NaN payloads and signed zeros count), as int64 views
+        same = all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b
+                   in zip(reads, (old.alpha[skip:], old.g[skip:],
+                                  old.rows[skip:], old.terminal)))
+        if same and conv in memo.u:
+            return memo.u[conv][skip:]
+    u = _sweep(sys, sde, g, terminal, reads)
+    if same and start == memo.start:
+        memo.u[conv] = u
+    else:
+        object.__setattr__(sys, "_dual_memo", _Memo(start, reads, {conv: u}))
+    return u
 
 
 def dual_value(
@@ -365,11 +446,13 @@ def dual_value(
 
     Returns a (D,) array with the value per state reachable at start_time
     and NaN elsewhere.  Exact at any size by default: the row start_time of
-    one backward sweep over the weight factors, in O(T * S * N).  Pass
-    mc_paths for a seeded Monte Carlo estimate over that many sampled paths
-    per start state instead.
+    one backward sweep over the weight factors, in O(T * S * N), which the
+    lattice keeps for later starts on the same entries (see the module
+    notes).  Pass mc_paths for a seeded Monte Carlo estimate over that many
+    sampled paths per start state instead.  start_time is an integer in
+    0..T.
     """
-    if start_time is not None and start_time != sde.start_time:
+    if start_time is not None:
         sde = replace(sde, start_time=start_time)
     start_time = sde.start_time
     g = np.asarray(g, dtype=float)
@@ -379,7 +462,7 @@ def dual_value(
     starts = sys.reachable_at[start_time]
     out = np.full(d, np.nan)
     if mc_paths is None:
-        out[starts] = _sweep(sys, sde, g, terminal)[:starts.size]
+        out[starts] = _exact(sys, sde, g, terminal)[:starts.size]
         return out
     paths, slots, weight = _drawn_paths(sys, start_time, starts, mc_paths, seed)
     v, w = _walk(sys, sde, start_time, paths, slots)

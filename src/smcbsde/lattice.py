@@ -49,7 +49,7 @@ the solvers, the dual side, the problem loaders), before any entry is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,6 +132,9 @@ class LatticeSystem:
     sources          : (S,) ascending states ever stepped from before T
     block            : (S, W+1) each source's block (source, *successors)
     plan             : the slice plan over the reachable cells (SlicePlan)
+
+    The lattice also keeps the last exact dual sweep run on it (see
+    duality), private and outside equality and repr.
     """
 
     model: SemiMarkovModel
@@ -146,6 +149,8 @@ class LatticeSystem:
     cdf: np.ndarray
     block: np.ndarray
     plan: SlicePlan
+    _dual_memo: object = field(default=None, init=False, repr=False,
+                               compare=False)
 
     @property
     def horizon(self) -> int:

@@ -9,6 +9,7 @@ against frozen matrices.
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -846,9 +847,9 @@ def test_select_convention_builds_factors_once_per_trial_and_convention(
     sys_ = build_lattice(geometric_model((0.3, 0.5, 0.7), 6))
     calls = []
 
-    def counted(sys, sde):
+    def counted(sys, sde, *reads):
         calls.append(sde.convention)
-        return _factors(sys, sde)
+        return _factors(sys, sde, *reads)
 
     monkeypatch.setattr(duality, "_factors", counted)
     for trials in (1, 5):
@@ -945,10 +946,11 @@ def test_exact_dual_noise_runs_in_blocks_of_times():
     assert peak < 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.parametrize("start", [-1, "T+1"])
+@pytest.mark.parametrize("start", [-1, "T+1", 2.0, True])
 @pytest.mark.parametrize("entry", ["dual_value", "weight_bounds",
-                                   "evolve_weights"])
+                                   "evolve_weights", "dual_value-keyword"])
 def test_start_time_is_range_checked(entry, start):
+    # 2.0 once died indexing a tuple, True in numpy
     sys_ = build_lattice(geometric_model((0.3, 0.6), 4))
     driver, terminal = random_linear_instance(sys_, np.random.default_rng(24))
     start = sys_.horizon + 1 if start == "T+1" else start
@@ -957,9 +959,49 @@ def test_start_time_is_range_checked(entry, start):
         "dual_value": lambda: dual_value(sys_, sde, driver.g, terminal),
         "weight_bounds": lambda: weight_bounds(sys_, sde),
         "evolve_weights": lambda: evolve_weights(sys_, sde, [0]),
+        "dual_value-keyword": lambda: dual_value(
+            sys_, replace(sde, start_time=int(start)), driver.g, terminal,
+            start_time=start),
     }[entry]
-    with pytest.raises(ValueError, match=rf"start_time {start} outside 0\.\.4"):
+    with pytest.raises(ValueError, match=rf"start_time {start} "
+                                         rf"(outside|is not an integer in) 0\.\.4"):
         call()
+
+
+def test_numpy_integer_start_times_are_taken():
+    sys_ = build_lattice(geometric_model((0.3, 0.6), 4))
+    driver, terminal = random_linear_instance(sys_, np.random.default_rng(24))
+    sde = WeightSde.from_driver(driver)
+    for start in (np.int64(2), np.int32(2)):
+        np.testing.assert_array_equal(
+            dual_value(build_lattice(sys_.model), sde, driver.g, terminal,
+                       start_time=start),
+            dual_value(build_lattice(sys_.model), sde, driver.g, terminal,
+                       start_time=2))
+        assert repr(weight_bounds(sys_, replace(sde, start_time=start))) == \
+            repr(weight_bounds(sys_, replace(sde, start_time=2)))
+
+
+def test_string_conventions_are_the_enums():
+    # a string once fell through the enum tests to the implicit algebra:
+    # "mixed" gave a start-0 dual of -0.2177 where the solver gives 0.0459
+    sys_ = build_lattice(geometric_model((0.3, 0.6), 4))
+    driver, terminal = random_linear_instance(sys_, np.random.default_rng(1))
+    values = solve_bsde(sys_, driver, terminal).values
+    for conv in Convention:
+        sde = WeightSde(driver.alpha, driver.beta, conv.value)
+        assert sde.convention is conv
+        enum = WeightSde(driver.alpha, driver.beta, conv)
+        got = dual_value(build_lattice(sys_.model), sde, driver.g, terminal)
+        want = dual_value(build_lattice(sys_.model), enum, driver.g, terminal)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+        assert repr(weight_bounds(sys_, sde)) == repr(weight_bounds(sys_, enum))
+    start = sys_.reachable_at[0]
+    np.testing.assert_allclose(got[start], values[0, start], rtol=1e-12)
+    for bad in ("bogus", "MIXED", 2):
+        with pytest.raises(ValueError, match=rf"convention {bad!r} is none of"):
+            WeightSde(driver.alpha, driver.beta, bad)
 
 
 @pytest.mark.parametrize("count", [0, -3, 2.5])
