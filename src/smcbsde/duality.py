@@ -51,9 +51,9 @@ The bits of u at a cell depend only on the entries read from that cell on,
 so a lattice keeps its last exact sweep (_Memo): its start j, the entries it
 read (_Reads; the beta rows as _rows_at gathers them) and u per convention.
 A call from i >= j of a swept convention whose entries from i on are the
-memo's bit for bit returns the memo's rows from i on; any other gathers its
-entries once, for the check and the sweep, and its sweep replaces the memo,
-or joins it from the memo's own start and entries.  A sweep that raises
+memo's bit for bit returns the memo's rows from i on; any other sweeps as
+without a memo, and its sweep replaces the memo, or joins it from the
+memo's own start and entries.  A sweep that raises
 stores nothing, and one whose memo would exceed one block (BLOCK_ENTRIES)
 checks and keeps nothing, so it runs and peaks as without a memo.
 
@@ -188,31 +188,27 @@ def _reads(sys, sde, g, terminal):
                   terminal.take(sys.reachable_at[-1]))
 
 
-def _factors(sys, sde, reads=None):
+def _factors(sys, sde):
     """The _Factors of sde from sde.start_time on, the cells the sweep and
-    the level walk read, from ``reads`` (_Reads) when given; raises
-    VanishingDenominatorError on the first vanishing denominator among
-    their real slots."""
+    the level walk read; raises VanishingDenominatorError on the first
+    vanishing denominator among their real slots."""
     plan = sys.plan
     at = plan.span(sde.start_time, sys.horizon)
     key, cells = plan.key[at], plan.cells[at]
     prob, real = sys.prob.take(cells, axis=0), plan.real.take(cells, axis=0)
-    a = (sde.alpha.take(key) if reads is None else reads.alpha)[:, None]
-    noise = np.zeros(a.shape) if sde.beta is None else _cell_noise(
-        sys, sde.beta, at, prob, real, None if reads is None else reads.rows)
+    a = sde.alpha.take(key)[:, None]
+    noise = np.zeros(a.shape) if sde.beta is None else \
+        _cell_noise(sys, sde.beta, at, prob, real)
     step, run = _algebra(sys, sde.convention, a, noise, lambda: (
         plan.times[at, None], cells[:, None], np.arange(real.shape[1])))
     return _Factors(key, prob, real, step, run[:, 0])
 
 
-def _cell_noise(sys, beta, at, prob, real, rows=None):
+def _cell_noise(sys, beta, at, prob, real):
     """Noise (cells, W) at the plan's cells ``at`` (a slice), of laws
-    ``prob`` and real slots ``real``, for beta's rows, in blocks of cells
-    unless ``rows`` holds them all."""
-    noise = np.zeros(prob.shape)
-    if rows is not None:
-        return _noise(rows, prob, real, noise)
+    ``prob`` and real slots ``real``, for beta's rows, in blocks of cells."""
     times, cells, key = sys.plan.times[at], sys.plan.cells[at], sys.plan.key[at]
+    noise = np.zeros(prob.shape)
     for blk in _blocks(cells.size, sys.block.shape[1]):
         _noise(_rows_at(sys, beta, times[blk], cells[blk], key[blk]),
                prob[blk], real[blk], noise[blk])
@@ -377,17 +373,16 @@ def _check_tables(sys, sde, g=None, terminal=None):
     _require_fit(sys, alpha=sde.alpha, g=g, beta=sde.beta, terminal=terminal)
 
 
-def _sweep(sys, sde, g, terminal, reads=None):
+def _sweep(sys, sde, g, terminal):
     """Dual value u at the plan's cells from time sde.start_time to the
-    horizon, cell-major, over the _factors of sde (see the module notes),
-    from ``reads`` (_Reads) when given, else from g and terminal."""
-    key, flow, real, step, run = _factors(sys, sde, reads)
+    horizon, cell-major, over the _factors of sde (see the module notes)."""
+    key, flow, real, step, run = _factors(sys, sde)
     plan, t, start = sys.plan, sys.horizon, sde.start_time
     bounds = (plan.offset[start:t + 1] - plan.offset[start]).tolist()
     first, n = int(plan.offset[start]), bounds[-1]
     cells = plan.cells[first:]
     u = np.empty(cells.size + 1)
-    u[n:-1] = terminal.take(cells[n:]) if reads is None else reads.terminal
+    terminal.take(cells[n:], out=u[n:-1])
     u[-1] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         flow *= step  # in the gathered laws' buffer; the loop reads no step
@@ -399,7 +394,7 @@ def _sweep(sys, sde, g, terminal, reads=None):
         nxt = np.subtract(plan.next_cell[first:], first, dtype=np.intp)
         np.putmask(nxt, dead, cells.size)
         np.putmask(flow, dead, 0.0)
-        base = (g.take(key) if reads is None else reads.g) * run
+        base = g.take(key) * run
         for k in range(t - start - 1, -1, -1):
             now = slice(bounds[k], bounds[k + 1])
             np.add(base[now], np.add.reduce(flow[now] * u[nxt[now]], axis=1),
@@ -425,7 +420,7 @@ def _exact(sys, sde, g, terminal):
                                   old.rows[skip:], old.terminal)))
         if same and conv in memo.u:
             return memo.u[conv][skip:]
-    u = _sweep(sys, sde, g, terminal, reads)
+    u = _sweep(sys, sde, g, terminal)
     if same and start == memo.start:
         memo.u[conv] = u
     else:

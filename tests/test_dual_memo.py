@@ -57,9 +57,9 @@ def built(monkeypatch):
     """The number of _factors calls, one per sweep: a hit builds none."""
     calls = []
 
-    def counted(sys, sde, *reads):
+    def counted(sys, sde):
         calls.append(sde.start_time)
-        return factors(sys, sde, *reads)
+        return factors(sys, sde)
 
     factors = duality._factors
     monkeypatch.setattr(duality, "_factors", counted)
