@@ -3,8 +3,8 @@
 The package is organised bottom-up:
 
 - ``chain``:    finite-state semi-Markov models, sojourn machinery, simulation
-- ``lattice``:  sojourn-augmented state lattice, noise geometry, integrand calculus
-- ``linalg``:   pseudoinverse contract and the two scalar hypothesis checks
+- ``lattice``:  sojourn-augmented state lattice, slice plan, noise geometry
+- ``linalg``:   the two scalar hypothesis checks, on closed-form bracket norms
 - ``bsde``:     backward solver and the comparison check
 - ``duality``:  forward weight recursions, dual valuation, convention selection
 - ``control``:  finite control grids, value recursion, policy oracles

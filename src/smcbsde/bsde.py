@@ -314,9 +314,9 @@ def _solution(sys, values, local) -> BsdeSolution:
 
 def _backward(sys, values):
     """The slice steps of a backward solve over the values (C,), the latest
-    time first: yields k, the span of its cells and sys.step's means and
-    integrands there, read at the plan's successor cells from the
-    time-(k+1) values as the caller left them."""
+    time first: yields k, the span of its cells and the slice step's
+    (_centre's) means and integrands there, read at the plan's successor
+    cells from the time-(k+1) values as the caller left them."""
     for k in range(sys.horizon - 1, -1, -1):
         at = sys.plan.span(k)
         yield (k, at) + _centre(sys.prob[sys.reachable_at[k]],

@@ -16,23 +16,19 @@ the lattice's path sampler take one inverse-CDF step on it (``_stepper``).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "ChainPath",
     "InvalidModelError",
     "SemiMarkovModel",
     "SimulationError",
     "SojournQuantities",
     "Violation",
-    "martingale_increment",
-    "simulate",
     "simulate_paths",
     "sojourn_quantities",
-    "transition_matrix",
     "validate_model",
 ]
 
@@ -93,12 +89,6 @@ class SemiMarkovModel:
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "jump", jump)
         object.__setattr__(self, "x0", x0)
-
-    @classmethod
-    def from_start_state(cls, n_states, horizon, pi, jump, start):
-        x0 = np.zeros(n_states)
-        x0[start] = 1.0
-        return cls(n_states, horizon, pi, jump, x0)
 
     @property
     def n_durations(self) -> int:
@@ -253,45 +243,6 @@ def _sojourn_tables(pi):
     return cumulative, survivor, prev, hazard
 
 
-def transition_matrix(
-    model: SemiMarkovModel, duration: int, sq: SojournQuantities | None = None
-) -> np.ndarray:
-    """One-step chain transition matrix given the current sojourn duration.
-
-    Column i holds the law of the next chain state for a chain that has sat
-    in i for `duration` steps: mass 1 - hazard stays put, the rest spreads
-    over the jump row.  Columns of states that cannot attain `duration` are
-    zero; the remaining columns sum to one.
-    """
-    if not 1 <= duration <= model.n_durations:
-        raise ValueError(
-            f"duration {duration} outside 1..{model.n_durations}"
-        )
-    if sq is None:
-        sq = sojourn_quantities(model)
-    if not np.any(sq.attainable[:, duration - 1]):
-        raise InvalidModelError(f"no state can attain duration {duration}")
-    law = _outcome_law(model, sq)[:, duration - 1]
-    a = law[:, :-1].T.copy()
-    np.fill_diagonal(a, law[:, -1])
-    return a
-
-
-@dataclass(frozen=True)
-class ChainPath:
-    """One simulated trajectory over times 0..horizon.
-
-    states[k]    : chain state at time k
-    durations[k] : steps spent in the current state including time k
-                   (resets to 1 on arrival; durations[0] = 1)
-    jump_times   : times of state changes, with the start time 0 included
-    """
-
-    states: np.ndarray
-    durations: np.ndarray
-    jump_times: np.ndarray = field(repr=False)
-
-
 def _outcome_law(model, sq):
     """Per (state, duration) outcome law, jumps first then stay, (N, T+1, N+1).
 
@@ -306,23 +257,6 @@ def _outcome_law(model, sq):
     probs[:, :, :n] = model.jump * hz[:, :, None]
     probs[:, :, n] = np.where(sq.attainable, 1.0 - hz, 0.0)
     return probs
-
-
-def simulate(
-    model: SemiMarkovModel,
-    horizon: int | None = None,
-    *,
-    seed=None,
-) -> ChainPath:
-    """Simulate one path by inverse-CDF sampling, reproducible from a seed
-    (or drawn from a Generator passed as ``seed``): the single path of
-    ``simulate_paths``.
-
-    Raises SimulationError when the path enters a state/duration whose
-    outcome law has no mass (possible only for invalid models).
-    """
-    states, durations = simulate_paths(model, 1, horizon, seed=seed)
-    return ChainPath(states[0], durations[0], np.flatnonzero(durations[0] == 1))
 
 
 def simulate_paths(
@@ -438,21 +372,3 @@ def _stepper(cdf, pick_next, size):
         pick += np.add.reduce(hit, axis=0, dtype=picks.dtype, out=picks)
         pick_next.take(pick, out=out, mode="clip")
     return step
-
-
-def martingale_increment(
-    model: SemiMarkovModel,
-    state: int,
-    duration: int,
-    next_state: int,
-    sq: SojournQuantities | None = None,
-) -> np.ndarray:
-    """Innovation e_next - A(duration) e_state of one observed transition.
-
-    Conditionally on (state, duration) the increment has mean zero, which is
-    what makes the chain indicator process a martingale after compensation.
-    """
-    a = transition_matrix(model, duration, sq)
-    out = -a[:, state]
-    out[next_state] += 1.0
-    return out

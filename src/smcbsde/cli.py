@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, files
+from . import __version__, duality, files, linalg
 from .bsde import BijectionError, DegenerateDriverError, solve_bsde
 from .chain import InvalidModelError, simulate_paths, validate_model
 from .control import (
@@ -54,7 +54,7 @@ from .duality import (
     weight_bounds,
 )
 from .lattice import ProblemDataError, build_lattice, projection_constants
-from .linalg import comparison_condition, penrose_residuals, pinv, positivity_condition
+from .linalg import comparison_condition, positivity_condition
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -392,40 +392,53 @@ def _suite_rows(seed):
     def add(name, residual, tol):
         rows.append((name, float(residual), float(tol), bool(residual <= tol)))
 
-    from .chain import martingale_increment, sojourn_quantities, transition_matrix
-
-    worst = 0.0
+    # the successor table: each source's law sums to one over its real
+    # slots, and the stays chained along a state's durations times the
+    # leave at the last give back the sojourn law pi_i(m) wherever (i, m)
+    # is attainable
+    worst, lattices = 0.0, []
     for _ in range(8):
         model = random_model(rng, n_max=4, t_max=8)
-        sq = sojourn_quantities(model)
-        for m in range(1, model.horizon + 2):
-            if not np.any(sq.attainable[:, m - 1]):
-                continue
-            a = transition_matrix(model, m, sq)
-            for i in np.flatnonzero(sq.attainable[:, m - 1]):
-                i = int(i)
-                mean = sum(
-                    a[j, i] * martingale_increment(model, i, m, j, sq)
-                    for j in range(model.n_states)
-                    if a[j, i] > 0.0
-                )
-                worst = max(worst, float(np.max(np.abs(mean))))
         sys_ = build_lattice(model)
+        lattices.append(sys_)
+        n, real = model.n_states, sys_.plan.real
+        law = np.where(real, sys_.prob, 0.0)
+        total = law[sys_.sources].sum(axis=1)
+        worst = max(worst, float(np.abs(total - 1.0).max()))
+        stay_slot = sys_.succ == np.arange(sys_.dim)[:, None] + n
+        stay = np.where(stay_slot, law, 0.0).sum(axis=1).reshape(-1, n)
+        leave = np.where(stay_slot, 0.0, law).sum(axis=1).reshape(-1, n)
+        alive = np.cumprod(np.vstack((np.ones(n), stay[:-1])), axis=0)
+        gap = np.abs(alive * leave - model.pi.T)[sys_.sojourn.attainable.T]
+        worst = max(worst, float(gap.max(initial=0.0)))
         for k in range(sys_.horizon + 1):
-            if len(sys_.reachable_at[k]) > (k + 1) * model.n_states:
+            if len(sys_.reachable_at[k]) > (k + 1) * n:
                 worst = max(worst, 1.0)
-    add("martingale-and-lattice", worst, 1e-12)
+    add("successor-laws", worst, 1e-12)
 
+    # each source's bracket B on its block, inverted by numpy, against the
+    # closed-form norms of linalg and the closed-form noise of duality
     worst = 0.0
-    for _ in range(60):
-        size = int(rng.integers(2, 13))
-        rank = int(rng.integers(1, size))
-        root = rng.standard_normal((size, rank))
-        q = root @ root.T
-        qp = pinv(q)
-        res = penrose_residuals(q, qp)
-        worst = max(worst, max(res.values()) / (1.0 + np.linalg.norm(q)))
-    add("penrose-axioms", worst, 1e-9)
+    for sys_ in lattices:
+        norms = np.stack(linalg._bracket_norms(sys_), axis=1)
+        draws = rng.standard_normal((sys_.sources.size, 4, sys_.block.shape[1]))
+        for s, norm, row in zip(sys_.sources, norms, draws):
+            real = sys_.plan.real[s]
+            c = sys_.prob[s][real]
+            m = c.size
+            bracket = np.diag(np.concatenate(([0.0], c)))
+            bracket[0, 1:], bracket[1:, 0] = -c, -c
+            inv = np.linalg.inv(bracket)
+            ref = np.array([np.linalg.norm(bracket), np.sum(inv * inv)])
+            worst = max(worst, float(np.max(np.abs(norm - ref) / (1.0 + ref))))
+            # n_j = b . B^-1 (e_j - c) on the block, at each real slot j
+            adj = row[:, :m + 1] @ inv
+            ref = adj[:, 1:] - adj[:, 1:] @ c[:, None]
+            got = duality._noise(row, sys_.prob[s], real,
+                                 np.zeros((row.shape[0], real.size)))[:, :m]
+            worst = max(worst, float(np.max(np.abs(got - ref)
+                                            / (1.0 + np.abs(ref)))))
+    add("bracket-closed-form", worst, 1e-9)
 
     worst = 0.0
     min_weight = 0.0

@@ -40,7 +40,7 @@ from .bsde import (
     solve_bsde,
 )
 from .duality import DEFAULT_CONVENTION, WeightSde, _level_walk, weight_bounds
-from .lattice import _require_fit, _source_index, projection_constants
+from .lattice import _require_fit, projection_constants
 from .linalg import ConditionReport, comparison_condition, positivity_condition
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
     "brute_force_value",
     "epsilon_optimal_policy",
     "evaluate_policy",
-    "hamiltonian",
-    "max_driver",
     "solve_control",
 ]
 
@@ -182,12 +180,6 @@ class PolicyTable:
         arr.flags.writeable = False
         object.__setattr__(self, "choices", arr)
 
-    def control_index(self, k: int, state: int) -> int:
-        u = int(self.choices[k, state])
-        if u < 0:
-            raise KeyError(f"no control assigned at time {k}, state {state}")
-        return u
-
 
 @dataclass(frozen=True)
 class ControlSolution:
@@ -203,32 +195,6 @@ class ControlSolution:
     @property
     def values(self) -> np.ndarray:
         return self.solution.values
-
-
-def hamiltonian(problem: ControlProblem, sys, k, state, y, z_row, u) -> float:
-    """Driver value of one control at the given scalar value and integrand."""
-    return float(max_driver(problem, sys, k, state, y, z_row)[2][u])
-
-
-def max_driver(problem: ControlProblem, sys, k, state, y, z_row):
-    """Largest driver value over the grid with its lowest attaining index.
-
-    Returns (best_value, best_index, all_values).
-    """
-    _require_fit(sys, (problem.n_controls,), alpha=problem.alpha, g=problem.g,
-                 beta=problem.beta)
-    # P z on the source's block: the projector is the identity there, zero
-    # on the padding and at a source without successors
-    i, real = _source_index(sys, state), sys.plan.real[state]
-    pz = np.where(np.concatenate(([real.any()], real)),
-                  np.asarray(z_row, dtype=float)[sys.block[i]], 0.0)
-    vals = (
-        problem.alpha[k, state] * y
-        + sys.block_rows(problem.beta, k, state) @ pz
-        + problem.g[k, state]
-    )
-    idx = int(np.argmax(vals))
-    return float(vals[idx]), idx, vals
 
 
 def _check_hypotheses(problem, sys, override):
@@ -390,7 +356,7 @@ def brute_force_value(
         for k in range(t - 1, -1, -1):
             src, at, c = sys.reachable_at[k], plan.span(k), cand[k]
             m, n = src.size, cols[k + 1]
-            # the slice step, as LatticeSystem.step takes it, with the mean
+            # the slice step, as lattice._centre takes it, with the mean
             # summed slot by slot so that no column count changes its
             # rounding
             z = values[k + 1][rows[k]]

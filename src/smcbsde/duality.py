@@ -61,13 +61,12 @@ Exhaustive weight_bounds and the epsilon-policy gap in control fold V, W,
 their running maxima, the path probability and the running minimum over a
 breadth-first level walk of every realizable path, which holds only the
 vectors of the paths alive at one time; no list of paths is built.  Sampled
-statistics and evolve_weights evaluate V and W along a (P, L) array of
-drawn or given paths, with the factors evaluated at the drawn (or given)
-steps only: paths are drawn by the chain's one inverse-CDF step
-(chain._stepper) on the lattice's successor table, which returns each
-step's slot, and a given path's slots are matched against the successors
-on the real slots.  The tables and the drawn steps share one noise formula
-(_noise) and one copy of the convention algebra (_algebra).
+statistics and the Monte Carlo dual evaluate V and W along a (P, L) array
+of drawn paths, with the factors evaluated at the drawn steps only: paths
+are drawn by the chain's one inverse-CDF step (chain._stepper) on the
+lattice's successor table, which returns each step's slot.  The tables and
+the drawn steps share one noise formula (_noise) and one copy of the
+convention algebra (_algebra).
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ __all__ = [
     "WeightReport",
     "WeightSde",
     "dual_value",
-    "evolve_weights",
     "select_convention",
     "weight_bounds",
 ]
@@ -249,8 +247,9 @@ def _algebra(sys, conv, a, noise, steps):
 def _check_denominators(sys, den, steps):
     """Raise VanishingDenominatorError at the first step, in (time, state,
     slot) order, through a real slot with |den| < DENOMINATOR_TOL; steps(),
-    called only if some |den| is, gives the (times, states, slots) of den."""
-    small = np.abs(den) < DENOMINATOR_TOL
+    called only if some |den| is, gives the (times, states, slots) of den.
+    The two comparisons read den as it is, with no |den| table beside it."""
+    small = (den < DENOMINATOR_TOL) & (den > -DENOMINATOR_TOL)
     if not small.any():
         return
     times, states, slots = steps()
@@ -263,15 +262,6 @@ def _check_denominators(sys, den, steps):
         i = np.unravel_index(np.argmin(key), key.shape)
         raise VanishingDenominatorError(f"weight denominator {den[i]} at "
                                         f"time {times[i]}, state {states[i]}")
-
-
-def _path_slots(sys, paths):
-    """Slot of each step of a (P, L) array of lattice paths: the real slot
-    whose successor is the next state; a step that is none of them gets a
-    slot that _walk rejects."""
-    cur = paths[:, :-1]
-    match = (sys.succ[cur] == paths[:, 1:, None]) & sys.plan.real[cur]
-    return match.argmax(axis=-1)
 
 
 def _walk(sys, sde, start, paths, slots):
@@ -349,19 +339,6 @@ def _drawn_paths(sys, start, states, n, seed, name="mc_paths"):
         u[(group + paths[j]).argsort(kind="stable")] = draws[j]
         step(paths[j], u, at[j], paths[j + 1])
     return paths.T, sys.plan.pick_slot.take(at).T, np.full(size, 1.0 / n)
-
-
-def evolve_weights(sys, sde: WeightSde, path) -> np.ndarray:
-    """Weights V along one realizable lattice path.
-
-    ``path[j]`` is the flat state at time start_time + j; the result has the
-    same length with V[0] = 1.  Raises ValueError on a transition the
-    lattice assigns zero probability.
-    """
-    _check_tables(sys, sde)
-    path = np.array([[int(p) for p in path]], dtype=np.int64)
-    v, _ = _walk(sys, sde, sde.start_time, path, _path_slots(sys, path))
-    return v[0]
 
 
 def _check_tables(sys, sde, g=None, terminal=None):

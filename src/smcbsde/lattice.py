@@ -12,10 +12,10 @@ support, repeat the first successor with probability zero.  The chain's
 
 For each source the one-step noise (the innovation martingale increment)
 carries the covariance diag(c) - c c' (c the successor law; positive
-semidefinite, it backs the integrand seminorm) and the bracket
-diag(c) - e c' - c e', indefinite whenever the step is random.  The two agree
-on integrands supported on the successors with c-weighted mean zero; formulas
-downstream are indexed against the bracket's inverse.  Both vanish off the
+semidefinite) and the bracket diag(c) - e c' - c e', indefinite whenever
+the step is random.  The two agree on integrands supported on the
+successors with c-weighted mean zero; formulas downstream are indexed
+against the bracket's inverse.  Both vanish off the
 block (source, *successors) of at most N+1 indices (``block``), and on it
 the bracket B = [[0, -c'], [-c, diag c]] has the Schur complement -sigma
 about diag c (sigma = sum c), so it is invertible with the closed-form
@@ -35,12 +35,12 @@ call.  Per-cell tables of a solve (cells, ...), such as a solution's
 values, are indexed like the plan's cells; the plan stores none of them.
 
 Every backward solver takes a whole time slice's step (``_centre``) on the
-successor values read through ``next_cell``; ``step`` takes it on a row.
-A coefficient table b is read through ``block_rows`` alone (``_rows_at``
-once the caller has checked the fit and holds the cells' keys), which
-takes a table of rows on the blocks or of dense rows over the flat states.  A
-gather of a per-source table for every cell runs in blocks of at most
-``BLOCK_ENTRIES`` entries (``_blocks``).
+successor values read through ``next_cell``.  A coefficient table b is
+read through ``block_rows`` alone (``_rows_at`` once the caller has checked
+the fit and holds the cells' keys), which takes a table of rows on the
+blocks or of dense rows over the flat states.  A gather of a per-source
+table for every cell runs in blocks of at most ``BLOCK_ENTRIES`` entries
+(``_blocks``).
 
 Whether a problem's table fits the lattice is decided by ``_require_fit``
 alone, wherever a table first meets the lattice (``block_rows`` for beta,
@@ -68,19 +68,11 @@ __all__ = [
     "ProblemDataError",
     "ProjectionConstants",
     "SlicePlan",
-    "UnreachableStateError",
     "build_lattice",
-    "canonical_integrand",
-    "integrands_equivalent",
-    "noise_seminorm",
     "projection_constants",
 ]
 
 BLOCK_ENTRIES = 1 << 18
-
-
-class UnreachableStateError(KeyError):
-    """The requested lattice state is never occupied as a transition source."""
 
 
 class ProblemDataError(ValueError):
@@ -168,22 +160,6 @@ class LatticeSystem:
         if not 0 <= flat < self.dim:
             raise ValueError(f"flat index {flat} outside 0..{self.dim - 1}")
         return flat % n, flat // n + 1
-
-    def step(self, k: int, values):
-        """One backward step over the sources reachable at time k.
-
-        values (..., D) are the time k+1 values.  Returns the conditional
-        means (..., S_k) under each source's successor law and the local
-        canonical integrands (..., S_k, W): value at successor slot j minus
-        the mean, zero on padding.
-        """
-        src = self.reachable_at[k]
-        # batch axes last, (S_k, W, ...): the gather reads whole rows of the
-        # transposed values, and the one (S_k, W, ...) array becomes z
-        mean, z = _centre(self.prob[src],
-                          np.asarray(values, dtype=float).T[self.succ[src]])
-        batch = tuple(range(z.ndim - 1, 1, -1))
-        return mean.T, z.transpose(batch + (0, 1))
 
     def block_rows(self, table, times, states) -> np.ndarray:
         """Rows (cells, ..., W+1) on the blocks of the sources ``states``
@@ -334,123 +310,6 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
         model, sq, dim, tuple(cells[a:b] for a, b in zip(bounds, bounds[1:])),
         mask, dist, sources, succ, prob, table.cdf, block, plan,
     )
-
-
-def _source_index(sys: LatticeSystem, state: int) -> int:
-    """Position of ``state`` in ``sys.sources``; raises UnreachableStateError
-    when the state is never stepped from."""
-    i = int(np.searchsorted(sys.sources, state))
-    if i == sys.sources.size or sys.sources[i] != state:
-        raise UnreachableStateError(
-            f"lattice state {sys.label(state)} is never a transition source"
-        )
-    return i
-
-
-def _source_integrand(sys: LatticeSystem, state: int, row) -> np.ndarray:
-    """Canonical integrand of ``row`` used from the single source ``state``:
-    row minus its successor-law mean on the successors, zero elsewhere
-    (padding slots repeat a successor at probability zero)."""
-    _source_index(sys, state)
-    row = np.asarray(row, dtype=float)
-    succ = sys.succ[state]
-    out = np.zeros(row.shape)
-    out[succ] = row[succ] - sys.prob[state] @ row[succ]
-    return out
-
-
-def _check_time(sys, k):
-    if not 0 <= k < sys.horizon:
-        raise ValueError(f"integrand time {k} outside 0..{sys.horizon - 1}")
-
-
-def noise_seminorm(sys: LatticeSystem, rows, up_to: int | None = None) -> float:
-    """Seminorm of a sequence of integrand rows against the one-step noise.
-
-    ``rows[u]`` is the ambient row applied at time u; the squared seminorm
-    sums E[row_u cov(state_u) row_u'] over u <= up_to with the occupancy law
-    of the lattice at u.  Rows that are constant on every successor support
-    (in particular constant rows) have seminorm zero.
-    """
-    rows = [np.asarray(r, dtype=float) for r in rows]
-    if up_to is None:
-        up_to = len(rows) - 1
-    if up_to >= sys.horizon or up_to >= len(rows):
-        raise ValueError("up_to exceeds the defined rows or the horizon")
-    total = 0.0
-    for u in range(up_to + 1):
-        src = sys.reachable_at[u]
-        p = sys.dist_at[u, src]
-        # variance form of row' cov row: immune to the cancellation that
-        # row @ cov @ row suffers on (near-)constant rows
-        _, z = sys.step(u, rows[u])
-        var = (sys.prob[src] * z * z).sum(axis=1)
-        total += float(p[p > 0.0] @ var[p > 0.0])
-    return float(np.sqrt(max(total, 0.0)))
-
-
-def canonical_integrand(
-    sys: LatticeSystem, k: int, row, state: int | None = None
-) -> np.ndarray:
-    """Unique equivalence-class representative of an integrand row.
-
-    With ``state`` given, the row is read as the integrand used from that
-    single source: the representative is zero off the successor support and
-    has successor-law weighted mean zero.  Without ``state`` the row is read
-    as used from every source reachable at time k; sources whose successor
-    supports overlap share their additive degree of freedom, so the
-    representative is zero off the union support and centred per overlap
-    component under the component's averaged successor law.  (Per-source
-    centring is unattainable once supports overlap.)
-
-    Idempotent, and rows are equivalent iff their representatives coincide.
-    """
-    if state is not None:
-        return _source_integrand(sys, state, row)
-    _check_time(sys, k)
-    row = np.asarray(row, dtype=float)
-    src = sys.reachable_at[k]
-    rows, slots = np.nonzero(sys.plan.real[src])
-    succ = sys.succ[src[rows], slots]
-    comp = _overlap_components(rows, succ, src.size, sys.dim)
-    mix = np.zeros((comp.max() + 1, sys.dim))
-    np.add.at(mix, (comp[rows], succ), sys.prob[src[rows], slots])
-    mix /= np.bincount(comp)[:, None]
-    out = np.zeros_like(row)
-    out[succ] = row[succ] - (mix @ row)[comp[rows]]
-    return out
-
-
-def _overlap_components(rows, succ, n, d) -> np.ndarray:
-    """Labels (n,) of the connected components of the graph joining source
-    rows[i] (of n) to successor succ[i] (of d), numbered 0, 1, ... by each
-    component's least source: the least source index spread over the
-    source-successor pairs until no label falls."""
-    label = np.arange(n)
-    while True:
-        low = np.full(d, n)
-        np.minimum.at(low, succ, label[rows])
-        new = label.copy()
-        np.minimum.at(new, rows, low[succ])
-        if np.array_equal(new, label):
-            return np.unique(label, return_inverse=True)[1]
-        label = new
-
-
-def integrands_equivalent(
-    sys: LatticeSystem, k: int, row1, row2, state: int | None = None,
-    tol: float = 1e-9,
-) -> bool:
-    """True iff the two rows produce the same product with every realizable
-    one-step increment (from ``state``, or from all sources at time k).
-    A non-finite difference is never equivalent."""
-    d = np.asarray(row1, dtype=float) - np.asarray(row2, dtype=float)
-    if state is not None:
-        z = _source_integrand(sys, state, d)
-    else:
-        _check_time(sys, k)
-        z = sys.step(k, d)[1]
-    return bool(np.all(np.abs(z) <= tol))
 
 
 @dataclass(frozen=True)

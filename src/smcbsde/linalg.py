@@ -1,4 +1,5 @@
-"""Pseudoinverse contract and the two scalar hypothesis inequalities."""
+"""The two scalar hypothesis inequalities, on the closed-form norms of each
+source's bracket and its inverse."""
 
 from __future__ import annotations
 
@@ -9,39 +10,8 @@ import numpy as np
 __all__ = [
     "ConditionReport",
     "comparison_condition",
-    "penrose_residuals",
-    "pinv",
     "positivity_condition",
 ]
-
-DEFAULT_RANK_TOL = 1e-12
-
-
-def pinv(q, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values below rank_tol times the largest are treated as zero.
-    Input must be finite; output satisfies the four Penrose identities to
-    within 1e-9 * (1 + ||q||) in Frobenius norm (see penrose_residuals).
-    """
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("pinv requires finite entries")
-    return np.linalg.pinv(q, rcond=rank_tol)
-
-
-def penrose_residuals(q, qp) -> dict:
-    """Frobenius residuals of the four Penrose identities for (q, qp)."""
-    q = np.asarray(q, dtype=float)
-    qp = np.asarray(qp, dtype=float)
-    qqp = q @ qp
-    qpq = qp @ q
-    return {
-        "reproduce": float(np.linalg.norm(qqp @ q - q)),
-        "weak_inverse": float(np.linalg.norm(qpq @ qp - qp)),
-        "left_symmetric": float(np.linalg.norm(qqp.T - qqp)),
-        "right_symmetric": float(np.linalg.norm(qpq.T - qpq)),
-    }
 
 
 @dataclass(frozen=True)

@@ -20,24 +20,37 @@ through ``oracle_dual_value``) is here too, its noise, step and flow each
 on arrays of their own, and so is the general driver's verified root from
 before its checks read a whole time slice as arrays: ``_verified_root``,
 one cell at a time, the oracle of ``bsde._verified_roots``.
+
+After them come the helpers the library once exported although only the
+tests read them: the per-row ``step`` (the bit-for-bit reference of the
+slice step), the integrand calculus (``canonical_integrand``,
+``integrands_equivalent``, ``noise_seminorm``), one cell's control drivers
+(``max_driver``, ``hamiltonian``, ``control_index``), the weights along one
+given path (``evolve_weights``), the SVD ``pinv`` with its Penrose
+residuals, and the chain's per-duration ``transition_matrix``,
+``martingale_increment`` and one-path ``simulate``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from smcbsde import (
+    InvalidModelError,
     LinearDriver,
-    UnreachableStateError,
+    SemiMarkovModel,
     VanishingDenominatorError,
+    simulate_paths,
+    sojourn_quantities,
 )
 from smcbsde.bsde import (_BRACKET_FACTOR, _MONOTONE_SAMPLES, ROOT_TOL,
                           BijectionError, _ambient_rows, _brent, _linear_terms)
+from smcbsde.chain import _outcome_law
 from smcbsde.control import _ALPHA_GUARD
-from smcbsde.duality import DENOMINATOR_TOL, Convention, _check_tables
-from smcbsde.lattice import _blocks
+from smcbsde.duality import DENOMINATOR_TOL, Convention, _check_tables, _walk
+from smcbsde.lattice import _blocks, _centre, _require_fit
 
 
 def _evaluate(phi, y, context):
@@ -151,13 +164,24 @@ class StateGeometry:
     projector = property(lambda self: self._dense(self.local_projector))
 
 
-def geometry_for(sys, state: int) -> StateGeometry:
-    """One source's view of the geometry of ``block_geometry``."""
+class UnreachableStateError(KeyError):
+    """The requested lattice state is never occupied as a transition source."""
+
+
+def source_index(sys, state: int) -> int:
+    """Position of ``state`` in ``sys.sources``; raises UnreachableStateError
+    when the state is never stepped from."""
     i = int(np.searchsorted(sys.sources, state))
     if i == sys.sources.size or sys.sources[i] != state:
         raise UnreachableStateError(
             f"lattice state {sys.label(state)} is never a transition source"
         )
+    return i
+
+
+def geometry_for(sys, state: int) -> StateGeometry:
+    """One source's view of the geometry of ``block_geometry``."""
+    i = source_index(sys, state)
     m = int(np.count_nonzero(sys.prob[state]))
     support, b = sys.succ[state, :m], slice(0, m + 1)
     column = np.zeros(sys.dim)
@@ -416,7 +440,7 @@ def _dense_affine_solve(sys, terms, values, local, roots=()):
     cut = np.searchsorted(roots, plan.offset).tolist()
     for k in range(sys.horizon - 1, -1, -1):
         src, at = sys.reachable_at[k], plan.span(k)
-        mean, z = sys.step(k, values[k + 1])
+        mean, z = step(sys, k, values[k + 1])
         local[k, src] = z
         if cut[k] == cut[k + 1]:
             values[k, src] = terms.closed(at, mean, z)
@@ -450,7 +474,7 @@ def dense_solve(sys, driver, terminal):
     else:
         for k in range(sys.horizon - 1, -1, -1):
             src = sys.reachable_at[k]
-            mean, z = sys.step(k, values[k + 1])
+            mean, z = step(sys, k, values[k + 1])
             local[k, src] = z
             rows = _ambient_rows(sys, k, z)
             for s, m, row in zip(src.tolist(), mean.tolist(), rows):
@@ -467,3 +491,289 @@ def dense_solve_control(problem, sys):
     roots = np.flatnonzero(np.any(terms.alpha >= 1.0 - _ALPHA_GUARD, axis=1))
     _dense_affine_solve(sys, terms, values, local, roots)
     return values, local, _dense_ambient(sys, local)
+
+
+# The per-row step and the integrand calculus the lattice once exported:
+# the slice step on one (D,) row or a batch, the canonical representative
+# of an integrand row, its equivalence class and its noise seminorm.
+
+
+def step(sys, k: int, values):
+    """One backward step over the sources reachable at time k.
+
+    values (..., D) are the time k+1 values.  Returns the conditional
+    means (..., S_k) under each source's successor law and the local
+    canonical integrands (..., S_k, W): value at successor slot j minus
+    the mean, zero on padding.
+    """
+    src = sys.reachable_at[k]
+    # batch axes last, (S_k, W, ...): the gather reads whole rows of the
+    # transposed values, and the one (S_k, W, ...) array becomes z
+    mean, z = _centre(sys.prob[src],
+                      np.asarray(values, dtype=float).T[sys.succ[src]])
+    batch = tuple(range(z.ndim - 1, 1, -1))
+    return mean.T, z.transpose(batch + (0, 1))
+
+
+def _source_integrand(sys, state: int, row) -> np.ndarray:
+    """Canonical integrand of ``row`` used from the single source ``state``:
+    row minus its successor-law mean on the successors, zero elsewhere
+    (padding slots repeat a successor at probability zero)."""
+    source_index(sys, state)
+    row = np.asarray(row, dtype=float)
+    succ = sys.succ[state]
+    out = np.zeros(row.shape)
+    out[succ] = row[succ] - sys.prob[state] @ row[succ]
+    return out
+
+
+def _check_time(sys, k):
+    if not 0 <= k < sys.horizon:
+        raise ValueError(f"integrand time {k} outside 0..{sys.horizon - 1}")
+
+
+def noise_seminorm(sys, rows, up_to: int | None = None) -> float:
+    """Seminorm of a sequence of integrand rows against the one-step noise.
+
+    ``rows[u]`` is the ambient row applied at time u; the squared seminorm
+    sums E[row_u cov(state_u) row_u'] over u <= up_to with the occupancy law
+    of the lattice at u.  Rows that are constant on every successor support
+    (in particular constant rows) have seminorm zero.
+    """
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    if up_to is None:
+        up_to = len(rows) - 1
+    if up_to >= sys.horizon or up_to >= len(rows):
+        raise ValueError("up_to exceeds the defined rows or the horizon")
+    total = 0.0
+    for u in range(up_to + 1):
+        src = sys.reachable_at[u]
+        p = sys.dist_at[u, src]
+        # variance form of row' cov row: immune to the cancellation that
+        # row @ cov @ row suffers on (near-)constant rows
+        _, z = step(sys, u, rows[u])
+        var = (sys.prob[src] * z * z).sum(axis=1)
+        total += float(p[p > 0.0] @ var[p > 0.0])
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def canonical_integrand(sys, k: int, row, state: int | None = None):
+    """Unique equivalence-class representative of an integrand row.
+
+    With ``state`` given, the row is read as the integrand used from that
+    single source: the representative is zero off the successor support and
+    has successor-law weighted mean zero.  Without ``state`` the row is read
+    as used from every source reachable at time k; sources whose successor
+    supports overlap share their additive degree of freedom, so the
+    representative is zero off the union support and centred per overlap
+    component under the component's averaged successor law.  (Per-source
+    centring is unattainable once supports overlap.)
+
+    Idempotent, and rows are equivalent iff their representatives coincide.
+    """
+    if state is not None:
+        return _source_integrand(sys, state, row)
+    _check_time(sys, k)
+    row = np.asarray(row, dtype=float)
+    src = sys.reachable_at[k]
+    rows, slots = np.nonzero(sys.plan.real[src])
+    succ = sys.succ[src[rows], slots]
+    comp = overlap_components(rows, succ, src.size, sys.dim)
+    mix = np.zeros((comp.max() + 1, sys.dim))
+    np.add.at(mix, (comp[rows], succ), sys.prob[src[rows], slots])
+    mix /= np.bincount(comp)[:, None]
+    out = np.zeros_like(row)
+    out[succ] = row[succ] - (mix @ row)[comp[rows]]
+    return out
+
+
+def overlap_components(rows, succ, n, d) -> np.ndarray:
+    """Labels (n,) of the connected components of the graph joining source
+    rows[i] (of n) to successor succ[i] (of d), numbered 0, 1, ... by each
+    component's least source: the least source index spread over the
+    source-successor pairs until no label falls."""
+    label = np.arange(n)
+    while True:
+        low = np.full(d, n)
+        np.minimum.at(low, succ, label[rows])
+        new = label.copy()
+        np.minimum.at(new, rows, low[succ])
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
+
+
+def integrands_equivalent(sys, k: int, row1, row2, state: int | None = None,
+                          tol: float = 1e-9) -> bool:
+    """True iff the two rows produce the same product with every realizable
+    one-step increment (from ``state``, or from all sources at time k).
+    A non-finite difference is never equivalent."""
+    d = np.asarray(row1, dtype=float) - np.asarray(row2, dtype=float)
+    if state is not None:
+        z = _source_integrand(sys, state, d)
+    else:
+        _check_time(sys, k)
+        z = step(sys, k, d)[1]
+    return bool(np.all(np.abs(z) <= tol))
+
+
+# One cell's control drivers, as control once exported them: the driver of
+# every control at a scalar value and an ambient integrand row.
+
+
+def max_driver(problem, sys, k, state, y, z_row):
+    """Largest driver value over the grid with its lowest attaining index.
+
+    Returns (best_value, best_index, all_values).
+    """
+    _require_fit(sys, (problem.n_controls,), alpha=problem.alpha, g=problem.g,
+                 beta=problem.beta)
+    # P z on the source's block: the projector is the identity there, zero
+    # on the padding and at a source without successors
+    i, real = source_index(sys, state), sys.plan.real[state]
+    pz = np.where(np.concatenate(([real.any()], real)),
+                  np.asarray(z_row, dtype=float)[sys.block[i]], 0.0)
+    vals = (
+        problem.alpha[k, state] * y
+        + sys.block_rows(problem.beta, k, state) @ pz
+        + problem.g[k, state]
+    )
+    idx = int(np.argmax(vals))
+    return float(vals[idx]), idx, vals
+
+
+def hamiltonian(problem, sys, k, state, y, z_row, u) -> float:
+    """Driver value of one control at the given scalar value and integrand."""
+    return float(max_driver(problem, sys, k, state, y, z_row)[2][u])
+
+
+def control_index(policy, k: int, state: int) -> int:
+    """The control a PolicyTable assigns at (k, state); KeyError where it
+    assigns none."""
+    u = int(policy.choices[k, state])
+    if u < 0:
+        raise KeyError(f"no control assigned at time {k}, state {state}")
+    return u
+
+
+# The weights along one given path, as duality once exported them.
+
+
+def path_slots(sys, paths):
+    """Slot of each step of a (P, L) array of lattice paths: the real slot
+    whose successor is the next state; a step that is none of them gets a
+    slot that duality._walk rejects."""
+    cur = paths[:, :-1]
+    match = (sys.succ[cur] == paths[:, 1:, None]) & sys.plan.real[cur]
+    return match.argmax(axis=-1)
+
+
+def evolve_weights(sys, sde, path) -> np.ndarray:
+    """Weights V along one realizable lattice path.
+
+    ``path[j]`` is the flat state at time start_time + j; the result has the
+    same length with V[0] = 1.  Raises ValueError on a transition the
+    lattice assigns zero probability.
+    """
+    _check_tables(sys, sde)
+    path = np.array([[int(p) for p in path]], dtype=np.int64)
+    v, _ = _walk(sys, sde, sde.start_time, path, path_slots(sys, path))
+    return v[0]
+
+
+# The SVD pseudoinverse and its Penrose-identity residuals, once linalg's.
+
+
+def pinv(q, rank_tol: float = 1e-12) -> np.ndarray:
+    """Moore-Penrose pseudoinverse via SVD.
+
+    Singular values below rank_tol times the largest are treated as zero.
+    Input must be finite; output satisfies the four Penrose identities to
+    within 1e-9 * (1 + ||q||) in Frobenius norm (see penrose_residuals).
+    """
+    q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("pinv requires finite entries")
+    return np.linalg.pinv(q, rcond=rank_tol)
+
+
+def penrose_residuals(q, qp) -> dict:
+    """Frobenius residuals of the four Penrose identities for (q, qp)."""
+    q = np.asarray(q, dtype=float)
+    qp = np.asarray(qp, dtype=float)
+    qqp = q @ qp
+    qpq = qp @ q
+    return {
+        "reproduce": float(np.linalg.norm(qqp @ q - q)),
+        "weak_inverse": float(np.linalg.norm(qpq @ qp - qp)),
+        "left_symmetric": float(np.linalg.norm(qqp.T - qqp)),
+        "right_symmetric": float(np.linalg.norm(qpq.T - qpq)),
+    }
+
+
+# The chain's one-step matrices, its innovation and one simulated path, as
+# chain once exported them.
+
+
+def from_start_state(n_states, horizon, pi, jump, start) -> SemiMarkovModel:
+    """A SemiMarkovModel started in the one state ``start``."""
+    x0 = np.zeros(n_states)
+    x0[start] = 1.0
+    return SemiMarkovModel(n_states, horizon, pi, jump, x0)
+
+
+def transition_matrix(model, duration: int, sq=None) -> np.ndarray:
+    """One-step chain transition matrix given the current sojourn duration.
+
+    Column i holds the law of the next chain state for a chain that has sat
+    in i for `duration` steps: mass 1 - hazard stays put, the rest spreads
+    over the jump row.  Columns of states that cannot attain `duration` are
+    zero; the remaining columns sum to one.
+    """
+    if not 1 <= duration <= model.n_durations:
+        raise ValueError(
+            f"duration {duration} outside 1..{model.n_durations}"
+        )
+    if sq is None:
+        sq = sojourn_quantities(model)
+    if not np.any(sq.attainable[:, duration - 1]):
+        raise InvalidModelError(f"no state can attain duration {duration}")
+    law = _outcome_law(model, sq)[:, duration - 1]
+    a = law[:, :-1].T.copy()
+    np.fill_diagonal(a, law[:, -1])
+    return a
+
+
+def martingale_increment(model, state: int, duration: int, next_state: int,
+                         sq=None) -> np.ndarray:
+    """Innovation e_next - A(duration) e_state of one observed transition.
+
+    Conditionally on (state, duration) the increment has mean zero, which is
+    what makes the chain indicator process a martingale after compensation.
+    """
+    a = transition_matrix(model, duration, sq)
+    out = -a[:, state]
+    out[next_state] += 1.0
+    return out
+
+
+@dataclass(frozen=True)
+class ChainPath:
+    """One simulated trajectory over times 0..horizon.
+
+    states[k]    : chain state at time k
+    durations[k] : steps spent in the current state including time k
+                   (resets to 1 on arrival; durations[0] = 1)
+    jump_times   : times of state changes, with the start time 0 included
+    """
+
+    states: np.ndarray
+    durations: np.ndarray
+    jump_times: np.ndarray = field(repr=False)
+
+
+def simulate(model, horizon: int | None = None, *, seed=None) -> ChainPath:
+    """The single path of ``simulate_paths``, reproducible from a seed (or
+    drawn from a Generator passed as ``seed``)."""
+    states, durations = simulate_paths(model, 1, horizon, seed=seed)
+    return ChainPath(states[0], durations[0], np.flatnonzero(durations[0] == 1))

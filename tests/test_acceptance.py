@@ -16,19 +16,12 @@ from smcbsde import (
     WeightSde,
     brute_force_value,
     build_lattice,
-    canonical_integrand,
     dual_value,
     epsilon_optimal_policy,
-    integrands_equivalent,
-    martingale_increment,
-    noise_seminorm,
-    penrose_residuals,
-    pinv,
     select_convention,
     sojourn_quantities,
     solve_bsde,
     solve_control,
-    transition_matrix,
     weight_bounds,
 )
 from smcbsde.instances import (
@@ -38,7 +31,17 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model
-from dense import geometry_for, transition
+from dense import (
+    canonical_integrand,
+    geometry_for,
+    integrands_equivalent,
+    martingale_increment,
+    noise_seminorm,
+    penrose_residuals,
+    pinv,
+    transition,
+    transition_matrix,
+)
 
 _duality_instances = []
 _control_instances = []

@@ -32,7 +32,6 @@ from smcbsde import (
     dual_value,
     epsilon_optimal_policy,
     evaluate_policy,
-    max_driver,
     solve_bsde,
     solve_control,
     weight_bounds,
@@ -48,7 +47,15 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model, tiny_model
-from dense import _verified_root, dense_beta, geometry_for, transition
+from dense import (
+    _verified_root,
+    control_index,
+    dense_beta,
+    geometry_for,
+    max_driver,
+    step,
+    transition,
+)
 
 # ---------------------------------------------------------------------------
 # References: the per-source loops
@@ -222,7 +229,7 @@ def reference_policy_driver(problem, sys, policy):
     for k in range(t):
         for s in sys.reachable_at[k]:
             s = int(s)
-            u = policy.control_index(k, s)
+            u = control_index(policy, k, s)
             alpha[k, s] = problem.alpha[k, s, u]
             g[k, s] = problem.g[k, s, u]
             beta[k, s] = dense_beta(sys, problem.beta)[k, s, u]
@@ -636,7 +643,7 @@ def test_step_pads_single_successor_rows():
     values = np.random.default_rng(5).standard_normal((2, sys_.dim))
     for k in range(sys_.horizon):
         assert sys_.reachable_at[k].size == 1
-        mean, z = sys_.step(k, values)
+        mean, z = step(sys_, k, values)
         s = int(sys_.reachable_at[k][0])
         (j,) = geometry_for(sys_, s).support
         np.testing.assert_array_equal(mean[:, 0], values[:, j])
@@ -676,7 +683,7 @@ def test_backward_gather_is_the_step_of_the_scattered_row(case):
             row = np.full(sys_.dim, np.nan)
             row[sys_.reachable_at[k + 1]] = values[plan.span(k + 1)]
             with np.errstate(invalid="ignore"):
-                ref = sys_.step(k, row)
+                ref = step(sys_, k, row)
             for got, want in zip((mean, z), ref):
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()

@@ -23,7 +23,6 @@ from smcbsde import (
     build_lattice,
     dual_value,
     epsilon_optimal_policy,
-    evolve_weights,
     solve_bsde,
     solve_control,
     weight_bounds,
@@ -38,7 +37,7 @@ from smcbsde.instances import (
 )
 
 from conftest import geometric_model
-from dense import dense_beta, geometry_for
+from dense import dense_beta, evolve_weights, geometry_for
 
 WIDTHS = (r"field 'beta' has rows of width \d+ but the model's lattice takes "
           r"W\+1 = \d+ \(rows on the blocks\) or D = \d+ \(dense rows\)$")

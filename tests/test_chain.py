@@ -14,11 +14,8 @@ from smcbsde import (
     SimulationError,
     build_lattice,
     files,
-    martingale_increment,
-    simulate,
     simulate_paths,
     sojourn_quantities,
-    transition_matrix,
     validate_model,
 )
 from smcbsde.chain import (
@@ -32,6 +29,12 @@ from smcbsde.chain import (
 from smcbsde.instances import random_model
 
 from conftest import geometric_model, tiny_model, uniform_jump
+from dense import (
+    from_start_state,
+    martingale_increment,
+    simulate,
+    transition_matrix,
+)
 
 
 def test_model_coercion_and_readonly():
@@ -53,7 +56,7 @@ def test_model_shape_errors():
 
 
 def test_from_start_state():
-    model = SemiMarkovModel.from_start_state(
+    model = from_start_state(
         2, 1, np.full((2, 2), 0.5), uniform_jump(2, 2), 1
     )
     assert model.x0.tolist() == [0.0, 1.0]

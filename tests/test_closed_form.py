@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import dead_end_model, deterministic_model, geometric_model
-from dense import block_geometry, pinv_noise
+from dense import block_geometry, max_driver, pinv_noise
 from smcbsde import (
     ControlProblem,
     Convention,
     WeightSde,
     build_lattice,
     comparison_condition,
-    max_driver,
     positivity_condition,
 )
 from smcbsde.bsde import _gather

@@ -14,15 +14,13 @@ from smcbsde import (
     build_lattice,
     epsilon_optimal_policy,
     evaluate_policy,
-    hamiltonian,
-    max_driver,
     solve_bsde,
     solve_control,
 )
 from smcbsde.instances import random_control_problem, random_model
 
 from conftest import geometric_model, tiny_model
-from dense import dense_beta, geometry_for
+from dense import control_index, dense_beta, geometry_for, hamiltonian, max_driver
 
 
 def small_system(rng, t_max=3):
@@ -248,10 +246,10 @@ def test_hypothesis_gate_raises_and_overrides():
 
 def test_policy_table_accessors():
     table = PolicyTable(np.array([[0, -1], [1, 2]]))
-    assert table.control_index(0, 0) == 0
-    assert table.control_index(1, 1) == 2
+    assert control_index(table, 0, 0) == 0
+    assert control_index(table, 1, 1) == 2
     with pytest.raises(KeyError):
-        table.control_index(0, 1)
+        control_index(table, 0, 1)
     with pytest.raises(ValueError):
         PolicyTable(np.zeros(3))
 

@@ -27,7 +27,6 @@ from smcbsde import (
     build_lattice,
     dual_value,
     epsilon_optimal_policy,
-    evolve_weights,
     select_convention,
     solve_bsde,
     solve_control,
@@ -38,7 +37,6 @@ from smcbsde.duality import (
     DENOMINATOR_TOL,
     _drawn_paths,
     _factors,
-    _path_slots,
     _walk,
 )
 from smcbsde.instances import (
@@ -53,9 +51,11 @@ from dense import (
     check_walked_denominators,
     dense_beta,
     enumerate_paths,
+    evolve_weights,
     full_factors,
     full_noise,
     geometry_for,
+    path_slots,
     transition,
 )
 
@@ -284,6 +284,29 @@ def test_vanishing_denominator_raises():
     sde = WeightSde.from_driver(driver, Convention.MIXED)
     with pytest.raises(VanishingDenominatorError):
         dual_value(sys_, sde, driver.g, np.ones(4))
+
+
+def test_denominator_mask_is_the_absolute_value_test():
+    # the two comparisons of _check_denominators flag exactly the entries
+    # that |den| < DENOMINATOR_TOL flags, at the edges of the test as well
+    tol = DENOMINATOR_TOL
+    edges = [tol * (1.0 + 1e-15), tol, tol * (1.0 - 1e-15)]
+    den = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, *edges,
+                    *(-e for e in edges)])
+    assert den[5] > tol > den[7] and -den[5] < -tol < -den[7]
+    want = np.abs(den) < tol
+    np.testing.assert_array_equal((den < tol) & (den > -tol), want)
+    # each entry alone, at the one real step of the tiny model's time 0
+    sys_ = build_lattice(tiny_model())
+    where = (np.zeros((1, 1), int),) * 3
+    for value, small in zip(den, want):
+        raised = False
+        try:
+            duality._check_denominators(sys_, np.full((1, 1), value),
+                                        lambda: where)
+        except VanishingDenominatorError:
+            raised = True
+        assert raised == small, value
 
 
 def test_select_convention_unique_and_exact():
@@ -1222,7 +1245,7 @@ def test_a_drawn_path_through_a_dead_end_is_not_realizable():
 def test_path_slots_are_the_sampled_slots():
     sys_ = build_lattice(random_model(np.random.default_rng(27), n=4, t=8))
     paths, slots, _ = _drawn_paths(sys_, 0, sys_.reachable_at[0], 50, 27)
-    np.testing.assert_array_equal(_path_slots(sys_, paths), slots)
+    np.testing.assert_array_equal(path_slots(sys_, paths), slots)
 
 
 def test_a_draw_on_a_cumulative_boundary_moves_past_it():

@@ -19,8 +19,10 @@ from smcbsde import (
     SemiMarkovModel,
     build_lattice,
     cli,
+    duality,
     files,
     lattice,
+    linalg,
     simulate_paths,
     solve_bsde,
     solve_control,
@@ -638,11 +640,79 @@ def test_cli_verify_all(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "pass" in text and "FAIL" not in text
     payload = json.loads((tmp_path / "suite.json").read_text())
-    names = {p["name"] for p in payload["properties"]}
-    assert {"martingale-and-lattice", "penrose-axioms", "duality-residual",
-            "weight-positivity", "comparison-ordering",
-            "control-vs-brute-force", "epsilon-bound"} <= names
+    assert [p["name"] for p in payload["properties"]] == [
+        "successor-laws", "bracket-closed-form", "duality-residual",
+        "weight-positivity", "comparison-ordering", "control-vs-brute-force",
+        "epsilon-bound"]
     assert all(p["passed"] for p in payload["properties"])
+
+
+def _suite_verdicts():
+    return {name: passed for name, _, _, passed in cli._suite_rows(0)}
+
+
+def _perturbed(sys_, prob):
+    """1e-9 more mass on the first source's first real slot."""
+    prob[sys_.sources[0], 0] += 1e-9
+
+
+def _swapped(sys_, prob):
+    """A stay and a jump of one source trade their probabilities: every law
+    still sums to one, but the sojourn law no longer comes back."""
+    n = sys_.model.n_states
+    for s in sys_.sources:
+        stay = sys_.succ[s] == s + n
+        other = sys_.plan.real[s] & ~stay & (prob[s] != prob[s][stay].sum())
+        if stay.any() and other.any():
+            j, i = np.argmax(stay), np.argmax(other)
+            prob[s, [i, j]] = prob[s, [j, i]]
+            return
+    raise AssertionError("no source with a stay and a jump")
+
+
+@pytest.mark.parametrize("fault", [_perturbed, _swapped])
+def test_verify_all_successor_laws_catch_a_faulty_table(monkeypatch, fault):
+    # the fault goes into the first lattice the suite builds
+    built, calls = cli.build_lattice, []
+
+    def faulty(model):
+        sys_ = built(model)
+        calls.append(sys_)
+        if len(calls) > 1:
+            return sys_
+        prob = sys_.prob.copy()
+        fault(sys_, prob)
+        prob.flags.writeable = False
+        return replace(sys_, prob=prob)
+
+    monkeypatch.setattr(cli, "build_lattice", faulty)
+    verdicts = _suite_verdicts()
+    assert not verdicts["successor-laws"]
+    assert verdicts["bracket-closed-form"]
+
+
+@pytest.mark.parametrize("name, index", [("_bracket_norms", 0),
+                                         ("_bracket_norms", 1),
+                                         ("_noise", None)])
+def test_verify_all_bracket_row_catches_a_scaled_closed_form(monkeypatch,
+                                                             name, index):
+    # one of linalg's two closed-form norms, or duality's noise, off by a
+    # factor 1 + 1e-6
+    module = {"_bracket_norms": linalg, "_noise": duality}[name]
+    closed = getattr(module, name)
+
+    def scaled(*args):
+        out = closed(*args)
+        if index is None:
+            return out * (1.0 + 1e-6)
+        out = list(out)
+        out[index] = out[index] * (1.0 + 1e-6)
+        return tuple(out)
+
+    monkeypatch.setattr(module, name, scaled)
+    verdicts = _suite_verdicts()
+    assert not verdicts["bracket-closed-form"]
+    assert verdicts["successor-laws"]
 
 
 def test_cli_version(capsys):

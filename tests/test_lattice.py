@@ -6,25 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcbsde import (
-    ControlProblem,
-    UnreachableStateError,
-    build_lattice,
-    canonical_integrand,
-    integrands_equivalent,
-    max_driver,
-    noise_seminorm,
-    projection_constants,
-)
+from smcbsde import ControlProblem, build_lattice, projection_constants
 from smcbsde.instances import random_model
-from smcbsde.lattice import _overlap_components
 from smcbsde.linalg import comparison_condition, positivity_condition
 
 from conftest import TINY_TRANSITION, geometric_model, tiny_model
 from dense import (
+    UnreachableStateError,
     bracket_matrix,
+    canonical_integrand,
     covariance_matrix,
     geometry_for,
+    integrands_equivalent,
+    max_driver,
+    noise_seminorm,
+    overlap_components,
     step_distribution,
     transition,
 )
@@ -214,14 +210,14 @@ def test_overlap_components_match_scipy():
             src = sys_.reachable_at[k]
             rows, slots = np.nonzero(sys_.plan.real[src])
             pairs = rows, sys_.succ[src[rows], slots], src.size, sys_.dim
-            np.testing.assert_array_equal(_overlap_components(*pairs),
+            np.testing.assert_array_equal(overlap_components(*pairs),
                                           scipy_components(*pairs))
     # random sparse pairs: chains, isolated sources and unused successors
     for _ in range(200):
         n, d = (int(v) for v in rng.integers(1, 40, 2))
         m = int(rng.integers(0, 2 * n))
         pairs = rng.integers(0, n, m), rng.integers(0, d, m), n, d
-        np.testing.assert_array_equal(_overlap_components(*pairs),
+        np.testing.assert_array_equal(overlap_components(*pairs),
                                       scipy_components(*pairs))
 
 

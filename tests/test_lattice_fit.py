@@ -24,14 +24,10 @@ from smcbsde import (
     dual_value,
     epsilon_optimal_policy,
     evaluate_policy,
-    evolve_weights,
-    hamiltonian,
-    max_driver,
     solve_bsde,
     solve_control,
     weight_bounds,
 )
-from smcbsde.duality import _drawn_paths
 from smcbsde.instances import random_control_problem, random_linear_instance
 
 from conftest import geometric_model
@@ -103,11 +99,8 @@ def test_weight_recursion_tables_that_do_not_fit_are_refused(sys_, linear,
         refused(field, lambda: dual_value(sys_, sde, tables["g"],
                                           tables["terminal"], **kwargs))
     if field in ("alpha", "beta"):
-        path = _drawn_paths(sys_, 0, [int(sys_.reachable_at[0][0])], 1,
-                            np.random.default_rng(1))[0][0]
         refused(field, lambda: weight_bounds(sys_, sde))
         refused(field, lambda: weight_bounds(sys_, sde, samples=3, seed=0))
-        refused(field, lambda: evolve_weights(sys_, sde, path))
 
 
 def test_beta_rows_of_another_width_name_both_widths(sys_, linear):
@@ -197,9 +190,6 @@ def test_control_tables_that_do_not_fit_are_refused(sys_, control, how):
     refused(field, lambda: brute_force_value(bad, sys_))
     refused(field, lambda: epsilon_optimal_policy(bad, sys_, solved, 0.1))
     refused(field, lambda: evaluate_policy(bad, sys_, solved.policy))
-    s, z = int(sys_.reachable_at[0][0]), np.zeros(sys_.dim)
-    refused(field, lambda: max_driver(bad, sys_, 0, s, 0.0, z))
-    refused(field, lambda: hamiltonian(bad, sys_, 0, s, 0.0, z, 0))
 
 
 def test_problem_data_error_is_one_class_exported_once():

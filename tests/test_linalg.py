@@ -1,4 +1,4 @@
-"""Pseudoinverse correctness and the two structural inequality checks."""
+"""The pseudoinverse oracle and the two structural inequality checks."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,13 @@ import pytest
 from smcbsde import (
     build_lattice,
     comparison_condition,
-    penrose_residuals,
-    pinv,
     positivity_condition,
     projection_constants,
 )
 from smcbsde.instances import random_model
 
 from conftest import tiny_model
-from dense import geometry_for, transition
+from dense import geometry_for, penrose_residuals, pinv, transition
 
 
 def random_psd_rank_deficient(rng, max_size=20):
