@@ -294,16 +294,17 @@ def simulate_paths(
     u, at = np.empty(n_paths), np.empty(n_paths, dtype=np.int64)
     step = _stepper(table.cdf, table.pick_next, n_paths)
     for k in range(horizon):
-        cell = path[k]
-        if dead and np.any(empty := total.take(cell) <= 0.0):
-            m, s = divmod(int(cell[np.argmax(empty)]), n)
+        if dead and np.any(empty := total.take(path[k]) <= 0.0):
+            m, s = divmod(int(path[k, np.argmax(empty)]), n)
             raise SimulationError(
                 f"state {s} at duration {m + 1} has no defined continuation"
             )
-        step(cell, rng.random(out=u), at, path[k + 1])
+        step(path[k], rng.random(out=u), at, path[k + 1])
+    # two tables at a time: the time-major one goes before the split
     states = np.ascontiguousarray(path.T)
-    durations = states // n
-    states -= durations * n
+    del path
+    durations = np.empty_like(states)
+    np.divmod(states, n, out=(durations, states))
     durations += 1
     return states, durations
 

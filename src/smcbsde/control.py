@@ -431,10 +431,11 @@ def _expected_max_gap_sq(sys, delta):
     start = sys.dist_at[0]
     root = np.array([s for s in sys.reachable_at[0] if start[s] > 0.0])
     prob, gap = np.ones(root.size), delta[0, root] ** 2
-    for k, rows, cur, slots in _level_walk(sys, 0, root):
-        gap = np.maximum(gap[rows], delta[k + 1, sys.succ[cur, slots]] ** 2)
-        prob = prob[rows] * sys.prob[cur, slots]
-        root = root[rows]
+    for k, rows, cur, flat in _level_walk(sys, 0, root):
+        nxt = sys.succ.take(flat)
+        gap = np.maximum(gap.take(rows), delta[k + 1].take(nxt) ** 2)
+        prob = prob.take(rows) * sys.prob.take(flat)
+        root = root.take(rows)
     return float((start[root] * prob) @ gap)
 
 

@@ -60,7 +60,11 @@ checks and keeps nothing, so it runs and peaks as without a memo.
 Exhaustive weight_bounds and the epsilon-policy gap in control fold V, W,
 their running maxima, the path probability and the running minimum over a
 breadth-first level walk of every realizable path, which holds only the
-vectors of the paths alive at one time; no list of paths is built.  Sampled
+vectors of the paths alive at one time; no list of paths is built.  The
+walk hands each level's branches out as (rows, cur, flat): the live path
+of a branch, its state and its entry cur * W + slot in the (D, W) tables,
+so the folds read steps, laws and successors with one flat take each and
+carry per-path state with take(rows).  Sampled
 statistics and the Monte Carlo dual evaluate V and W along a (P, L) array
 of drawn paths, with the factors evaluated at the drawn steps only: paths
 are drawn by the chain's one inverse-CDF step (chain._stepper) on the
@@ -302,15 +306,23 @@ def _walk(sys, sde, start, paths, slots):
 def _level_walk(sys, start, states):
     """Breadth-first walk over every realizable path from each (start,
     state), the paths alive at a time in depth-first, successor-ascending
-    order.  Yields per time k (rows, cur, slots): path rows[p] of those
-    alive at k, in state cur[p], branches to its slot slots[p]; the
-    branches, in this order, are the paths alive at k + 1."""
+    order.  Yields per time k (k, rows, cur, flat): path rows[p] of those
+    alive at k, in state cur[p], branches through its real slot j at
+    flat[p] = cur[p] * W + j, the step's entry in a raveled (D, W) table
+    such as succ or prob; the branches, in this order, are the paths alive
+    at k + 1.  A level reads the real-slot mask and the successors with
+    one flat take each."""
+    real, succ = sys.plan.real, sys.succ.ravel()
+    width = real.shape[1]
     cur = np.asarray(states, dtype=np.int64)
     for k in range(start, sys.horizon):
-        rows, slots = np.nonzero(sys.plan.real[cur])
-        cur = cur[rows]
-        yield k, rows, cur, slots
-        cur = sys.succ[cur, slots]
+        flat = np.flatnonzero(real.take(cur, axis=0))
+        rows = flat // width
+        cur = cur.take(rows)
+        # rows[p] * W + j becomes cur[p] * W + j in flatnonzero's buffer
+        flat += (cur - rows) * width
+        yield k, rows, cur, flat
+        cur = succ.take(flat)
 
 
 def _drawn_paths(sys, start, states, n, seed, name="mc_paths"):
@@ -487,17 +499,19 @@ def weight_bounds(
         run, step = np.empty(sys.dim), np.empty(sys.succ.shape)
         root, weight, v = states, np.ones(states.size), np.ones(states.size)
         vmax, wmax, min_weight = v, np.zeros(states.size), 1.0
-        for k, rows, cur, slots in _level_walk(sys, start, states):
+        for k, rows, cur, flat in _level_walk(sys, start, states):
             now = slice(bounds[k - start], bounds[k - start + 1])
             run[sys.reachable_at[k]] = fac.run[now]
             step[sys.reachable_at[k]] = fac.step[now]
-            w = v[rows] * run[cur]
-            wmax = np.maximum(wmax[rows], w * w)
-            v = v[rows] * step[cur, slots]
-            vmax = np.maximum(vmax[rows], v * v)
+            v = v.take(rows)
+            w = v * run.take(cur)
+            # in w's buffer: a new table here would raise the walk's peak
+            wmax = np.maximum(wmax.take(rows), np.square(w, out=w), out=w)
+            v *= step.take(flat)
+            vmax = np.maximum(vmax.take(rows), v * v)
             min_weight = np.minimum(min_weight, v.min())
-            weight = weight[rows] * sys.prob[cur, slots]
-            root = root[rows]
+            weight = weight.take(rows) * sys.prob.take(flat)
+            root = root.take(rows)
     else:
         paths, slots, weight = _drawn_paths(sys, start, states, samples, seed,
                                             "samples")

@@ -28,11 +28,14 @@ The reachability pass also lays out one slice plan (``SlicePlan``): the
 reachable cells (time, state) in time-then-state order, so that time k's
 slice is one contiguous run and ``reachable_at[k]`` a view of it, with each
 cell's time and, before the horizon, its successors' positions in the cells
-(``next_cell``).  Beside it the plan keeps the successor table's real-slot
-mask (the one spelling of ``prob > 0`` in the library) and the path
-sampler's pick tables, which the loops would otherwise rebuild on every
-call.  Per-cell tables of a solve (cells, ...), such as a solution's
-values, are indexed like the plan's cells; the plan stores none of them.
+(``next_cell``), in one pass over the times: slice k's successor rows,
+taken once, give the flow to time k+1, the cells reachable there and,
+read off their positions, slice k's ``next_cell`` rows.  Beside it the
+plan keeps the successor table's real-slot mask (the one spelling of
+``prob > 0`` in the library) and the path sampler's pick tables, which the
+loops would otherwise rebuild on every call.  Per-cell tables of a solve
+(cells, ...), such as a solution's values, are indexed like the plan's
+cells; the plan stores none of them.
 
 Every backward solver takes a whole time slice's step (``_centre``) on the
 successor values read through ``next_cell``.  A coefficient table b is
@@ -272,17 +275,20 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     dist = np.zeros((t + 1, dim))
     dist[0, :n] = model.x0
     mask[0] = dist[0] > 0.0
-    reachable = [np.flatnonzero(mask[0])]
+    reachable, parts = [np.flatnonzero(mask[0])], []
+    pos, first = np.empty(dim, np.int32), 0
     for k in range(t):
         cur = reachable[-1]
         if cur.size == 0:
             raise InvalidModelError(f"reachable set is empty at time {k}")
-        dist[k + 1] = np.bincount(
-            succ[cur].ravel(), (prob[cur] * dist[k, cur, None]).ravel(),
-            minlength=dim,
-        )
-        mask[k + 1, succ[cur][valid[cur]]] = True
-        reachable.append(np.flatnonzero(mask[k + 1]))
+        nxt = succ.take(cur, axis=0)
+        flow = prob.take(cur, axis=0) * dist[k].take(cur)[:, None]
+        dist[k + 1] = np.bincount(nxt.ravel(), flow.ravel(), minlength=dim)
+        mask[k + 1, nxt[valid.take(cur, axis=0)]] = True
+        reachable.append(reach := np.flatnonzero(mask[k + 1]))
+        first += cur.size
+        pos[reach] = np.arange(first, first + reach.size, dtype=np.int32)
+        parts.append(pos.take(nxt))
     if reachable[-1].size == 0:
         raise InvalidModelError(f"reachable set is empty at time {t}")
 
@@ -293,13 +299,7 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     times = np.repeat(np.arange(t + 1), sizes)
     sources = np.unique(cells[:offset[t]])
     block = np.concatenate((sources[:, None], succ[sources]), axis=1)
-    # slice k's successor cells, read off slice k+1's positions by state
-    next_cell = succ.astype(np.int32).take(cells[:offset[t]], axis=0)
-    pos, at = np.empty(dim, np.int32), np.arange(cells.size, dtype=np.int32)
-    for k in range(t):
-        pos[reachable[k + 1]] = at[offset[k + 1]:offset[k + 2]]
-        nxt = next_cell[offset[k]:offset[k + 1]]
-        pos.take(nxt, out=nxt)
+    next_cell = np.concatenate(parts)
     plan = SlicePlan(cells, offset, times, times * dim + cells, valid,
                      table.pick_slot, table.pick_next, next_cell)
     for arr in (mask, dist, sources, succ, prob, table.cdf, block,

@@ -19,7 +19,11 @@ shared them between the noise, the step and the sweep (``oracle_factors``
 through ``oracle_dual_value``) is here too, its noise, step and flow each
 on arrays of their own, and so is the general driver's verified root from
 before its checks read a whole time slice as arrays: ``_verified_root``,
-one cell at a time, the oracle of ``bsde._verified_roots``.
+one cell at a time, the oracle of ``bsde._verified_roots``.  So are the two
+forward walks from before they read the successor table by flat index:
+``oracle_build_lattice``, whose reachability loop and successor-cell loop
+ran apart, and ``oracle_level_walk`` with the exhaustive statistics over
+it (``oracle_weight_bounds``, ``oracle_expected_max_gap_sq``).
 
 After them come the helpers the library once exported although only the
 tests read them: the per-row ``step`` (the bit-for-bit reference of the
@@ -47,10 +51,12 @@ from smcbsde import (
 )
 from smcbsde.bsde import (_BRACKET_FACTOR, _MONOTONE_SAMPLES, ROOT_TOL,
                           BijectionError, _ambient_rows, _brent, _linear_terms)
-from smcbsde.chain import _outcome_law
+from smcbsde.chain import _outcome_law, _require_laws, _successors
 from smcbsde.control import _ALPHA_GUARD
-from smcbsde.duality import DENOMINATOR_TOL, Convention, _check_tables, _walk
-from smcbsde.lattice import _blocks, _centre, _require_fit
+from smcbsde.duality import (DENOMINATOR_TOL, Convention, WeightReport,
+                             _check_tables, _factors, _walk)
+from smcbsde.lattice import (LatticeSystem, SlicePlan, _blocks, _centre,
+                             _require_fit)
 
 
 def _evaluate(phi, y, context):
@@ -411,6 +417,119 @@ def oracle_dual_value(sys, sde, g, terminal):
     out[starts] = oracle_sweep(sys, oracle_factors(sys, sde), g,
                                terminal)[:starts.size]
     return out
+
+
+def oracle_build_lattice(model):
+    """build_lattice as it was before one pass per time built reachability
+    and the successor-cell index together: the reachability loop gathers
+    succ[cur] twice and prob[cur] with two-index reads, and a second loop
+    over the times maps an int32 copy of the cells' successor rows to their
+    positions in place."""
+    _require_laws(model)
+    sq = sojourn_quantities(model)
+    n, t = model.n_states, model.horizon
+    dim = (t + 1) * n
+    table = _successors(model, sq)
+    succ, prob, valid = table.succ, table.prob, table.real
+    own = valid & (succ == np.arange(dim)[:, None])
+    if own.any():
+        s = int(np.argwhere(own)[0, 0])
+        raise InvalidModelError(
+            f"lattice state {(s % n, s // n + 1)} jumps onto itself"
+        )
+
+    mask = np.zeros((t + 1, dim), dtype=bool)
+    dist = np.zeros((t + 1, dim))
+    dist[0, :n] = model.x0
+    mask[0] = dist[0] > 0.0
+    reachable = [np.flatnonzero(mask[0])]
+    for k in range(t):
+        cur = reachable[-1]
+        if cur.size == 0:
+            raise InvalidModelError(f"reachable set is empty at time {k}")
+        dist[k + 1] = np.bincount(
+            succ[cur].ravel(), (prob[cur] * dist[k, cur, None]).ravel(),
+            minlength=dim,
+        )
+        mask[k + 1, succ[cur][valid[cur]]] = True
+        reachable.append(np.flatnonzero(mask[k + 1]))
+    if reachable[-1].size == 0:
+        raise InvalidModelError(f"reachable set is empty at time {t}")
+
+    sizes = [reach.size for reach in reachable]
+    offset = np.concatenate(([0], np.cumsum(sizes)))
+    cells = np.concatenate(reachable)
+    times = np.repeat(np.arange(t + 1), sizes)
+    sources = np.unique(cells[:offset[t]])
+    block = np.concatenate((sources[:, None], succ[sources]), axis=1)
+    next_cell = succ.astype(np.int32).take(cells[:offset[t]], axis=0)
+    pos, at = np.empty(dim, np.int32), np.arange(cells.size, dtype=np.int32)
+    for k in range(t):
+        pos[reachable[k + 1]] = at[offset[k + 1]:offset[k + 2]]
+        nxt = next_cell[offset[k]:offset[k + 1]]
+        pos.take(nxt, out=nxt)
+    plan = SlicePlan(cells, offset, times, times * dim + cells, valid,
+                     table.pick_slot, table.pick_next, next_cell)
+    bounds = offset.tolist()
+    return LatticeSystem(
+        model, sq, dim, tuple(cells[a:b] for a, b in zip(bounds, bounds[1:])),
+        mask, dist, sources, succ, prob, table.cdf, block, plan,
+    )
+
+
+def oracle_level_walk(sys, start, states):
+    """The level walk as it was before it read the successor table by flat
+    index: per time k (k, rows, cur, slots), from a two-dimensional nonzero
+    of the real-slot mask at the paths' states, the walk stepping through
+    succ[cur, slots]."""
+    cur = np.asarray(states, dtype=np.int64)
+    for k in range(start, sys.horizon):
+        rows, slots = np.nonzero(sys.plan.real[cur])
+        cur = cur[rows]
+        yield k, rows, cur, slots
+        cur = sys.succ[cur, slots]
+
+
+def oracle_weight_bounds(sys, sde):
+    """The exhaustive weight_bounds (no positivity report) over
+    oracle_level_walk, reading the factors, laws and per-path state with
+    two-index and fancy gathers."""
+    _check_tables(sys, sde)
+    start = sde.start_time
+    states = sys.reachable_at[start]
+    fac = _factors(sys, sde)
+    bounds = (sys.plan.offset[start:] - sys.plan.offset[start]).tolist()
+    run, step = np.empty(sys.dim), np.empty(sys.succ.shape)
+    root, weight, v = states, np.ones(states.size), np.ones(states.size)
+    vmax, wmax, min_weight = v, np.zeros(states.size), 1.0
+    for k, rows, cur, slots in oracle_level_walk(sys, start, states):
+        now = slice(bounds[k - start], bounds[k - start + 1])
+        run[sys.reachable_at[k]] = fac.run[now]
+        step[sys.reachable_at[k]] = fac.step[now]
+        w = v[rows] * run[cur]
+        wmax = np.maximum(wmax[rows], w * w)
+        v = v[rows] * step[cur, slots]
+        vmax = np.maximum(vmax[rows], v * v)
+        min_weight = np.minimum(min_weight, v.min())
+        weight = weight[rows] * sys.prob[cur, slots]
+        root = root[rows]
+    ev = np.bincount(root, weight * vmax, minlength=sys.dim)[states]
+    ew = np.bincount(root, weight * wmax, minlength=sys.dim)[states]
+    per_state = {int(s): (float(a), float(b)) for s, a, b in zip(states, ev, ew)}
+    return WeightReport(float(ev.max()), float(ew.max()), float(min_weight),
+                        per_state)
+
+
+def oracle_expected_max_gap_sq(sys, delta):
+    """control._expected_max_gap_sq over oracle_level_walk."""
+    start = sys.dist_at[0]
+    root = np.array([s for s in sys.reachable_at[0] if start[s] > 0.0])
+    prob, gap = np.ones(root.size), delta[0, root] ** 2
+    for k, rows, cur, slots in oracle_level_walk(sys, 0, root):
+        gap = np.maximum(gap[rows], delta[k + 1, sys.succ[cur, slots]] ** 2)
+        prob = prob[rows] * sys.prob[cur, slots]
+        root = root[rows]
+    return float((start[root] * prob) @ gap)
 
 
 def check_walked_denominators(sys, den, walked):
