@@ -53,7 +53,8 @@ from .duality import (
     select_convention,
     weight_bounds,
 )
-from .lattice import ProblemDataError, build_lattice, projection_constants
+from .lattice import (ProblemDataError, _blocks, build_lattice,
+                      projection_constants)
 from .linalg import comparison_condition, positivity_condition
 
 EXIT_OK = 0
@@ -135,9 +136,12 @@ def _cmd_simulate(args):
         return EXIT_INVALID
     model = files.load_model(args.model)
     states, durations = simulate_paths(model, n, seed=args.seed)
-    t, drawn = states.shape[1], (states.ravel(), durations.ravel())
-    files.write_csv(args.out, ("path", "time", "state", "duration"),
-                    (np.arange(n).repeat(t), np.tile(np.arange(t), n), *drawn))
+    t = states.shape[1]
+    # the columns of one block of paths at a time
+    files.write_csv(args.out, ("path", "time", "state", "duration"), (
+        (np.arange(at.start, at.stop).repeat(t),
+         np.tile(np.arange(t), at.stop - at.start), states[at].ravel(),
+         durations[at].ravel()) for at in _blocks(n, 4 * t)))
     print(f"wrote {n} path(s) of length {model.horizon + 1} to {args.out}")
     return EXIT_OK
 

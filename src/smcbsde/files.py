@@ -28,10 +28,18 @@ block of rows at a time (``lattice._blocks``), with the bytes one dump of
 the whole array gives, and a packed table is base64-encoded from slices of
 ``_PIECE`` entries (a multiple of 3, so the pieces join into the text one
 encode of the whole table gives).  ``write_csv`` formats 1-D columns a block
-of rows at a time, integers from digit tables (``_int_lines``).  A packed
-field is decoded the same way, piece by piece, straight into the table it
-returns, so a load holds the document's text and strings and the tables,
-about twice the file, and a save no copy of its tables.
+of rows at a time, integers from digit tables (``_int_lines``).  A save
+thus holds no copy of its tables.  A packed field is decoded the same way,
+piece by piece, straight into the table it returns.  The loaders read the
+file's bytes once and hand json.loads a skeleton of them (``_skeleton``), in
+which each table field's data string of at least ``_LONG`` characters of
+base64 alphabet is a placeholder, decoded later from the bytes (any other
+string is left to json.loads).  So a load holds one copy of the file and the
+tables (1.75 times the file in peak RSS for a whole decode of a 62 MB
+problem, 1.41 times with a lattice's rows); the whole-text parse, which
+load_document, a shorter file and any file the skeleton cannot stand for
+take, holds the text and its strings at once, twice the file.  Either way
+the tables and messages are the same.
 
 Rows: a problem loader given the lattice ``sys`` the problem is solved on
 (as the CLI's solve-bsde, verify-duality and solve-control do) decodes a
@@ -40,8 +48,9 @@ the horizon (``sys.plan.key[:sys.plan.offset[T]]``), each whole, dense or on
 the block; each run of consecutive rows is one slice of the string, cut at
 quads.  The other rows are zero, in pages of a calloc-backed table that are
 never written, so never made resident.  The whole string is still checked:
-its length, its padding and, a piece at a time, its alphabet, so a defect
-in a row never decoded is refused as one in a row that is.  A file whose
+its length, its padding and, a piece at a time, its alphabet (on the file's
+bytes for a string read from them), so a defect in a row never decoded is
+refused as one in a row that is.  A file whose
 alpha does not fit the lattice is refused (ProblemDataError, from the
 lattice's one fit check) before any other field is decoded; a nested-list
 beta is decoded whole.
@@ -70,6 +79,7 @@ import ctypes
 import json
 import math
 import mmap
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -252,16 +262,18 @@ def _column_lines(columns):
 
 
 def write_csv(path, header, columns) -> None:
-    """CSV of a header and a tuple of equally long 1-D numpy columns,
-    written a block of rows at a time: columns that are all integers by
-    _int_lines, whose text is the same as the %d format's, any others by
-    _column_lines."""
+    """CSV of a header and a tuple of equally long 1-D numpy columns, or of
+    an iterable of such tuples whose rows follow one another (so that a
+    caller can make its columns a block at a time), written a block of rows
+    at a time: columns that are all integers by _int_lines, whose text is
+    the same as the %d format's, any others by _column_lines."""
     with _output(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if all(np.can_cast(c.dtype, np.int64) for c in columns):
-            fh.writelines(_int_lines(columns))
-        else:
-            fh.writelines(_column_lines(columns))
+        for part in [columns] if isinstance(columns, tuple) else columns:
+            if all(np.can_cast(c.dtype, np.int64) for c in part):
+                fh.writelines(_int_lines(part))
+            else:
+                fh.writelines(_column_lines(part))
 
 
 def _require(doc, field, path):
@@ -270,19 +282,103 @@ def _require(doc, field, path):
     return doc[field]
 
 
-def load_document(path, expected_kind=None) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise FileFormatError(f"{path}: file not found")
+def _text(path, raw):
+    """The bytes ``raw`` of the file at ``path`` as the text
+    ``path.read_text(encoding="utf-8")`` gives, universal newlines
+    included."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(
             f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at "
             f"offset {exc.start}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
-                              f"column {exc.colno}: {exc.msg}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+# a "data" string of at least this many characters is left out of the JSON
+# parse (_skeleton); a shorter file is parsed whole
+_LONG = 1 << 12
+_DATA = re.compile(rb'"data"[ \t\n\r]*:[ \t\n\r]*"')
+
+
+def _skeleton(raw, tables):
+    """The document of the bytes ``raw`` with each packed table field of
+    ``tables`` whose data is a long string of base64 alphabet (at most two
+    trailing '='s) holding that string as a memoryview of ``raw``; None
+    where the whole text must be parsed instead.
+
+    Each such string becomes a placeholder "\\u0000<i>" in a skeleton that
+    json.loads parses.  Its delimiting quotes stay where they were, and its
+    text has no quote, backslash or byte a JSON or UTF-8 error could fall
+    on, so the skeleton parses exactly where the file does, to the same
+    document but for the placeholders.  No placeholder can be taken for a
+    string of the file, which holds no "\\u0000" escape; one that is not a
+    table field's data (a "data" key elsewhere, a duplicate key) leaves the
+    skeleton unused."""
+    if len(raw) < _LONG or not tables:
+        return None
+    spans, parts, at, pos = [], [], 0, 0
+    step = _PIECE // 3 * 32
+    while match := _DATA.search(raw, pos):
+        lo = match.end()
+        hi = raw.find(b'"', lo)
+        if hi < 0:
+            break
+        pos = hi + 1
+        stop = hi - 2 + len(raw[hi - 2:hi].rstrip(b"="))
+        if hi - lo < _LONG or any(
+                raw[a:min(a + step, stop)].translate(None, _ALPHABET)
+                for a in range(lo, stop, step)):
+            continue
+        parts += [raw[at:lo], b"\\u0000%d" % len(spans)]
+        spans.append((lo, hi))
+        at = hi
+    if not spans:
+        return None
+    parts.append(raw[at:])
+    # the file's own text lies between the strings taken
+    if any(b"\\u0000" in part for part in parts[::2]):
+        return None
+    try:
+        doc = json.loads(b"".join(parts).decode("utf-8"))
+    except ValueError:
+        return None
+    if not isinstance(doc, dict):
+        return None
+    view, taken = memoryview(raw), 0
+    for field in tables:
+        value = doc.get(field)
+        if isinstance(value, dict) and isinstance(value.get("data"), str) \
+                and value["data"][:1] == "\0":
+            lo, hi = spans[int(value["data"][1:])]
+            value["data"], taken = view[lo:hi], taken + 1
+    return doc if taken == len(spans) else None
+
+
+def load_document(path, expected_kind=None) -> dict:
+    """The document at ``path``, parsed whole, checked for its schema
+    version and, given ``expected_kind``, its kind."""
+    return _document(path, expected_kind)
+
+
+def _document(path, expected_kind, tables=()):
+    """load_document's document; the data of a packed field among the
+    table fields ``tables`` may be a memoryview of the file's bytes
+    (_skeleton) instead of a str."""
+    path = Path(path)
+    if not path.exists():
+        raise FileFormatError(f"{path}: file not found")
+    raw = path.read_bytes()
+    doc = _skeleton(raw, tables)
+    if doc is None:
+        # only the text is held while it is parsed, as read_text's was
+        text = _text(path, raw)
+        del raw
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}"
+                                  f", column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     version = _require(doc, "schema_version", path)
@@ -337,25 +433,29 @@ _ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 def _decode(data, shape, rows=None):
     """The float64 table of ``shape`` whose bytes ``data`` holds in strict
-    base64, decoded a piece at a time into the table; ValueError or
-    TypeError where data is anything else.  ``rows``: ascending flat
-    indices over the table's two leading axes, the only rows decoded (all
-    by default); the others stay zero, in pages the table never touches.
-    The byte count that data's length and padding give is checked before
-    the table is allocated, and the whole string, a piece at a time, for
-    characters outside the alphabet before its ``pad`` trailing '='s, so a
-    row never decoded is checked as strictly as one that is."""
-    if not isinstance(data, str) or len(data) % 4:
+    base64, decoded a piece at a time into the table; ValueError where
+    data is anything else.  ``data``: a str, or a memoryview of the file's
+    bytes that _skeleton checked.  ``rows``: ascending flat indices over
+    the table's two leading axes, the only rows decoded (all by default);
+    the others stay zero, in pages the table never touches.  The byte count
+    that data's length and padding give is checked before the table is
+    allocated, and a str, a piece at a time, for characters outside the
+    alphabet before its ``pad`` trailing '='s, so a row never decoded is
+    checked as strictly as one that is."""
+    if not isinstance(data, (str, memoryview)) or len(data) % 4:
         raise ValueError(data)
-    pad = 2 if data.endswith("==") else int(data.endswith("="))
+    tail = bytes(data[-2:], "ascii") if isinstance(data, str) \
+        else data[-2:].tobytes()
+    pad = len(tail) - len(tail.rstrip(b"="))
     size = len(data) // 4 * 3 - pad
     if size != 8 * math.prod(shape):
         raise ValueError(size)
     step = _PIECE // 3 * 32
-    for lo in range(0, len(data) - pad, step):
-        if data[lo:min(lo + step, len(data) - pad)].encode("ascii").translate(
-                None, _ALPHABET):
-            raise ValueError(lo)
+    if isinstance(data, str):
+        for lo in range(0, len(data) - pad, step):
+            if data[lo:min(lo + step, len(data) - pad)].encode(
+                    "ascii").translate(None, _ALPHABET):
+                raise ValueError(lo)
     table = _zeros(shape, rows is not None)
     out = table.reshape(-1).view(np.uint8)
     if rows is None:
@@ -406,7 +506,8 @@ def _unpack(value, field, path, rows=None):
         return _decode(value["data"], shape, rows)
     except (TypeError, ValueError):
         pass
-    # a defect: the whole-string decode names it
+    # a defect: the whole-string decode names it (b64decode takes a span's
+    # memoryview as it takes the str of the same text)
     try:
         raw = base64.b64decode(value["data"], validate=True)
     except (TypeError, ValueError) as exc:
@@ -458,7 +559,7 @@ def _number(doc, field, path, integer=False):
 
 def _read_model(path) -> SemiMarkovModel:
     """The model a document holds, before validate_model's checks."""
-    doc = load_document(path, "semi_markov_model")
+    doc = _document(path, "semi_markov_model", ("pi", "jump", "x0"))
     n = _number(doc, "n_states", path, integer=True)
     t = _number(doc, "horizon", path, integer=True)
     pi = _array(doc, "pi", path, (n, t + 1))
@@ -511,7 +612,7 @@ def load_linear_problem(path, sys=None):
     ProblemDataError before any other field is decoded, and a packed beta
     is decoded only at its cells before the horizon (_solved_rows), its
     other rows left zero; its whole data are still checked."""
-    doc = load_document(path, "linear_bsde")
+    doc = _document(path, "linear_bsde", ("alpha", "g", "beta", "terminal"))
     alpha = _array(doc, "alpha", path)
     if alpha.ndim != 2:
         raise FileFormatError(f"{path}: alpha must be a (T, D) table")
@@ -534,7 +635,8 @@ def save_linear_problem(path, driver: LinearDriver, terminal) -> None:
 def load_control_problem(path, sys=None) -> ControlProblem:
     """Read a control problem; ``sys`` checks alpha's fit and selects the
     rows of beta decoded as in load_linear_problem."""
-    doc = load_document(path, "control_problem")
+    doc = _document(path, "control_problem",
+                    ("controls", "alpha", "g", "beta", "terminal"))
     alpha = _array(doc, "alpha", path)
     if alpha.ndim != 3:
         raise FileFormatError(f"{path}: alpha must be a (T, D, U) table")

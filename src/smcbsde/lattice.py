@@ -28,9 +28,10 @@ The reachability pass also lays out one slice plan (``SlicePlan``): the
 reachable cells (time, state) in time-then-state order, so that time k's
 slice is one contiguous run and ``reachable_at[k]`` a view of it, with each
 cell's time and, before the horizon, its successors' positions in the cells
-(``next_cell``), in one pass over the times: slice k's successor rows,
-taken once, give the flow to time k+1, the cells reachable there and,
-read off their positions, slice k's ``next_cell`` rows.  Beside it the
+(``next_cell``): one pass over the times takes slice k's successor rows
+once for the flow to time k+1 and the cells reachable there, and a second,
+once the plan's size is known, writes each slice's rows' positions straight
+into ``next_cell``, so no slice's rows are held beside it.  Beside it the
 plan keeps the successor table's real-slot mask (the one spelling of
 ``prob > 0`` in the library) and the path sampler's pick tables, which the
 loops would otherwise rebuild on every call.  Per-cell tables of a solve
@@ -275,8 +276,7 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
     dist = np.zeros((t + 1, dim))
     dist[0, :n] = model.x0
     mask[0] = dist[0] > 0.0
-    reachable, parts = [np.flatnonzero(mask[0])], []
-    pos, first = np.empty(dim, np.int32), 0
+    reachable = [np.flatnonzero(mask[0])]
     for k in range(t):
         cur = reachable[-1]
         if cur.size == 0:
@@ -285,27 +285,34 @@ def build_lattice(model: SemiMarkovModel) -> LatticeSystem:
         flow = prob.take(cur, axis=0) * dist[k].take(cur)[:, None]
         dist[k + 1] = np.bincount(nxt.ravel(), flow.ravel(), minlength=dim)
         mask[k + 1, nxt[valid.take(cur, axis=0)]] = True
-        reachable.append(reach := np.flatnonzero(mask[k + 1]))
-        first += cur.size
-        pos[reach] = np.arange(first, first + reach.size, dtype=np.int32)
-        parts.append(pos.take(nxt))
+        reachable.append(np.flatnonzero(mask[k + 1]))
     if reachable[-1].size == 0:
         raise InvalidModelError(f"reachable set is empty at time {t}")
 
     # the slice plan: every reachable cell once, time-major
     sizes = [reach.size for reach in reachable]
     offset = np.concatenate(([0], np.cumsum(sizes)))
+    bounds = offset.tolist()
     cells = np.concatenate(reachable)
     times = np.repeat(np.arange(t + 1), sizes)
     sources = np.unique(cells[:offset[t]])
     block = np.concatenate((sources[:, None], succ[sources]), axis=1)
-    next_cell = np.concatenate(parts)
+    # each slice's successor rows mapped straight into the table, now that
+    # its size is known: pos holds the positions of the next slice's cells;
+    # every index is in range, and mode="clip" lets take write into out
+    # without a temporary
+    next_cell = np.empty((bounds[t], succ.shape[1]), np.int32)
+    pos = np.empty(dim, np.int32)
+    for k in range(t):
+        pos[reachable[k + 1]] = np.arange(bounds[k + 1], bounds[k + 2],
+                                          dtype=np.int32)
+        pos.take(succ.take(reachable[k], axis=0), mode="clip",
+                 out=next_cell[bounds[k]:bounds[k + 1]])
     plan = SlicePlan(cells, offset, times, times * dim + cells, valid,
                      table.pick_slot, table.pick_next, next_cell)
     for arr in (mask, dist, sources, succ, prob, table.cdf, block,
                 *vars(plan).values()):
         arr.flags.writeable = False
-    bounds = offset.tolist()
     return LatticeSystem(
         model, sq, dim, tuple(cells[a:b] for a, b in zip(bounds, bounds[1:])),
         mask, dist, sources, succ, prob, table.cdf, block, plan,

@@ -23,7 +23,10 @@ one cell at a time, the oracle of ``bsde._verified_roots``.  So are the two
 forward walks from before they read the successor table by flat index:
 ``oracle_build_lattice``, whose reachability loop and successor-cell loop
 ran apart, and ``oracle_level_walk`` with the exhaustive statistics over
-it (``oracle_weight_bounds``, ``oracle_expected_max_gap_sq``).
+it (``oracle_weight_bounds``, ``oracle_expected_max_gap_sq``).  So is the
+document parse from before a problem load read its packed strings from the
+file's bytes: ``oracle_load_document``, the whole text through
+``read_text`` and ``json.loads``.
 
 After them come the helpers the library once exported although only the
 tests read them: the per-row ``step`` (the bit-for-bit reference of the
@@ -35,8 +38,10 @@ residuals, and the chain's per-duration ``transition_matrix``,
 ``martingale_increment`` and one-path ``simulate``.
 """
 
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +60,7 @@ from smcbsde.chain import _outcome_law, _require_laws, _successors
 from smcbsde.control import _ALPHA_GUARD
 from smcbsde.duality import (DENOMINATOR_TOL, Convention, WeightReport,
                              _check_tables, _factors, _walk)
+from smcbsde.files import SCHEMA_VERSION, FileFormatError, _require
 from smcbsde.lattice import (LatticeSystem, SlicePlan, _blocks, _centre,
                              _require_fit)
 
@@ -475,6 +481,38 @@ def oracle_build_lattice(model):
         model, sq, dim, tuple(cells[a:b] for a, b in zip(bounds, bounds[1:])),
         mask, dist, sources, succ, prob, table.cdf, block, plan,
     )
+
+
+def oracle_load_document(path, expected_kind=None) -> dict:
+    """files.load_document as it was before the loaders read packed strings
+    from the file's bytes: the whole text, decoded by read_text and parsed
+    by json.loads."""
+    path = Path(path)
+    if not path.exists():
+        raise FileFormatError(f"{path}: file not found")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at "
+            f"offset {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
+                              f"column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}: top level must be an object")
+    version = _require(doc, "schema_version", path)
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+        raise FileFormatError(
+            f"{path}: schema_version {version} unsupported "
+            f"(expected 1 or {SCHEMA_VERSION})"
+        )
+    kind = _require(doc, "kind", path)
+    if expected_kind is not None and kind != expected_kind:
+        raise FileFormatError(
+            f"{path}: kind '{kind}' where '{expected_kind}' was expected"
+        )
+    return doc
 
 
 def oracle_level_walk(sys, start, states):

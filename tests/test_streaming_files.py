@@ -22,6 +22,7 @@ from smcbsde import ControlProblem, build_lattice, cli, files, lattice, solve_bs
 from smcbsde.instances import random_linear_instance
 
 from conftest import geometric_model
+from dense import oracle_load_document
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -497,18 +498,41 @@ def test_saving_a_problem_holds_no_copy_of_its_tables(large_problem):
         assert peak <= 1 * MB, (name, peak)
 
 
-def test_loading_a_problem_peaks_near_twice_its_file(large_problem):
+def test_loading_a_problem_holds_one_copy_of_its_file(large_problem,
+                                                     monkeypatch):
     out, _, driver, terminal, control = large_problem
     files.save_linear_problem(out / "linear.json", driver, terminal)
     files.save_control_problem(out / "control.json", control)
-    (back, back_terminal), peak = _peak(
+    (back, back_terminal), linear = _peak(
         lambda: files.load_linear_problem(out / "linear.json"))
-    assert peak <= 2.1 * (out / "linear.json").stat().st_size
     assert back.beta.tobytes() == driver.beta.tobytes()
     assert back_terminal.tobytes() == terminal.tobytes()
+    tables = {"linear.json": (back.alpha, back.g, back.beta, back_terminal)}
     back, peak = _peak(lambda: files.load_control_problem(out / "control.json"))
-    assert peak <= 2.1 * (out / "control.json").stat().st_size
     assert back.beta.tobytes() == control.beta.tobytes()
+    tables["control.json"] = (back.controls, back.alpha, back.g, back.beta,
+                              back.terminal)
+    peaks = {"linear.json": linear, "control.json": peak}
+    # the whole-text parse held the file's text and json's strings at once
+    monkeypatch.setattr(files, "_document",
+                        lambda p, kind, tables=(): oracle_load_document(p, kind))
+    _, whole = _peak(lambda: files.load_linear_problem(out / "linear.json"))
+    for name, peak in peaks.items():
+        size = (out / name).stat().st_size
+        # the file's bytes, the tables and a little more
+        assert peak <= size + sum(a.nbytes for a in tables[name]) + MB, name
+    assert whole >= 1.99 * (out / "linear.json").stat().st_size
+    # a "\u0000" escape sends the loader to the whole-text parse too
+    raw = (out / "linear.json").read_bytes()
+    (out / "escaped.json").write_bytes(b'{"note": "\\u0000",' + raw[1:])
+    _, escaped_whole = _peak(
+        lambda: files.load_linear_problem(out / "escaped.json"))
+    # load_document and that loader hold no more than the oracle's parse
+    monkeypatch.undo()
+    _, document = _peak(lambda: files.load_document(out / "linear.json"))
+    assert document <= 1.01 * whole
+    _, escaped = _peak(lambda: files.load_linear_problem(out / "escaped.json"))
+    assert escaped <= 1.01 * escaped_whole
 
 
 def test_writing_a_solution_peaks_below_half_the_whole_text(large_problem):
